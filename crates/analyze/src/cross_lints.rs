@@ -21,6 +21,11 @@
 //! * `RCN203` — the checker's counterexample schedule fails the
 //!   abstract↔threaded replay bridge (error): a schedule only one
 //!   executor believes in is not a counterexample, it is a bug report.
+//!   Emitted by the `RCN200` lint from its own BFS run.
+//!
+//! The `RCN200` lint also emits the program lint `RCN104` (crash
+//! divergence) from its DFS run's counterexample, so each linted system is
+//! searched once per engine.
 //!
 //! The cross-lints only run on programs whose exploration found no
 //! totality panics: executing a program that panics on feasible responses
@@ -187,6 +192,32 @@ pub fn check_replay_bridge(subject: &str, sys: &System, schedule: &Schedule, rep
     }
 }
 
+/// Pushes the `RCN104` warning for a counterexample on which one process
+/// outputs two different values across a crash.
+fn push_crash_divergence(sys: &System, cex: &rcn_faults::Counterexample, report: &mut Report) {
+    let Some(d) = cex.divergence else { return };
+    report.push(
+        Diagnostic::new(
+            "RCN104",
+            Severity::Warn,
+            Locus::program(subject(sys)),
+            format!(
+                "process p{} (input {}) outputs {} and later {} along the crash schedule `{}`",
+                d.process.index(),
+                sys.inputs()[d.process.index()],
+                d.first,
+                d.second,
+                cex.schedule
+            ),
+        )
+        .with_suggestion(
+            "guard the first shared-memory operation with a read (as in the \
+             paper's recoverable T_{n,n'} algorithm) so a restarted process \
+             rediscovers its pre-crash progress",
+        ),
+    );
+}
+
 fn budget_warn(subject: &str, code: &'static str, what: &str, report: &mut Report) {
     report.push(
         Diagnostic::new(
@@ -200,7 +231,20 @@ fn budget_warn(subject: &str, code: &'static str, what: &str, report: &mut Repor
 }
 
 /// `RCN200`/`RCN202` — differential crashtest: DFS explorer vs BFS
-/// checker at one shared budget.
+/// checker at one shared budget, each run once per system.
+///
+/// The same two runs feed two more codes, both only on consensus-checked
+/// systems (a system built with `System::new_unchecked` has no consensus
+/// contract, so neither engine can find a violation on it):
+///
+/// * `RCN104` — crash-divergence: the DFS counterexample shows one process
+///   outputting two different values across a crash, exactly the failure
+///   mode that separates the recoverable hierarchy from the classical one
+///   (Golab's test-and-set separation, Lemma 16's `T_{n,n'}` collapse). A
+///   hit is a genuine schedule within the per-process crash budget;
+///   silence means "none within the budget".
+/// * `RCN203` — the BFS counterexample must survive the
+///   abstract↔threaded replay bridge ([`check_replay_bridge`]).
 pub struct CrossCrashtest {
     /// Per-process crash budget for both engines.
     pub max_crashes: usize,
@@ -235,7 +279,8 @@ impl ProgramLint for CrossCrashtest {
         "differential-crashtest"
     }
     fn description(&self) -> &'static str {
-        "DFS explorer and BFS checker must agree on crash-divergence verdicts"
+        "DFS explorer and BFS checker must agree on crash verdicts; their counterexamples \
+         are checked for divergence (RCN104) and replayed (RCN203)"
     }
     fn check(
         &self,
@@ -248,9 +293,6 @@ impl ProgramLint for CrossCrashtest {
             return;
         }
         let subject = subject(sys);
-        // The DFS side runs the sharded engine: the cross-check then also
-        // exercises the parallel search's bit-identical-verdict contract
-        // against an engine that shares none of its code.
         let dfs = rcn_faults::CrashExplorer::new(
             sys,
             rcn_faults::CrashtestConfig {
@@ -260,7 +302,6 @@ impl ProgramLint for CrossCrashtest {
                 ..Default::default()
             },
         )
-        .with_threads(2)
         .explore();
         let bfs = rcn_mc::model_check(
             sys,
@@ -271,6 +312,16 @@ impl ProgramLint for CrossCrashtest {
                 ..Default::default()
             },
         );
+        // A found violation is budget-exact whatever the other side's
+        // coverage, so RCN104 and RCN203 do not wait for the comparison.
+        if sys.is_consensus_checked() {
+            if let Some(cex) = &dfs.counterexample {
+                push_crash_divergence(sys, cex, report);
+            }
+            if let Some(cex) = &bfs.counterexample {
+                check_replay_bridge(&subject, sys, &cex.schedule, report);
+            }
+        }
         // A violation verdict is budget-exact on both sides; only a clean
         // verdict needs exhaustiveness to be comparable.
         let dfs_conclusive = dfs.counterexample.is_some() || dfs.stats.exhaustive();
@@ -374,68 +425,5 @@ impl ProgramLint for CrossValency {
             &checker.valency.to_string(),
             report,
         );
-    }
-}
-
-/// `RCN203` — every counterexample the BFS checker reports must survive
-/// the abstract↔threaded replay bridge.
-pub struct ReplayBridge {
-    /// Per-process crash budget for the checker run.
-    pub max_crashes: usize,
-    /// Schedule-length cap for the checker run.
-    pub max_depth: usize,
-    /// State cap for the checker run (a clipped clean run emits nothing:
-    /// there is no schedule to bridge).
-    pub max_states: usize,
-}
-
-impl Default for ReplayBridge {
-    fn default() -> Self {
-        let c = CrossCrashtest::default();
-        ReplayBridge {
-            max_crashes: c.max_crashes,
-            max_depth: c.max_depth,
-            max_states: c.max_states,
-        }
-    }
-}
-
-impl ProgramLint for ReplayBridge {
-    fn code(&self) -> &'static str {
-        "RCN203"
-    }
-    fn name(&self) -> &'static str {
-        "replay-bridge"
-    }
-    fn description(&self) -> &'static str {
-        "checker counterexamples must replay identically on both executors"
-    }
-    fn check(
-        &self,
-        sys: &System,
-        graphs: &[ProcessGraph],
-        _cfg: &ExploreConfig,
-        report: &mut Report,
-    ) {
-        if !executable(graphs) {
-            return;
-        }
-        // The bridge needs real threaded execution; systems built with
-        // `new_unchecked` carry no consensus contract to confirm.
-        if !sys.is_consensus_checked() {
-            return;
-        }
-        let bfs = rcn_mc::model_check(
-            sys,
-            rcn_mc::McConfig {
-                max_crashes: self.max_crashes,
-                max_depth: self.max_depth,
-                max_states: self.max_states,
-                ..Default::default()
-            },
-        );
-        if let Some(cex) = &bfs.counterexample {
-            check_replay_bridge(&subject(sys), sys, &cex.schedule, report);
-        }
     }
 }

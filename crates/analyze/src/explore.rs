@@ -38,25 +38,16 @@ pub(crate) fn silent_catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     })
 }
 
-/// Bounds for the abstract exploration and the crash-divergence search.
+/// Bounds for the abstract exploration.
 #[derive(Debug, Clone, Copy)]
 pub struct ExploreConfig {
     /// Maximum number of distinct local states explored per process.
     pub max_states: usize,
-    /// Maximum number of crashes injected by the crash-divergence search.
-    pub max_crashes: usize,
-    /// Maximum schedule length in the crash-divergence search (also bounds
-    /// its recursion depth).
-    pub max_sched_steps: usize,
 }
 
 impl Default for ExploreConfig {
     fn default() -> Self {
-        ExploreConfig {
-            max_states: 20_000,
-            max_crashes: 2,
-            max_sched_steps: 60,
-        }
+        ExploreConfig { max_states: 20_000 }
     }
 }
 
@@ -263,121 +254,6 @@ pub fn explore_process(
     graph
 }
 
-/// A concrete crash schedule on which a process can output two different
-/// values — the cheap static precursor to the full adversary model check.
-#[derive(Debug, Clone)]
-pub struct Divergence {
-    /// The diverging process.
-    pub pid: rcn_model::ProcessId,
-    /// The process's input.
-    pub input: u32,
-    /// The first value output along the schedule.
-    pub first: u32,
-    /// The later, different value output along the same schedule.
-    pub second: u32,
-    /// The schedule (steps and crashes, any process) exhibiting it.
-    pub schedule: String,
-}
-
-/// Searches for a crash-divergence: a schedule of steps and crashes (at
-/// most [`ExploreConfig::max_crashes`] crashes in total) along which some
-/// single process outputs two different values.
-///
-/// Unlike the abstract graph exploration this runs the *real* executor
-/// over whole configurations, so responses are exact: a reported
-/// divergence is a genuine execution of the system. The search is a
-/// memoized DFS bounded by [`ExploreConfig::max_sched_steps`] schedule
-/// length and [`ExploreConfig::max_states`] visited configurations, so a
-/// `None` on a large system means "none found within bounds", not a proof
-/// of absence.
-pub fn crash_divergence(sys: &System, cfg: &ExploreConfig) -> Option<Divergence> {
-    let mut search = CrashSearch {
-        sys,
-        cfg,
-        events: Vec::new(),
-        visited: std::collections::HashSet::new(),
-    };
-    let config = sys.initial_config();
-    let firsts = config.decided.clone();
-    let (pid, first, second) = search.dfs(config, firsts, 0, 0)?;
-    let schedule = search
-        .events
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join(" ");
-    Some(Divergence {
-        pid,
-        input: sys.inputs()[pid.index()],
-        first,
-        second,
-        schedule,
-    })
-}
-
-/// Depth-first search over crashy executions with a bounded global crash
-/// budget, looking for a process that outputs two different values along
-/// one schedule.
-struct CrashSearch<'a> {
-    sys: &'a System,
-    cfg: &'a ExploreConfig,
-    /// The event path of the current branch; on success it holds the full
-    /// divergence schedule.
-    events: Vec<rcn_model::Event>,
-    #[allow(clippy::type_complexity)]
-    visited: std::collections::HashSet<(rcn_model::Configuration, Vec<Option<u32>>, usize)>,
-}
-
-impl CrashSearch<'_> {
-    fn dfs(
-        &mut self,
-        config: rcn_model::Configuration,
-        firsts: Vec<Option<u32>>,
-        crashes: usize,
-        depth: usize,
-    ) -> Option<(rcn_model::ProcessId, u32, u32)> {
-        use rcn_model::Event;
-        if depth >= self.cfg.max_sched_steps || self.visited.len() > self.cfg.max_states {
-            return None;
-        }
-        if !self
-            .visited
-            .insert((config.clone(), firsts.clone(), crashes))
-        {
-            return None;
-        }
-        let mut choices = Vec::with_capacity(2 * self.sys.n());
-        for pid in self.sys.processes() {
-            // Steps of decided processes are no-ops; only crashes matter
-            // for them.
-            if !matches!(self.sys.action_of(&config, pid), Action::Output(_)) {
-                choices.push(Event::Step(pid));
-            }
-            if crashes < self.cfg.max_crashes {
-                choices.push(Event::Crash(pid));
-            }
-        }
-        for event in choices {
-            let mut next = config.clone();
-            let effect = self.sys.apply(&mut next, event);
-            self.events.push(event);
-            let mut new_firsts = firsts.clone();
-            for &(pid, v) in &effect.outputs {
-                match firsts[pid.index()] {
-                    Some(w) if w != v => return Some((pid, w, v)),
-                    _ => new_firsts[pid.index()] = Some(v),
-                }
-            }
-            let next_crashes = crashes + usize::from(matches!(event, Event::Crash(_)));
-            if let Some(hit) = self.dfs(next, new_firsts, next_crashes, depth + 1) {
-                return Some(hit);
-            }
-            self.events.pop();
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,15 +281,5 @@ mod tests {
         assert!(!g.truncated);
         assert!(g.states_without_output_path().is_empty());
         assert!(g.touched_objects().is_empty());
-    }
-
-    #[test]
-    fn output_input_never_diverges() {
-        let sys = System::new(
-            Arc::new(OutputInput),
-            Arc::new(HeapLayout::new()),
-            vec![3, 3],
-        );
-        assert!(crash_divergence(&sys, &ExploreConfig::default()).is_none());
     }
 }

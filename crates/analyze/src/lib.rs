@@ -16,17 +16,17 @@
 //! * **Program lints** (`RCN100`–`RCN104`) run over a
 //!   [`System`](rcn_model::System): bounded abstract exploration of each
 //!   process's reachable local states checks output-liveness, totality of
-//!   `transition` on feasible responses, dead shared objects, and — via
-//!   real solo executions with crashes — crash-divergence, the failure
-//!   mode that separates the recoverable consensus hierarchy from the
-//!   classical one.
+//!   `transition` on feasible responses and dead shared objects; `RCN104`
+//!   reports crash-divergence, the failure mode that separates the
+//!   recoverable consensus hierarchy from the classical one, from the
+//!   crash explorer's counterexample (emitted by [`CrossCrashtest`]).
 //! * **Cross-checker lints** (`RCN200`–`RCN203`) run two structurally
 //!   independent engines on the same question — `rcn-faults`' DFS vs
 //!   `rcn-mc`'s BFS for crashtest verdicts, `rcn-valency`'s budgeted
 //!   graph vs `rcn-mc`'s worklist fixpoint for valency facts, plus the
 //!   abstract↔threaded replay bridge for checker counterexamples — and
 //!   turn any disagreement into a hard error (see [`CrossCrashtest`],
-//!   [`CrossValency`], [`ReplayBridge`]).
+//!   [`CrossValency`]).
 //!
 //! Entry points: [`Registry::with_defaults`], then
 //! [`Registry::lint_type`] / [`Registry::lint_system`]; the resulting
@@ -54,16 +54,12 @@ mod spec_lints;
 
 pub use cross_lints::{
     check_replay_bridge, compare_crashtest_verdicts, compare_valency_verdicts, CrossCrashtest,
-    CrossValency, ReplayBridge,
+    CrossValency,
 };
 pub use diag::{Diagnostic, Locus, LocusKind, Report, Severity};
-pub use explore::{
-    crash_divergence, explore_process, Divergence, ExploreConfig, PanicSite, ProcessGraph,
-};
+pub use explore::{explore_process, ExploreConfig, PanicSite, ProcessGraph};
 pub use lint::{ProgramLint, Registry, SpecLint};
-pub use program_lints::{
-    AnalysisBound, CrashDivergence, DeadObjects, NoOutputPath, TransitionTotality,
-};
+pub use program_lints::{AnalysisBound, DeadObjects, NoOutputPath, TransitionTotality};
 pub use spec_lints::{
     Closedness, DeadResponses, DuplicateOps, IdempotentOps, Readability, UnreachableValues,
 };

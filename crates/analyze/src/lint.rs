@@ -59,8 +59,11 @@ impl Registry {
 
     /// The full built-in lint set: `RCN001`–`RCN006` over specifications,
     /// `RCN100`–`RCN104` over programs, and the `RCN200`–`RCN203`
-    /// differential cross-checks (the budget-clip warning `RCN202` is
-    /// emitted by the `RCN200`/`RCN201` lints, which own the budgets).
+    /// differential cross-checks. The `RCN200` lint runs the crash explorer
+    /// and the BFS checker once and also emits crash divergence (`RCN104`)
+    /// and the replay-bridge verdict (`RCN203`); the budget-clip warning
+    /// `RCN202` is emitted by the `RCN200`/`RCN201` lints, which own the
+    /// budgets.
     pub fn with_defaults() -> Self {
         let mut r = Registry::new();
         r.register_spec(Box::new(crate::spec_lints::Closedness));
@@ -73,10 +76,8 @@ impl Registry {
         r.register_program(Box::new(crate::program_lints::NoOutputPath));
         r.register_program(Box::new(crate::program_lints::TransitionTotality));
         r.register_program(Box::new(crate::program_lints::DeadObjects));
-        r.register_program(Box::new(crate::program_lints::CrashDivergence));
         r.register_program(Box::new(crate::cross_lints::CrossCrashtest::default()));
         r.register_program(Box::new(crate::cross_lints::CrossValency::default()));
-        r.register_program(Box::new(crate::cross_lints::ReplayBridge::default()));
         r
     }
 
@@ -187,13 +188,14 @@ mod tests {
     fn defaults_cover_all_codes() {
         let r = Registry::with_defaults();
         let codes: Vec<&str> = r.descriptions().iter().map(|(c, _, _)| *c).collect();
-        // RCN202 (budget clip) is emitted by the RCN200/RCN201 lints
-        // rather than registered separately, so it does not appear here.
+        // RCN104 and RCN203 (emitted by the RCN200 lint) and RCN202
+        // (emitted by the RCN200/RCN201 lints) are not registered
+        // separately, so they do not appear here.
         assert_eq!(
             codes,
             [
                 "RCN001", "RCN002", "RCN003", "RCN004", "RCN005", "RCN006", "RCN100", "RCN101",
-                "RCN102", "RCN103", "RCN104", "RCN200", "RCN201", "RCN203"
+                "RCN102", "RCN103", "RCN200", "RCN201"
             ]
         );
     }

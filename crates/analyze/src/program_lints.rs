@@ -3,11 +3,13 @@
 //! The §4 algorithms assume programs whose crash-restart behavior is total
 //! and deterministic, and recoverable wait-freedom requires every state to
 //! keep a path to an output. These lints check those hypotheses on the
-//! abstract per-process state machine ([`crate::ProcessGraph`]) and — for
-//! crash divergence — on real solo executions.
+//! abstract per-process state machine ([`crate::ProcessGraph`]). Crash
+//! divergence (`RCN104`) is read off the crash explorer's counterexample by
+//! the `RCN200` cross-check ([`crate::CrossCrashtest`]), which runs that
+//! search anyway.
 
 use crate::diag::{Diagnostic, Locus, Report, Severity};
-use crate::explore::{crash_divergence, ExploreConfig, ProcessGraph};
+use crate::explore::{ExploreConfig, ProcessGraph};
 use crate::lint::ProgramLint;
 use rcn_model::{ObjectId, System};
 
@@ -239,65 +241,6 @@ impl ProgramLint for DeadObjects {
                 );
             }
         }
-    }
-}
-
-/// `RCN104` — crash-divergence: a restarted run must not decide
-/// differently.
-///
-/// Finds a concrete schedule of steps and crashes along which one process
-/// outputs two different values — exactly the failure mode that separates
-/// the recoverable hierarchy from the classical one (Golab's test-and-set
-/// separation, Lemma 16's `T_{n,n'}` collapse). A bounded exhaustive
-/// search over real executions: a hit is a genuine counterexample
-/// schedule; silence on large systems means "none within bounds".
-pub struct CrashDivergence;
-
-impl ProgramLint for CrashDivergence {
-    fn code(&self) -> &'static str {
-        "RCN104"
-    }
-    fn name(&self) -> &'static str {
-        "crash-divergence"
-    }
-    fn description(&self) -> &'static str {
-        "a crash schedule on which one process outputs two different values"
-    }
-    fn check(
-        &self,
-        sys: &System,
-        graphs: &[ProcessGraph],
-        cfg: &ExploreConfig,
-        report: &mut Report,
-    ) {
-        // If totality already failed, the simulation could trip the same
-        // panic; RCN102 has it covered.
-        if graphs.iter().any(|g| !g.panics.is_empty()) {
-            return;
-        }
-        let found = crate::explore::silent_catch(|| crash_divergence(sys, cfg));
-        let Ok(Some(d)) = found else { return };
-        report.push(
-            Diagnostic::new(
-                self.code(),
-                Severity::Warn,
-                Locus::program(subject(sys)),
-                format!(
-                    "process p{} (input {}) outputs {} and later {} along the crash \
-                     schedule `{}`",
-                    d.pid.index(),
-                    d.input,
-                    d.first,
-                    d.second,
-                    d.schedule
-                ),
-            )
-            .with_suggestion(
-                "guard the first shared-memory operation with a read (as in the \
-                 paper's recoverable T_{n,n'} algorithm) so a restarted process \
-                 rediscovers its pre-crash progress",
-            ),
-        );
     }
 }
 

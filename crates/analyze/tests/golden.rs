@@ -202,10 +202,7 @@ fn register_layout() -> (Arc<HeapLayout>, rcn_model::ObjectId) {
 fn rcn100_truncation_is_pinned() {
     let (layout, object) = register_layout();
     let sys = System::new_unchecked(Arc::new(Unbounded { object }), layout, vec![0]);
-    let cfg = ExploreConfig {
-        max_states: 16,
-        ..ExploreConfig::default()
-    };
+    let cfg = ExploreConfig { max_states: 16 };
     let report = Registry::with_defaults().lint_system(&sys, &cfg);
     pin(
         &report,
@@ -319,13 +316,28 @@ fn rcn104_crash_divergence_is_pinned() {
         Severity::Warn,
         "along the crash schedule",
     );
+    // On T&S the one DFS run and the one BFS run of the RCN200 lint yield
+    // all three verdicts: the divergence, the engines' agreement, and the
+    // replay of the checker's counterexample.
     let sys = rcn_protocols::TasConsensus::system(vec![0, 1]);
     let report = lint_sys(&sys);
     pin(
         &report,
         "RCN104",
         Severity::Warn,
-        "along the crash schedule",
+        "process p0 (input 0) outputs 0 and later 1 along the crash schedule `p0 p0 p1 p1 p1 c0 p0 p0 p0`",
+    );
+    pin(
+        &report,
+        "RCN200",
+        Severity::Info,
+        "both find a violating schedule",
+    );
+    pin(
+        &report,
+        "RCN203",
+        Severity::Info,
+        "confirmed by the abstract↔threaded replay bridge",
     );
 }
 

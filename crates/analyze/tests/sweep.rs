@@ -62,6 +62,10 @@ fn recoverable_protocols_lint_clean() {
     print!("{}", report.render_text());
     assert_eq!(report.errors(), 0);
     assert_eq!(report.warnings(), 0);
+    assert!(
+        report.diagnostics.iter().all(|d| d.code != "RCN104"),
+        "the 3-process sticky tournament must not diverge under crashes"
+    );
 }
 
 #[test]
@@ -72,10 +76,16 @@ fn broken_baselines_diverge_under_crashes() {
     let cfg = ExploreConfig::default();
 
     // T_{2,1}: the smallest family member, where two crashes already burn
-    // the counter to s_⊥ (larger n needs a crash budget of about n).
+    // the counter to s_⊥ (larger n needs a crash budget of about n). With
+    // three processes, T_{5,2} burns it with one crash of each process:
+    // `p1 p0 p2 c0 p0 c1 p1 c2 p2`.
     for (name, sys) in [
         ("tas-consensus", TasConsensus::system(vec![0, 1])),
         ("tnn-wait-free", TnnWaitFree::system(2, 1, vec![0, 1])),
+        (
+            "tnn-wait-free:5,2",
+            TnnWaitFree::system(5, 2, vec![0, 1, 1]),
+        ),
     ] {
         let report = reg.lint_system(&sys, &cfg);
         println!("=== {name} ===");

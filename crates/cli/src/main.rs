@@ -110,13 +110,10 @@ fn print_help() {
     println!("  crashtest <protocol> [--crashes K]  enumerate every crash placement within the");
     println!("       [--depth D] [--max-states N]   budget (K crashes/process, schedules up to D");
     println!("       [--inputs 0,1] [--shrink]      events); counterexamples are optionally");
-    println!("       [--json] [--explore-threads T] shrunk to 1-minimal and replayed through the");
-    println!("       [--memo-dir DIR] [--no-memo]   threaded runtime; exits nonzero on violation.");
-    println!("       [--timeout SECS]               T>1 shards the search (T=0: all cores) with a");
-    println!(
-        "       [--bench-json PATH]            bit-identical verdict; --memo-dir persists the"
-    );
-    println!("       [--fault-model M]              verdict + memo so repeated runs resume;");
+    println!("       [--json] [--memo-dir DIR]      shrunk to 1-minimal and replayed through the");
+    println!("       [--no-memo] [--timeout SECS]   threaded runtime; exits nonzero on violation.");
+    println!("       [--bench-json PATH]            --memo-dir persists the verdict + memo so");
+    println!("       [--fault-model M]              repeated runs resume;");
     println!(
         "                                      M = per-process (default) | system | mid-op | all"
     );
@@ -795,7 +792,6 @@ fn cmd_crashtest(args: &[&str]) -> Result<(), String> {
             "--max-states",
             "--fault-model",
             "--inputs",
-            "--explore-threads",
             "--memo-dir",
             "--timeout",
             "--bench-json",
@@ -814,7 +810,7 @@ fn cmd_crashtest(args: &[&str]) -> Result<(), String> {
         return Err(
             "usage: rcn crashtest <protocol> [--crashes K] [--depth D] [--max-states N] \
              [--fault-model per-process|system|mid-op|all] [--inputs 0,1] \
-             [--explore-threads N] [--memo-dir DIR] [--no-memo] \
+             [--memo-dir DIR] [--no-memo] \
              [--timeout SECS] [--shrink] [--json] [--stats] [--trace PATH] [--metrics] \
              [--bench-json PATH]"
                 .into(),
@@ -839,12 +835,6 @@ fn cmd_crashtest(args: &[&str]) -> Result<(), String> {
     if let Some(v) = parsed.value("--fault-model") {
         config.fault_model = v.parse().map_err(|e| format!("{e}"))?;
     }
-    let threads: usize = match parsed.value("--explore-threads") {
-        // 0 = all cores, mirroring the search commands' --threads.
-        Some("0") => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        Some(v) => v.parse().map_err(|_| "explore-threads must be a number")?,
-        None => 1,
-    };
     let inputs = parsed
         .value("--inputs")
         .map(|v| parse_inputs_slice(&v.split(',').collect::<Vec<_>>()))
@@ -863,9 +853,7 @@ fn cmd_crashtest(args: &[&str]) -> Result<(), String> {
     } else {
         tracer.clone()
     };
-    let mut explorer = CrashExplorer::new(&sys, config)
-        .with_tracer(run_tracer.clone())
-        .with_threads(threads);
+    let mut explorer = CrashExplorer::new(&sys, config).with_tracer(run_tracer.clone());
     if let Some(v) = parsed.value("--timeout") {
         let secs: f64 = v
             .parse()
@@ -911,7 +899,7 @@ fn cmd_crashtest(args: &[&str]) -> Result<(), String> {
                 "crashtest/{spec}/crashes={},depth={}{model_suffix}",
                 config.max_crashes, config.max_depth
             ),
-            threads,
+            1,
             wall.as_secs_f64(),
             report.stats.states_visited,
         );
@@ -938,7 +926,6 @@ fn cmd_crashtest(args: &[&str]) -> Result<(), String> {
                 "\"fault_model\": {}",
                 json_str(&config.fault_model.to_string())
             ),
-            format!("\"threads\": {threads}"),
             format!("\"states_visited\": {}", report.stats.states_visited),
             format!("\"events_applied\": {}", report.stats.events_applied),
             format!("\"resumed_states\": {}", report.stats.resumed_states),
@@ -982,9 +969,6 @@ fn cmd_crashtest(args: &[&str]) -> Result<(), String> {
             }
         );
         println!("fault model         : {}", config.fault_model);
-        if threads > 1 {
-            println!("explore threads     : {threads}");
-        }
         println!("explored            : {}", report.stats);
         if parsed.has("--stats") {
             println!(
@@ -1346,6 +1330,15 @@ mod tests {
         items.iter().map(ToString::to_string).collect()
     }
 
+    /// A temp-dir path no other test (in this process or a concurrent
+    /// one) uses: the pid and a per-process counter precede `tag`.
+    pub(crate) fn scratch_path(tag: &str) -> std::path::PathBuf {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("rcn-cli-{}-{n}-{tag}", std::process::id()))
+    }
+
     #[test]
     fn parse_args_splits_flags_and_positionals() {
         let p = parse_args(
@@ -1419,7 +1412,7 @@ mod tests {
 
     #[test]
     fn trace_metrics_and_profile_round_trip() {
-        let dir = std::env::temp_dir().join(format!("rcn-cli-trace-{}", std::process::id()));
+        let dir = scratch_path("trace");
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("t.jsonl");
         let trace_arg = trace.to_str().unwrap();
@@ -1529,7 +1522,7 @@ mod tests {
 
     #[test]
     fn cache_flags_round_trip_through_the_cli() {
-        let dir = std::env::temp_dir().join(format!("rcn-cli-cache-{}", std::process::id()));
+        let dir = scratch_path("cache");
         let dir = dir.to_str().unwrap();
         // Cold run populates, warm run must agree; --no-cache wins.
         assert!(run(&s(&["classify", "tas", "--cache-dir", dir])).is_ok());
@@ -1541,7 +1534,7 @@ mod tests {
 
     #[test]
     fn bench_json_flag_writes_a_record() {
-        let dir = std::env::temp_dir().join(format!("rcn-cli-bench-{}", std::process::id()));
+        let dir = scratch_path("bench");
         let path = dir.join("BENCH_classify_tas.json");
         let path_str = path.to_str().unwrap().to_string();
         assert!(run(&s(&["classify", "tas", "--bench-json", &path_str])).is_ok());
@@ -1605,7 +1598,7 @@ mod tests {
         b.set(1, 0, Outcome::new(Response(0), ValueId(2)));
         b.set(2, 0, Outcome::new(Response(0), ValueId(1)));
         let table = b.build().unwrap();
-        let path = std::env::temp_dir().join("rcn_cli_lint_island.json");
+        let path = scratch_path("lint-island.json");
         std::fs::write(&path, serde_json::to_string(&table).unwrap()).unwrap();
         let spec = format!("table:{}", path.display());
         assert!(run(&s(&["lint", &spec])).is_ok());
@@ -1624,7 +1617,7 @@ mod tests {
             "value_names": ["v0", "v1"], "op_names": ["op0"],
             "response_names": ["r0", "r1"]
         }"#;
-        let path = std::env::temp_dir().join("rcn_cli_lint_broken.json");
+        let path = scratch_path("lint-broken.json");
         std::fs::write(&path, json).unwrap();
         let spec = format!("table:{}", path.display());
         let err = run(&s(&["lint", &spec])).unwrap_err();
@@ -1664,35 +1657,23 @@ mod tests {
         assert!(run(&s(&["crashtest", "tas", "--inputs", "0,7"])).is_err());
         assert!(run(&s(&["crashtest", "tas", "--crashes", "x"])).is_err());
         assert!(run(&s(&["crashtest", "tas", "--cap", "3"])).is_err());
-    }
-
-    #[test]
-    fn crashtest_accepts_sharding_and_timeout_flags() {
-        // Sharded runs reach the same verdict (the exit code IS the
-        // verdict): broken protocols stay broken, clean ones stay clean.
-        assert!(run(&s(&["crashtest", "tas", "--explore-threads", "2"])).is_err());
-        assert!(run(&s(&["crashtest", "tas", "--explore-threads=4", "--shrink"])).is_err());
+        // An unknown flag fails even a run that would certify clean.
         assert!(run(&s(&[
             "crashtest",
             "tnn-recoverable",
             "--explore-threads",
             "2"
         ]))
-        .is_ok());
-        // 0 = all cores, mirroring the search commands.
-        assert!(run(&s(&[
-            "crashtest",
-            "tnn-recoverable",
-            "--explore-threads",
-            "0"
-        ]))
-        .is_ok());
+        .is_err());
+    }
+
+    #[test]
+    fn crashtest_accepts_timeout_flags() {
         // A generous deadline changes nothing; an absurd one still exits
         // zero — the partial is honest, not an error.
         assert!(run(&s(&["crashtest", "tnn-recoverable", "--timeout", "600"])).is_ok());
         assert!(run(&s(&["crashtest", "tas", "--timeout", "0.000001"])).is_ok());
         // Malformed values are usage errors.
-        assert!(run(&s(&["crashtest", "tas", "--explore-threads", "x"])).is_err());
         assert!(run(&s(&["crashtest", "tas", "--timeout", "0"])).is_err());
         assert!(run(&s(&["crashtest", "tas", "--timeout", "-1"])).is_err());
         assert!(run(&s(&["crashtest", "tas", "--timeout", "soon"])).is_err());
@@ -1700,7 +1681,7 @@ mod tests {
 
     #[test]
     fn crashtest_memo_dir_resumes_and_no_memo_wins() {
-        let dir = std::env::temp_dir().join("rcn_cli_crashtest_memo");
+        let dir = scratch_path("crashtest-memo");
         std::fs::remove_dir_all(&dir).ok();
         let d = dir.display().to_string();
         // Cold run stores, warm run resumes — the verdict (exit code) is
@@ -1721,7 +1702,7 @@ mod tests {
 
     #[test]
     fn crashtest_writes_bench_records() {
-        let dir = std::env::temp_dir().join("rcn_cli_crashtest_bench");
+        let dir = scratch_path("crashtest-bench");
         let path = dir.join("BENCH_crashtest.json");
         let path_str = path.display().to_string();
         // tas violates, so the run exits nonzero — the records are still
@@ -1772,7 +1753,7 @@ mod tests {
 
     #[test]
     fn check_writes_bench_records() {
-        let dir = std::env::temp_dir().join("rcn_cli_check_bench");
+        let dir = scratch_path("check-bench");
         let path = dir.join("BENCH_mc.json");
         let path_str = path.display().to_string();
         // tas violates, so the run exits nonzero — the records are still
@@ -1793,7 +1774,7 @@ mod tests {
     fn lint_accepts_observability_flags() {
         assert!(run(&s(&["lint", "sticky", "--metrics"])).is_ok());
         assert!(run(&s(&["lint", "sticky", "--metrics", "--json"])).is_ok());
-        let path = std::env::temp_dir().join("rcn_cli_lint_trace.jsonl");
+        let path = scratch_path("lint-trace.jsonl");
         let path_str = path.display().to_string();
         std::fs::remove_file(&path).ok();
         assert!(run(&s(&["lint", "sticky", "--trace", &path_str])).is_ok());

@@ -198,7 +198,7 @@ mod tests {
     #[test]
     fn table_file_round_trip() {
         let table = TableType::from_type(&TestAndSet::new());
-        let path = std::env::temp_dir().join("rcn_cli_test_table.json");
+        let path = crate::tests::scratch_path("test-table.json");
         std::fs::write(&path, serde_json::to_string(&table).unwrap()).unwrap();
         let parsed = parse_type(&format!("table:{}", path.display())).unwrap();
         assert_eq!(parsed.name(), "test-and-set");

@@ -6,9 +6,8 @@
 //! * [`CrashExplorer`] — a bounded, memoized, deterministic work-list
 //!   search over the abstract executor that enumerates every crash
 //!   placement within a per-process crash budget and a depth cap, instead
-//!   of sampling placements from an RNG; the frontier shards across a
-//!   worker pool ([`CrashExplorer::with_threads`]) with a bit-identical
-//!   verdict and counterexample at any thread count;
+//!   of sampling placements from an RNG, whose counterexample is the
+//!   lexicographically-least violating schedule on every run;
 //! * [`ExplorerMemo`] — persistence for the explorer's verdicts and
 //!   certified-clean memo facts through the `rcn-decide` `CacheIo`
 //!   machinery, keyed by [`system_fingerprint`] plus the budget triple,
@@ -49,7 +48,7 @@ mod shrink;
 
 pub use diagnose::{diagnose, Diagnosis, Divergence};
 pub use explorer::{
-    Counterexample, CrashExplorer, CrashtestConfig, CrashtestReport, ExploreStats, ExplorerStats,
+    Counterexample, CrashExplorer, CrashtestConfig, CrashtestReport, ExplorerStats,
 };
 pub use memo::{system_fingerprint, ExplorerMemo, EXPLORER_MEMO_VERSION};
 pub use replay::{replay, replay_traced, ReplayReport};

@@ -46,7 +46,10 @@
 
 use crate::explorer::{Counterexample, CrashtestConfig, CrashtestReport, ExplorerStats, MemoKey};
 use rcn_decide::{type_fingerprint, CacheIo, SystemIo};
-use rcn_model::{Action, Configuration, Event, LocalState, ProcessId, Schedule, System};
+use rcn_model::{
+    charge_crashes, event_enabled, Action, Configuration, Event, LocalState, ProcessId, Schedule,
+    System,
+};
 use rcn_obs::Tracer;
 use rcn_spec::ValueId;
 use serde::{Deserialize, Serialize};
@@ -371,31 +374,12 @@ impl ExplorerMemo {
         let n = system.n();
         let mut counts = vec![0usize; n];
         for event in schedule.iter() {
-            if !config.fault_model.allows(event) {
+            if event.process().is_some_and(|p| p.index() >= n)
+                || !event_enabled(config.fault_model, &counts, config.max_crashes, event)
+            {
                 return None;
             }
-            if let Some(p) = event.process() {
-                if p.index() >= n {
-                    return None;
-                }
-            }
-            match event {
-                Event::Crash(p) | Event::CrashDuring(p) => {
-                    counts[p.index()] += 1;
-                    if counts[p.index()] > config.max_crashes {
-                        return None;
-                    }
-                }
-                Event::SystemCrash => {
-                    for c in counts.iter_mut() {
-                        *c += 1;
-                        if *c > config.max_crashes {
-                            return None;
-                        }
-                    }
-                }
-                Event::Step(_) => {}
-            }
+            charge_crashes(&mut counts, event);
         }
         let (_, violation) = system.run_from_start(&schedule);
         let violation = violation?;

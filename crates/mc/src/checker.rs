@@ -5,10 +5,13 @@
 //! agreement or validity?* — answered by a different algorithm than
 //! `rcn-faults`' memoized DFS: a plain breadth-first search over
 //! canonically-hashed `(configuration, crash-counts)` states with parent
-//! pointers. The two engines share no code (this crate depends only on
-//! `rcn-model` and `rcn-obs`), so a verdict they agree on does not rest on
-//! any single search's pruning being sound — exactly the bug class the
-//! depth-aware-memoization regression in the DFS explorer belongs to.
+//! pointers. The two engines share no search code (this crate depends only
+//! on `rcn-model` and `rcn-obs`), so a verdict they agree on does not rest
+//! on any single search's pruning being sound — exactly the bug class the
+//! depth-aware-memoization regression in the DFS explorer belongs to. What
+//! they do share is the crash semantics itself: which crash events are
+//! enabled under the budget ([`rcn_model::event_enabled`]) and how each one
+//! charges the crash counts ([`rcn_model::charge_crashes`]).
 //!
 //! Properties the BFS buys structurally:
 //!
@@ -22,7 +25,10 @@
 //!   optimizations this checker intentionally does not copy.
 
 use crate::hash::StateIndex;
-use rcn_model::{Configuration, Event, FaultModel, ProcessId, Schedule, System, Violation};
+use rcn_model::{
+    charge_crashes, event_enabled, Configuration, Event, FaultModel, ProcessId, Schedule, System,
+    Violation,
+};
 use rcn_obs::Tracer;
 use std::fmt;
 
@@ -39,9 +45,9 @@ pub struct McConfig {
     /// growing; hitting it demotes the result to [`Coverage::Bounded`].
     pub max_states: usize,
     /// Which crash-event families the adversary may schedule. Part of the
-    /// verdict's identity (same accounting as the DFS: a system-wide crash
-    /// charges every process one crash, a mid-operation crash charges the
-    /// crashing process).
+    /// verdict's identity (a system-wide crash charges every process one
+    /// crash, a mid-operation crash charges the crashing process; see
+    /// [`rcn_model::charge_crashes`]).
     pub fault_model: FaultModel,
 }
 
@@ -170,15 +176,17 @@ impl McReport {
     }
 }
 
-/// One stored state plus the back-pointer that reconstructs its schedule.
+/// One stored state: a configuration plus the per-process crash counts
+/// spent reaching it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct StateKey {
     config: Configuration,
-    crashes: Vec<u16>,
+    crashes: Vec<usize>,
 }
 
+/// The back-pointer that reconstructs a stored state's schedule; node `i`
+/// belongs to the state stored at `keys[i]`.
 struct Node {
-    key: StateKey,
     parent: Option<(u32, Event)>,
     depth: u16,
 }
@@ -241,15 +249,14 @@ impl<'s> ModelChecker<'s> {
 
         let n = self.system.n();
         let mut nodes = vec![Node {
-            key: StateKey {
-                config: initial,
-                crashes: vec![0; n],
-            },
             parent: None,
             depth: 0,
         }];
+        let mut keys = vec![StateKey {
+            config: initial,
+            crashes: vec![0; n],
+        }];
         let mut index = StateIndex::new();
-        let mut keys: Vec<StateKey> = vec![nodes[0].key.clone()];
         index.insert(&keys[0], 0);
         stats.states_visited = 1;
         stats.frontier_peak = 1;
@@ -278,31 +285,15 @@ impl<'s> ModelChecker<'s> {
                 .chain(std::iter::once(Event::SystemCrash))
                 .chain((0..n).map(|i| Event::CrashDuring(ProcessId(i as u16))));
             for event in candidates {
-                if !self.config.fault_model.allows(event) {
+                if !event_enabled(
+                    self.config.fault_model,
+                    &keys[id].crashes,
+                    self.config.max_crashes,
+                    event,
+                ) {
                     continue;
                 }
-                // Budget gating must match the DFS exactly: a system-wide
-                // crash charges every process, so it is enabled only while
-                // every process still has allowance.
-                match event {
-                    Event::Crash(p) | Event::CrashDuring(p) => {
-                        if nodes[id].key.crashes[p.index()] as usize >= self.config.max_crashes {
-                            continue;
-                        }
-                    }
-                    Event::SystemCrash => {
-                        if nodes[id]
-                            .key
-                            .crashes
-                            .iter()
-                            .any(|&c| c as usize >= self.config.max_crashes)
-                        {
-                            continue;
-                        }
-                    }
-                    Event::Step(_) => {}
-                }
-                let mut next = nodes[id].key.config.clone();
+                let mut next = keys[id].config.clone();
                 let effect = self.system.apply(&mut next, event);
                 stats.events_applied += 1;
                 events_counter.incr();
@@ -320,16 +311,8 @@ impl<'s> ModelChecker<'s> {
                     self.publish(&report, &span);
                     return report;
                 }
-                let mut crashes = nodes[id].key.crashes.clone();
-                match event {
-                    Event::Crash(p) | Event::CrashDuring(p) => crashes[p.index()] += 1,
-                    Event::SystemCrash => {
-                        for c in crashes.iter_mut() {
-                            *c += 1;
-                        }
-                    }
-                    Event::Step(_) => {}
-                }
+                let mut crashes = keys[id].crashes.clone();
+                charge_crashes(&mut crashes, event);
                 let key = StateKey {
                     config: next,
                     crashes,
@@ -344,9 +327,8 @@ impl<'s> ModelChecker<'s> {
                     continue;
                 }
                 index.insert(&key, nodes.len());
-                keys.push(key.clone());
+                keys.push(key);
                 nodes.push(Node {
-                    key,
                     parent: Some((id as u32, event)),
                     depth: (depth + 1) as u16,
                 });

@@ -16,6 +16,7 @@
 //! they do), so membership is defined on [`Schedule`]s.
 
 use crate::schedule::{Event, ProcessId, Schedule};
+use crate::system::charge_crashes;
 use serde::{Deserialize, Serialize};
 
 /// The two flavours of crash budget from §3 of the paper.
@@ -82,22 +83,15 @@ impl CrashBudget {
                 let mut steps_below = vec![0usize; self.n]; // steps of p_0..p_{i-1}
                 let mut crashes = vec![0usize; self.n];
                 for event in schedule.iter() {
-                    match event {
-                        Event::Step(p) => {
-                            for entry in steps_below.iter_mut().skip(p.index() + 1) {
-                                *entry += 1;
-                            }
-                        }
-                        // A mid-operation crash is a crash of p for budget
-                        // purposes; a system-wide crash hits every process
-                        // (including p_0, so it is never admissible).
-                        Event::Crash(p) | Event::CrashDuring(p) => crashes[p.index()] += 1,
-                        Event::SystemCrash => {
-                            for c in crashes.iter_mut() {
-                                *c += 1;
-                            }
+                    if let Event::Step(p) = event {
+                        for entry in steps_below.iter_mut().skip(p.index() + 1) {
+                            *entry += 1;
                         }
                     }
+                    // A mid-operation crash is a crash of p for budget
+                    // purposes; a system-wide crash hits every process
+                    // (including p_0, so it is never admissible).
+                    charge_crashes(&mut crashes, event);
                 }
                 if crashes[0] > 0 {
                     return false;
@@ -178,19 +172,12 @@ impl BudgetTracker {
     /// Records an event unconditionally (useful when replaying a schedule
     /// already known to be admissible).
     pub fn record(&mut self, event: Event) {
-        match event {
-            Event::Step(p) => {
-                for entry in self.steps_below.iter_mut().skip(p.index() + 1) {
-                    *entry += 1;
-                }
-            }
-            Event::Crash(p) | Event::CrashDuring(p) => self.crashes[p.index()] += 1,
-            Event::SystemCrash => {
-                for c in self.crashes.iter_mut() {
-                    *c += 1;
-                }
+        if let Event::Step(p) = event {
+            for entry in self.steps_below.iter_mut().skip(p.index() + 1) {
+                *entry += 1;
             }
         }
+        charge_crashes(&mut self.crashes, event);
     }
 
     /// Remaining crash allowance of process `p` (`None` for `p_0`, which may

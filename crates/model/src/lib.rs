@@ -48,4 +48,4 @@ pub use schedule::{
     Event, FaultModel, ParseFaultModelError, ParseScheduleError, ProcessId, Schedule,
 };
 pub use sp::{s_p, s_p_first_in, s_p_len};
-pub use system::{Configuration, StepEffect, System, Violation};
+pub use system::{charge_crashes, event_enabled, Configuration, StepEffect, System, Violation};

@@ -9,7 +9,7 @@
 
 use crate::heap::{HeapLayout, ObjectId};
 use crate::program::{Action, LocalState, Program};
-use crate::schedule::{Event, ProcessId, Schedule};
+use crate::schedule::{Event, FaultModel, ProcessId, Schedule};
 use rcn_spec::{OpId, ValueId};
 use std::fmt;
 use std::sync::Arc;
@@ -453,6 +453,53 @@ impl System {
     }
 }
 
+/// Returns `true` if the adversary of `model` may schedule `event` after
+/// the processes have crashed `counts[i]` times each, at most `max_crashes`
+/// times per process. Steps are always enabled. An individual or
+/// mid-operation crash needs budget left for its process; a system-wide
+/// crash charges every process (see [`charge_crashes`]), so it needs budget
+/// left everywhere.
+///
+/// This is the crash-budget semantics every crash-placing search shares;
+/// whether an enabled event is worth trying (a crash of a process already
+/// in its initial state changes nothing) is a search's own pruning.
+///
+/// # Panics
+///
+/// Panics if the event's process id is out of range for `counts`.
+#[inline]
+pub fn event_enabled(
+    model: FaultModel,
+    counts: &[usize],
+    max_crashes: usize,
+    event: Event,
+) -> bool {
+    if !model.allows(event) {
+        return false;
+    }
+    match event {
+        Event::Step(_) => true,
+        Event::Crash(p) | Event::CrashDuring(p) => counts[p.index()] < max_crashes,
+        Event::SystemCrash => counts.iter().all(|&c| c < max_crashes),
+    }
+}
+
+/// Charges `event` against the per-process crash counts: an individual or
+/// mid-operation crash charges its process one crash, a system-wide crash
+/// charges every process one crash, and a step charges nothing.
+///
+/// # Panics
+///
+/// Panics if the event's process id is out of range for `counts`.
+#[inline]
+pub fn charge_crashes(counts: &mut [usize], event: Event) {
+    match event {
+        Event::Step(_) => {}
+        Event::Crash(p) | Event::CrashDuring(p) => counts[p.index()] += 1,
+        Event::SystemCrash => counts.iter_mut().for_each(|c| *c += 1),
+    }
+}
+
 impl fmt::Debug for System {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("System")
@@ -470,6 +517,76 @@ mod tests {
 
     fn trivial(inputs: Vec<u32>) -> System {
         System::new(Arc::new(OutputInput), Arc::new(HeapLayout::new()), inputs)
+    }
+
+    #[test]
+    fn crash_enabling_and_charging_table() {
+        // One row per event family: which of the four fault models admit
+        // it (PER_PROCESS, SYSTEM, MID_OP, ALL), whether it stays enabled
+        // once p1 (its process) or p0 (another process) has spent the whole
+        // budget, and the counts after charging it to [1, 0, 2].
+        let p = ProcessId(1);
+        let models = [
+            FaultModel::PER_PROCESS,
+            FaultModel::SYSTEM,
+            FaultModel::MID_OP,
+            FaultModel::ALL,
+        ];
+        let table = [
+            (Event::Step(p), [true; 4], true, true, [1, 0, 2]),
+            (
+                Event::Crash(p),
+                [true, false, true, true],
+                false,
+                true,
+                [1, 1, 2],
+            ),
+            (
+                Event::SystemCrash,
+                [false, true, false, true],
+                false,
+                false,
+                [2, 1, 3],
+            ),
+            (
+                Event::CrashDuring(p),
+                [false, false, true, true],
+                false,
+                true,
+                [1, 1, 2],
+            ),
+        ];
+        let max = 2;
+        for (event, admitted, own_spent, other_spent, charged) in table {
+            for (model, admitted) in models.into_iter().zip(admitted) {
+                for below in [[0, 0, 0], [1, 1, 1]] {
+                    assert_eq!(
+                        event_enabled(model, &below, max, event),
+                        admitted,
+                        "{event} under {model} at {below:?}"
+                    );
+                }
+                assert_eq!(
+                    event_enabled(model, &[0, max, 0], max, event),
+                    admitted && own_spent,
+                    "{event} under {model} with p1 at the budget"
+                );
+                assert_eq!(
+                    event_enabled(model, &[max, 0, 0], max, event),
+                    admitted && other_spent,
+                    "{event} under {model} with p0 at the budget"
+                );
+                // A zero budget leaves steps only.
+                assert_eq!(
+                    event_enabled(model, &[0, 0, 0], 0, event),
+                    admitted && matches!(event, Event::Step(_)),
+                    "{event} under {model} with a zero budget"
+                );
+            }
+            let mut counts = [1, 0, 2];
+            charge_crashes(&mut counts, event);
+            assert_eq!(counts, charged, "charging {event}");
+        }
     }
 
     #[test]

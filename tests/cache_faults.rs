@@ -10,19 +10,15 @@
 //! persistent layer is an *accelerator*, so no single filesystem fault may
 //! change an answer or crash a search.
 
+mod common;
+
+use common::scratch;
 use rcn::decide::{CacheIo, DiskCache, FaultMode, FaultyIo, SearchEngine, TypeClassification};
 use rcn::spec::zoo::TestAndSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 const CAP: usize = 4;
-
-/// A fresh per-test scratch directory (no tempfile crate in the tree).
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rcn-cache-faults-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
 
 fn classify_with_io(dir: &Path, io: Arc<FaultyIo>) -> TypeClassification {
     let engine =

@@ -3,13 +3,15 @@
 //! computing nothing, and damaged cache files must degrade to a silent
 //! full recompute — never a wrong answer, never an error.
 
+mod common;
+
+use common::scratch;
 use rcn::decide::{DiskCache, PartitionSharding, SearchEngine, TypeClassification};
 use rcn::spec::zoo::{
     CompareAndSwap, ConsensusObject, FetchAndAdd, Register, StickyBit, Swap, TeamCounter,
     TestAndSet, Tnn,
 };
 use rcn::spec::ObjectType;
-use std::path::PathBuf;
 
 const CAP: usize = 4;
 
@@ -25,13 +27,6 @@ fn zoo() -> Vec<Box<dyn ObjectType + Send + Sync>> {
         Box::new(Tnn::new(4, 2)),
         Box::new(TeamCounter::new(4)),
     ]
-}
-
-/// A fresh per-test scratch directory (no tempfile crate in the tree).
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rcn-disk-cache-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
 }
 
 /// Field-by-field classification equality (including witnesses), used to

@@ -1,10 +1,12 @@
-//! Differential tests of the sharded and persistent crash explorer: the
-//! parallel engine and the disk-resumed engine must be *bit-identical* to
-//! the sequential work-list search — same verdict, same (lexicographically
-//! least) counterexample — at every thread count, on every protocol in the
-//! zoo, on random table-driven programs, and at every filesystem fault
-//! injection point in the memo's I/O.
+//! Differential tests of the persistent crash explorer: the disk-resumed
+//! engine must be *bit-identical* to the memo-less work-list search — same
+//! verdict, same (lexicographically least) counterexample — on every
+//! protocol in the zoo, on random table-driven programs, and at every
+//! filesystem fault injection point in the memo's I/O.
 
+mod common;
+
+use common::scratch;
 use proptest::prelude::*;
 use rcn::decide::{CacheIo, FaultMode, FaultyIo};
 use rcn::faults::{CrashExplorer, CrashtestConfig, CrashtestReport, ExplorerMemo};
@@ -14,7 +16,7 @@ use rcn::model::{
 use rcn::protocols::{TasConsensus, TnnRecoverable, TnnWaitFree, TournamentConsensus};
 use rcn::spec::zoo::{Register, StickyBit};
 use rcn::spec::{OpId, Response, ValueId};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 fn protocols() -> Vec<(&'static str, System)> {
@@ -30,13 +32,6 @@ fn protocols() -> Vec<(&'static str, System)> {
             TournamentConsensus::try_new(Arc::new(StickyBit::new()), vec![1, 0]).unwrap(),
         ),
     ]
-}
-
-/// A fresh per-test scratch directory (no tempfile crate in the tree).
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rcn-explorer-par-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
 }
 
 fn assert_same(a: &CrashtestReport, b: &CrashtestReport, ctx: &str) {
@@ -62,53 +57,11 @@ const FAULT_MODELS: [FaultModel; 4] = [
     FaultModel::ALL,
 ];
 
-/// The tentpole's acceptance bar: at every budget in the sweep and under
-/// every fault model, 2- and 4-thread sharded searches return the same
-/// verdict and the same lex-least counterexample as the sequential
-/// work-list.
-#[test]
-fn sharded_search_matches_sequential_across_the_zoo() {
-    for (name, sys) in protocols() {
-        for fault_model in FAULT_MODELS {
-            for (max_crashes, max_depth) in [(0, 6), (1, 4), (1, 6), (2, 6), (1, 8)] {
-                let config = CrashtestConfig {
-                    max_crashes,
-                    max_depth,
-                    max_states: 500_000,
-                    fault_model,
-                };
-                let seq = CrashExplorer::new(&sys, config).explore();
-                assert!(
-                    seq.stats.exhaustive(),
-                    "{name} model={fault_model} capped at {max_depth}"
-                );
-                for threads in [2, 4] {
-                    let par = CrashExplorer::new(&sys, config)
-                        .with_threads(threads)
-                        .explore();
-                    assert_same(
-                        &seq,
-                        &par,
-                        &format!(
-                            "{name} model={fault_model} crashes={max_crashes} \
-                             depth={max_depth} threads={threads}"
-                        ),
-                    );
-                    assert!(
-                        par.stats.exhaustive(),
-                        "{name} model={fault_model} parallel run not exhaustive"
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Persistence round-trip: a warm run (same system fingerprint, same
 /// budget triple) reproduces the cold verdict bit-for-bit and actually
 /// resumes (`resumed_states > 0`) — for both a counterexample protocol
 /// (stored-verdict short-circuit) and a certified-clean one (stored memo
-/// facts). A warm *sharded* run agrees too.
+/// facts).
 #[test]
 fn memo_resume_reproduces_the_verdict_bit_for_bit() {
     for fault_model in FAULT_MODELS {
@@ -140,11 +93,6 @@ fn memo_resume_under(fault_model: FaultModel) {
             warm.stats.resumed_states > 0,
             "{name}: the warm run must resume from disk, not recompute"
         );
-        let warm_sharded = CrashExplorer::new(&sys, config)
-            .with_threads(2)
-            .with_memo(ExplorerMemo::new(&dir))
-            .explore();
-        assert_same(&cold, &warm_sharded, &format!("{name} warm sharded"));
         // A different budget is a different key: no stale cross-talk.
         let tighter = CrashtestConfig {
             max_depth: 4,
@@ -319,9 +267,9 @@ fn memo_fault_sweep_never_changes_a_clean_verdict() {
 }
 
 // ---------------------------------------------------------------------------
-// Random table-driven programs (the checker-fuzz generator): the sharded
-// and resumed engines must agree with the sequential one on arbitrary
-// protocols, not just the hand-written zoo.
+// Random table-driven programs (the checker-fuzz generator): the resumed
+// engine must agree with the memo-less one on arbitrary protocols, not
+// just the hand-written zoo.
 // ---------------------------------------------------------------------------
 
 /// A random table-driven program over one shared register: states `0..s`
@@ -397,7 +345,7 @@ fn arb_program(s: usize) -> impl Strategy<Value = (Vec<u16>, Vec<Vec<u32>>, [u32
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Sequential, sharded, and disk-resumed searches agree — verdict and
+    /// Memo-less and disk-resumed searches agree — verdict and
     /// counterexample — on random (mostly broken) readable-table programs,
     /// under every fault model.
     #[test]
@@ -413,11 +361,6 @@ proptest! {
             fault_model: FAULT_MODELS[model_idx],
         };
         let seq = CrashExplorer::new(&sys, config).explore();
-        for threads in [2, 4] {
-            let par = CrashExplorer::new(&sys, config).with_threads(threads).explore();
-            prop_assert_eq!(&seq.counterexample, &par.counterexample);
-            prop_assert_eq!(seq.is_certified_clean(), par.is_certified_clean());
-        }
         let dir = scratch("fuzz");
         let cold = CrashExplorer::new(&sys, config)
             .with_memo(ExplorerMemo::new(&dir))

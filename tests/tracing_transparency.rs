@@ -8,6 +8,8 @@
 //! itself: every emitted line parses back via serde and span opens and
 //! closes balance exactly.
 
+mod common;
+
 use proptest::prelude::*;
 use rcn::decide::{synthesis, SearchEngine};
 use rcn::faults::{crashtest, crashtest_traced, CrashtestConfig};
@@ -18,7 +20,7 @@ use rcn::spec::ObjectType;
 use std::collections::HashMap;
 
 fn trace_dir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("rcn-transparency-{}", std::process::id()));
+    let dir = common::scratch("transparency");
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
 }
