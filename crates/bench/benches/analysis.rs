@@ -1,8 +1,6 @@
 //! `Analysis` construction benchmarks: the word-level kernelized path
 //! against the bit-at-a-time scalar reference, on the `team-counter:5`-class
-//! instances the hierarchy-atlas campaign grinds through, plus the
-//! incremental (`extend`) and engine-level (incremental + cached classify)
-//! configurations.
+//! instances the hierarchy-atlas campaign grinds through.
 //!
 //! Besides the usual stdout report, this bench emits a machine-readable
 //! `BENCH_analysis_kernels.json` trajectory file (under `$RCN_BENCH_DIR`,
@@ -10,7 +8,7 @@
 //! living in prose. EXPERIMENTS.md E14 reads its curves from here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rcn_decide::{Analysis, BenchRecord, BenchRecorder, SearchEngine};
+use rcn_decide::{Analysis, BenchRecord, BenchRecorder};
 use rcn_spec::zoo::{CompareAndSwap, TeamCounter};
 use rcn_spec::{ObjectType, OpId, ValueId};
 use std::time::Instant;
@@ -99,68 +97,10 @@ fn kernel_vs_scalar_cas(c: &mut Criterion, recorder: &mut BenchRecorder) {
     group.finish();
 }
 
-/// Incremental extension vs from-scratch at the same level.
-fn incremental_extend(c: &mut Criterion, recorder: &mut BenchRecorder) {
-    let mut group = c.benchmark_group("analysis_extend_teamcounter5");
-    group.sample_size(10);
-    for n in [6usize, 8] {
-        let (ty, u, ops) = team_counter_instance(n);
-        let prefix = Analysis::new(&ty, u, &ops[..n - 1]);
-        group.bench_with_input(BenchmarkId::new("extend", n), &n, |b, _| {
-            b.iter(|| Analysis::extend(&ty, u, &prefix, &ops, 1));
-        });
-        group.bench_with_input(BenchmarkId::new("scratch", n), &n, |b, _| {
-            b.iter(|| Analysis::new(&ty, u, &ops));
-        });
-        let runs = 20;
-        let extend = time_per_call(runs, || Analysis::extend(&ty, u, &prefix, &ops, 1));
-        let scratch = time_per_call(runs, || Analysis::new(&ty, u, &ops));
-        recorder.record(BenchRecord::from_timing(
-            format!("analysis_extend/team-counter:5/n={n}/extend"),
-            1,
-            extend,
-            1,
-        ));
-        recorder.record(BenchRecord::from_timing(
-            format!("analysis_extend/team-counter:5/n={n}/scratch"),
-            1,
-            scratch,
-            1,
-        ));
-    }
-    group.finish();
-}
-
-/// Engine-level effect: a full classify with and without incremental
-/// seeding, recorded with the engine's own counters.
-fn classify_incremental(c: &mut Criterion, recorder: &mut BenchRecorder) {
-    let ty = TeamCounter::new(5);
-    let mut group = c.benchmark_group("classify_teamcounter5_cap5");
-    group.sample_size(5);
-    for (label, incremental) in [("incremental", true), ("from-scratch", false)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let engine = SearchEngine::sequential().with_incremental(incremental);
-                engine.classify(&ty, 5).expect("cap in range")
-            });
-        });
-        let engine = SearchEngine::sequential().with_incremental(incremental);
-        engine.classify(&ty, 5).expect("cap in range");
-        recorder.record(BenchRecord::from_stats(
-            format!("classify/team-counter:5/cap=5/{label}"),
-            1,
-            &engine.stats(),
-        ));
-    }
-    group.finish();
-}
-
 fn all(c: &mut Criterion) {
     let mut recorder = BenchRecorder::new("analysis_kernels");
     kernel_vs_scalar(c, &mut recorder);
     kernel_vs_scalar_cas(c, &mut recorder);
-    incremental_extend(c, &mut recorder);
-    classify_incremental(c, &mut recorder);
     let dir = std::env::var("RCN_BENCH_DIR").unwrap_or_else(|_| "bench-out".into());
     let path = std::path::Path::new(&dir).join(recorder.file_name());
     match recorder.write_to(&path) {

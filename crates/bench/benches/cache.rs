@@ -1,10 +1,9 @@
-//! Persistent-cache and partition-sharding benchmarks: cold-vs-warm
-//! classification with a `DiskCache` attached, and the partition-sharded
-//! search grain against the instance-level default.
+//! Persistent-cache benchmarks: cold-vs-warm classification with a
+//! `DiskCache` attached, against a no-cache control.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rcn_decide::{DiskCache, PartitionSharding, SearchEngine};
-use rcn_spec::zoo::{TeamCounter, Tnn};
+use criterion::{criterion_group, criterion_main, Criterion};
+use rcn_decide::{DiskCache, SearchEngine};
+use rcn_spec::zoo::TeamCounter;
 use std::path::PathBuf;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -56,37 +55,5 @@ fn cold_vs_warm_classify(c: &mut Criterion) {
     group.finish();
 }
 
-/// Partition-level sharding on a partition-dominated workload: `T_{6,1}`
-/// refutation at n = 7 has few instances but a large partition set per
-/// instance, exactly the shape where instance-level sharding alone cannot
-/// keep several workers busy. On a single-core host the two grains should
-/// tie (the sharded task list must not cost measurable overhead).
-fn partition_sharding_refutation(c: &mut Criterion) {
-    let t = Tnn::new(6, 1);
-    let mut group = c.benchmark_group("partition_sharding_tnn61_refute_n7");
-    group.sample_size(10);
-    for (label, sharding) in [
-        ("instance-grain", PartitionSharding::Never),
-        ("partition-grain", PartitionSharding::Always),
-    ] {
-        for threads in [1usize, 4] {
-            group.bench_with_input(BenchmarkId::new(label, threads), &threads, |b, &threads| {
-                let engine = SearchEngine::new(threads).with_partition_sharding(sharding);
-                b.iter(|| {
-                    assert!(engine
-                        .find_discerning_witness(&t, 7)
-                        .expect("level in range")
-                        .is_none());
-                });
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    cold_vs_warm_classify,
-    partition_sharding_refutation
-);
+criterion_group!(benches, cold_vs_warm_classify);
 criterion_main!(benches);

@@ -1539,7 +1539,7 @@ mod tests {
         let path_str = path.to_str().unwrap().to_string();
         assert!(run(&s(&["classify", "tas", "--bench-json", &path_str])).is_ok());
         let text = std::fs::read_to_string(&path).expect("bench json written");
-        assert!(text.contains("\"incremental_hits\""), "got: {text}");
+        assert!(text.contains("\"cache_hits\""), "got: {text}");
         assert!(text.contains("classify/tas/cap=4"), "got: {text}");
         std::fs::remove_dir_all(&dir).ok();
         // Only classify takes the flag; elsewhere it is a usage error, not

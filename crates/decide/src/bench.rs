@@ -15,7 +15,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 /// One measured configuration: identifying name, run metadata (version,
-/// cache format, feature toggles), thread counts, wall/busy times, the
+/// cache format), thread count, wall/busy times, the
 /// engine's work/cache counters, and a full metrics snapshot — enough to
 /// tell BENCH files from different configurations apart without guessing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -29,12 +29,6 @@ pub struct BenchRecord {
     pub cache_format_version: u32,
     /// Search worker threads the run used.
     pub threads: usize,
-    /// Intra-analysis worker setting (0 = automatic).
-    pub analysis_threads: usize,
-    /// Whether incremental level seeding was enabled.
-    pub incremental: bool,
-    /// The partition-sharding policy (`"auto"`, `"never"`, `"always"`).
-    pub sharding: String,
     /// Real elapsed time, in seconds.
     pub wall_seconds: f64,
     /// Summed per-worker busy time, in seconds (≥ wall when workers overlap).
@@ -45,8 +39,6 @@ pub struct BenchRecord {
     pub cache_hits: u64,
     /// Analyses served from the persistent disk cache.
     pub disk_hits: u64,
-    /// Analyses built incrementally from a lower-level prefix.
-    pub incremental_hits: u64,
     /// Analyses newly persisted to the disk cache.
     pub disk_entries_written: u64,
     /// Team partitions evaluated.
@@ -62,24 +54,19 @@ pub struct BenchRecord {
 }
 
 impl BenchRecord {
-    /// Builds a record from an engine's [`SearchStats`] snapshot. Feature
-    /// toggles take their defaults; use [`from_engine`](Self::from_engine)
-    /// when the engine is at hand.
+    /// Builds a record from an engine's [`SearchStats`] snapshot; use
+    /// [`from_engine`](Self::from_engine) when the engine is at hand.
     pub fn from_stats(name: impl Into<String>, threads: usize, stats: &SearchStats) -> BenchRecord {
         BenchRecord {
             name: name.into(),
             rcn_version: env!("CARGO_PKG_VERSION").to_string(),
             cache_format_version: CACHE_FORMAT_VERSION,
             threads,
-            analysis_threads: 0,
-            incremental: true,
-            sharding: "auto".to_string(),
             wall_seconds: stats.wall_time.as_secs_f64(),
             busy_seconds: stats.busy_time.as_secs_f64(),
             analyses_computed: stats.analyses_computed,
             cache_hits: stats.cache_hits,
             disk_hits: stats.disk_hits,
-            incremental_hits: stats.incremental_hits,
             disk_entries_written: stats.disk_entries_written,
             partitions_tested: stats.partitions_tested,
             instances_visited: stats.instances_visited,
@@ -88,16 +75,11 @@ impl BenchRecord {
         }
     }
 
-    /// Builds a record straight from an engine: [`Self::from_stats`]
-    /// plus the engine's actual configuration (analysis
-    /// threads, incremental seeding, sharding policy) and, when a tracer is
-    /// attached, its full metrics registry instead of the stats-only
-    /// snapshot.
+    /// Builds a record straight from an engine: [`Self::from_stats`] with
+    /// the engine's thread count and, when a tracer is attached, its full
+    /// metrics registry instead of the stats-only snapshot.
     pub fn from_engine(name: impl Into<String>, engine: &SearchEngine) -> BenchRecord {
         let mut record = BenchRecord::from_stats(name, engine.threads(), &engine.stats());
-        record.analysis_threads = engine.analysis_threads();
-        record.incremental = engine.incremental();
-        record.sharding = engine.partition_sharding().to_string();
         if let Some(snapshot) = engine.tracer().snapshot() {
             record.metrics = snapshot;
         }
@@ -118,15 +100,11 @@ impl BenchRecord {
             rcn_version: env!("CARGO_PKG_VERSION").to_string(),
             cache_format_version: CACHE_FORMAT_VERSION,
             threads,
-            analysis_threads: 0,
-            incremental: true,
-            sharding: "auto".to_string(),
             wall_seconds,
             busy_seconds: wall_seconds,
             analyses_computed: iterations,
             cache_hits: 0,
             disk_hits: 0,
-            incremental_hits: 0,
             disk_entries_written: 0,
             partitions_tested: 0,
             instances_visited: 0,
@@ -241,7 +219,7 @@ mod tests {
 
     #[test]
     fn from_engine_captures_configuration_and_metrics() {
-        let engine = SearchEngine::sequential().with_incremental(false);
+        let engine = SearchEngine::new(2);
         engine
             .classify(&TestAndSet::new(), 3)
             .expect("cap in range");
@@ -251,8 +229,7 @@ mod tests {
             record.cache_format_version,
             crate::cache::CACHE_FORMAT_VERSION
         );
-        assert!(!record.incremental);
-        assert_eq!(record.sharding, "auto");
+        assert_eq!(record.threads, 2);
         assert_eq!(
             record.metrics.counter("engine.analyses_computed"),
             Some(record.analyses_computed)

@@ -16,11 +16,8 @@
 //!   directory never observe half-written files.
 //! * [`AnalysisStore`] is the per-search session cache the engine works
 //!   against: an in-memory memo map (shared by both deciders of a
-//!   `classify`) whose per-instance slots are `OnceLock`s — so when the
-//!   partition-sharded search points several workers at one instance,
-//!   exactly one of them computes the analysis and the rest wait for it
-//!   instead of duplicating the work — optionally warmed from and flushed
-//!   back to a [`DiskCache`].
+//!   `classify`), optionally warmed from and flushed back to a
+//!   [`DiskCache`].
 //!
 //! Trust model: a cache entry is only used if the whole file parses, the
 //! version and fingerprint match, and every analysis passes
@@ -294,10 +291,11 @@ impl CacheIo for FaultyIo {
 /// ignore files with any other version.
 ///
 /// History: v1 = value/pair sets only; v2 = [`Analysis`] additionally
-/// persists its `firsts` reachability labels (the seed for incremental
-/// level extension), so v1 files no longer deserialize and must be
-/// recomputed.
-pub const CACHE_FORMAT_VERSION: u32 = 2;
+/// persisted its `firsts` reachability labels (the seed of a since-removed
+/// incremental level extension); v3 = value/pair sets only again. Files of
+/// any other version are quarantined to `.bad` on first load and their
+/// analyses recomputed.
+pub const CACHE_FORMAT_VERSION: u32 = 3;
 
 /// 64-bit FNV-1a content hash of a type's *semantics*: its dimensions and
 /// the full `(value, op) → (response, next)` transition table.
@@ -598,10 +596,10 @@ enum Origin {
     Fresh,
 }
 
-/// One memo slot: a lazily-initialized analysis. `OnceLock` makes
-/// concurrent workers on the same instance block-and-share instead of
-/// recomputing — essential once the partition-sharded search sends several
-/// workers at a single instance.
+/// One memo slot: a lazily-initialized analysis. The `OnceLock` lets the
+/// analysis be built outside the map lock (distinct instances build in
+/// parallel) while any second caller for the same instance waits for the
+/// first instead of recomputing.
 struct Slot {
     cell: Arc<OnceLock<Arc<Analysis>>>,
     origin: Origin,
@@ -669,21 +667,12 @@ impl<'d> AnalysisStore<'d> {
     /// across all workers. Updates the engine's counters: a computation
     /// increments `analyses_computed`, a memo hit increments `cache_hits`
     /// or `disk_hits` depending on where the slot's contents came from.
-    ///
-    /// Computations shard their propagation over `threads` workers
-    /// ([`Analysis::with_threads`]); when the engine has incremental
-    /// seeding enabled and the instance's one-shorter prefix is already
-    /// memoized (same scan's previous level, a disk-warmed entry, or the
-    /// other decider's pass), the analysis is built by
-    /// [`Analysis::extend`] instead of from scratch — bit-identical, and
-    /// additionally counted in `incremental_hits`.
     pub(crate) fn get_or_compute<T: ObjectType + ?Sized>(
         &self,
         engine: &SearchEngine,
         ty: &T,
         u: ValueId,
         ops: &[OpId],
-        threads: usize,
     ) -> Arc<Analysis> {
         let key = (u.index() as u16, ops.to_vec());
         let (cell, origin) = {
@@ -697,32 +686,16 @@ impl<'d> AnalysisStore<'d> {
         // Initialize outside the map lock so distinct instances build in
         // parallel; OnceLock serializes same-instance workers.
         let mut computed = false;
-        let mut incremental = false;
         let analysis = cell.get_or_init(|| {
             computed = true;
-            let prefix = if engine.incremental() {
-                self.memoized_prefix(u, ops)
-            } else {
-                None
-            };
             // One span per analysis actually computed (memo/disk hits stay
             // silent — they are counters, not work).
             let _span = engine.tracer().span_with(
                 "engine.analysis",
                 i64::try_from(ops.len()).unwrap_or(i64::MAX),
-                if prefix.is_some() {
-                    "extend"
-                } else {
-                    "scratch"
-                },
+                "",
             );
-            Arc::new(match prefix {
-                Some(p) => {
-                    incremental = true;
-                    Analysis::extend(ty, u, &p, ops, threads)
-                }
-                None => Analysis::with_threads(ty, u, ops, threads),
-            })
+            Arc::new(Analysis::new(ty, u, ops))
         });
         let counter = if computed {
             &engine.counters().analyses_computed
@@ -732,27 +705,7 @@ impl<'d> AnalysisStore<'d> {
             &engine.counters().cache_hits
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        if incremental {
-            engine
-                .counters()
-                .incremental_hits
-                .fetch_add(1, Ordering::Relaxed);
-        }
         Arc::clone(analysis)
-    }
-
-    /// The already-completed analysis of `(u, ops[..len - 1])`, if any.
-    /// A sorted op multiset's prefix is itself a valid instance of the
-    /// previous level, which is what makes the lookup key meaningful.
-    /// Never blocks on an in-flight prefix computation — waiting would
-    /// serialize workers on the memo instead of accelerating them.
-    fn memoized_prefix(&self, u: ValueId, ops: &[OpId]) -> Option<Arc<Analysis>> {
-        if ops.len() < 2 {
-            return None;
-        }
-        let key = (u.index() as u16, ops[..ops.len() - 1].to_vec());
-        let memo = self.memo.lock().expect("analysis memo");
-        memo.get(&key).and_then(|slot| slot.cell.get().cloned())
     }
 
     /// Writes the level-`n` portion of the memo back to disk if the session

@@ -3,24 +3,13 @@
 //! Both witness searches iterate the same space: `(initial value, op
 //! multiset)` *instances* — each requiring one [`Analysis`] (the expensive
 //! part) — times a set of team partitions (cheap bitset unions). The engine
-//! shards this space across worker threads with a shared claim counter,
-//! cancels all workers as soon as any of them finds a witness, and memoizes
+//! makes each instance one task, covering all of its partitions, and hands
+//! the tasks to worker threads through a shared claim counter. It cancels
+//! all workers as soon as any of them finds a witness, and memoizes
 //! analyses in a cache shared across deciders — [`classify`]
 //! (`SearchEngine::classify`) runs *both* deciders over the same instance
 //! space, so the second decider's scan hits the cache instead of rebuilding
 //! every reachability graph.
-//!
-//! Two sharding grains are available:
-//!
-//! * **instance-level** (the default when instances are plentiful): one
-//!   task per `(initial value, op multiset)` instance, covering all of its
-//!   partitions;
-//! * **partition-level** ([`PartitionSharding`]): when there are fewer
-//!   instances than workers — few values and ops but a high level `n`, so a
-//!   single instance's `2^(n-1) − 1` partitions dominate — each instance's
-//!   partition list is split into chunks and the chunks become the tasks,
-//!   so one dominant instance no longer serializes the search. Same-
-//!   instance chunks share one analysis (computed exactly once).
 //!
 //! The per-search memo cache can also be made *durable* by attaching a
 //! [`DiskCache`](crate::DiskCache): analyses load from disk before a level
@@ -116,33 +105,6 @@ fn validate_level(n: usize) -> Result<(), SearchError> {
     }
 }
 
-/// When the engine shards the inner partition loop across workers (in
-/// addition to the instance-level sharding that is always on).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PartitionSharding {
-    /// Shard partitions only when the instance list alone cannot saturate
-    /// the workers (fewer instances than twice the worker count). The
-    /// default.
-    #[default]
-    Auto,
-    /// Never shard partitions; one task per instance (the pre-sharding
-    /// behavior).
-    Never,
-    /// Always split each instance's partitions into at least two chunks
-    /// (useful for differential testing of the sharded path).
-    Always,
-}
-
-impl fmt::Display for PartitionSharding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            PartitionSharding::Auto => "auto",
-            PartitionSharding::Never => "never",
-            PartitionSharding::Always => "always",
-        })
-    }
-}
-
 /// A snapshot of the engine's observability counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
@@ -153,10 +115,9 @@ pub struct SearchStats {
     /// Analyses served from entries loaded out of the persistent
     /// [`DiskCache`] (0 when no cache directory is attached).
     pub disk_hits: u64,
-    /// Analyses computed incrementally by extending a memoized level-`n`
-    /// prefix analysis ([`Analysis::extend`]) instead of from scratch.
-    /// Counted *in addition to* `analyses_computed` (an extension is still
-    /// a computation).
+    /// Always 0: analyses are always built from scratch. Kept only so the
+    /// benchmark crate, which still reads it, keeps compiling; not part of
+    /// the display, metrics or JSON forms.
     pub incremental_hits: u64,
     /// Analyses newly persisted to the [`DiskCache`] (0 when no cache
     /// directory is attached).
@@ -196,7 +157,6 @@ impl SearchStats {
         snap.push_counter("engine.cache_hits", self.cache_hits);
         snap.push_counter("engine.disk_entries_written", self.disk_entries_written);
         snap.push_counter("engine.disk_hits", self.disk_hits);
-        snap.push_counter("engine.incremental_hits", self.incremental_hits);
         snap.push_counter("engine.instances_abandoned", self.instances_abandoned);
         snap.push_counter("engine.instances_visited", self.instances_visited);
         snap.push_counter("engine.partitions_tested", self.partitions_tested);
@@ -219,11 +179,10 @@ impl fmt::Display for SearchStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} analyses ({} cache hits, {} disk hits, {} incremental), {} partitions over {} instances in {:.3?} wall / {:.3?} busy",
+            "{} analyses ({} cache hits, {} disk hits), {} partitions over {} instances in {:.3?} wall / {:.3?} busy",
             self.analyses_computed,
             self.cache_hits,
             self.disk_hits,
-            self.incremental_hits,
             self.partitions_tested,
             self.instances_visited,
             self.wall_time,
@@ -291,7 +250,6 @@ pub(crate) struct Counters {
     pub(crate) analyses_computed: AtomicU64,
     pub(crate) cache_hits: AtomicU64,
     pub(crate) disk_hits: AtomicU64,
-    pub(crate) incremental_hits: AtomicU64,
     pub(crate) disk_entries_written: AtomicU64,
     pub(crate) partitions_tested: AtomicU64,
     pub(crate) instances_visited: AtomicU64,
@@ -364,13 +322,6 @@ impl WallClock {
 /// ```
 pub struct SearchEngine {
     threads: usize,
-    sharding: PartitionSharding,
-    /// Worker count for *intra*-analysis parallelism (0 = auto: borrow the
-    /// search workers when the instance list alone cannot saturate them).
-    analysis_threads: usize,
-    /// Whether level `n + 1` analyses may be seeded from memoized level-`n`
-    /// prefixes ([`Analysis::extend`]).
-    incremental: bool,
     disk: Option<DiskCache>,
     timeout: Option<Duration>,
     tracer: Tracer,
@@ -389,9 +340,6 @@ impl SearchEngine {
         };
         SearchEngine {
             threads,
-            sharding: PartitionSharding::default(),
-            analysis_threads: 0,
-            incremental: true,
             disk: None,
             timeout: None,
             tracer: Tracer::disabled(),
@@ -441,40 +389,6 @@ impl SearchEngine {
         self
     }
 
-    /// Overrides the partition-sharding policy (default
-    /// [`PartitionSharding::Auto`]).
-    #[must_use]
-    pub fn with_partition_sharding(mut self, sharding: PartitionSharding) -> SearchEngine {
-        self.sharding = sharding;
-        self
-    }
-
-    /// Sets the worker count for *intra*-analysis parallelism: each
-    /// reachability analysis shards its mask-order propagation into
-    /// popcount waves over this many threads ([`Analysis::with_threads`]).
-    /// `0` (the default) is automatic: analyses borrow the engine's search
-    /// workers exactly when the level's instance list alone cannot saturate
-    /// them (the same regime where [`PartitionSharding::Auto`] shards
-    /// partitions). Analyses are bit-identical at every setting; this is a
-    /// latency knob, not a semantic one.
-    #[must_use]
-    pub fn with_analysis_threads(mut self, threads: usize) -> SearchEngine {
-        self.analysis_threads = threads;
-        self
-    }
-
-    /// Enables or disables incremental level seeding (default: enabled).
-    /// When enabled, a level-`(n+1)` analysis whose `(initial value, op
-    /// multiset)` extends an already-memoized level-`n` instance is built
-    /// with [`Analysis::extend`] instead of from scratch — bit-identical,
-    /// counted in [`SearchStats::incremental_hits`]. Disabling is only
-    /// useful for differential testing and benchmarking.
-    #[must_use]
-    pub fn with_incremental(mut self, incremental: bool) -> SearchEngine {
-        self.incremental = incremental;
-        self
-    }
-
     /// Attaches a wall-clock deadline to every *public* search call: once
     /// `timeout` elapses, workers stop claiming tasks and the call returns
     /// what it has. Timed-out searches are **inconclusive, never
@@ -502,24 +416,9 @@ impl SearchEngine {
         self.disk.as_ref()
     }
 
-    /// The partition-sharding policy in effect.
-    pub fn partition_sharding(&self) -> PartitionSharding {
-        self.sharding
-    }
-
     /// The per-call wall-clock deadline, if one is attached.
     pub fn timeout(&self) -> Option<Duration> {
         self.timeout
-    }
-
-    /// The configured intra-analysis worker count (0 = automatic).
-    pub fn analysis_threads(&self) -> usize {
-        self.analysis_threads
-    }
-
-    /// Whether incremental level seeding is enabled.
-    pub fn incremental(&self) -> bool {
-        self.incremental
     }
 
     /// The attached tracer ([`Tracer::disabled`] unless
@@ -553,7 +452,7 @@ impl SearchEngine {
             analyses_computed: self.counters.analyses_computed.load(Ordering::Relaxed),
             cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
             disk_hits: self.counters.disk_hits.load(Ordering::Relaxed),
-            incremental_hits: self.counters.incremental_hits.load(Ordering::Relaxed),
+            incremental_hits: 0,
             disk_entries_written: self.counters.disk_entries_written.load(Ordering::Relaxed),
             partitions_tested: self.counters.partitions_tested.load(Ordering::Relaxed),
             instances_visited: self.counters.instances_visited.load(Ordering::Relaxed),
@@ -569,7 +468,6 @@ impl SearchEngine {
         self.counters.analyses_computed.store(0, Ordering::Relaxed);
         self.counters.cache_hits.store(0, Ordering::Relaxed);
         self.counters.disk_hits.store(0, Ordering::Relaxed);
-        self.counters.incremental_hits.store(0, Ordering::Relaxed);
         self.counters
             .disk_entries_written
             .store(0, Ordering::Relaxed);
@@ -824,26 +722,19 @@ impl SearchEngine {
         Ok(best)
     }
 
-    /// The parallel witness search over one level: shard the task list
-    /// across workers, cancel everyone on the first hit.
-    ///
-    /// A task is `(instance, partition range)`. With instance-level
-    /// sharding (the default when instances are plentiful) each instance is
-    /// one task covering all partitions. When the instance list alone
-    /// cannot saturate the workers — or [`PartitionSharding::Always`] —
-    /// each instance's partitions are split into chunks and every chunk is
-    /// its own task, so a single dominant instance is worked by several
-    /// threads at once (its analysis is still computed exactly once; the
-    /// memo's `OnceLock` slots make late chunks wait instead of redo).
+    /// The parallel witness search over one level: one task per instance,
+    /// claimed in instance order by the workers, everyone cancelled on the
+    /// first hit. With one worker the visit order is the sequential
+    /// deciders' order, so the returned witness is theirs exactly.
     ///
     /// Every task runs inside `catch_unwind`: a panicking task (a hand-built
     /// [`ObjectType`] breaking its contract mid-analysis) records its payload,
     /// cancels the remaining workers through the shared stop flag, and
     /// surfaces as [`SearchError::TaskPanicked`] — the queue is never wedged
     /// and the engine stays usable. A `deadline` is checked at every task
-    /// claim and every 256 partitions within a chunk; when it fires, tasks
-    /// not yet finished are counted into
-    /// [`SearchStats::instances_abandoned`] by distinct instance.
+    /// claim and every 256 partitions within a task; when it fires, the
+    /// instances not yet finished are counted into
+    /// [`SearchStats::instances_abandoned`].
     fn find_witness<T: ObjectType + Sync + ?Sized>(
         &self,
         ty: &T,
@@ -878,65 +769,27 @@ impl SearchEngine {
             })
             .collect();
 
-        let workers = threads.max(1);
-        // Intra-analysis parallelism: explicit setting wins; auto borrows
-        // the search workers exactly when the instance list is too short to
-        // keep them busy on its own (the same starvation regime partition
-        // sharding targets — there the workers pile onto few analyses, so
-        // letting each analysis use the pool shortens the critical path).
-        let analysis_threads = match self.analysis_threads {
-            0 if workers > 1 && space.len() < workers * 2 => workers,
-            0 => 1,
-            t => t,
-        };
-        let chunk_count = match self.sharding {
-            PartitionSharding::Never => 1,
-            PartitionSharding::Always => 2.max((workers * 2).div_ceil(space.len().max(1))),
-            PartitionSharding::Auto if space.len() < workers * 2 => {
-                (workers * 2).div_ceil(space.len().max(1))
-            }
-            PartitionSharding::Auto => 1,
-        }
-        .min(teams_of.len().max(1));
-        let chunk_size = teams_of.len().div_ceil(chunk_count).max(1);
-        // Task list: instance-major, partition-chunk-minor, so task order
-        // refines the sequential visit order.
-        let num_parts = teams_of.len();
-        let tasks: Vec<(usize, usize, usize)> = (0..space.len())
-            .flat_map(|i| {
-                (0..chunk_count).filter_map(move |c| {
-                    let lo = c * chunk_size;
-                    (lo < num_parts).then(|| (i, lo, (lo + chunk_size).min(num_parts)))
-                })
-            })
-            .collect();
-
         if self.tracer.recording() {
             // Queue depth at level start: how many claimable tasks the
             // workers are about to drain.
             level_span.event(
                 "engine.queue",
-                i64::try_from(tasks.len()).unwrap_or(i64::MAX),
-                &format!(
-                    "instances={} partitions={} chunks={}",
-                    space.len(),
-                    teams_of.len(),
-                    chunk_count
-                ),
+                i64::try_from(space.len()).unwrap_or(i64::MAX),
+                &format!("instances={} partitions={}", space.len(), teams_of.len()),
             );
         }
 
         let next = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let deadline_hit = AtomicBool::new(false);
-        // One done flag per task: whatever is still unset when a deadline
-        // fires is the abandoned remainder of the space.
-        let done: Vec<AtomicBool> = tasks.iter().map(|_| AtomicBool::new(false)).collect();
+        // One done flag per instance: whatever is still unset when a
+        // deadline fires is the abandoned remainder of the space.
+        let done: Vec<AtomicBool> = space.iter().map(|_| AtomicBool::new(false)).collect();
         // First panic payload wins; later ones are dropped.
         let panicked: Mutex<Option<String>> = Mutex::new(None);
         // Earliest-(instance, partition) witness found so far, so more
-        // threads or finer sharding can only improve (not degrade) how
-        // canonical the returned witness is.
+        // threads can only improve (not degrade) how canonical the returned
+        // witness is.
         let found: Mutex<Option<((usize, usize), Witness)>> = Mutex::new(None);
 
         let past_deadline = || deadline.is_some_and(|d| Instant::now() >= d);
@@ -953,20 +806,16 @@ impl SearchEngine {
                     stop.store(true, Ordering::Relaxed);
                     break;
                 }
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(i, lo, hi)) = tasks.get(t) else {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some((u, ops)) = space.get(i) else {
                     break;
                 };
                 // Contain panics to the task: a broken `ObjectType` must
                 // not wedge the queue or poison the engine.
                 let task = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let (u, ops) = &space[i];
-                    let analysis = store.get_or_compute(engine, ty, *u, ops, analysis_threads);
-                    if lo == 0 {
-                        // Count each instance once, at its first chunk.
-                        local_instances += 1;
-                    }
-                    for (p, (t0, t1)) in teams_of[lo..hi].iter().enumerate() {
+                    let analysis = store.get_or_compute(engine, ty, *u, ops);
+                    local_instances += 1;
+                    for (p, (t0, t1)) in teams_of.iter().enumerate() {
                         if local_partitions.is_multiple_of(256) && past_deadline() {
                             deadline_hit.store(true, Ordering::Relaxed);
                             stop.store(true, Ordering::Relaxed);
@@ -974,7 +823,6 @@ impl SearchEngine {
                         }
                         local_partitions += 1;
                         if cond.holds(&analysis, *u, t0, t1) {
-                            let p = lo + p;
                             let witness = Witness::new(*u, parts[p].clone(), ops.clone());
                             let mut slot = found.lock().expect("witness slot");
                             match &*slot {
@@ -988,8 +836,8 @@ impl SearchEngine {
                     true
                 }));
                 match task {
-                    Ok(true) => done[t].store(true, Ordering::Relaxed),
-                    // Deadline fired mid-chunk: the task stays not-done.
+                    Ok(true) => done[i].store(true, Ordering::Relaxed),
+                    // Deadline fired mid-task: the instance stays not-done.
                     Ok(false) => break,
                     Err(payload) => {
                         let mut slot = panicked.lock().expect("panic slot");
@@ -1011,7 +859,7 @@ impl SearchEngine {
                 .fetch_add(local_partitions, Ordering::Relaxed);
         };
 
-        let workers = workers.min(tasks.len().max(1));
+        let workers = threads.max(1).min(space.len().max(1));
         if workers <= 1 {
             worker(self);
         } else {
@@ -1039,18 +887,13 @@ impl SearchEngine {
         let timed_out = witness.is_none() && deadline_hit.load(Ordering::Relaxed);
         if timed_out {
             self.counters.timed_out.store(true, Ordering::Relaxed);
-            let abandoned: std::collections::HashSet<usize> = tasks
-                .iter()
-                .enumerate()
-                .filter(|&(t, _)| !done[t].load(Ordering::Relaxed))
-                .map(|(_, &(i, _, _))| i)
-                .collect();
+            let abandoned = done.iter().filter(|d| !d.load(Ordering::Relaxed)).count();
             self.counters
                 .instances_abandoned
-                .fetch_add(abandoned.len() as u64, Ordering::Relaxed);
+                .fetch_add(abandoned as u64, Ordering::Relaxed);
             self.tracer.event(
                 "engine.timeout",
-                i64::try_from(abandoned.len()).unwrap_or(i64::MAX),
+                i64::try_from(abandoned).unwrap_or(i64::MAX),
                 cond.name(),
             );
         }
@@ -1245,45 +1088,6 @@ mod tests {
             assert_eq!(again.level, first.level);
             assert_eq!(again.capped, first.capped);
         }
-    }
-
-    #[test]
-    fn partition_sharding_levels_match_instance_sharding() {
-        let t = Tnn::new(4, 2);
-        for threads in [1usize, 4] {
-            let base = SearchEngine::new(threads)
-                .with_partition_sharding(PartitionSharding::Never)
-                .classify(&t, 5)
-                .unwrap();
-            let sharded = SearchEngine::new(threads)
-                .with_partition_sharding(PartitionSharding::Always)
-                .classify(&t, 5)
-                .unwrap();
-            assert_eq!(sharded.discerning.level, base.discerning.level);
-            assert_eq!(sharded.recording.level, base.recording.level);
-            assert_eq!(sharded.consensus_number, base.consensus_number);
-            assert_eq!(
-                sharded.recoverable_consensus_number,
-                base.recoverable_consensus_number
-            );
-        }
-    }
-
-    #[test]
-    fn sequential_partition_sharding_finds_the_canonical_witness() {
-        // With one thread, chunked partition order still visits
-        // (instance, partition) pairs in the sequential order, so the
-        // witness must be bit-identical to the unsharded one.
-        let sticky = StickyBit::new();
-        let base = SearchEngine::sequential()
-            .with_partition_sharding(PartitionSharding::Never)
-            .find_recording_witness(&sticky, 3)
-            .unwrap();
-        let sharded = SearchEngine::sequential()
-            .with_partition_sharding(PartitionSharding::Always)
-            .find_recording_witness(&sticky, 3)
-            .unwrap();
-        assert_eq!(base, sharded);
     }
 
     /// A hand-built type that breaks the `ObjectType` contract by panicking

@@ -58,8 +58,8 @@ pub use discerning::{
     check_discerning, discerning_number, find_discerning_witness, is_n_discerning, LevelResult,
 };
 pub use engine::{
-    try_classify, try_discerning_number, try_recording_number, PartitionSharding, SearchEngine,
-    SearchError, SearchStats,
+    try_classify, try_discerning_number, try_recording_number, SearchEngine, SearchError,
+    SearchStats,
 };
 pub use explain::{explain_discerning, explain_recording};
 pub use reach::{Analysis, MAX_PROCESSES};

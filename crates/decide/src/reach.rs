@@ -16,22 +16,14 @@
 //! partitions are then evaluated by cheap bitset unions, which is what makes
 //! the exhaustive witness search feasible.
 //!
-//! Three implementations share the same pipeline and must stay bit-identical
+//! Two implementations share the same pipeline and must stay bit-identical
 //! (the differential suite pins this):
 //!
-//! * [`Analysis::new`] / [`Analysis::with_threads`] — the kernelized path:
-//!   `ObjectType::apply` is hoisted out of the hot loops into per-(process,
-//!   value) transition tables, and `(response, value)`-pair accumulation
-//!   uses whole-word shifted ORs ([`BitSet::union_shifted_with`]) instead of
-//!   bit-at-a-time inserts. With `threads > 1` the mask-order propagation is
-//!   sharded into popcount waves (masks of equal popcount are independent;
-//!   OR-accumulation is commutative), so the result does not depend on the
-//!   thread count.
-//! * [`Analysis::extend`] — the incremental path: a level-`n+1` instance
-//!   whose op multiset extends a level-`n` instance reuses the prefix's
-//!   `firsts` labels (the level-`n` node lattice embeds as the masks without
-//!   the new process's bit, and its internal propagation is already a fixed
-//!   point), so only edges involving the new process are propagated.
+//! * [`Analysis::new`] — the kernelized path, and the only one the deciders
+//!   use: `ObjectType::apply` is hoisted out of the hot loops into
+//!   per-(process, value) transition tables, and `(response, value)`-pair
+//!   accumulation uses whole-word shifted ORs ([`BitSet::union_shifted_with`])
+//!   instead of bit-at-a-time inserts.
 //! * [`Analysis::new_scalar`] — the original bit-at-a-time reference,
 //!   kept as the differential/benchmark baseline.
 
@@ -68,11 +60,6 @@ pub struct Analysis {
     n: usize,
     num_values: usize,
     num_responses: usize,
-    /// `firsts[mask * num_values + v]`: bitmask of processes `f` such that
-    /// the node `(mask, v)` is reachable via a schedule starting with `p_f`
-    /// (0 = unreachable). Persisted so a cached level-`n` analysis can seed
-    /// [`extend`](Self::extend) for level `n + 1`.
-    firsts: Vec<u32>,
     /// `value_sets[f]`: values reachable over schedules whose first process
     /// is `p_f` (the per-first building block of the `U_x` sets).
     value_sets: Vec<BitSet>,
@@ -85,8 +72,7 @@ pub struct Analysis {
 /// Precomputed per-(process, value) transitions of one instance. The hot
 /// propagation loops index these instead of calling `ObjectType::apply`
 /// `O(2^n · |values| · n)` times — the apply of a computed (non-tabular)
-/// type is far more expensive than an array load. Pure data, so the
-/// parallel waves need no `Sync` bound on the type itself.
+/// type is far more expensive than an array load.
 struct Tables {
     n: usize,
     num_values: usize,
@@ -144,20 +130,11 @@ impl Tables {
     }
 }
 
-/// Groups the masks `0..2^n` by popcount. Edges of the node graph go from
-/// popcount `k` to `k + 1`, so masks within one group are independent — the
-/// unit of parallelism for the wave-sharded propagation.
-fn masks_by_popcount(n: usize) -> Vec<Vec<u32>> {
-    let mut waves = vec![Vec::new(); n + 1];
-    for mask in 0u32..(1 << n) {
-        waves[mask.count_ones() as usize].push(mask);
-    }
-    waves
-}
-
-/// Sequential `firsts` propagation in increasing mask order (masks only
-/// grow along edges, so numeric order is topological).
-fn firsts_from_scratch(t: &Tables) -> Vec<u32> {
+/// Reachability labels: `firsts[mask * num_values + v]` is the bitmask of
+/// processes `f` such that the node `(mask, v)` is reachable via a schedule
+/// starting with `p_f` (0 = unreachable). Propagated in increasing mask
+/// order (masks only grow along edges, so numeric order is topological).
+fn firsts_of(t: &Tables) -> Vec<u32> {
     let nv = t.num_values;
     let mut firsts = vec![0u32; t.num_nodes()];
     for (f, &(_, next)) in t.root.iter().enumerate() {
@@ -181,176 +158,51 @@ fn firsts_from_scratch(t: &Tables) -> Vec<u32> {
     firsts
 }
 
-/// `firsts` propagation seeded from a level-`(n-1)` prefix. The prefix's
-/// lattice is exactly the masks without bit `n - 1`; its labels are a fixed
-/// point of the propagation restricted to those masks, so they are copied
-/// wholesale and only edges involving the new process are walked.
-fn firsts_extended(t: &Tables, prefix_firsts: &[u32]) -> Vec<u32> {
-    let n = t.n;
-    let m = n - 1;
-    let nv = t.num_values;
-    let mut firsts = vec![0u32; t.num_nodes()];
-    firsts[..(1usize << m) * nv].copy_from_slice(prefix_firsts);
-    let (_, next) = t.root[m];
-    firsts[t.node(1 << m, next)] |= 1 << m;
-    for mask in 1u32..(1 << n) {
-        let lower = mask & (1 << m) == 0;
-        for v in 0..nv {
-            let label = firsts[t.node(mask, v)];
-            if label == 0 {
-                continue;
-            }
-            if lower {
-                // Edges inside the prefix lattice are already folded into
-                // the copied labels; only the new process's edge is new.
-                let (_, next) = t.step[m * nv + v];
-                firsts[t.node(mask | (1 << m), next)] |= label;
-            } else {
-                for j in 0..n {
-                    if mask & (1 << j) != 0 {
-                        continue;
-                    }
-                    let (_, next) = t.step[j * nv + v];
-                    firsts[t.node(mask | (1 << j), next)] |= label;
-                }
-            }
-        }
-    }
-    firsts
-}
-
-/// Wave-parallel `firsts` propagation: one popcount level at a time, all
-/// masks of the level strided across workers, labels OR-ed with atomics.
-/// `fetch_or` is commutative, so the final labels equal the sequential
-/// ones regardless of scheduling; the scope join is the per-wave barrier.
-fn firsts_parallel(t: &Tables, threads: usize) -> Vec<u32> {
-    use std::sync::atomic::{AtomicU32, Ordering};
-    let nv = t.num_values;
-    let firsts: Vec<AtomicU32> = (0..t.num_nodes()).map(|_| AtomicU32::new(0)).collect();
-    for (f, &(_, next)) in t.root.iter().enumerate() {
-        firsts[t.node(1 << f, next)].fetch_or(1 << f, Ordering::Relaxed);
-    }
-    let waves = masks_by_popcount(t.n);
-    for wave in &waves[1..t.n] {
-        std::thread::scope(|s| {
-            for w in 0..threads {
-                let firsts = &firsts;
-                s.spawn(move || {
-                    for &mask in wave.iter().skip(w).step_by(threads) {
-                        for v in 0..nv {
-                            let label = firsts[t.node(mask, v)].load(Ordering::Relaxed);
-                            if label == 0 {
-                                continue;
-                            }
-                            for j in 0..t.n {
-                                if mask & (1 << j) != 0 {
-                                    continue;
-                                }
-                                let (_, next) = t.step[j * nv + v];
-                                firsts[t.node(mask | (1 << j), next)]
-                                    .fetch_or(label, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-    }
-    firsts.into_iter().map(AtomicU32::into_inner).collect()
-}
-
-/// The downstream value set of one node: its own value plus the downstream
-/// sets of its children (which the caller has already computed — decreasing
-/// mask order, or a completed higher-popcount wave).
-fn downstream_of(t: &Tables, downstream: &[Option<BitSet>], mask: u32, v: usize) -> BitSet {
-    let nv = t.num_values;
-    let mut set = BitSet::new(nv);
-    set.insert(v);
-    for j in 0..t.n {
-        if mask & (1 << j) != 0 {
-            continue;
-        }
-        let (_, next) = t.step[j * nv + v];
-        if let Some(ds) = &downstream[t.node(mask | (1 << j), next)] {
-            set.union_with(ds);
-        }
-    }
-    set
-}
-
-/// Sequential downstream pass in decreasing mask order (reverse topological).
+/// Downstream value sets: `downstream[node]` holds the node's own value
+/// plus every value reachable from it (`None` = unreachable node), computed
+/// in decreasing mask order (reverse topological), so each node's children
+/// are done before it.
 fn downstream_from(t: &Tables, firsts: &[u32]) -> Vec<Option<BitSet>> {
+    let nv = t.num_values;
     let mut downstream: Vec<Option<BitSet>> = vec![None; t.num_nodes()];
     for mask in (1u32..(1 << t.n)).rev() {
-        for v in 0..t.num_values {
+        for v in 0..nv {
             let id = t.node(mask, v);
             if firsts[id] == 0 {
                 continue;
             }
-            let set = downstream_of(t, &downstream, mask, v);
+            let mut set = BitSet::new(nv);
+            set.insert(v);
+            for j in 0..t.n {
+                if mask & (1 << j) != 0 {
+                    continue;
+                }
+                let (_, next) = t.step[j * nv + v];
+                if let Some(ds) = &downstream[t.node(mask | (1 << j), next)] {
+                    set.union_with(ds);
+                }
+            }
             downstream[id] = Some(set);
         }
     }
     downstream
 }
 
-/// Wave-parallel downstream pass, from the highest popcount down. Workers
-/// only read completed waves; each wave's results are joined and written
-/// back single-threaded, so every node is written exactly once.
-fn downstream_parallel(t: &Tables, firsts: &[u32], threads: usize) -> Vec<Option<BitSet>> {
-    let mut downstream: Vec<Option<BitSet>> = vec![None; t.num_nodes()];
-    let waves = masks_by_popcount(t.n);
-    for k in (1..=t.n).rev() {
-        let wave = &waves[k];
-        let computed: Vec<Vec<(usize, BitSet)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let downstream = &downstream;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        for &mask in wave.iter().skip(w).step_by(threads) {
-                            for v in 0..t.num_values {
-                                let id = t.node(mask, v);
-                                if firsts[id] == 0 {
-                                    continue;
-                                }
-                                out.push((id, downstream_of(t, downstream, mask, v)));
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("downstream worker panicked"))
-                .collect()
-        });
-        for chunk in computed {
-            for (id, set) in chunk {
-                downstream[id] = Some(set);
-            }
-        }
-    }
-    downstream
-}
-
-/// Accumulates the per-first value/pair sets contributed by `masks`. The
+/// Accumulates the per-first value/pair sets over every nonempty mask. The
 /// pair kernel: a node's downstream value set, shifted by
 /// `response * num_values`, is exactly the block of `(response, value)`
 /// pairs process `j` contributes — one whole-word OR per (node, j, first)
 /// instead of one insert per pair.
-fn accumulate_masks<I: Iterator<Item = u32>>(
+fn accumulate(
     t: &Tables,
     firsts: &[u32],
     downstream: &[Option<BitSet>],
-    masks: I,
 ) -> (Vec<BitSet>, Vec<BitSet>) {
     let n = t.n;
     let nv = t.num_values;
     let mut value_sets = vec![BitSet::new(nv); n];
     let mut pair_sets = vec![BitSet::new(t.num_responses * nv); n * n];
-    for mask in masks {
+    for mask in 1u32..(1 << n) {
         for v in 0..nv {
             let label = firsts[t.node(mask, v)];
             if label == 0 {
@@ -385,71 +237,12 @@ fn accumulate_masks<I: Iterator<Item = u32>>(
     (value_sets, pair_sets)
 }
 
-/// Parallel accumulation: masks strided across workers into private sets,
-/// merged by plain unions (commutative, so thread count cannot change the
-/// result).
-fn accumulate_parallel(
-    t: &Tables,
-    firsts: &[u32],
-    downstream: &[Option<BitSet>],
-    threads: usize,
-) -> (Vec<BitSet>, Vec<BitSet>) {
-    let parts: Vec<(Vec<BitSet>, Vec<BitSet>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                s.spawn(move || {
-                    let masks = (1u32..(1 << t.n)).skip(w).step_by(threads);
-                    accumulate_masks(t, firsts, downstream, masks)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("accumulate worker panicked"))
-            .collect()
-    });
-    let mut parts = parts.into_iter();
-    let (mut value_sets, mut pair_sets) = parts.next().expect("at least one worker");
-    for (vs, ps) in parts {
-        for (a, b) in value_sets.iter_mut().zip(&vs) {
-            a.union_with(b);
-        }
-        for (a, b) in pair_sets.iter_mut().zip(&ps) {
-            a.union_with(b);
-        }
-    }
-    (value_sets, pair_sets)
-}
-
 /// The first application itself: p_f's own pair from the virtual root.
 fn accumulate_root(t: &Tables, downstream: &[Option<BitSet>], pair_sets: &mut [BitSet]) {
     for (f, &(resp, next)) in t.root.iter().enumerate() {
         if let Some(ds) = &downstream[t.node(1 << f, next)] {
             pair_sets[f * t.n + f].union_shifted_with(ds, resp * t.num_values);
         }
-    }
-}
-
-/// Runs the downstream + accumulation phases over precomputed `firsts` and
-/// assembles the result.
-fn build(t: &Tables, firsts: Vec<u32>, threads: usize) -> Analysis {
-    let (downstream, (value_sets, mut pair_sets)) = if threads <= 1 {
-        let downstream = downstream_from(t, &firsts);
-        let sets = accumulate_masks(t, &firsts, &downstream, 1u32..(1 << t.n));
-        (downstream, sets)
-    } else {
-        let downstream = downstream_parallel(t, &firsts, threads);
-        let sets = accumulate_parallel(t, &firsts, &downstream, threads);
-        (downstream, sets)
-    };
-    accumulate_root(t, &downstream, &mut pair_sets);
-    Analysis {
-        n: t.n,
-        num_values: t.num_values,
-        num_responses: t.num_responses,
-        firsts,
-        value_sets,
-        pair_sets,
     }
 }
 
@@ -462,87 +255,23 @@ impl Analysis {
     /// Panics if `ops.len() > MAX_PROCESSES`, or if `u` / any op is out of
     /// range for the type.
     pub fn new<T: ObjectType + ?Sized>(ty: &T, u: ValueId, ops: &[OpId]) -> Analysis {
-        Self::with_threads(ty, u, ops, 1)
-    }
-
-    /// Like [`new`](Self::new), with the mask-order propagation sharded
-    /// across `threads` workers in popcount waves. Bit-identical to the
-    /// sequential result at every thread count (pinned by the differential
-    /// suite); `threads <= 1` takes the sequential path exactly.
-    ///
-    /// # Panics
-    ///
-    /// As [`new`](Self::new).
-    pub fn with_threads<T: ObjectType + ?Sized>(
-        ty: &T,
-        u: ValueId,
-        ops: &[OpId],
-        threads: usize,
-    ) -> Analysis {
         let t = Tables::new(ty, u, ops);
-        // Degenerate lattices (fewer than two processes) have nothing to
-        // shard; clamp to the sequential path.
-        let threads = if t.n < 2 { 1 } else { threads.max(1) };
-        let firsts = if threads > 1 {
-            firsts_parallel(&t, threads)
-        } else {
-            firsts_from_scratch(&t)
-        };
-        build(&t, firsts, threads)
-    }
-
-    /// Analyzes `(u, ops)` by extending `prefix`, the analysis of the same
-    /// initial value and the op multiset `ops[..ops.len() - 1]`. Reuses the
-    /// prefix's reachability labels, skipping re-propagation inside the
-    /// already-solved sub-lattice; bit-identical to a from-scratch
-    /// [`new`](Self::new). `threads` shards the remaining passes as in
-    /// [`with_threads`](Self::with_threads).
-    ///
-    /// The caller is responsible for the prefix actually being the analysis
-    /// of `(u, ops[..ops.len() - 1])` on `ty` — the engine's analysis store
-    /// guarantees this by keying memoized analyses on exactly that pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ops` is not exactly one process longer than the prefix or
-    /// the type's dimensions disagree with the prefix's; in debug builds,
-    /// also if the prefix's seed labels are inconsistent with `(u, ops)`.
-    pub fn extend<T: ObjectType + ?Sized>(
-        ty: &T,
-        u: ValueId,
-        prefix: &Analysis,
-        ops: &[OpId],
-        threads: usize,
-    ) -> Analysis {
-        let t = Tables::new(ty, u, ops);
-        assert_eq!(
-            ops.len(),
-            prefix.n + 1,
-            "extend requires exactly one more process than the prefix"
-        );
-        assert_eq!(
-            prefix.num_values, t.num_values,
-            "prefix value count disagrees with the type"
-        );
-        assert_eq!(
-            prefix.num_responses, t.num_responses,
-            "prefix response count disagrees with the type"
-        );
-        debug_assert!(
-            t.root[..prefix.n]
-                .iter()
-                .enumerate()
-                .all(|(f, &(_, next))| prefix.firsts[t.node(1 << f, next)] & (1 << f) != 0),
-            "prefix analysis is not an analysis of (u, ops[..n-1])"
-        );
-        let firsts = firsts_extended(&t, &prefix.firsts);
-        let threads = if t.n < 2 { 1 } else { threads.max(1) };
-        build(&t, firsts, threads)
+        let firsts = firsts_of(&t);
+        let downstream = downstream_from(&t, &firsts);
+        let (value_sets, mut pair_sets) = accumulate(&t, &firsts, &downstream);
+        accumulate_root(&t, &downstream, &mut pair_sets);
+        Analysis {
+            n: t.n,
+            num_values: t.num_values,
+            num_responses: t.num_responses,
+            value_sets,
+            pair_sets,
+        }
     }
 
     /// The original bit-at-a-time implementation, kept verbatim as the
-    /// reference the kernelized/parallel/incremental paths are measured and
-    /// differentially tested against. Produces a bit-identical [`Analysis`].
+    /// reference the kernelized path is measured and differentially tested
+    /// against. Produces a bit-identical [`Analysis`].
     ///
     /// # Panics
     ///
@@ -666,7 +395,6 @@ impl Analysis {
             n,
             num_values,
             num_responses,
-            firsts,
             value_sets,
             pair_sets,
         }
@@ -679,10 +407,8 @@ impl Analysis {
 
     /// Checks that this analysis has exactly the shape an analysis of an
     /// `n`-process instance of a type with `num_values` values and
-    /// `num_responses` responses must have — dimensions, set counts, bitset
-    /// well-formedness, and reachability-label sanity (every `firsts` label
-    /// is a subset of the `n` process bits, and the empty-mask row is
-    /// unreachable). Used to validate analyses loaded from the on-disk
+    /// `num_responses` responses must have — dimensions, set counts, and
+    /// bitset well-formedness. Used to validate analyses loaded from the on-disk
     /// cache before the deciders trust them; always true for analyses built
     /// by [`Analysis::new`].
     pub fn shape_matches(&self, n: usize, num_values: usize, num_responses: usize) -> bool {
@@ -690,9 +416,6 @@ impl Analysis {
             && (1..=MAX_PROCESSES).contains(&n)
             && self.num_values == num_values
             && self.num_responses == num_responses
-            && self.firsts.len() == (1usize << n) * num_values
-            && self.firsts.iter().all(|&l| u64::from(l) < (1u64 << n))
-            && self.firsts[..num_values].iter().all(|&l| l == 0)
             && self.value_sets.len() == n
             && self
                 .value_sets
@@ -818,32 +541,14 @@ mod tests {
         }
     }
 
-    /// All construction paths must agree bit-for-bit with the scalar
-    /// reference: kernelized, wave-parallel at several thread counts, and
-    /// the incremental extension of the one-shorter prefix.
+    /// The kernelized path must agree bit-for-bit with the scalar
+    /// reference.
     fn check_paths_agree<T: ObjectType>(ty: &T, u: ValueId, ops: &[OpId]) {
-        let reference = Analysis::new_scalar(ty, u, ops);
-        assert_eq!(Analysis::new(ty, u, ops), reference, "kernelized");
-        for threads in [2, 3, 5] {
-            assert_eq!(
-                Analysis::with_threads(ty, u, ops, threads),
-                reference,
-                "parallel, {threads} threads"
-            );
-        }
-        if ops.len() >= 2 {
-            let prefix = Analysis::new(ty, u, &ops[..ops.len() - 1]);
-            assert_eq!(
-                Analysis::extend(ty, u, &prefix, ops, 1),
-                reference,
-                "incremental"
-            );
-            assert_eq!(
-                Analysis::extend(ty, u, &prefix, ops, 3),
-                reference,
-                "incremental, parallel"
-            );
-        }
+        assert_eq!(
+            Analysis::new(ty, u, ops),
+            Analysis::new_scalar(ty, u, ops),
+            "kernelized"
+        );
     }
 
     #[test]
@@ -895,47 +600,6 @@ mod tests {
         let tc = TeamCounter::new(5);
         let inc = OpId::new(0);
         check_paths_agree(&tc, ValueId::new(0), &[inc; 5]);
-    }
-
-    #[test]
-    fn extend_chains_from_two_processes_up() {
-        // Build 2 -> 3 -> 4 by repeated extension and compare each level
-        // against from-scratch construction.
-        let t = Tnn::new(4, 2);
-        let ops = [t.op_x(0), t.op_x(1), t.op_r(), t.op_x(1)];
-        let mut prefix = Analysis::new(&t, t.s(), &ops[..2]);
-        for m in 3..=ops.len() {
-            let extended = Analysis::extend(&t, t.s(), &prefix, &ops[..m], 1);
-            assert_eq!(extended, Analysis::new(&t, t.s(), &ops[..m]), "level {m}");
-            prefix = extended;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one more process")]
-    fn extend_rejects_wrong_arity() {
-        let tas = TestAndSet::new();
-        let prefix = Analysis::new(&tas, ValueId::new(0), &[OpId::new(0); 2]);
-        let _ = Analysis::extend(&tas, ValueId::new(0), &prefix, &[OpId::new(0); 4], 1);
-    }
-
-    #[test]
-    fn shape_matches_validates_firsts() {
-        let tas = TestAndSet::new();
-        let a = Analysis::new(&tas, ValueId::new(0), &[OpId::new(0); 2]);
-        assert!(a.shape_matches(2, 2, 2));
-
-        let mut wrong_len = a.clone();
-        wrong_len.firsts.pop();
-        assert!(!wrong_len.shape_matches(2, 2, 2));
-
-        let mut stray_bit = a.clone();
-        stray_bit.firsts[2] = 1 << 5; // label names a process that doesn't exist
-        assert!(!stray_bit.shape_matches(2, 2, 2));
-
-        let mut rooted = a.clone();
-        rooted.firsts[0] = 1; // empty mask must stay unreachable
-        assert!(!rooted.shape_matches(2, 2, 2));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Differential tests: the parallel search engine must agree with the
 //! sequential deciders on every membership question and every computed
 //! level, for the whole readable zoo — and parallel runs must be
-//! level-deterministic (witnesses may differ; levels may not).
+//! level-deterministic (witnesses may differ; levels may not). A
+//! one-worker engine visits instances in the sequential deciders' order,
+//! so its witnesses must be theirs exactly.
 
 use rcn::decide::{
-    check_discerning, check_recording, discerning_number, is_n_discerning, is_n_recording,
-    recording_number, Analysis, PartitionSharding, SearchEngine,
+    check_discerning, check_recording, discerning_number, find_discerning_witness,
+    find_recording_witness, recording_number, Analysis, SearchEngine,
 };
 use rcn::spec::zoo::{
     CompareAndSwap, ConsensusObject, FetchAndAdd, Register, StickyBit, Swap, TeamCounter,
@@ -31,44 +33,56 @@ fn zoo() -> Vec<Box<dyn ObjectType + Send + Sync>> {
 
 #[test]
 fn engine_membership_matches_sequential_for_whole_zoo() {
-    let engine = SearchEngine::new(4);
-    for ty in zoo() {
-        for n in 2..=CAP {
-            assert_eq!(
-                engine
+    for threads in [1usize, 4] {
+        let engine = SearchEngine::new(threads);
+        for ty in zoo() {
+            for n in 2..=CAP {
+                let seq = find_recording_witness(&*ty, n);
+                let par = engine
                     .find_recording_witness(&*ty, n)
-                    .expect("level in range")
-                    .is_some(),
-                is_n_recording(&*ty, n),
-                "{}: is_n_recording({n})",
-                ty.name()
-            );
-            assert_eq!(
-                engine
+                    .expect("level in range");
+                assert_eq!(
+                    par.is_some(),
+                    seq.is_some(),
+                    "{} (threads={threads}): is_n_recording({n})",
+                    ty.name()
+                );
+                if threads == 1 {
+                    assert_eq!(par, seq, "{}: recording witness at n={n}", ty.name());
+                }
+                let seq = find_discerning_witness(&*ty, n);
+                let par = engine
                     .find_discerning_witness(&*ty, n)
-                    .expect("level in range")
-                    .is_some(),
-                is_n_discerning(&*ty, n),
-                "{}: is_n_discerning({n})",
-                ty.name()
-            );
+                    .expect("level in range");
+                assert_eq!(
+                    par.is_some(),
+                    seq.is_some(),
+                    "{} (threads={threads}): is_n_discerning({n})",
+                    ty.name()
+                );
+                if threads == 1 {
+                    assert_eq!(par, seq, "{}: discerning witness at n={n}", ty.name());
+                }
+            }
         }
     }
 }
 
 #[test]
 fn engine_levels_match_sequential_for_whole_zoo() {
-    let engine = SearchEngine::new(4);
-    for ty in zoo() {
-        let seq = recording_number(&*ty, CAP);
-        let par = engine.recording_number(&*ty, CAP).expect("cap in range");
-        assert_eq!(par.level, seq.level, "{}: recording level", ty.name());
-        assert_eq!(par.capped, seq.capped, "{}: recording capped", ty.name());
+    for threads in [1usize, 4] {
+        let engine = SearchEngine::new(threads);
+        for ty in zoo() {
+            let seq = recording_number(&*ty, CAP);
+            let par = engine.recording_number(&*ty, CAP).expect("cap in range");
+            assert_eq!(par.level, seq.level, "{}: recording level", ty.name());
+            assert_eq!(par.capped, seq.capped, "{}: recording capped", ty.name());
 
-        let seq = discerning_number(&*ty, CAP);
-        let par = engine.discerning_number(&*ty, CAP).expect("cap in range");
-        assert_eq!(par.level, seq.level, "{}: discerning level", ty.name());
-        assert_eq!(par.capped, seq.capped, "{}: discerning capped", ty.name());
+            let seq = discerning_number(&*ty, CAP);
+            let par = engine.discerning_number(&*ty, CAP).expect("cap in range");
+            assert_eq!(par.level, seq.level, "{}: discerning level", ty.name());
+            assert_eq!(par.capped, seq.capped, "{}: discerning capped", ty.name());
+        }
     }
 }
 
@@ -126,69 +140,6 @@ fn parallel_runs_are_level_deterministic() {
     }
 }
 
-#[test]
-fn partition_sharded_search_matches_sequential_for_whole_zoo() {
-    // Partition-level sharding changes the task grain (chunks of one
-    // instance's partitions instead of whole instances), not the answers:
-    // forced-on sharding must agree with the sequential deciders on every
-    // level across the zoo, at both thread counts.
-    for threads in [1usize, 4] {
-        let engine = SearchEngine::new(threads).with_partition_sharding(PartitionSharding::Always);
-        for ty in zoo() {
-            let seq = recording_number(&*ty, CAP);
-            let par = engine.recording_number(&*ty, CAP).expect("cap in range");
-            assert_eq!(
-                par.level,
-                seq.level,
-                "{} (threads={threads}): sharded recording level",
-                ty.name()
-            );
-            assert_eq!(par.capped, seq.capped);
-            if let Some(w) = &par.witness {
-                assert_eq!(check_recording(&*ty, w), Ok(true), "{}", ty.name());
-            }
-
-            let seq = discerning_number(&*ty, CAP);
-            let par = engine.discerning_number(&*ty, CAP).expect("cap in range");
-            assert_eq!(
-                par.level,
-                seq.level,
-                "{} (threads={threads}): sharded discerning level",
-                ty.name()
-            );
-            assert_eq!(par.capped, seq.capped);
-            if let Some(w) = &par.witness {
-                assert_eq!(check_discerning(&*ty, w), Ok(true), "{}", ty.name());
-            }
-        }
-    }
-}
-
-#[test]
-fn sequential_sharded_witnesses_are_canonical() {
-    // With one worker the sharded task list still visits (instance,
-    // partition) pairs in sequential order, so the returned witness must be
-    // identical to the unsharded engine's — not merely valid.
-    let base = SearchEngine::sequential().with_partition_sharding(PartitionSharding::Never);
-    let sharded = SearchEngine::sequential().with_partition_sharding(PartitionSharding::Always);
-    for ty in zoo() {
-        for n in 2..=CAP {
-            assert_eq!(
-                sharded.find_recording_witness(&*ty, n).unwrap(),
-                base.find_recording_witness(&*ty, n).unwrap(),
-                "{}: recording witness at n={n}",
-                ty.name()
-            );
-            assert_eq!(
-                sharded.find_discerning_witness(&*ty, n).unwrap(),
-                base.find_discerning_witness(&*ty, n).unwrap(),
-                "{}: discerning witness at n={n}",
-                ty.name()
-            );
-        }
-    }
-}
-
 /// All non-decreasing `n`-element op sequences over `num_ops` operations —
 /// exactly the sorted multisets the search space enumerates.
 fn op_multisets(num_ops: usize, n: usize) -> Vec<Vec<OpId>> {
@@ -210,105 +161,26 @@ fn op_multisets(num_ops: usize, n: usize) -> Vec<Vec<OpId>> {
 
 #[test]
 fn analysis_construction_paths_are_bit_identical_across_zoo() {
-    // The kernelized default, the bit-at-a-time scalar reference, the
-    // popcount-wave parallel path, and the incremental extend chain are
-    // four implementations of the same function. Sweep every instance of
-    // the zoo up to the differential cap and require full structural
-    // equality (firsts, value sets, and pair sets all compared by Eq) —
-    // not just equal verdicts downstream.
+    // The kernelized path and the bit-at-a-time scalar reference are two
+    // implementations of the same function. Sweep every instance of the
+    // zoo up to the differential cap and require full structural equality
+    // (value sets and pair sets compared by Eq) — not just equal verdicts
+    // downstream.
     for ty in zoo() {
         for n in 2..=CAP {
             for ops in op_multisets(ty.num_ops(), n) {
                 for u in 0..ty.num_values() {
                     let u = ValueId::new(u as u16);
-                    let kernel = Analysis::new(&*ty, u, &ops);
-                    let ctx = || format!("{} u={} ops={:?}", ty.name(), u.index(), ops);
-                    assert_eq!(kernel, Analysis::new_scalar(&*ty, u, &ops), "{}", ctx());
                     assert_eq!(
-                        kernel,
-                        Analysis::with_threads(&*ty, u, &ops, 4),
-                        "{}",
-                        ctx()
+                        Analysis::new(&*ty, u, &ops),
+                        Analysis::new_scalar(&*ty, u, &ops),
+                        "{} u={} ops={:?}",
+                        ty.name(),
+                        u.index(),
+                        ops
                     );
-                    // Chain extend from the single-process base. Every
-                    // prefix of a sorted multiset is itself a valid
-                    // smaller instance.
-                    let mut chained = Analysis::new(&*ty, u, &ops[..1]);
-                    for m in 2..=n {
-                        chained = Analysis::extend(&*ty, u, &chained, &ops[..m], 1);
-                    }
-                    assert_eq!(kernel, chained, "extend chain: {}", ctx());
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn incremental_engine_matches_from_scratch_across_zoo() {
-    // Seeding level n+1 analyses from memoized level-n prefixes must not
-    // change a single verdict. Classify the whole zoo both ways and also
-    // check the counters prove which path ran.
-    let mut total_incremental = 0;
-    for ty in zoo() {
-        let seeded = SearchEngine::sequential().with_incremental(true);
-        let scratch = SearchEngine::sequential().with_incremental(false);
-        let a = seeded.classify(&*ty, CAP).expect("cap in range");
-        let b = scratch.classify(&*ty, CAP).expect("cap in range");
-        assert_eq!(
-            a.recording.level,
-            b.recording.level,
-            "{}: recording level",
-            ty.name()
-        );
-        assert_eq!(
-            a.discerning.level,
-            b.discerning.level,
-            "{}: discerning level",
-            ty.name()
-        );
-        assert_eq!(a.consensus_number, b.consensus_number, "{}", ty.name());
-        assert_eq!(
-            a.recoverable_consensus_number,
-            b.recoverable_consensus_number,
-            "{}",
-            ty.name()
-        );
-        assert_eq!(
-            scratch.stats().incremental_hits,
-            0,
-            "{}: disabled engine must never extend",
-            ty.name()
-        );
-        total_incremental += seeded.stats().incremental_hits;
-    }
-    assert!(
-        total_incremental > 0,
-        "incremental seeding never fired across the zoo"
-    );
-}
-
-#[test]
-fn analysis_threads_do_not_change_sequential_witnesses() {
-    // Intra-analysis parallelism nests inside the search; with one search
-    // worker the visit order is unchanged, so the witnesses must be
-    // identical to the baseline engine's — not merely valid.
-    let base = SearchEngine::sequential();
-    let threaded = SearchEngine::sequential().with_analysis_threads(4);
-    for ty in zoo() {
-        for n in 2..=CAP {
-            assert_eq!(
-                threaded.find_recording_witness(&*ty, n).unwrap(),
-                base.find_recording_witness(&*ty, n).unwrap(),
-                "{}: recording witness at n={n}",
-                ty.name()
-            );
-            assert_eq!(
-                threaded.find_discerning_witness(&*ty, n).unwrap(),
-                base.find_discerning_witness(&*ty, n).unwrap(),
-                "{}: discerning witness at n={n}",
-                ty.name()
-            );
         }
     }
 }
