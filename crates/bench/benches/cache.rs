@@ -12,9 +12,9 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Cold run (empty cache directory, every analysis computed and persisted)
-/// vs. warm run (every analysis loaded from disk). The warm/cold ratio is
-/// the headline number for the persistent cache.
+/// Cold run (empty cache directory, every level searched and its verdict
+/// persisted) vs. warm run (every level's verdict loaded from disk). The
+/// warm/cold ratio is the headline number for the persistent cache.
 fn cold_vs_warm_classify(c: &mut Criterion) {
     let ty = TeamCounter::new(4);
     let mut group = c.benchmark_group("disk_cache_classify_team_counter_cap4");
@@ -24,7 +24,7 @@ fn cold_vs_warm_classify(c: &mut Criterion) {
         let dir = scratch("cold");
         b.iter(|| {
             // Start from an empty directory every iteration: this measures
-            // compute + serialize + persist.
+            // search + serialize + persist.
             std::fs::remove_dir_all(&dir).ok();
             let engine = SearchEngine::sequential().with_disk_cache(DiskCache::new(&dir));
             criterion::black_box(engine.classify(&ty, 4).expect("cap in range"));
@@ -34,7 +34,7 @@ fn cold_vs_warm_classify(c: &mut Criterion) {
 
     group.bench_function("warm", |b| {
         let dir = scratch("warm");
-        // Populate once; every iteration then loads instead of computing.
+        // Populate once; every iteration then loads instead of searching.
         SearchEngine::sequential()
             .with_disk_cache(DiskCache::new(&dir))
             .classify(&ty, 4)

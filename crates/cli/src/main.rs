@@ -20,7 +20,8 @@
 //!
 //! The search and fault commands accept `--trace PATH` (record a JSONL
 //! trace; refuses to overwrite without `--force`) and `--metrics` (print
-//! the metrics registry, as text or `--json`).
+//! the metrics registry). `--json` is declared only where the output is one
+//! JSON document (`classify`, `lint`, `crashtest`, `check`, `profile`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +30,7 @@ mod types;
 
 use rcn_decide::{
     explain_discerning, explain_recording, BenchRecord, BenchRecorder, DiskCache, SearchEngine,
+    TypeClassification,
 };
 use rcn_obs::{parse_jsonl, ProfileReport, Tracer};
 use rcn_protocols::TnnRecoverable;
@@ -89,7 +91,7 @@ fn print_help() {
     println!(
         "  --threads N                         search worker threads (0 = all cores, default 1)"
     );
-    println!("  --cache-dir DIR                     persist analyses under DIR and reuse them on later runs");
+    println!("  --cache-dir DIR                     persist level verdicts under DIR and reuse them on later runs");
     println!("  --no-cache                          ignore --cache-dir (search without the persistent cache)");
     println!("  --stats                             print search statistics (analyses, cache/disk hits, wall time)");
     println!("  --timeout SECS                      wall-clock deadline; partial results are reported as ≥N lower bounds");
@@ -99,7 +101,8 @@ fn print_help() {
     println!("  --trace PATH                        record a JSONL span/event trace to PATH");
     println!("                                      (refuses an existing file without --force)");
     println!("  --metrics                           print the metrics registry after the run");
-    println!("  --json                              render --metrics (and lint/crashtest output) as JSON");
+    println!("  --json                              (classify, lint, crashtest, check) print one JSON document,");
+    println!("                                      with --stats and --metrics embedded");
     println!();
     println!("  dot <type> [--self-loops]           Graphviz state machine");
     println!("  table <type>                        transition table");
@@ -112,8 +115,8 @@ fn print_help() {
     println!("       [--inputs 0,1] [--shrink]      events); counterexamples are optionally");
     println!("       [--json] [--memo-dir DIR]      shrunk to 1-minimal and replayed through the");
     println!("       [--no-memo] [--timeout SECS]   threaded runtime; exits nonzero on violation.");
-    println!("       [--bench-json PATH]            --memo-dir persists the verdict + memo so");
-    println!("       [--fault-model M]              repeated runs resume;");
+    println!("       [--bench-json PATH]            --memo-dir persists certified verdicts so");
+    println!("       [--fault-model M]              repeated runs skip the search;");
     println!(
         "                                      M = per-process (default) | system | mid-op | all"
     );
@@ -162,8 +165,9 @@ fn cmd_types() {
 /// Flags taking a value shared by the search commands (`classify`,
 /// `compare`, `witness`); `--cap` is appended where it applies.
 const SEARCH_VALUE_FLAGS: &[&str] = &["--threads", "--cache-dir", "--timeout", "--trace"];
-/// Valueless switches shared by the search commands.
-const SEARCH_SWITCH_FLAGS: &[&str] = &["--stats", "--no-cache", "--metrics", "--force", "--json"];
+/// Valueless switches shared by the search commands. `--json` is not among
+/// them: only `classify` renders JSON.
+const SEARCH_SWITCH_FLAGS: &[&str] = &["--stats", "--no-cache", "--metrics", "--force"];
 
 /// Command arguments split against an explicit per-command flag catalogue.
 ///
@@ -367,7 +371,7 @@ fn cmd_classify(args: &[&str]) -> Result<(), String> {
             "--bench-json",
             "--trace",
         ],
-        SEARCH_SWITCH_FLAGS,
+        &[SEARCH_SWITCH_FLAGS, &["--json"]].concat(),
     )?;
     let [spec] = parsed.positionals[..] else {
         return Err("usage: rcn classify <type> [--cap N] [--threads N] [--stats]".into());
@@ -378,19 +382,7 @@ fn cmd_classify(args: &[&str]) -> Result<(), String> {
     let engine = engine_from_args(&parsed)?.with_tracer(tracer.clone());
     let c = engine.classify(&*ty, cap).map_err(|e| e.to_string())?;
     if parsed.has("--json") {
-        // One JSON document on stdout: the full classification, with the
-        // metrics snapshot embedded under "metrics" when asked for.
-        let mut doc =
-            serde_json::to_string(&c).map_err(|e| format!("serializing classification: {e}"))?;
-        if parsed.has("--metrics") {
-            if let Some(snapshot) = tracer.snapshot() {
-                doc.truncate(doc.len() - 1); // reopen the object
-                doc.push_str(", \"metrics\": ");
-                doc.push_str(&snapshot.to_json());
-                doc.push('}');
-            }
-        }
-        println!("{doc}");
+        println!("{}", classify_json(&c, &parsed, &engine, &tracer)?);
     } else {
         println!("type                : {}", c.type_name);
         println!("readable            : {}", c.readable);
@@ -427,6 +419,32 @@ fn cmd_classify(args: &[&str]) -> Result<(), String> {
     } else {
         finish_tracing(&parsed, &tracer)
     }
+}
+
+/// `classify --json`: one JSON document holding the classification, with
+/// the search stats embedded under "stats" (`--stats`) and the metrics
+/// snapshot under "metrics" (`--metrics`).
+fn classify_json(
+    c: &TypeClassification,
+    parsed: &Parsed,
+    engine: &SearchEngine,
+    tracer: &Tracer,
+) -> Result<String, String> {
+    let mut doc =
+        serde_json::to_string(c).map_err(|e| format!("serializing classification: {e}"))?;
+    doc.pop(); // reopen the object
+    if parsed.has("--stats") {
+        doc.push_str(", \"stats\": ");
+        doc.push_str(&engine.stats().to_json());
+    }
+    if parsed.has("--metrics") {
+        if let Some(snapshot) = tracer.snapshot() {
+            doc.push_str(", \"metrics\": ");
+            doc.push_str(&snapshot.to_json());
+        }
+    }
+    doc.push('}');
+    Ok(doc)
 }
 
 fn cmd_compare(args: &[&str]) -> Result<(), String> {
@@ -1546,6 +1564,42 @@ mod tests {
         // silently swallowed.
         assert!(run(&s(&["witness", "tas", "2", "--bench-json", "x.json"])).is_err());
         assert!(run(&s(&["compare", "tas", "--bench-json", "x.json"])).is_err());
+    }
+
+    #[test]
+    fn json_is_a_usage_error_where_no_json_is_rendered() {
+        // `compare` and `witness` print text; a `--json` there used to
+        // print that text followed by a JSON metrics object.
+        let err = run(&s(&["compare", "tas", "cas", "--json", "--metrics"])).unwrap_err();
+        assert!(err.contains("unknown flag `--json`"), "got: {err}");
+        let err = run(&s(&["witness", "tas", "2", "--json"])).unwrap_err();
+        assert!(err.contains("unknown flag `--json`"), "got: {err}");
+        assert!(run(&s(&["classify", "tas", "--json", "--stats", "--metrics"])).is_ok());
+    }
+
+    #[test]
+    fn classify_json_embeds_the_stats() {
+        #[derive(serde::Deserialize)]
+        struct Doc {
+            type_name: String,
+            stats: rcn_obs::MetricsSnapshot,
+        }
+        let dir = scratch_path("classify-json");
+        let tas = rcn_spec::zoo::TestAndSet::new();
+        let parsed = parse_args(&["--json", "--stats"], &[], &["--json", "--stats"]).unwrap();
+        let mut disk_hits = Vec::new();
+        for _ in 0..2 {
+            let engine = SearchEngine::sequential().with_disk_cache(DiskCache::new(&dir));
+            let c = engine.classify(&tas, 3).unwrap();
+            let json = classify_json(&c, &parsed, &engine, &Tracer::disabled()).unwrap();
+            let doc: Doc = serde_json::from_str(&json).expect("one JSON document");
+            assert_eq!(doc.type_name, c.type_name);
+            disk_hits.push(doc.stats.counter("engine.disk_hits"));
+        }
+        // Cold, then warm.
+        assert_eq!(disk_hits[0], Some(0));
+        assert!(disk_hits[1] > Some(0), "{disk_hits:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

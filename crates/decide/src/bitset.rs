@@ -1,16 +1,10 @@
 //! A small fixed-capacity bitset used for value sets and
 //! (response, value)-pair sets inside the deciders.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fixed-capacity bitset over `0..capacity`.
-///
-/// Serializes as `{"words": […], "capacity": N}` (the persistent analysis
-/// cache stores these); deserialized sets must be re-validated with
-/// [`is_well_formed`](Self::is_well_formed) before use, since the wire
-/// format cannot enforce the words-match-capacity invariant.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,
@@ -150,9 +144,9 @@ impl BitSet {
 
     /// Returns `true` if the internal representation is consistent: the
     /// word vector has exactly the length the capacity requires and no bit
-    /// at or above `capacity` is set. Always true for sets built through
-    /// this API; deserialized sets must be checked before use (a stray high
-    /// bit would corrupt [`intersects`](Self::intersects)).
+    /// at or above `capacity` is set (a stray high bit would corrupt
+    /// [`intersects`](Self::intersects)). Always true for sets built
+    /// through this API; the kernel tests assert it.
     pub fn is_well_formed(&self) -> bool {
         if self.words.len() != self.capacity.div_ceil(64) {
             return false;

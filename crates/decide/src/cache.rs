@@ -1,47 +1,51 @@
-//! Persistent (on-disk) analysis caching for the search engine.
+//! Persistent level verdicts for the search engine, and the file store
+//! both persistence layers share.
 //!
-//! A reachability [`Analysis`] is the expensive part of every decider
-//! instance, and the same `(initial value, op-multiset)` analyses recur
-//! across CLI invocations — repeated `classify` / `compare` / `witness`
-//! calls on the same type rebuild identical reachability graphs from
-//! scratch. This module makes the engine's per-call memo cache *durable*:
+//! The deciders answer "is `T` n-discerning / n-recording?" one level at a
+//! time, and a yes comes with a certificate that one [`Analysis`] re-checks
+//! (a [`Witness`]). So the thing worth persisting is the per-level verdict,
+//! not the analyses that produced it:
 //!
-//! * [`DiskCache`] serializes analyses to JSON files in a cache directory,
-//!   one file per `(type, level)` pair. Files carry a format-version header
-//!   and a content [`type_fingerprint`] of the type's full transition
-//!   table, so a renamed, stale, truncated, corrupted, or hand-edited file
-//!   can never poison a search — any mismatch degrades silently to a full
-//!   recompute. Writes go to a temporary file first and are published with
-//!   an atomic rename, so concurrent CLI invocations sharing a cache
-//!   directory never observe half-written files.
-//! * [`AnalysisStore`] is the per-search session cache the engine works
-//!   against: an in-memory memo map (shared by both deciders of a
-//!   `classify`), optionally warmed from and flushed back to a
-//!   [`DiskCache`].
+//! * [`DiskCache`] keeps one small JSON file per `(type, condition,
+//!   level)` holding that level's `Option<Witness>`, behind a header of
+//!   format version, content [`type_fingerprint`], condition and level. A
+//!   search reads the file before searching the level; a hit answers the
+//!   level at once.
+//! * [`VerdictStore`] is the file store under it, shared with
+//!   `rcn-faults`' `ExplorerMemo`: writes go to a unique temp file and are
+//!   published with an atomic rename, so concurrent invocations sharing a
+//!   directory never observe half-written files; reads parse and validate
+//!   the whole file; anything rejected is quarantined to `.bad` (evidence
+//!   preserved, recompute-forever loops broken).
+//! * [`AnalysisStore`] is the per-call in-memory analysis memo the engine
+//!   works against (shared by both deciders of a `classify`).
 //!
-//! Trust model: a cache entry is only used if the whole file parses, the
-//! version and fingerprint match, and every analysis passes
-//! [`Analysis::shape_matches`] for its instance key. Shape-valid but
-//! *wrong* analysis contents (a deliberately falsified cache) are
-//! indistinguishable from genuine ones, as with any persisted index —
-//! delete the cache directory to rebuild from scratch.
+//! Trust model: a stored verdict is used only if the file parses, the
+//! header matches, and a stored witness has the level's arity and passes
+//! [`check_discerning`] / [`check_recording`]. A falsified witness is
+//! quarantined and the level recomputed. A stored refutation (`None`)
+//! carries no certificate and is trusted like any persisted index — delete
+//! the cache directory to rebuild from scratch.
 //!
 //! Fault tolerance: every filesystem call goes through the [`CacheIo`]
-//! seam, so the workspace fail-point sweep can fail or truncate each
-//! individual read/write/rename/create_dir/remove_file and prove the
-//! fallback story holds at *every* injection point. Wholesale-corrupt files are
-//! quarantined to `.bad` (evidence preserved, recompute-forever loops
-//! broken), transient write failures are retried once, and temp files get
-//! a per-call unique name so concurrent flushes in one process cannot
-//! race.
+//! seam, so the workspace fail-point sweeps can fail, truncate, reorder or
+//! duplicate each individual read/write/rename/create_dir/remove_file and
+//! prove the fallback story holds at *every* injection point. Transient
+//! write failures are retried once.
+//!
+//! [`check_discerning`]: crate::check_discerning
+//! [`check_recording`]: crate::check_recording
 
-use crate::engine::SearchEngine;
+use crate::engine::{Condition, SearchEngine};
 use crate::reach::Analysis;
+use crate::witness::Witness;
+use rcn_model::Fnv1a;
 use rcn_obs::Tracer;
 use rcn_spec::{ObjectType, OpId, ValueId};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hasher;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -287,77 +291,216 @@ impl CacheIo for FaultyIo {
 }
 
 /// Version stamp written into every cache file. Bump on any change to the
-/// serialized shape of [`Analysis`] or the file layout; readers silently
-/// ignore files with any other version.
+/// file layout; a file with any other version is quarantined to `.bad` on
+/// first load and its level recomputed.
 ///
-/// History: v1 = value/pair sets only; v2 = [`Analysis`] additionally
-/// persisted its `firsts` reachability labels (the seed of a since-removed
-/// incremental level extension); v3 = value/pair sets only again. Files of
-/// any other version are quarantined to `.bad` on first load and their
-/// analyses recomputed.
-pub const CACHE_FORMAT_VERSION: u32 = 3;
+/// History: v1 and v3 stored every analysis of a level; v2 additionally
+/// stored each analysis's `firsts` reachability labels; v4 stores only the
+/// level's verdict, one file per condition.
+pub const CACHE_FORMAT_VERSION: u32 = 4;
 
 /// 64-bit FNV-1a content hash of a type's *semantics*: its dimensions and
 /// the full `(value, op) → (response, next)` transition table.
 ///
 /// Two types with the same fingerprint have identical sequential
-/// specifications (up to hash collision), so their analyses are
+/// specifications (up to hash collision), so their verdicts are
 /// interchangeable — names and display strings deliberately do not
 /// participate. This keys the on-disk cache: editing a table invalidates
-/// its cached analyses automatically.
+/// its cached verdicts automatically.
 pub fn type_fingerprint<T: ObjectType + ?Sized>(ty: &T) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        for byte in x.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(ty.num_values() as u64);
-    mix(ty.num_ops() as u64);
-    mix(ty.num_responses() as u64);
+    let mut hash = Fnv1a::new();
+    hash.mix(ty.num_values() as u64);
+    hash.mix(ty.num_ops() as u64);
+    hash.mix(ty.num_responses() as u64);
     for v in 0..ty.num_values() {
         for op in 0..ty.num_ops() {
             let out = ty.apply(ValueId(v as u16), OpId(op as u16));
-            mix(out.response.index() as u64);
-            mix(out.next.index() as u64);
+            hash.mix(out.response.index() as u64);
+            hash.mix(out.next.index() as u64);
         }
     }
-    hash
+    hash.finish()
 }
 
-/// One persisted `(instance, analysis)` pair.
-#[derive(Serialize, Deserialize)]
-struct CacheEntry {
-    /// The instance's initial value.
-    initial: u16,
-    /// The instance's op multiset (one op id per process).
-    ops: Vec<u16>,
-    /// The instance's reachability analysis.
-    analysis: Analysis,
+/// The tracer event and counter names one [`VerdictStore`] emits; each
+/// persistence layer declares its own `static` set under its prefix.
+#[derive(Debug)]
+pub struct StoreNames {
+    /// Event per read (value = bytes): detail `miss`, `ok`, or the reason
+    /// the file was rejected.
+    pub load: &'static str,
+    /// Event per publish (value = bytes): detail `ok` or `failed`.
+    pub store: &'static str,
+    /// Event per file moved aside to `.bad` (detail = its path).
+    pub quarantine: &'static str,
+    /// Counter of successful publishes.
+    pub stores: &'static str,
+    /// Counter of publishes that failed after their retries.
+    pub store_failures: &'static str,
+    /// Counter of operations that failed once and were retried.
+    pub retries: &'static str,
+    /// Counter of files moved aside to `.bad`.
+    pub quarantined: &'static str,
 }
 
-/// The on-disk file shape: versioned header plus the entries.
+/// Makes concurrent [`VerdictStore::store`] calls in one process use
+/// distinct temp paths (the process id alone is not enough once several
+/// threads publish into one directory).
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A directory of small JSON verdict files: the storage under
+/// [`DiskCache`] and `rcn-faults`' `ExplorerMemo`.
+///
+/// Cheap to clone and to construct; the directory is created lazily on the
+/// first write. Every failure is silent towards the caller — a miss, a
+/// rejected file, a failed publish — because the store only ever saves
+/// work and must never turn a computable answer into a failure.
+#[derive(Debug, Clone)]
+pub struct VerdictStore {
+    dir: PathBuf,
+    io: Arc<dyn CacheIo>,
+    names: &'static StoreNames,
+}
+
+impl VerdictStore {
+    /// A store on `dir` performing all filesystem operations through `io`
+    /// and reporting under `names`.
+    pub fn new(
+        dir: impl Into<PathBuf>,
+        io: Arc<dyn CacheIo>,
+        names: &'static StoreNames,
+    ) -> VerdictStore {
+        VerdictStore {
+            dir: dir.into(),
+            io,
+            names,
+        }
+    }
+
+    /// The store's directory.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// Reads and parses the file `name`, then hands it to `accept`. A
+    /// missing or unreadable file is a miss; a file that does not parse,
+    /// or that `accept` rejects (with its reason), is quarantined to
+    /// `.bad`. Both return `None`.
+    pub fn load<F: Deserialize, T>(
+        &self,
+        name: &str,
+        tracer: &Tracer,
+        accept: impl FnOnce(F) -> Result<T, &'static str>,
+    ) -> Option<T> {
+        let path = self.dir.join(name);
+        let Ok(text) = self.io.read_to_string(&path) else {
+            tracer.event(self.names.load, 0, "miss");
+            return None;
+        };
+        let bytes = i64::try_from(text.len()).unwrap_or(i64::MAX);
+        let verdict = serde_json::from_str::<F>(&text)
+            .map_err(|_| "corrupt")
+            .and_then(accept);
+        match verdict {
+            Ok(value) => {
+                tracer.event(self.names.load, bytes, "ok");
+                Some(value)
+            }
+            Err(reason) => {
+                tracer.event(self.names.load, bytes, reason);
+                // Best-effort: a failed rename leaves the file to be
+                // rejected again next time.
+                let _ = self.io.rename(&path, &path.with_extension("bad"));
+                tracer.counter(self.names.quarantined).incr();
+                if tracer.recording() {
+                    tracer.event(self.names.quarantine, 0, &path.to_string_lossy());
+                }
+                None
+            }
+        }
+    }
+
+    /// Publishes `file` as `name` atomically (write a unique temp file,
+    /// rename it into place), retrying each operation once so a transient
+    /// fault costs nothing. Returns `true` on success.
+    pub fn store<F: Serialize>(&self, name: &str, file: &F, tracer: &Tracer) -> bool {
+        let Ok(json) = serde_json::to_string(file) else {
+            return false;
+        };
+        let retries = tracer.counter(self.names.retries);
+        let retry = |op: &dyn Fn() -> io::Result<()>| {
+            op().is_ok() || {
+                retries.incr();
+                op().is_ok()
+            }
+        };
+        let path = self.dir.join(name);
+        // The process id separates concurrent invocations, the sequence
+        // number concurrent threads within one.
+        let tmp = path.with_extension(format!(
+            "tmp-{}-{}",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let ok = retry(&|| self.io.create_dir_all(&self.dir)) && {
+            let published = retry(&|| self.io.write(&tmp, json.as_bytes()))
+                && retry(&|| self.io.rename(&tmp, &path));
+            if !published {
+                // No temp litter behind a failed publish. Through the io
+                // seam like everything else, so the fail-point sweeps
+                // cover it.
+                let _ = self.io.remove_file(&tmp);
+            }
+            published
+        };
+        let names = self.names;
+        tracer
+            .counter(if ok {
+                names.stores
+            } else {
+                names.store_failures
+            })
+            .incr();
+        tracer.event(
+            names.store,
+            i64::try_from(json.len()).unwrap_or(i64::MAX),
+            if ok { "ok" } else { "failed" },
+        );
+        ok
+    }
+}
+
+/// The names the [`DiskCache`] reports under.
+static CACHE_NAMES: StoreNames = StoreNames {
+    load: "cache.load",
+    store: "cache.store",
+    quarantine: "cache.quarantine",
+    stores: "cache.stores",
+    store_failures: "cache.store_failures",
+    retries: "cache.retries",
+    quarantined: "cache.quarantined",
+};
+
+/// The on-disk shape of one level's verdict.
 #[derive(Serialize, Deserialize)]
-struct CacheFile {
+struct LevelFile {
     /// Must equal [`CACHE_FORMAT_VERSION`].
     version: u32,
     /// Must equal the [`type_fingerprint`] of the type being searched.
     fingerprint: u64,
-    /// The level `n` (number of processes) all entries belong to.
+    /// `discerning` or `recording`.
+    condition: String,
+    /// The level `n` (number of processes).
     level: u64,
-    /// The cached analyses.
-    entries: Vec<CacheEntry>,
+    /// The level's witness; `None` means the level is refuted.
+    witness: Option<Witness>,
 }
 
-/// A directory of persisted analyses.
+/// A directory of persisted level verdicts.
 ///
 /// Cheap to clone and to construct; the directory is created lazily on the
-/// first successful write. All read errors — missing file, unreadable
-/// file, malformed JSON, version or fingerprint mismatch, out-of-range
-/// instance keys, shape-invalid analyses — are deliberately silent: the
-/// cache is a pure accelerator and must never turn a computable answer
-/// into a failure.
+/// first write. A level whose file is missing, damaged, stale or falsified
+/// is simply searched again.
 ///
 /// # Examples
 ///
@@ -372,19 +515,14 @@ struct CacheFile {
 /// let warm = SearchEngine::sequential().with_disk_cache(DiskCache::new(&dir));
 /// warm.classify(&TestAndSet::new(), 3).unwrap();
 /// assert!(warm.stats().disk_hits > 0, "warm run is served from disk");
+/// assert_eq!(warm.stats().analyses_computed, 0);
 /// # std::fs::remove_dir_all(&dir).ok();
 /// ```
 #[derive(Debug, Clone)]
 pub struct DiskCache {
-    dir: PathBuf,
-    io: Arc<dyn CacheIo>,
+    store: VerdictStore,
     tracer: Tracer,
 }
-
-/// Makes concurrent [`DiskCache::store`] calls in one process use distinct
-/// temp paths (the process id alone is not enough once the engine flushes
-/// from several threads).
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl DiskCache {
     /// Creates a handle on `dir` (not touched until the first write).
@@ -396,8 +534,7 @@ impl DiskCache {
     /// through `io` — the seam the fault-injection tests use.
     pub fn with_io(dir: impl Into<PathBuf>, io: Arc<dyn CacheIo>) -> DiskCache {
         DiskCache {
-            dir: dir.into(),
-            io,
+            store: VerdictStore::new(dir, io, &CACHE_NAMES),
             tracer: Tracer::disabled(),
         }
     }
@@ -419,254 +556,80 @@ impl DiskCache {
 
     /// The cache directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.store.dir()
     }
 
-    /// The file that holds level-`n` analyses for a type with this
-    /// fingerprint.
-    fn file_path(&self, fingerprint: u64, n: usize) -> PathBuf {
-        self.dir
-            .join(format!("analysis-{fingerprint:016x}-n{n}.json"))
+    /// The file that holds the level-`n` verdict of `cond` for a type with
+    /// this fingerprint.
+    fn file_name(fingerprint: u64, cond: Condition, n: usize) -> String {
+        format!("{}-{fingerprint:016x}-n{n}.json", cond.name())
     }
 
-    /// Moves an irreparably corrupt cache file aside to `<stem>.bad`, so
-    /// the next flush writes a fresh file instead of every future run
-    /// re-parsing the same damage and recomputing forever, and the evidence
-    /// survives for inspection. Best-effort: a failed rename changes
-    /// nothing (the corrupt file keeps being skipped by `load`).
-    fn quarantine(&self, path: &Path) {
-        let _ = self.io.rename(path, &path.with_extension("bad"));
-        self.tracer.counter("cache.quarantined").incr();
-        if self.tracer.recording() {
-            self.tracer
-                .event("cache.quarantine", 0, &path.to_string_lossy());
-        }
-    }
-
-    /// Loads every valid level-`n` entry for the fingerprinted type.
-    /// Anything invalid — at file or entry granularity — is skipped; a file
-    /// that is damaged wholesale (unparseable or wrong header) is
-    /// quarantined to `.bad`.
-    fn load<T: ObjectType + ?Sized>(
+    /// The stored level-`n` verdict of `cond`, if a valid one is on disk:
+    /// `Some(Some(witness))` for a level that holds, `Some(None)` for a
+    /// refuted one. A stored witness is re-checked against `ty`.
+    pub(crate) fn load<T: ObjectType + ?Sized>(
         &self,
         ty: &T,
         fingerprint: u64,
+        cond: Condition,
         n: usize,
-    ) -> HashMap<(u16, Vec<OpId>), Arc<Analysis>> {
-        let mut out = HashMap::new();
-        let path = self.file_path(fingerprint, n);
-        let Ok(text) = self.io.read_to_string(&path) else {
-            self.tracer.event("cache.load", 0, "miss");
-            return out;
-        };
-        let bytes = i64::try_from(text.len()).unwrap_or(i64::MAX);
-        let Ok(file) = serde_json::from_str::<CacheFile>(&text) else {
-            self.quarantine(&path);
-            self.tracer.event("cache.load", bytes, "corrupt");
-            return out;
-        };
-        if file.version != CACHE_FORMAT_VERSION
-            || file.fingerprint != fingerprint
-            || file.level != n as u64
-        {
-            self.quarantine(&path);
-            self.tracer.event("cache.load", bytes, "header-mismatch");
-            return out;
-        }
-        let (num_values, num_ops) = (ty.num_values(), ty.num_ops());
-        for entry in file.entries {
-            if usize::from(entry.initial) >= num_values
-                || entry.ops.len() != n
-                || entry.ops.iter().any(|&op| usize::from(op) >= num_ops)
-                || !entry
-                    .analysis
-                    .shape_matches(n, num_values, ty.num_responses())
+    ) -> Option<Option<Witness>> {
+        let name = Self::file_name(fingerprint, cond, n);
+        self.store.load(&name, &self.tracer, |file: LevelFile| {
+            if file.version != CACHE_FORMAT_VERSION
+                || file.fingerprint != fingerprint
+                || file.condition != cond.name()
+                || file.level != n as u64
             {
-                continue;
+                return Err("header-mismatch");
             }
-            let key = (entry.initial, entry.ops.iter().map(|&o| OpId(o)).collect());
-            out.insert(key, Arc::new(entry.analysis));
-        }
-        self.tracer
-            .counter("cache.entries_loaded")
-            .add(out.len() as u64);
-        if self.tracer.recording() {
-            self.tracer.event(
-                "cache.load",
-                bytes,
-                &format!("ok level={n} entries={}", out.len()),
-            );
-        }
-        out
+            match &file.witness {
+                Some(w) if w.n() != n || !cond.check(ty, w) => Err("falsified-witness"),
+                _ => Ok(file.witness),
+            }
+        })
     }
 
-    /// Persists level-`n` entries atomically (write temp file, rename).
-    /// Returns `true` on success; IO failures are silent (the cache is
-    /// best-effort), reported only through the return value. Each
-    /// operation is retried once, so a transient fault costs nothing.
-    fn store(
+    /// Persists the finished level-`n` verdict of `cond`. Returns `true` on
+    /// success.
+    pub(crate) fn store(
         &self,
         fingerprint: u64,
+        cond: Condition,
         n: usize,
-        entries: Vec<(u16, Vec<OpId>, Arc<Analysis>)>,
+        witness: &Option<Witness>,
     ) -> bool {
-        let entry_count = entries.len();
-        let file = CacheFile {
+        let file = LevelFile {
             version: CACHE_FORMAT_VERSION,
             fingerprint,
+            condition: cond.name().to_string(),
             level: n as u64,
-            entries: entries
-                .into_iter()
-                .map(|(initial, ops, analysis)| CacheEntry {
-                    initial,
-                    ops: ops.iter().map(|op| op.0).collect(),
-                    // Entries are written once per level flush; the clone
-                    // out of the shared Arc is the serialization cost.
-                    analysis: (*analysis).clone(),
-                })
-                .collect(),
+            witness: witness.clone(),
         };
-        let Ok(json) = serde_json::to_string(&file) else {
-            return false;
-        };
-        let retries = self.tracer.counter("cache.retries");
-        let retry = |op: &dyn Fn() -> io::Result<()>| match op() {
-            Ok(()) => true,
-            // Transient fault: count the first failure, try once more.
-            Err(_) => {
-                retries.incr();
-                op().is_ok()
-            }
-        };
-        if !retry(&|| self.io.create_dir_all(&self.dir)) {
-            self.store_event(false, 0, entry_count, n);
-            return false;
-        }
-        let path = self.file_path(fingerprint, n);
-        // Unique temp path per call: the process id distinguishes
-        // concurrent CLI invocations, the sequence number concurrent
-        // threads within one invocation (two engine threads flushing the
-        // same (fingerprint, level) used to race on one temp file).
-        let tmp = path.with_extension(format!(
-            "tmp-{}-{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let json = json.as_bytes();
-        let ok = retry(&|| self.io.write(&tmp, json)) && retry(&|| self.io.rename(&tmp, &path));
-        if !ok {
-            // Don't leave temp litter behind a failed publish. Through the
-            // io seam like everything else, so the fail-point sweep covers
-            // it and a non-filesystem CacheIo never sees a real-disk call.
-            let _ = self.io.remove_file(&tmp);
-        }
-        self.store_event(ok, json.len(), entry_count, n);
-        ok
-    }
-
-    /// Records one `cache.store` event plus the outcome counter.
-    fn store_event(&self, ok: bool, bytes: usize, entries: usize, n: usize) {
-        self.tracer
-            .counter(if ok {
-                "cache.stores"
-            } else {
-                "cache.store_failures"
-            })
-            .incr();
-        if self.tracer.recording() {
-            self.tracer.event(
-                "cache.store",
-                i64::try_from(bytes).unwrap_or(i64::MAX),
-                &format!(
-                    "{} level={n} entries={entries}",
-                    if ok { "ok" } else { "failed" }
-                ),
-            );
-        }
+        self.store
+            .store(&Self::file_name(fingerprint, cond, n), &file, &self.tracer)
     }
 }
 
-/// How a memoized analysis slot was first populated (for the stats split
-/// between in-memory and on-disk hits).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Origin {
-    /// Loaded from a [`DiskCache`] file.
-    Disk,
-    /// Computed during this search session.
-    Fresh,
-}
+/// One memo slot: a lazily built analysis. The `OnceLock` lets it be built
+/// outside the map lock (distinct instances build in parallel) while any
+/// second caller for the same instance waits for the first instead of
+/// recomputing.
+type Slot = Arc<OnceLock<Arc<Analysis>>>;
 
-/// One memo slot: a lazily-initialized analysis. The `OnceLock` lets the
-/// analysis be built outside the map lock (distinct instances build in
-/// parallel) while any second caller for the same instance waits for the
-/// first instead of recomputing.
-struct Slot {
-    cell: Arc<OnceLock<Arc<Analysis>>>,
-    origin: Origin,
-}
-
-/// The per-search-session analysis cache: in-memory memo map, optionally
-/// backed by a [`DiskCache`]. Scoped to one type; `classify` shares one
-/// across both deciders (the second decider's scan hits the memo), and the
-/// disk layer extends that sharing across process lifetimes.
-pub(crate) struct AnalysisStore<'d> {
+/// The per-call analysis memo: one slot per `(initial value, ops)`
+/// instance. Scoped to one type; `classify` shares one across both
+/// deciders, so the second decider's scan hits the memo.
+#[derive(Default)]
+pub(crate) struct AnalysisStore {
     memo: Mutex<HashMap<(u16, Vec<OpId>), Slot>>,
-    disk: Option<(&'d DiskCache, u64)>,
-    /// Levels already pulled from disk (so `classify`'s second decider
-    /// doesn't re-read the same files).
-    loaded_levels: Mutex<HashSet<usize>>,
-    /// Per-level number of entries already persisted, so a flush only
-    /// rewrites a file when the session actually learned something new.
-    persisted: Mutex<HashMap<usize, usize>>,
 }
 
-impl<'d> AnalysisStore<'d> {
-    /// Creates a store for one type; fingerprints the type only if a disk
-    /// cache is attached.
-    pub(crate) fn new<T: ObjectType + ?Sized>(ty: &T, disk: Option<&'d DiskCache>) -> Self {
-        AnalysisStore {
-            memo: Mutex::new(HashMap::new()),
-            disk: disk.map(|d| (d, type_fingerprint(ty))),
-            loaded_levels: Mutex::new(HashSet::new()),
-            persisted: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Warms the memo with every valid persisted analysis for level `n`.
-    /// Idempotent per level; a no-op without a disk cache.
-    pub(crate) fn prepare_level<T: ObjectType + ?Sized>(&self, ty: &T, n: usize) {
-        let Some((disk, fingerprint)) = self.disk else {
-            return;
-        };
-        if !self.loaded_levels.lock().expect("loaded levels").insert(n) {
-            return;
-        }
-        let loaded = disk.load(ty, fingerprint, n);
-        let mut memo = self.memo.lock().expect("analysis memo");
-        let mut count = 0usize;
-        for (key, analysis) in loaded {
-            memo.entry(key).or_insert_with(|| {
-                count += 1;
-                let cell = Arc::new(OnceLock::new());
-                let _ = cell.set(analysis);
-                Slot {
-                    cell,
-                    origin: Origin::Disk,
-                }
-            });
-        }
-        *self
-            .persisted
-            .lock()
-            .expect("persisted counts")
-            .entry(n)
-            .or_insert(0) += count;
-    }
-
+impl AnalysisStore {
     /// Returns the analysis for one instance, computing it at most once
-    /// across all workers. Updates the engine's counters: a computation
-    /// increments `analyses_computed`, a memo hit increments `cache_hits`
-    /// or `disk_hits` depending on where the slot's contents came from.
+    /// across all workers. A computation increments the engine's
+    /// `analyses_computed`, a memo hit its `cache_hits`.
     pub(crate) fn get_or_compute<T: ObjectType + ?Sized>(
         &self,
         engine: &SearchEngine,
@@ -674,21 +637,17 @@ impl<'d> AnalysisStore<'d> {
         u: ValueId,
         ops: &[OpId],
     ) -> Arc<Analysis> {
-        let key = (u.index() as u16, ops.to_vec());
-        let (cell, origin) = {
-            let mut memo = self.memo.lock().expect("analysis memo");
-            let slot = memo.entry(key).or_insert_with(|| Slot {
-                cell: Arc::new(OnceLock::new()),
-                origin: Origin::Fresh,
-            });
-            (Arc::clone(&slot.cell), slot.origin)
-        };
-        // Initialize outside the map lock so distinct instances build in
-        // parallel; OnceLock serializes same-instance workers.
+        let cell = Arc::clone(
+            self.memo
+                .lock()
+                .expect("analysis memo")
+                .entry((u.index() as u16, ops.to_vec()))
+                .or_default(),
+        );
         let mut computed = false;
         let analysis = cell.get_or_init(|| {
             computed = true;
-            // One span per analysis actually computed (memo/disk hits stay
+            // One span per analysis actually computed (memo hits stay
             // silent — they are counters, not work).
             let _span = engine.tracer().span_with(
                 "engine.analysis",
@@ -699,54 +658,38 @@ impl<'d> AnalysisStore<'d> {
         });
         let counter = if computed {
             &engine.counters().analyses_computed
-        } else if origin == Origin::Disk {
-            &engine.counters().disk_hits
         } else {
             &engine.counters().cache_hits
         };
         counter.fetch_add(1, Ordering::Relaxed);
         Arc::clone(analysis)
     }
-
-    /// Writes the level-`n` portion of the memo back to disk if the session
-    /// produced analyses not yet persisted. Counts newly persisted entries
-    /// into the engine's `disk_entries_written` stat. A no-op without a
-    /// disk cache.
-    pub(crate) fn flush_level(&self, engine: &SearchEngine, n: usize) {
-        let Some((disk, fingerprint)) = self.disk else {
-            return;
-        };
-        let entries: Vec<(u16, Vec<OpId>, Arc<Analysis>)> = {
-            let memo = self.memo.lock().expect("analysis memo");
-            memo.iter()
-                .filter(|((_, ops), _)| ops.len() == n)
-                .filter_map(|((initial, ops), slot)| {
-                    slot.cell
-                        .get()
-                        .map(|a| (*initial, ops.clone(), Arc::clone(a)))
-                })
-                .collect()
-        };
-        let mut persisted = self.persisted.lock().expect("persisted counts");
-        let already = persisted.get(&n).copied().unwrap_or(0);
-        if entries.len() <= already {
-            return;
-        }
-        let fresh = entries.len() - already;
-        if disk.store(fingerprint, n, entries) {
-            persisted.insert(n, already + fresh);
-            engine
-                .counters()
-                .disk_entries_written
-                .fetch_add(fresh as u64, Ordering::Relaxed);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::find_discerning_witness;
     use rcn_spec::zoo::{Register, TestAndSet, Tnn};
+
+    fn unit_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "rcn-cache-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    /// The level-2 discerning verdict of test-and-set, a witness.
+    fn tas_verdict() -> Option<Witness> {
+        let w = find_discerning_witness(&TestAndSet::new(), 2);
+        assert!(w.is_some(), "tas is 2-discerning");
+        w
+    }
+
+    const D: Condition = Condition::Discerning;
 
     #[test]
     fn fingerprint_is_semantic_not_nominal() {
@@ -768,83 +711,83 @@ mod tests {
 
     #[test]
     fn load_ignores_missing_and_garbage_files() {
-        let dir = std::env::temp_dir().join(format!(
-            "rcn-cache-unit-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
+        let dir = unit_dir("garbage");
         let cache = DiskCache::new(&dir);
         let tas = TestAndSet::new();
         let fp = type_fingerprint(&tas);
-        // Missing directory entirely: silent empty.
-        assert!(cache.load(&tas, fp, 2).is_empty());
-        // Garbage bytes at the expected path: silent empty.
+        // Missing directory entirely: silent miss.
+        assert_eq!(cache.load(&tas, fp, D, 2), None);
+        // Garbage bytes at the expected path: silent miss.
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(cache.file_path(fp, 2), b"{not json").unwrap();
-        assert!(cache.load(&tas, fp, 2).is_empty());
+        std::fs::write(dir.join(DiskCache::file_name(fp, D, 2)), b"{not json").unwrap();
+        assert_eq!(cache.load(&tas, fp, D, 2), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn wholesale_corrupt_files_are_quarantined_to_bad() {
-        let dir = std::env::temp_dir().join(format!(
-            "rcn-cache-quarantine-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = unit_dir("quarantine");
         let cache = DiskCache::new(&dir);
         let tas = TestAndSet::new();
         let fp = type_fingerprint(&tas);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = cache.file_path(fp, 2);
+        let path = dir.join(DiskCache::file_name(fp, D, 2));
         std::fs::write(&path, b"{definitely not a cache file").unwrap();
-        assert!(cache.load(&tas, fp, 2).is_empty());
+        assert_eq!(cache.load(&tas, fp, D, 2), None);
         assert!(!path.exists(), "corrupt file must be moved aside");
         assert!(
             path.with_extension("bad").exists(),
             "evidence must be preserved as .bad"
         );
         // The slot is free again: a store publishes a fresh, loadable file.
-        let ops = vec![OpId(0), OpId(0)];
-        let analysis = Arc::new(Analysis::new(&tas, ValueId(0), &ops));
-        assert!(cache.store(fp, 2, vec![(0, ops, analysis)]));
-        assert_eq!(cache.load(&tas, fp, 2).len(), 1);
+        assert!(cache.store(fp, D, 2, &tas_verdict()));
+        assert_eq!(cache.load(&tas, fp, D, 2), Some(tas_verdict()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn falsified_and_misplaced_witnesses_are_quarantined() {
+        let dir = unit_dir("falsified");
+        let cache = DiskCache::new(&dir);
+        let tas = TestAndSet::new();
+        let fp = type_fingerprint(&tas);
+        let witness = tas_verdict().unwrap();
+        // Test-and-set is not 2-recording: the discerning witness,
+        // stored as a recording verdict, fails its re-check.
+        assert!(cache.store(fp, Condition::Recording, 2, &Some(witness.clone())));
+        assert_eq!(cache.load(&tas, fp, Condition::Recording, 2), None);
+        let name = DiskCache::file_name(fp, Condition::Recording, 2);
+        assert!(dir.join(name).with_extension("bad").exists());
+        // A witness of the wrong arity is rejected even if it checks.
+        assert!(cache.store(fp, D, 3, &Some(witness)));
+        assert_eq!(cache.load(&tas, fp, D, 3), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn concurrent_stores_to_one_slot_never_collide() {
         // Regression: the temp path used to be `tmp-{pid}` only, so two
-        // engine threads flushing the same (fingerprint, level) raced on
-        // one temp file (one writer's rename could publish the other's
-        // half-written bytes). The per-call sequence number makes every
-        // in-flight store use a private temp path.
-        let dir = std::env::temp_dir().join(format!(
-            "rcn-cache-concurrent-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        // engine threads publishing the same file raced on one temp file
+        // (one writer's rename could publish the other's half-written
+        // bytes). The per-call sequence number makes every in-flight store
+        // use a private temp path.
+        let dir = unit_dir("concurrent");
         let cache = DiskCache::new(&dir);
         let tas = TestAndSet::new();
         let fp = type_fingerprint(&tas);
-        let ops = vec![OpId(0), OpId(0)];
-        let analysis = Arc::new(Analysis::new(&tas, ValueId(0), &ops));
+        let verdict = tas_verdict();
         std::thread::scope(|scope| {
             for _ in 0..8 {
-                let cache = &cache;
-                let ops = ops.clone();
-                let analysis = Arc::clone(&analysis);
+                let (cache, verdict) = (&cache, &verdict);
                 scope.spawn(move || {
                     for _ in 0..16 {
-                        assert!(cache.store(fp, 2, vec![(0, ops.clone(), analysis.clone())]));
+                        assert!(cache.store(fp, D, 2, verdict));
                     }
                 });
             }
         });
         // Whatever store won, the published file is complete and valid.
-        assert_eq!(cache.load(&tas, fp, 2).len(), 1);
+        assert_eq!(cache.load(&tas, fp, D, 2), Some(verdict));
         // No temp litter left behind.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -860,27 +803,23 @@ mod tests {
 
     #[test]
     fn transient_write_faults_are_retried_once() {
-        let dir = std::env::temp_dir().join(format!(
-            "rcn-cache-retry-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = unit_dir("retry");
         let tas = TestAndSet::new();
         let fp = type_fingerprint(&tas);
-        let ops = vec![OpId(0), OpId(0)];
-        let analysis = Arc::new(Analysis::new(&tas, ValueId(0), &ops));
         // Ops of one store: create_dir (0), write (1), rename (2). Fail
         // each of them once; the in-call retry must absorb every one.
         for fail_at in 0..3 {
             let io = Arc::new(FaultyIo::new(fail_at, FaultMode::Error));
             let cache = DiskCache::with_io(&dir, io.clone() as Arc<dyn CacheIo>);
             assert!(
-                cache.store(fp, 2, vec![(0, ops.clone(), analysis.clone())]),
+                cache.store(fp, D, 2, &tas_verdict()),
                 "store must survive a transient fault at op {fail_at}"
             );
             assert_eq!(io.injected(), 1, "fault at op {fail_at} must fire");
-            assert_eq!(DiskCache::new(&dir).load(&tas, fp, 2).len(), 1);
+            assert_eq!(
+                DiskCache::new(&dir).load(&tas, fp, D, 2),
+                Some(tas_verdict())
+            );
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -923,11 +862,8 @@ mod tests {
         let io = Arc::new(WritelessIo::default());
         let cache =
             DiskCache::with_io("/nonexistent/rcn-seam-test", io.clone() as Arc<dyn CacheIo>);
-        let tas = TestAndSet::new();
-        let fp = type_fingerprint(&tas);
-        let ops = vec![OpId(0), OpId(0)];
-        let analysis = Arc::new(Analysis::new(&tas, ValueId(0), &ops));
-        assert!(!cache.store(fp, 2, vec![(0, ops, analysis)]));
+        let fp = type_fingerprint(&TestAndSet::new());
+        assert!(!cache.store(fp, D, 2, &tas_verdict()));
         let removed = io.removed.lock().unwrap();
         assert_eq!(
             removed.len(),
@@ -939,6 +875,32 @@ mod tests {
             "cleanup must target the temp path, got {:?}",
             removed[0]
         );
+    }
+
+    #[test]
+    fn store_reports_events_and_counters_under_its_names() {
+        let dir = unit_dir("traced");
+        let tracer = Tracer::ring(64);
+        let cache = DiskCache::new(&dir).with_tracer(tracer.clone());
+        let tas = TestAndSet::new();
+        let fp = type_fingerprint(&tas);
+        assert!(cache.store(fp, D, 2, &tas_verdict()));
+        assert!(cache.load(&tas, fp, D, 3).is_none());
+        std::fs::write(dir.join(DiskCache::file_name(fp, D, 2)), b"{torn").unwrap();
+        assert!(cache.load(&tas, fp, D, 2).is_none());
+        let snap = tracer.snapshot().expect("enabled tracer");
+        assert_eq!(snap.counter("cache.stores"), Some(1));
+        assert_eq!(snap.counter("cache.quarantined"), Some(1));
+        // `ring_events` drains the ring: read it once.
+        let events = tracer.ring_events();
+        let loads: Vec<&str> = events
+            .iter()
+            .filter(|e| e.name == "cache.load")
+            .map(|e| e.detail.as_str())
+            .collect();
+        assert_eq!(loads, ["miss", "corrupt"]);
+        assert!(events.iter().any(|e| e.name == "cache.quarantine"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -960,33 +922,28 @@ mod tests {
 
     #[test]
     fn store_then_load_round_trips() {
-        let dir = std::env::temp_dir().join(format!(
-            "rcn-cache-roundtrip-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
+        let dir = unit_dir("roundtrip");
         let cache = DiskCache::new(&dir);
         let tas = TestAndSet::new();
         let fp = type_fingerprint(&tas);
-        let ops = vec![OpId(0), OpId(0)];
-        let analysis = Arc::new(Analysis::new(&tas, ValueId(0), &ops));
-        assert!(cache.store(fp, 2, vec![(0, ops.clone(), analysis)]));
-        let loaded = cache.load(&tas, fp, 2);
-        assert_eq!(loaded.len(), 1);
-        let back = &loaded[&(0u16, ops)];
-        assert!(back.shape_matches(2, tas.num_values(), tas.num_responses()));
-        // A different level's file does not exist.
-        assert!(cache.load(&tas, fp, 3).is_empty());
+        assert!(cache.store(fp, D, 2, &tas_verdict()));
+        assert!(cache.store(fp, D, 3, &None));
+        assert_eq!(cache.load(&tas, fp, D, 2), Some(tas_verdict()));
+        // A stored refutation is a hit too.
+        assert_eq!(cache.load(&tas, fp, D, 3), Some(None));
+        // Another level's or condition's file does not exist.
+        assert_eq!(cache.load(&tas, fp, D, 4), None);
+        assert_eq!(cache.load(&tas, fp, Condition::Recording, 2), None);
         // A fingerprint mismatch inside the file is rejected even at the
         // right path.
-        let path = cache.file_path(fp, 2);
+        let path = dir.join(DiskCache::file_name(fp, D, 2));
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(
             &path,
             text.replace(&format!("\"fingerprint\":{fp}"), "\"fingerprint\":1"),
         )
         .unwrap();
-        assert!(cache.load(&tas, fp, 2).is_empty());
+        assert_eq!(cache.load(&tas, fp, D, 2), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -11,16 +11,16 @@
 //! space, so the second decider's scan hits the cache instead of rebuilding
 //! every reachability graph.
 //!
-//! The per-search memo cache can also be made *durable* by attaching a
-//! [`DiskCache`](crate::DiskCache): analyses load from disk before a level
-//! is searched and flush back after, making repeated CLI invocations over
-//! the same types near-instant (see [`crate::cache`] internals for the
-//! trust model).
+//! Level verdicts can also be made *durable* by attaching a
+//! [`DiskCache`](crate::DiskCache): each level search first reads that
+//! level's stored verdict (a hit answers the level without searching) and
+//! stores the finished verdict after (see [`crate::cache`] internals for
+//! the trust model).
 //!
 //! Everything the engine does is observable through [`SearchStats`]:
-//! analyses computed vs. served from the in-memory cache vs. served from
-//! disk, partitions tested, instances visited, entries persisted, and both
-//! time totals (true wall time and summed per-search busy time).
+//! analyses computed vs. served from the in-memory cache, levels answered
+//! from disk, partitions tested, instances visited, levels persisted, and
+//! both time totals (true wall time and summed per-search busy time).
 //!
 //! Results are level-deterministic: the engine reports exactly the levels
 //! the sequential deciders report (the space is either exhausted or a
@@ -29,15 +29,15 @@
 //! certificate, and [`crate::check_recording`] / [`crate::check_discerning`]
 //! replay them independently.
 
-use crate::cache::AnalysisStore;
+use crate::cache::{type_fingerprint, AnalysisStore};
 use crate::classify::{level_to_bound, TypeClassification};
-use crate::discerning::{pairs_disjoint, LevelResult};
+use crate::discerning::{check_discerning, pairs_disjoint, LevelResult};
 use crate::reach::{Analysis, MAX_PROCESSES};
-use crate::recording::recording_holds;
+use crate::recording::{check_recording, recording_holds};
 use crate::search::{instances, partitions};
 use crate::witness::{Team, Witness};
 use crate::DiskCache;
-use rcn_obs::{MetricsSnapshot, Tracer};
+use rcn_obs::{MetricsSnapshot, Span, Tracer};
 use rcn_spec::{ObjectType, OpId, ValueId};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -112,15 +112,15 @@ pub struct SearchStats {
     pub analyses_computed: u64,
     /// Analyses served from the in-memory memo cache instead of recomputed.
     pub cache_hits: u64,
-    /// Analyses served from entries loaded out of the persistent
-    /// [`DiskCache`] (0 when no cache directory is attached).
+    /// Levels answered by a verdict stored in the persistent [`DiskCache`]
+    /// without searching (0 when no cache directory is attached).
     pub disk_hits: u64,
     /// Always 0: analyses are always built from scratch. Kept only so the
     /// benchmark crate, which still reads it, keeps compiling; not part of
     /// the display, metrics or JSON forms.
     pub incremental_hits: u64,
-    /// Analyses newly persisted to the [`DiskCache`] (0 when no cache
-    /// directory is attached).
+    /// Level verdicts newly persisted to the [`DiskCache`] (0 when no
+    /// cache directory is attached).
     pub disk_entries_written: u64,
     /// Team partitions evaluated against an analysis.
     pub partitions_tested: u64,
@@ -189,7 +189,7 @@ impl fmt::Display for SearchStats {
             self.busy_time,
         )?;
         if self.disk_entries_written > 0 {
-            write!(f, " ({} analyses persisted)", self.disk_entries_written)?;
+            write!(f, " ({} levels persisted)", self.disk_entries_written)?;
         }
         if self.timed_out {
             write!(
@@ -204,13 +204,13 @@ impl fmt::Display for SearchStats {
 
 /// Which of the two conditions a search tests at each partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Condition {
+pub(crate) enum Condition {
     Recording,
     Discerning,
 }
 
 impl Condition {
-    fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Condition::Recording => "recording",
             Condition::Discerning => "discerning",
@@ -223,6 +223,28 @@ impl Condition {
             Condition::Discerning => pairs_disjoint(analysis, t0, t1),
         }
     }
+
+    /// Whether `witness` is a valid certificate of this condition for `ty`
+    /// (one analysis).
+    pub(crate) fn check<T: ObjectType + ?Sized>(self, ty: &T, witness: &Witness) -> bool {
+        let checked = match self {
+            Condition::Recording => check_recording(ty, witness),
+            Condition::Discerning => check_discerning(ty, witness),
+        };
+        checked == Ok(true)
+    }
+}
+
+/// One public search call's context, shared by every level it searches.
+struct SearchCall<'e> {
+    /// The in-memory analysis memo (in `classify`, shared by both
+    /// deciders).
+    memo: AnalysisStore,
+    /// The attached disk cache and the searched type's fingerprint.
+    disk: Option<(&'e DiskCache, u64)>,
+    threads: usize,
+    /// One deadline for the whole call.
+    deadline: Option<Instant>,
 }
 
 /// What one level search produced. `timed_out` is only set when the search
@@ -353,9 +375,10 @@ impl SearchEngine {
         SearchEngine::new(1)
     }
 
-    /// Attaches a persistent analysis cache: every level search warms its
-    /// memo from `cache`'s directory first and flushes newly computed
-    /// analyses back after. See [`DiskCache`] for the trust model.
+    /// Attaches a persistent verdict cache: every level search first reads
+    /// the level's stored verdict from `cache`'s directory and, on a miss,
+    /// stores the finished verdict after. See [`DiskCache`] for the trust
+    /// model.
     #[must_use]
     pub fn with_disk_cache(mut self, cache: DiskCache) -> SearchEngine {
         // Order-independence with `with_tracer`: an engine tracer already
@@ -486,15 +509,22 @@ impl SearchEngine {
         self.timeout.map(|timeout| Instant::now() + timeout)
     }
 
-    /// Clears the per-call timeout fields at public-call entry, so
-    /// `timed_out` / `instances_abandoned` always describe the call in
-    /// progress rather than sticking from an earlier timed-out search on
-    /// the same engine.
-    fn arm_call(&self) {
+    /// Opens a public search call on `ty`: clears the per-call timeout
+    /// fields, so `timed_out` / `instances_abandoned` always describe the
+    /// call in progress rather than sticking from an earlier timed-out
+    /// search on the same engine, arms the deadline, and fingerprints the
+    /// type once if a disk cache is attached.
+    fn open_call<T: ObjectType + ?Sized>(&self, ty: &T, threads: usize) -> SearchCall<'_> {
         self.counters.timed_out.store(false, Ordering::Relaxed);
         self.counters
             .instances_abandoned
             .store(0, Ordering::Relaxed);
+        SearchCall {
+            memo: AnalysisStore::default(),
+            disk: self.disk.as_ref().map(|d| (d, type_fingerprint(ty))),
+            threads: threads.max(1),
+            deadline: self.deadline(),
+        }
     }
 
     /// Searches for an `n`-recording witness (parallel equivalent of
@@ -514,16 +544,8 @@ impl SearchEngine {
         n: usize,
     ) -> Result<Option<Witness>, SearchError> {
         validate_level(n)?;
-        self.arm_call();
-        let store = AnalysisStore::new(ty, self.disk.as_ref());
-        let outcome = self.find_witness(
-            ty,
-            n,
-            Condition::Recording,
-            &store,
-            self.threads,
-            self.deadline(),
-        )?;
+        let call = self.open_call(ty, self.threads);
+        let outcome = self.find_witness(ty, n, Condition::Recording, &call)?;
         self.publish_metrics();
         Ok(outcome.witness)
     }
@@ -545,16 +567,8 @@ impl SearchEngine {
         n: usize,
     ) -> Result<Option<Witness>, SearchError> {
         validate_level(n)?;
-        self.arm_call();
-        let store = AnalysisStore::new(ty, self.disk.as_ref());
-        let outcome = self.find_witness(
-            ty,
-            n,
-            Condition::Discerning,
-            &store,
-            self.threads,
-            self.deadline(),
-        )?;
+        let call = self.open_call(ty, self.threads);
+        let outcome = self.find_witness(ty, n, Condition::Discerning, &call)?;
         self.publish_metrics();
         Ok(outcome.witness)
     }
@@ -576,16 +590,8 @@ impl SearchEngine {
         cap: usize,
     ) -> Result<LevelResult, SearchError> {
         validate_level(cap)?;
-        self.arm_call();
-        let store = AnalysisStore::new(ty, self.disk.as_ref());
-        let result = self.level_scan(
-            ty,
-            cap,
-            Condition::Recording,
-            &store,
-            self.threads,
-            self.deadline(),
-        );
+        let call = self.open_call(ty, self.threads);
+        let result = self.level_scan(ty, cap, Condition::Recording, &call);
         self.publish_metrics();
         result
     }
@@ -607,16 +613,8 @@ impl SearchEngine {
         cap: usize,
     ) -> Result<LevelResult, SearchError> {
         validate_level(cap)?;
-        self.arm_call();
-        let store = AnalysisStore::new(ty, self.disk.as_ref());
-        let result = self.level_scan(
-            ty,
-            cap,
-            Condition::Discerning,
-            &store,
-            self.threads,
-            self.deadline(),
-        );
+        let call = self.open_call(ty, self.threads);
+        let result = self.level_scan(ty, cap, Condition::Discerning, &call);
         self.publish_metrics();
         result
     }
@@ -627,8 +625,9 @@ impl SearchEngine {
     /// Both deciders visit the same `(u, ops)` instances at each level, so
     /// the second scan is served largely from cache — visible as
     /// `cache_hits` in [`stats`](Self::stats). With a
-    /// [`with_disk_cache`](Self::with_disk_cache)-attached cache, warm
-    /// re-runs are served from `disk_hits` instead of recomputing.
+    /// [`with_disk_cache`](Self::with_disk_cache)-attached cache, a warm
+    /// re-run answers every stored level from disk (`disk_hits`) without
+    /// computing an analysis.
     ///
     /// # Errors
     ///
@@ -658,16 +657,12 @@ impl SearchEngine {
         threads: usize,
     ) -> Result<TypeClassification, SearchError> {
         validate_level(cap)?;
-        self.arm_call();
-        let threads = threads.max(1);
-        let store = AnalysisStore::new(ty, self.disk.as_ref());
+        // One call context for the whole classification: both deciders
+        // share its memo and its deadline.
+        let call = self.open_call(ty, threads);
         let readable = ty.is_readable();
-        // One deadline for the whole classification: both deciders share it.
-        let deadline = self.deadline();
-        let discerning =
-            self.level_scan(ty, cap, Condition::Discerning, &store, threads, deadline)?;
-        let recording =
-            self.level_scan(ty, cap, Condition::Recording, &store, threads, deadline)?;
+        let discerning = self.level_scan(ty, cap, Condition::Discerning, &call)?;
+        let recording = self.level_scan(ty, cap, Condition::Recording, &call)?;
         self.publish_metrics();
         let consensus_number = level_to_bound(&discerning, readable);
         let recoverable_consensus_number = level_to_bound(&recording, readable);
@@ -693,9 +688,7 @@ impl SearchEngine {
         ty: &T,
         cap: usize,
         cond: Condition,
-        store: &AnalysisStore<'_>,
-        threads: usize,
-        deadline: Option<Instant>,
+        call: &SearchCall<'_>,
     ) -> Result<LevelResult, SearchError> {
         let mut best = LevelResult {
             level: 1,
@@ -703,7 +696,7 @@ impl SearchEngine {
             witness: None,
         };
         for n in 2..=cap {
-            let outcome = self.find_witness(ty, n, cond, store, threads, deadline)?;
+            let outcome = self.find_witness(ty, n, cond, call)?;
             if outcome.timed_out {
                 best.capped = true;
                 return Ok(best);
@@ -722,27 +715,15 @@ impl SearchEngine {
         Ok(best)
     }
 
-    /// The parallel witness search over one level: one task per instance,
-    /// claimed in instance order by the workers, everyone cancelled on the
-    /// first hit. With one worker the visit order is the sequential
-    /// deciders' order, so the returned witness is theirs exactly.
-    ///
-    /// Every task runs inside `catch_unwind`: a panicking task (a hand-built
-    /// [`ObjectType`] breaking its contract mid-analysis) records its payload,
-    /// cancels the remaining workers through the shared stop flag, and
-    /// surfaces as [`SearchError::TaskPanicked`] — the queue is never wedged
-    /// and the engine stays usable. A `deadline` is checked at every task
-    /// claim and every 256 partitions within a task; when it fires, the
-    /// instances not yet finished are counted into
-    /// [`SearchStats::instances_abandoned`].
+    /// One level search: the stored verdict if the disk cache holds a
+    /// valid one, otherwise [`search_level`](Self::search_level), whose
+    /// finished verdict is then stored.
     fn find_witness<T: ObjectType + Sync + ?Sized>(
         &self,
         ty: &T,
         n: usize,
         cond: Condition,
-        store: &AnalysisStore<'_>,
-        threads: usize,
-        deadline: Option<Instant>,
+        call: &SearchCall<'_>,
     ) -> Result<FindOutcome, SearchError> {
         // Busy brackets wall (start before `enter`, measure after `exit`):
         // each wall interval nests inside its own busy interval, so the
@@ -756,7 +737,58 @@ impl SearchEngine {
             cond.name(),
         );
         self.wall.enter();
-        store.prepare_level(ty, n);
+        let stored = call
+            .disk
+            .and_then(|(disk, fingerprint)| disk.load(ty, fingerprint, cond, n));
+        let outcome = match stored {
+            Some(witness) => {
+                self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
+                Ok(FindOutcome {
+                    witness,
+                    timed_out: false,
+                })
+            }
+            None => {
+                let outcome = self.search_level(ty, n, cond, call, &level_span);
+                if let (Ok(found), Some((disk, fingerprint))) = (&outcome, call.disk) {
+                    if !found.timed_out && disk.store(fingerprint, cond, n, &found.witness) {
+                        self.counters
+                            .disk_entries_written
+                            .fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                outcome
+            }
+        };
+        self.wall.exit();
+        self.counters.busy_nanos.fetch_add(
+            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            Ordering::Relaxed,
+        );
+        outcome
+    }
+
+    /// The parallel witness search over one level: one task per instance,
+    /// claimed in instance order by the workers, everyone cancelled on the
+    /// first hit. With one worker the visit order is the sequential
+    /// deciders' order, so the returned witness is theirs exactly.
+    ///
+    /// Every task runs inside `catch_unwind`: a panicking task (a hand-built
+    /// [`ObjectType`] breaking its contract mid-analysis) records its payload,
+    /// cancels the remaining workers through the shared stop flag, and
+    /// surfaces as [`SearchError::TaskPanicked`] — the queue is never wedged
+    /// and the engine stays usable. A deadline is checked at every task
+    /// claim and every 256 partitions within a task; when it fires, the
+    /// instances not yet finished are counted into
+    /// [`SearchStats::instances_abandoned`].
+    fn search_level<T: ObjectType + Sync + ?Sized>(
+        &self,
+        ty: &T,
+        n: usize,
+        cond: Condition,
+        call: &SearchCall<'_>,
+        level_span: &Span,
+    ) -> Result<FindOutcome, SearchError> {
         let space: Vec<(ValueId, Vec<OpId>)> =
             instances(ty.num_values(), ty.num_ops(), n).collect();
         let parts: Vec<Vec<Team>> = partitions(n).collect();
@@ -792,7 +824,7 @@ impl SearchEngine {
         // witness is.
         let found: Mutex<Option<((usize, usize), Witness)>> = Mutex::new(None);
 
-        let past_deadline = || deadline.is_some_and(|d| Instant::now() >= d);
+        let past_deadline = || call.deadline.is_some_and(|d| Instant::now() >= d);
 
         let worker = |engine: &SearchEngine| {
             let mut local_instances = 0u64;
@@ -813,7 +845,7 @@ impl SearchEngine {
                 // Contain panics to the task: a broken `ObjectType` must
                 // not wedge the queue or poison the engine.
                 let task = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let analysis = store.get_or_compute(engine, ty, *u, ops);
+                    let analysis = call.memo.get_or_compute(engine, ty, *u, ops);
                     local_instances += 1;
                     for (p, (t0, t1)) in teams_of.iter().enumerate() {
                         if local_partitions.is_multiple_of(256) && past_deadline() {
@@ -859,7 +891,7 @@ impl SearchEngine {
                 .fetch_add(local_partitions, Ordering::Relaxed);
         };
 
-        let workers = threads.max(1).min(space.len().max(1));
+        let workers = call.threads.min(space.len().max(1));
         if workers <= 1 {
             worker(self);
         } else {
@@ -870,13 +902,6 @@ impl SearchEngine {
             });
         }
 
-        store.flush_level(self, n);
-        self.wall.exit();
-        self.counters.busy_nanos.fetch_add(
-            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-        drop(level_span);
         if let Some(message) = panicked.into_inner().expect("panic slot") {
             return Err(SearchError::TaskPanicked { message });
         }

@@ -51,7 +51,8 @@ mod witness;
 pub use bench::{BenchRecord, BenchRecorder};
 pub use bitset::BitSet;
 pub use cache::{
-    type_fingerprint, CacheIo, DiskCache, FaultMode, FaultyIo, SystemIo, CACHE_FORMAT_VERSION,
+    type_fingerprint, CacheIo, DiskCache, FaultMode, FaultyIo, StoreNames, SystemIo, VerdictStore,
+    CACHE_FORMAT_VERSION,
 };
 pub use classify::{classify, robust_level, Bound, TypeClassification};
 pub use discerning::{

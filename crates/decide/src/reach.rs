@@ -29,7 +29,6 @@
 
 use crate::bitset::BitSet;
 use rcn_spec::{ObjectType, OpId, ValueId};
-use serde::{Deserialize, Serialize};
 
 /// Maximum number of processes the analysis supports (masks are `u32`).
 pub const MAX_PROCESSES: usize = 20;
@@ -51,11 +50,7 @@ pub const MAX_PROCESSES: usize = 20;
 /// let u1 = a.value_set(&[1]);
 /// assert!(u0.intersects(&u1));
 /// ```
-///
-/// Analyses serialize (for the persistent analysis cache); a deserialized
-/// analysis must pass [`shape_matches`](Self::shape_matches) before the
-/// deciders may trust it.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Analysis {
     n: usize,
     num_values: usize,
@@ -403,29 +398,6 @@ impl Analysis {
     /// Number of processes in the analyzed assignment.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Checks that this analysis has exactly the shape an analysis of an
-    /// `n`-process instance of a type with `num_values` values and
-    /// `num_responses` responses must have — dimensions, set counts, and
-    /// bitset well-formedness. Used to validate analyses loaded from the on-disk
-    /// cache before the deciders trust them; always true for analyses built
-    /// by [`Analysis::new`].
-    pub fn shape_matches(&self, n: usize, num_values: usize, num_responses: usize) -> bool {
-        self.n == n
-            && (1..=MAX_PROCESSES).contains(&n)
-            && self.num_values == num_values
-            && self.num_responses == num_responses
-            && self.value_sets.len() == n
-            && self
-                .value_sets
-                .iter()
-                .all(|s| s.capacity() == num_values && s.is_well_formed())
-            && self.pair_sets.len() == n * n
-            && self
-                .pair_sets
-                .iter()
-                .all(|s| s.capacity() == num_responses * num_values && s.is_well_formed())
     }
 
     /// The `U`-style value set for a team: all values reachable over

@@ -13,11 +13,10 @@
 //! Candidate events are tried in a fixed order — steps of `p0..pn`, then
 //! crashes of `p0..pn` — so the traversal enumerates schedules in
 //! lexicographic order and the first counterexample found is the
-//! lexicographically-least violating schedule, on every run. A resumed run
-//! ([`CrashExplorer::with_memo`]) keeps that tie-break: certified-clean
-//! memo facts and final verdicts persist through the `CacheIo` machinery,
-//! and a repeated run with the same system fingerprint and budget triple
-//! resumes instead of restarting (see [`crate::ExplorerMemo`]).
+//! lexicographically-least violating schedule, on every run. With a
+//! persistent memo ([`CrashExplorer::with_memo`]) certified verdicts are
+//! stored, and a repeated run with the same system fingerprint and budget
+//! short-circuits on the stored verdict (see [`crate::ExplorerMemo`]).
 //!
 //! Which crash events are enabled under the budget, and how each one
 //! charges the per-process crash counts, is [`rcn_model::event_enabled`] and
@@ -40,7 +39,7 @@
 //! along a shorter prefix, pruning schedules still within `max_depth`.
 
 use crate::diagnose::{diagnose, Divergence};
-use crate::memo::{ExplorerMemo, MemoLoad};
+use crate::memo::{system_fingerprint, ExplorerMemo};
 use rcn_model::{
     charge_crashes, event_enabled, Action, Configuration, Event, FaultModel, LocalState, ProcessId,
     Schedule, System, Violation,
@@ -98,10 +97,10 @@ pub struct ExplorerStats {
     /// Memoized states explored *again* because they were re-reached with
     /// more remaining budget (the depth-aware refinement).
     pub re_explored: u64,
-    /// Memo hits served by facts loaded from the persistent memo (a
-    /// subset of `memo_hits`), plus — when a stored verdict short-circuits
-    /// the whole run — the stored run's `states_visited`. Zero on cold
-    /// runs; a warm resume reports how much search the disk saved.
+    /// When a verdict stored in the persistent memo short-circuits the
+    /// run, the `states_visited` of the run that stored it (this run then
+    /// reports 0 states and 0 events); 0 otherwise. It says how much
+    /// search the disk saved.
     pub resumed_states: u64,
     /// `true` if some path was cut short by [`CrashtestConfig::max_depth`]
     /// while events were still enabled. Expected for any non-trivial
@@ -194,15 +193,7 @@ impl CrashtestReport {
 
 /// The memo key: a configuration plus the per-process crash counts spent
 /// reaching it.
-pub(crate) type MemoKey = (Configuration, Vec<usize>);
-
-/// A memo entry: the largest remaining schedule budget the state was
-/// explored with, and whether the entry came from the persistent memo.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MemoEntry {
-    pub(crate) remaining: usize,
-    pub(crate) from_disk: bool,
-}
+type MemoKey = (Configuration, Vec<usize>);
 
 /// The bounded, memoized work-list DFS over crash placements.
 pub struct CrashExplorer<'s> {
@@ -228,10 +219,10 @@ impl<'s> CrashExplorer<'s> {
     /// Attaches a tracer: the exploration is bracketed in a
     /// `crashtest.explore` span, the DFS maintains the
     /// `crashtest.events_applied` / `crashtest.memo_hits` /
-    /// `crashtest.re_explored` / `crashtest.resumed_states` counters and a
-    /// `crashtest.depth` histogram (one observation per newly visited
-    /// state), and the final [`ExplorerStats`] are published as
-    /// `crashtest.*` counters.
+    /// `crashtest.re_explored` counters and a `crashtest.depth` histogram
+    /// (one observation per newly visited state), a short-circuited run
+    /// adds its `crashtest.resumed_states`, and the final [`ExplorerStats`]
+    /// are published as `crashtest.*` counters.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
@@ -247,10 +238,10 @@ impl<'s> CrashExplorer<'s> {
         self
     }
 
-    /// Attaches a persistent memo: certified verdicts and memo facts are
-    /// stored through the `CacheIo` machinery and repeated runs with the
-    /// same system fingerprint and budget triple resume instead of
-    /// restarting ([`ExplorerStats::resumed_states`]).
+    /// Attaches a persistent memo: certified verdicts are stored through
+    /// the `CacheIo` machinery, and repeated runs with the same system
+    /// fingerprint and budget short-circuit on them instead of searching
+    /// ([`ExplorerStats::resumed_states`]).
     #[must_use]
     pub fn with_memo(mut self, memo: ExplorerMemo) -> Self {
         self.memo = Some(memo);
@@ -292,92 +283,57 @@ impl<'s> CrashExplorer<'s> {
             return report;
         }
 
-        // Warm start: a stored verdict for this exact (fingerprint,
-        // budget) short-circuits; stored certified-clean facts pre-seed
-        // the memo so the search collapses onto the disk's work.
-        let mut facts: Vec<(MemoKey, usize)> = Vec::new();
-        let mut loaded_from_disk = false;
-        if let Some(memo) = &self.memo {
-            match memo.load(self.system, &self.config, &self.tracer) {
-                MemoLoad::Report(mut report) => {
-                    report.counterexample = report
-                        .counterexample
-                        .map(|cex| self.diagnosed(cex.schedule, cex.violation));
-                    self.tracer
-                        .counter("crashtest.resumed_states")
-                        .add(report.stats.resumed_states);
-                    self.publish(&report, &span);
-                    return report;
-                }
-                MemoLoad::Facts(f) => {
-                    facts = f;
-                    loaded_from_disk = true;
-                }
-                MemoLoad::Miss => {}
+        // A stored verdict for this exact (fingerprint, budget)
+        // short-circuits the search.
+        let memo = self
+            .memo
+            .as_ref()
+            .map(|memo| (memo, system_fingerprint(self.system)));
+        if let Some((memo, fingerprint)) = memo {
+            if let Some(mut report) =
+                memo.load(self.system, fingerprint, &self.config, &self.tracer)
+            {
+                report.counterexample = report
+                    .counterexample
+                    .map(|cex| self.diagnosed(cex.schedule, cex.violation));
+                self.tracer
+                    .counter("crashtest.resumed_states")
+                    .add(report.stats.resumed_states);
+                self.publish(&report, &span);
+                return report;
             }
         }
 
         let deadline = self.timeout.map(|t| Instant::now() + t);
-        let (stats, found, certified) = self.search(initial, facts, deadline);
+        let (stats, found) = self.search(initial, deadline);
         let report = CrashtestReport {
             stats,
             counterexample: found.map(|(path, v)| self.diagnosed(Schedule::from_events(path), v)),
         };
-        if let Some(memo) = &self.memo {
-            // A warm run's memo collapsed onto the disk facts; re-storing
-            // it would shrink the file. Only cold results are persisted.
-            if !loaded_from_disk {
-                memo.store(self.system, &self.config, &report, &certified, &self.tracer);
-            }
+        if let Some((memo, fingerprint)) = memo {
+            memo.store(fingerprint, &self.config, &report, &self.tracer);
         }
         self.publish(&report, &span);
         report
     }
 
-    /// Runs the work-list search from `initial`, its memo pre-seeded with
-    /// the persistent memo's `facts`.
+    /// Runs the work-list search from `initial`: its stats, and the
+    /// lex-least violation with its path if there is one.
     fn search(
         &self,
         initial: Configuration,
-        facts: Vec<(MemoKey, usize)>,
         deadline: Option<Instant>,
-    ) -> SearchResult {
+    ) -> (ExplorerStats, Option<(Vec<Event>, Violation)>) {
         let mut search = Search::new(self.system, self.config, &self.tracer, deadline);
-        for (key, remaining) in facts {
-            search.visited.insert(
-                key,
-                MemoEntry {
-                    remaining,
-                    from_disk: true,
-                },
-            );
-        }
         let crash_counts = vec![0usize; self.system.n()];
         search.visited.insert(
             (initial.clone(), crash_counts.clone()),
-            MemoEntry {
-                remaining: self.config.max_depth,
-                from_disk: false,
-            },
+            self.config.max_depth,
         );
         search.stats.states_visited = 1;
         search.depths.observe(0);
-        match search.run(initial, crash_counts) {
-            Outcome::Violation(v) => (search.stats, Some((search.path, v)), Vec::new()),
-            Outcome::Clean => {
-                let certified = if search.stats.exhaustive() {
-                    search
-                        .visited
-                        .into_iter()
-                        .map(|(k, e)| (k, e.remaining))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                (search.stats, None, certified)
-            }
-            Outcome::Aborted => (search.stats, None, Vec::new()),
-        }
+        let found = search.run(initial, crash_counts).map(|v| (search.path, v));
+        (search.stats, found)
     }
 
     /// Publishes the final [`ExplorerStats`] as absolute `crashtest.*`
@@ -425,32 +381,11 @@ impl<'s> CrashExplorer<'s> {
     }
 }
 
-/// `(stats, lex-least violation with its path, certified clean facts)` —
-/// the internal result of the search. Facts are non-empty only for
-/// certified-clean runs (they feed the persistent memo).
-type SearchResult = (
-    ExplorerStats,
-    Option<(Vec<Event>, Violation)>,
-    Vec<(MemoKey, usize)>,
-);
-
 /// The size of the candidate index space for `n` processes: steps
 /// (`0..n`), per-process crashes (`n..2n`), the system-wide crash (`2n`),
 /// and mid-operation crashes (`2n+1..3n+1`).
 fn candidate_limit(n: usize) -> usize {
     3 * n + 1
-}
-
-/// How the search ended.
-enum Outcome {
-    /// A violation was found; the path is left in `Search::path`.
-    Violation(Violation),
-    /// The budget was fully explored without a violation: every memo entry
-    /// is a certified clean fact.
-    Clean,
-    /// Cut short by the state cap or the deadline; memo entries are *not*
-    /// certified.
-    Aborted,
 }
 
 /// One explicit DFS frame: a configuration with the index of the next
@@ -480,7 +415,7 @@ struct Search<'a> {
     /// counts are part of the key, and a state reached again with *more*
     /// remaining budget is re-explored — the same configuration with more
     /// budget (crash or depth) left can reach strictly more.
-    visited: HashMap<MemoKey, MemoEntry>,
+    visited: HashMap<MemoKey, usize>,
     path: Vec<Event>,
     stats: ExplorerStats,
     /// Live instrument handles (no-ops under a disabled tracer), resolved
@@ -488,7 +423,6 @@ struct Search<'a> {
     events: Counter,
     memo_hits: Counter,
     re_explored: Counter,
-    resumed: Counter,
     depths: HistogramHandle,
     deadline: Option<Instant>,
     /// Each process's initial (and post-crash) local state, computed once
@@ -512,7 +446,6 @@ impl<'a> Search<'a> {
             events: tracer.counter("crashtest.events_applied"),
             memo_hits: tracer.counter("crashtest.memo_hits"),
             re_explored: tracer.counter("crashtest.re_explored"),
-            resumed: tracer.counter("crashtest.resumed_states"),
             depths: tracer.histogram("crashtest.depth"),
             deadline,
             initial_states: system.initial_config().states,
@@ -564,9 +497,11 @@ impl<'a> Search<'a> {
 
     /// Explores every enabled event from the root, depth-first via an
     /// explicit frame stack (no recursion: `--depth` in the thousands is
-    /// a heap allocation, not a stack overflow). On a violation, the
-    /// violating schedule is left in `self.path`.
-    fn run(&mut self, config: Configuration, counts: Vec<usize>) -> Outcome {
+    /// a heap allocation, not a stack overflow). Returns the violation, if
+    /// one is found, with its schedule left in `self.path`; `None` covers
+    /// both an exhausted budget and a search cut short by the state cap or
+    /// the deadline (flagged in the stats).
+    fn run(&mut self, config: Configuration, counts: Vec<usize>) -> Option<Violation> {
         let n = self.system.n();
         let mut stack = vec![Frame {
             config,
@@ -581,7 +516,7 @@ impl<'a> Search<'a> {
             // Checked on the first iteration (an already-expired deadline
             // aborts before any work) and every 1024th thereafter.
             if ticks & 0x3FF == 1 && self.deadline_passed() {
-                return Outcome::Aborted;
+                return None;
             }
             let top = stack.len() - 1;
             if stack[top].depth >= self.budget.max_depth {
@@ -605,7 +540,7 @@ impl<'a> Search<'a> {
             self.events.incr();
             self.path.push(event);
             if let Some(violation) = effect.violation {
-                return Outcome::Violation(violation);
+                return Some(violation);
             }
             let mut next_counts = frame.counts.to_vec();
             charge_crashes(&mut next_counts, event);
@@ -635,11 +570,11 @@ impl<'a> Search<'a> {
                     // Walking the rest of the frontier cannot restore
                     // exhaustiveness; stop burning events immediately.
                     self.stats.state_capped = true;
-                    return Outcome::Aborted;
+                    return None;
                 }
             }
         }
-        Outcome::Clean
+        None
     }
 
     fn pop_frame(&mut self, stack: &mut Vec<Frame>) {
@@ -652,14 +587,10 @@ impl<'a> Search<'a> {
 
     /// Looks a child up in the memo and decides whether to explore it.
     fn memo_check(&mut self, key: &MemoKey, remaining: usize, child_depth: usize) -> MemoVerdict {
-        if let Some(entry) = self.visited.get(key).copied() {
-            if entry.remaining >= remaining {
+        if let Some(&explored) = self.visited.get(key) {
+            if explored >= remaining {
                 self.stats.memo_hits += 1;
                 self.memo_hits.incr();
-                if entry.from_disk {
-                    self.stats.resumed_states += 1;
-                    self.resumed.incr();
-                }
                 return MemoVerdict::Skip;
             }
             self.stats.re_explored += 1;
@@ -672,13 +603,7 @@ impl<'a> Search<'a> {
             self.stats.states_visited += 1;
             self.depths.observe(child_depth as u64);
         }
-        self.visited.insert(
-            key.clone(),
-            MemoEntry {
-                remaining,
-                from_disk: false,
-            },
-        );
+        self.visited.insert(key.clone(), remaining);
         MemoVerdict::Explore
     }
 

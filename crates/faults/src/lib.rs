@@ -8,10 +8,10 @@
 //!   placement within a per-process crash budget and a depth cap, instead
 //!   of sampling placements from an RNG, whose counterexample is the
 //!   lexicographically-least violating schedule on every run;
-//! * [`ExplorerMemo`] — persistence for the explorer's verdicts and
-//!   certified-clean memo facts through the `rcn-decide` `CacheIo`
-//!   machinery, keyed by [`system_fingerprint`] plus the budget triple,
-//!   so repeated `crashtest` runs resume instead of restarting;
+//! * [`ExplorerMemo`] — persistence for the explorer's certified
+//!   verdicts through `rcn-decide`'s `VerdictStore`, keyed by
+//!   [`system_fingerprint`] plus the budget and fault model, so a repeated
+//!   `crashtest` run short-circuits instead of searching again;
 //! * [`shrink_schedule`] / [`shrink_counterexample`] — delta-debugging
 //!   reduction of a violating schedule to a 1-minimal one, so the reported
 //!   counterexample contains only necessary events;

@@ -1,73 +1,68 @@
-//! Persistent crash-exploration memo: `crashtest` runs resume from disk.
+//! Persistent crash-exploration verdicts: repeated `crashtest` runs
+//! short-circuit from disk.
 //!
 //! A crash exploration is pure in `(system, budget)` — the same system
 //! explored under the same [`CrashtestConfig`] always yields the same
-//! verdict and the same certified-clean memo facts. This module makes
-//! that purity durable, exactly as `rcn-decide`'s `DiskCache` does for
-//! reachability analyses:
+//! verdict. This module makes that purity durable through `rcn-decide`'s
+//! [`VerdictStore`], the file store under its `DiskCache` too:
 //!
 //! * one JSON file per `(system fingerprint, budget triple, fault
 //!   model)`, named `crashtest-<fp>-c<K>-d<D>-s<S>-m<model>.json`,
 //!   carrying a format-version header so stale layouts degrade to a
 //!   cold run. The fault model is part of the key *and* the header: a
 //!   clean verdict under `per-process` proves nothing about `system` or
-//!   `mid-op` crashes, so memos written under one model must never be
+//!   `mid-op` crashes, so a verdict written under one model is never
 //!   consumed under another;
 //! * the key is a *content* hash ([`system_fingerprint`]): process
 //!   count, inputs, every object's full transition table and initial
 //!   value, plus a bounded walk of the crash-free step graph — renaming
-//!   a protocol changes nothing, editing its table invalidates its memo;
-//! * only *certified* results are stored: a found counterexample (a
+//!   a protocol changes nothing, editing its table invalidates its file;
+//! * only *certified* verdicts are stored: a found counterexample (a
 //!   definitive verdict whatever else was cut short) or an exhaustive
-//!   clean run together with its complete depth-aware memo. Partial
-//!   runs (state-capped, timed out, panicked tasks) are never persisted
-//!   — resuming from them could mislabel an under-explored state clean;
-//! * a warm run with a stored counterexample replays it through the
-//!   executor before trusting it (a stored schedule that no longer
-//!   violates is damage, and quarantined); a warm run with stored clean
-//!   facts re-runs the search seeded with them, so the traversal
-//!   collapses onto the disk's work and [`resumed_states`] reports how
-//!   much search the disk saved;
-//! * damage handling is identical to `DiskCache`: unparseable or
-//!   wrong-header files are quarantined to `.bad` (evidence preserved,
-//!   recompute-forever loops broken), invalid facts are skipped at entry
-//!   granularity, writes publish via unique temp file + atomic rename
-//!   with one retry per operation, and every filesystem call goes
-//!   through the [`CacheIo`] seam so the fail-point sweep covers each
-//!   injection point.
+//!   clean run. A file holds the verdict's schedule (empty means
+//!   certified clean) and the effort of the run that produced it. Partial
+//!   runs (state-capped or timed out) are never stored;
+//! * a warm run short-circuits on either verdict: a stored counterexample
+//!   is first replayed through the executor (a schedule that does not fit
+//!   the budget or does not violate is damage, and quarantined), a stored
+//!   clean verdict is taken as is. The short-circuited run reports 0
+//!   states and 0 events, and [`resumed_states`] reports the stored run's
+//!   states;
+//! * damage handling is the store's: unparseable or wrong-header files
+//!   are quarantined to `.bad`, writes publish via unique temp file +
+//!   atomic rename with one retry per operation, and every filesystem
+//!   call goes through the [`CacheIo`] seam so the fail-point sweep covers
+//!   each injection point.
 //!
-//! Trust model: as with `DiskCache`, a well-formed file whose *facts*
-//! are falsified (states marked clean that are not) is indistinguishable
-//! from a genuine one; counterexamples are replay-validated, clean facts
-//! are not re-derived. Delete the memo directory to rebuild from
-//! scratch.
+//! Trust model: a counterexample is replay-checked; a clean verdict has no
+//! certificate short of re-running the search, so a falsified clean file
+//! is indistinguishable from a genuine one. Delete the memo directory to
+//! rebuild from scratch.
 //!
 //! [`resumed_states`]: crate::ExplorerStats::resumed_states
 
-use crate::explorer::{Counterexample, CrashtestConfig, CrashtestReport, ExplorerStats, MemoKey};
-use rcn_decide::{type_fingerprint, CacheIo, SystemIo};
+use crate::explorer::{Counterexample, CrashtestConfig, CrashtestReport, ExplorerStats};
+use rcn_decide::{type_fingerprint, CacheIo, StoreNames, SystemIo, VerdictStore};
 use rcn_model::{
-    charge_crashes, event_enabled, Action, Configuration, Event, LocalState, ProcessId, Schedule,
-    System,
+    charge_crashes, event_enabled, Action, Configuration, Event, Fnv1a, ProcessId, Schedule, System,
 };
 use rcn_obs::Tracer;
-use rcn_spec::ValueId;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
-use std::io;
+use std::hash::Hasher;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Version stamp written into every explorer-memo file. Bump on any
 /// change to the serialized shape; readers quarantine files with any
-/// other version (unlike a wrong fingerprint, a wrong version at the
-/// right path is damage worth evicting, not a neighbour's file).
+/// other version.
 ///
 /// Version history: 1 = budget triple only; 2 = the fault model joined
 /// the header (and the file name), because a verdict under `per-process`
-/// says nothing about `system` or `mid-op` crashes.
-pub const EXPLORER_MEMO_VERSION: u32 = 2;
+/// says nothing about `system` or `mid-op` crashes; 3 = the verdict alone
+/// (schedule, `states_visited`, `depth_limited`), without the certified
+/// memo facts v1 and v2 stored beside it.
+pub const EXPLORER_MEMO_VERSION: u32 = 3;
 
 /// How many configurations the fingerprint's bounded crash-free walk
 /// visits before truncating. The walk only needs to separate systems
@@ -88,39 +83,33 @@ const FINGERPRINT_WALK_CAP: usize = 2048;
 /// participate — two differently-named wrappers of one protocol share a
 /// memo, and two random-table programs that share a name do not.
 pub fn system_fingerprint(system: &System) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        for byte in x.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    let mix_config = |mix: &mut dyn FnMut(u64), config: &Configuration| {
+    let mut hash = Fnv1a::new();
+    let mix_config = |hash: &mut Fnv1a, config: &Configuration| {
         for state in &config.states {
-            mix(state.words().len() as u64);
+            hash.mix(state.words().len() as u64);
             for &w in state.words() {
-                mix(u64::from(w));
+                hash.mix(u64::from(w));
             }
         }
         for &v in &config.values {
-            mix(u64::from(v.index() as u16));
+            hash.mix(u64::from(v.index() as u16));
         }
         for d in &config.decided {
             match d {
-                Some(v) => mix(u64::from(*v) + 2),
-                None => mix(1),
+                Some(v) => hash.mix(u64::from(*v) + 2),
+                None => hash.mix(1),
             }
         }
     };
 
-    mix(system.n() as u64);
+    hash.mix(system.n() as u64);
     for &input in system.inputs() {
-        mix(u64::from(input));
+        hash.mix(u64::from(input));
     }
     let layout = system.layout();
     for id in layout.object_ids() {
-        mix(type_fingerprint(layout.object_type(id)));
-        mix(layout.initial(id).index() as u64);
+        hash.mix(type_fingerprint(layout.object_type(id)));
+        hash.mix(layout.initial(id).index() as u64);
     }
 
     // Bounded BFS over crash-free steps. `System::apply` is total (steps
@@ -134,7 +123,7 @@ pub fn system_fingerprint(system: &System) -> u64 {
     queue.push_back(initial);
     let mut truncated = false;
     while let Some(config) = queue.pop_front() {
-        mix_config(&mut mix, &config);
+        mix_config(&mut hash, &config);
         for i in 0..system.n() {
             let p = ProcessId::new(i as u16);
             if matches!(system.action_of(&config, p), Action::Output(_)) {
@@ -142,8 +131,8 @@ pub fn system_fingerprint(system: &System) -> u64 {
             }
             let mut next = config.clone();
             let effect = system.apply(&mut next, Event::Step(p));
-            mix(i as u64);
-            mix(u64::from(effect.violation.is_some()));
+            hash.mix(i as u64);
+            hash.mix(u64::from(effect.violation.is_some()));
             if seen.len() < FINGERPRINT_WALK_CAP && seen.insert(next.clone()) {
                 queue.push_back(next);
             } else if seen.len() >= FINGERPRINT_WALK_CAP {
@@ -151,44 +140,23 @@ pub fn system_fingerprint(system: &System) -> u64 {
             }
         }
     }
-    mix(u64::from(truncated));
-    hash
+    hash.mix(u64::from(truncated));
+    hash.finish()
 }
 
-/// One persisted certified-clean memo fact: a `(configuration,
-/// crash-counts)` state and the largest remaining schedule budget it was
-/// exhaustively explored with.
-#[derive(Serialize, Deserialize)]
-struct FactRec {
-    /// Per-process local-state words.
-    states: Vec<Vec<u32>>,
-    /// Per-object current values.
-    values: Vec<u16>,
-    /// Per-process first outputs (`None` = undecided).
-    decided: Vec<Option<u32>>,
-    /// Per-process crash counts spent reaching the state.
-    counts: Vec<u64>,
-    /// Remaining schedule budget the state was explored with.
-    remaining: u64,
-}
+/// The names the [`ExplorerMemo`] reports under.
+static MEMO_NAMES: StoreNames = StoreNames {
+    load: "crashtest.memo.load",
+    store: "crashtest.memo.store",
+    quarantine: "crashtest.memo.quarantine",
+    stores: "crashtest.memo.stores",
+    store_failures: "crashtest.memo.store_failures",
+    retries: "crashtest.memo.retries",
+    quarantined: "crashtest.memo.quarantined",
+};
 
-/// The stored verdict: the violating schedule (empty string = certified
-/// clean) plus the effort counters of the run that produced it, so a
-/// short-circuited warm run can report the original run's work as
-/// `resumed_states`.
-#[derive(Serialize, Deserialize)]
-struct OutcomeRec {
-    /// Paper-notation schedule (`p0 c1 …`); `""` means certified clean.
-    schedule: String,
-    states_visited: u64,
-    events_applied: u64,
-    memo_hits: u64,
-    re_explored: u64,
-    depth_limited: bool,
-}
-
-/// The on-disk file shape: versioned header, budget triple, verdict,
-/// certified facts.
+/// The on-disk file shape: versioned header, budget triple, fault model,
+/// verdict.
 #[derive(Serialize, Deserialize)]
 struct MemoFile {
     /// Must equal [`EXPLORER_MEMO_VERSION`].
@@ -198,30 +166,34 @@ struct MemoFile {
     max_crashes: u64,
     max_depth: u64,
     max_states: u64,
-    /// The three [`FaultModel`] flags the verdict was computed under.
+    /// The three [`FaultModel`](rcn_model::FaultModel) flags the verdict
+    /// was computed under.
     per_process: bool,
     system_wide: bool,
     mid_operation: bool,
-    outcome: OutcomeRec,
-    facts: Vec<FactRec>,
+    /// Paper-notation schedule (`p0 c1 …`); `""` means certified clean.
+    schedule: String,
+    /// States the storing run visited (a warm run's `resumed_states`).
+    states_visited: u64,
+    depth_limited: bool,
 }
 
-/// What a warm load produced.
-pub(crate) enum MemoLoad {
-    /// A stored, replay-validated verdict for this exact budget: the
-    /// whole run short-circuits.
-    Report(CrashtestReport),
-    /// Stored certified-clean facts: pre-seed the memo and re-run.
-    Facts(Vec<(MemoKey, usize)>),
-    /// Nothing usable on disk.
-    Miss,
+impl MemoFile {
+    /// Whether this file's header is the one `config` on the system with
+    /// this fingerprint would write.
+    fn matches(&self, fingerprint: u64, config: &CrashtestConfig) -> bool {
+        self.version == EXPLORER_MEMO_VERSION
+            && self.fingerprint == fingerprint
+            && self.max_crashes == config.max_crashes as u64
+            && self.max_depth == config.max_depth as u64
+            && self.max_states == config.max_states as u64
+            && self.per_process == config.fault_model.per_process
+            && self.system_wide == config.fault_model.system_wide
+            && self.mid_operation == config.fault_model.mid_operation
+    }
 }
 
-/// Makes concurrent [`ExplorerMemo`] stores in one process use distinct
-/// temp paths (same rationale as `DiskCache`).
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A directory of persisted crash-exploration memos.
+/// A directory of persisted crash-exploration verdicts.
 ///
 /// Cheap to construct; the directory is created lazily on the first
 /// successful write. All read errors are silent misses — the memo is a
@@ -243,13 +215,13 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 ///     .with_memo(ExplorerMemo::new(&dir))
 ///     .explore();
 /// assert_eq!(warm.counterexample, cold.counterexample);
-/// assert!(warm.stats.resumed_states > 0, "warm run resumes from disk");
+/// assert_eq!(warm.stats.states_visited, 0, "warm run short-circuits");
+/// assert_eq!(warm.stats.resumed_states, cold.stats.states_visited);
 /// # std::fs::remove_dir_all(&dir).ok();
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExplorerMemo {
-    dir: PathBuf,
-    io: Arc<dyn CacheIo>,
+    store: VerdictStore,
 }
 
 impl ExplorerMemo {
@@ -262,219 +234,74 @@ impl ExplorerMemo {
     /// `io` — the seam the fault-injection tests use.
     pub fn with_io(dir: impl Into<PathBuf>, io: Arc<dyn CacheIo>) -> ExplorerMemo {
         ExplorerMemo {
-            dir: dir.into(),
-            io,
+            store: VerdictStore::new(dir, io, &MEMO_NAMES),
         }
     }
 
     /// The memo directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.store.dir()
     }
 
-    /// The file that holds the verdict and facts for this exact
-    /// `(system, budget)` pair.
-    fn file_path(&self, fingerprint: u64, config: &CrashtestConfig) -> PathBuf {
-        self.dir.join(format!(
+    /// The file that holds the verdict for this exact `(system, budget)`
+    /// pair.
+    fn file_name(fingerprint: u64, config: &CrashtestConfig) -> String {
+        format!(
             "crashtest-{fingerprint:016x}-c{}-d{}-s{}-m{}.json",
             config.max_crashes,
             config.max_depth,
             config.max_states,
             config.fault_model.key()
-        ))
+        )
     }
 
-    /// Moves a damaged memo file aside to `.bad` — same semantics as
-    /// `DiskCache`: evidence preserved, recompute-forever loops broken,
-    /// best-effort.
-    fn quarantine(&self, path: &Path, tracer: &Tracer) {
-        let _ = self.io.rename(path, &path.with_extension("bad"));
-        tracer.counter("crashtest.memo_quarantined").incr();
-        if tracer.recording() {
-            tracer.event("crashtest.memo.quarantine", 0, &path.to_string_lossy());
-        }
-    }
-
-    /// Loads whatever this exact `(system, budget)` pair has on disk.
-    ///
-    /// A stored counterexample is replayed through the executor before
-    /// being trusted; a schedule that does not violate (or does not fit
-    /// the budget) is damage and quarantines the file. Stored clean
-    /// facts are validated entry-by-entry; invalid facts are skipped.
+    /// The stored verdict for this exact `(system, budget)` pair, as a
+    /// short-circuited report: 0 states and 0 events, `resumed_states` =
+    /// the stored run's states. A stored counterexample is replayed before
+    /// being trusted (its divergence is left to the caller's diagnosis).
     pub(crate) fn load(
         &self,
         system: &System,
+        fingerprint: u64,
         config: &CrashtestConfig,
         tracer: &Tracer,
-    ) -> MemoLoad {
-        let fingerprint = system_fingerprint(system);
-        let path = self.file_path(fingerprint, config);
-        let Ok(text) = self.io.read_to_string(&path) else {
-            tracer.event("crashtest.memo.load", 0, "miss");
-            return MemoLoad::Miss;
-        };
-        let bytes = i64::try_from(text.len()).unwrap_or(i64::MAX);
-        let Ok(file) = serde_json::from_str::<MemoFile>(&text) else {
-            self.quarantine(&path, tracer);
-            tracer.event("crashtest.memo.load", bytes, "corrupt");
-            return MemoLoad::Miss;
-        };
-        if file.version != EXPLORER_MEMO_VERSION
-            || file.fingerprint != fingerprint
-            || file.max_crashes != config.max_crashes as u64
-            || file.max_depth != config.max_depth as u64
-            || file.max_states != config.max_states as u64
-            || file.per_process != config.fault_model.per_process
-            || file.system_wide != config.fault_model.system_wide
-            || file.mid_operation != config.fault_model.mid_operation
-        {
-            self.quarantine(&path, tracer);
-            tracer.event("crashtest.memo.load", bytes, "header-mismatch");
-            return MemoLoad::Miss;
-        }
-
-        if !file.outcome.schedule.is_empty() {
-            // A stored violation: validate it is budget-legal and really
-            // violates before short-circuiting the run on it.
-            let Some(report) = self.validated_counterexample(system, config, &file.outcome) else {
-                self.quarantine(&path, tracer);
-                tracer.event("crashtest.memo.load", bytes, "replay-mismatch");
-                return MemoLoad::Miss;
-            };
-            if tracer.recording() {
-                tracer.event("crashtest.memo.load", bytes, "ok counterexample");
-            }
-            return MemoLoad::Report(report);
-        }
-
-        // A certified-clean outcome: validate facts entry-by-entry.
-        let facts = self.validated_facts(system, config, file.facts);
-        if tracer.recording() {
-            tracer.event(
-                "crashtest.memo.load",
-                bytes,
-                &format!("ok clean facts={}", facts.len()),
-            );
-        }
-        MemoLoad::Facts(facts)
-    }
-
-    /// Replays a stored violating schedule; `None` means the record is
-    /// damaged (illegal budget or no violation on replay).
-    fn validated_counterexample(
-        &self,
-        system: &System,
-        config: &CrashtestConfig,
-        outcome: &OutcomeRec,
     ) -> Option<CrashtestReport> {
-        let schedule: Schedule = outcome.schedule.parse().ok()?;
-        if schedule.is_empty() || schedule.len() > config.max_depth {
-            return None;
-        }
-        let n = system.n();
-        let mut counts = vec![0usize; n];
-        for event in schedule.iter() {
-            if event.process().is_some_and(|p| p.index() >= n)
-                || !event_enabled(config.fault_model, &counts, config.max_crashes, event)
-            {
-                return None;
+        let name = Self::file_name(fingerprint, config);
+        self.store.load(&name, tracer, |file: MemoFile| {
+            if !file.matches(fingerprint, config) {
+                return Err("header-mismatch");
             }
-            charge_crashes(&mut counts, event);
-        }
-        let (_, violation) = system.run_from_start(&schedule);
-        let violation = violation?;
-        let stats = ExplorerStats {
-            states_visited: outcome.states_visited,
-            events_applied: outcome.events_applied,
-            memo_hits: outcome.memo_hits,
-            re_explored: outcome.re_explored,
-            // The whole original search is what the disk saved.
-            resumed_states: outcome.states_visited,
-            depth_limited: outcome.depth_limited,
-            ..ExplorerStats::default()
-        };
-        Some(CrashtestReport {
-            stats,
-            counterexample: Some(Counterexample {
-                schedule,
-                violation,
-                // The caller re-runs diagnosis; divergence is derived, not
-                // stored.
-                divergence: None,
-            }),
+            let counterexample = if file.schedule.is_empty() {
+                None
+            } else {
+                let cex = replayed_counterexample(system, config, &file.schedule);
+                Some(cex.ok_or("replay-mismatch")?)
+            };
+            Ok(CrashtestReport {
+                stats: ExplorerStats {
+                    resumed_states: file.states_visited,
+                    depth_limited: file.depth_limited,
+                    ..ExplorerStats::default()
+                },
+                counterexample,
+            })
         })
     }
 
-    /// Shape-validates stored facts against the system and budget;
-    /// invalid records are skipped (entry granularity, like
-    /// `DiskCache`'s per-entry validation).
-    fn validated_facts(
-        &self,
-        system: &System,
-        config: &CrashtestConfig,
-        facts: Vec<FactRec>,
-    ) -> Vec<(MemoKey, usize)> {
-        let n = system.n();
-        let layout = system.layout();
-        let num_objects = layout.initial_values().len();
-        let mut out = Vec::with_capacity(facts.len());
-        for fact in facts {
-            if fact.states.len() != n
-                || fact.values.len() != num_objects
-                || fact.decided.len() != n
-                || fact.counts.len() != n
-            {
-                continue;
-            }
-            if fact
-                .values
-                .iter()
-                .zip(layout.object_ids())
-                .any(|(&v, id)| usize::from(v) >= layout.object_type(id).num_values())
-            {
-                continue;
-            }
-            if fact.counts.iter().any(|&c| c > config.max_crashes as u64)
-                || fact.remaining > config.max_depth as u64
-            {
-                continue;
-            }
-            let key: MemoKey = (
-                Configuration {
-                    states: fact
-                        .states
-                        .into_iter()
-                        .map(LocalState::from_words)
-                        .collect(),
-                    values: fact.values.into_iter().map(ValueId::new).collect(),
-                    decided: fact.decided,
-                },
-                fact.counts.into_iter().map(|c| c as usize).collect(),
-            );
-            out.push((key, fact.remaining as usize));
-        }
-        out
-    }
-
-    /// Persists a certified result: a found counterexample, or an
-    /// exhaustive clean verdict with its memo facts. Partial runs are
-    /// not eligible and return `false` without touching the disk.
-    /// Returns `true` on a successful publish; IO failures are silent
-    /// (best-effort, reported through the tracer only), each operation
-    /// retried once.
+    /// Persists a certified verdict: a found counterexample or an
+    /// exhaustive clean run. Partial runs are not eligible and return
+    /// `false` without touching the disk. Returns `true` on a successful
+    /// publish.
     pub(crate) fn store(
         &self,
-        system: &System,
+        fingerprint: u64,
         config: &CrashtestConfig,
         report: &CrashtestReport,
-        certified: &[(MemoKey, usize)],
         tracer: &Tracer,
     ) -> bool {
-        let eligible = report.counterexample.is_some() || report.is_certified_clean();
-        if !eligible {
+        if report.counterexample.is_none() && !report.is_certified_clean() {
             return false;
         }
-        let fingerprint = system_fingerprint(system);
         let file = MemoFile {
             version: EXPLORER_MEMO_VERSION,
             fingerprint,
@@ -484,86 +311,46 @@ impl ExplorerMemo {
             per_process: config.fault_model.per_process,
             system_wide: config.fault_model.system_wide,
             mid_operation: config.fault_model.mid_operation,
-            outcome: OutcomeRec {
-                schedule: report
-                    .counterexample
-                    .as_ref()
-                    .map(|c| c.schedule.to_string())
-                    .unwrap_or_default(),
-                states_visited: report.stats.states_visited,
-                events_applied: report.stats.events_applied,
-                memo_hits: report.stats.memo_hits,
-                re_explored: report.stats.re_explored,
-                depth_limited: report.stats.depth_limited,
-            },
-            facts: if report.counterexample.is_some() {
-                // A violation short-circuits warm runs entirely; partial
-                // memo facts from an unwound search are not certified.
-                Vec::new()
-            } else {
-                certified
-                    .iter()
-                    .map(|((config, counts), remaining)| FactRec {
-                        states: config.states.iter().map(|s| s.words().to_vec()).collect(),
-                        values: config.values.iter().map(|v| v.index() as u16).collect(),
-                        decided: config.decided.clone(),
-                        counts: counts.iter().map(|&c| c as u64).collect(),
-                        remaining: *remaining as u64,
-                    })
-                    .collect()
-            },
+            schedule: report
+                .counterexample
+                .as_ref()
+                .map(|c| c.schedule.to_string())
+                .unwrap_or_default(),
+            states_visited: report.stats.states_visited,
+            depth_limited: report.stats.depth_limited,
         };
-        let fact_count = file.facts.len();
-        let Ok(json) = serde_json::to_string(&file) else {
-            return false;
-        };
-        let retries = tracer.counter("crashtest.memo_retries");
-        let retry = |op: &dyn Fn() -> io::Result<()>| match op() {
-            Ok(()) => true,
-            // Transient fault: count the first failure, try once more.
-            Err(_) => {
-                retries.incr();
-                op().is_ok()
-            }
-        };
-        if !retry(&|| self.io.create_dir_all(&self.dir)) {
-            self.store_event(tracer, false, 0, fact_count);
-            return false;
-        }
-        let path = self.file_path(fingerprint, config);
-        let tmp = path.with_extension(format!(
-            "tmp-{}-{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let json = json.as_bytes();
-        let ok = retry(&|| self.io.write(&tmp, json)) && retry(&|| self.io.rename(&tmp, &path));
-        if !ok {
-            // Don't leave temp litter behind a failed publish; through
-            // the io seam so the fail-point sweep covers it.
-            let _ = self.io.remove_file(&tmp);
-        }
-        self.store_event(tracer, ok, json.len(), fact_count);
-        ok
+        self.store
+            .store(&Self::file_name(fingerprint, config), &file, tracer)
     }
+}
 
-    /// Records one `crashtest.memo.store` event plus the outcome counter.
-    fn store_event(&self, tracer: &Tracer, ok: bool, bytes: usize, facts: usize) {
-        tracer
-            .counter(if ok {
-                "crashtest.memo_stores"
-            } else {
-                "crashtest.memo_store_failures"
-            })
-            .incr();
-        if tracer.recording() {
-            tracer.event(
-                "crashtest.memo.store",
-                i64::try_from(bytes).unwrap_or(i64::MAX),
-                &format!("{} facts={facts}", if ok { "ok" } else { "failed" }),
-            );
-        }
+/// Replays a stored violating schedule; `None` means the record is
+/// damaged (unparseable, over budget, or no violation on replay).
+fn replayed_counterexample(
+    system: &System,
+    config: &CrashtestConfig,
+    schedule: &str,
+) -> Option<Counterexample> {
+    let schedule: Schedule = schedule.parse().ok()?;
+    if schedule.is_empty() || schedule.len() > config.max_depth {
+        return None;
     }
+    let n = system.n();
+    let mut counts = vec![0usize; n];
+    for event in schedule.iter() {
+        if event.process().is_some_and(|p| p.index() >= n)
+            || !event_enabled(config.fault_model, &counts, config.max_crashes, event)
+        {
+            return None;
+        }
+        charge_crashes(&mut counts, event);
+    }
+    let (_, violation) = system.run_from_start(&schedule);
+    Some(Counterexample {
+        schedule,
+        violation: violation?,
+        divergence: None,
+    })
 }
 
 #[cfg(test)]
@@ -580,6 +367,10 @@ mod tests {
         ));
         std::fs::remove_dir_all(&dir).ok();
         dir
+    }
+
+    fn memo_path(dir: &Path, sys: &System, config: &CrashtestConfig) -> PathBuf {
+        dir.join(ExplorerMemo::file_name(system_fingerprint(sys), config))
     }
 
     #[test]
@@ -620,17 +411,14 @@ mod tests {
             .with_memo(ExplorerMemo::new(&dir))
             .explore();
         assert_eq!(warm.counterexample, Some(cold_cex));
-        assert!(
-            warm.stats.resumed_states > 0,
-            "the stored verdict must be credited as resumed work: {}",
-            warm.stats
-        );
+        assert_eq!(warm.stats.states_visited, 0, "{}", warm.stats);
+        assert_eq!(warm.stats.events_applied, 0, "{}", warm.stats);
         assert_eq!(warm.stats.resumed_states, cold.stats.states_visited);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn warm_resume_collapses_a_clean_search_onto_disk_facts() {
+    fn warm_resume_short_circuits_on_a_stored_clean_verdict() {
         let dir = unit_dir("clean");
         let sys = TnnRecoverable::system(5, 2, vec![0, 1]);
         let cfg = CrashtestConfig {
@@ -648,17 +436,28 @@ mod tests {
             .with_memo(ExplorerMemo::new(&dir))
             .explore();
         assert!(warm.is_certified_clean());
-        assert!(
-            warm.stats.resumed_states > 0,
-            "disk facts must prune the warm search: {}",
-            warm.stats
-        );
-        assert!(
-            warm.stats.states_visited < cold.stats.states_visited,
-            "warm {} vs cold {}",
-            warm.stats,
-            cold.stats
-        );
+        assert_eq!(warm.stats.states_visited, 0, "{}", warm.stats);
+        assert_eq!(warm.stats.events_applied, 0, "{}", warm.stats);
+        assert_eq!(warm.stats.resumed_states, cold.stats.states_visited);
+        assert_eq!(warm.stats.depth_limited, cold.stats.depth_limited);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn memo_traffic_is_reported_under_crashtest_memo() {
+        let dir = unit_dir("traced");
+        let sys = TasConsensus::system(vec![0, 1]);
+        let tracer = Tracer::metrics_only();
+        for _ in 0..2 {
+            CrashExplorer::new(&sys, CrashtestConfig::default())
+                .with_tracer(tracer.clone())
+                .with_memo(ExplorerMemo::new(&dir))
+                .explore();
+        }
+        let snap = tracer.snapshot().expect("enabled tracer");
+        // The cold run stores, the warm run short-circuits.
+        assert_eq!(snap.counter("crashtest.memo.stores"), Some(1));
+        assert!(snap.counter("crashtest.resumed_states") > Some(0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -695,12 +494,13 @@ mod tests {
         let dir = unit_dir("quarantine");
         let sys = TasConsensus::system(vec![0, 1]);
         let cfg = CrashtestConfig::default();
-        let memo = ExplorerMemo::new(&dir);
-        let path = memo.file_path(system_fingerprint(&sys), &cfg);
+        let path = memo_path(&dir, &sys, &cfg);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(&path, b"{definitely not a memo file").unwrap();
 
-        let report = CrashExplorer::new(&sys, cfg).with_memo(memo).explore();
+        let report = CrashExplorer::new(&sys, cfg)
+            .with_memo(ExplorerMemo::new(&dir))
+            .explore();
         assert!(report.counterexample.is_some(), "cold verdict still stands");
         assert_eq!(report.stats.resumed_states, 0);
         assert!(
@@ -721,18 +521,14 @@ mod tests {
         let dir = unit_dir("replay");
         let sys = TasConsensus::system(vec![0, 1]);
         let cfg = CrashtestConfig::default();
-        CrashExplorer::new(&sys, cfg)
+        let cold = CrashExplorer::new(&sys, cfg)
             .with_memo(ExplorerMemo::new(&dir))
             .explore();
-        let memo = ExplorerMemo::new(&dir);
-        let path = memo.file_path(system_fingerprint(&sys), &cfg);
+        let cold_cex = cold.counterexample.unwrap();
+        let path = memo_path(&dir, &sys, &cfg);
         // Falsify the stored schedule into a harmless crash-free step —
         // a well-formed record whose replay finds no violation.
         let text = std::fs::read_to_string(&path).unwrap();
-        let cold_cex = CrashExplorer::new(&sys, cfg)
-            .explore()
-            .counterexample
-            .unwrap();
         let falsified = text.replace(&cold_cex.schedule.to_string(), "p0");
         assert_ne!(falsified, text, "the schedule must appear in the file");
         std::fs::write(&path, falsified).unwrap();
@@ -745,10 +541,16 @@ mod tests {
             Some(cold_cex),
             "a falsified record must fall back to a cold search"
         );
+        assert_eq!(warm.stats.resumed_states, 0, "recomputed, not resumed");
         assert!(
             path.with_extension("bad").exists(),
             "the falsified record is quarantined"
         );
+        // The recompute republished a genuine record.
+        let again = CrashExplorer::new(&sys, cfg)
+            .with_memo(ExplorerMemo::new(&dir))
+            .explore();
+        assert_eq!(again.stats.resumed_states, cold.stats.states_visited);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,48 +2,16 @@
 //!
 //! The checker keys its visited set on the *canonical encoding* of a state
 //! (the `Hash` traversal of its fields, which is deterministic and
-//! injective up to structural equality) folded through FNV-1a. Hashing is
+//! injective up to structural equality) folded through `rcn-model`'s
+//! [`Fnv1a`], the workspace's one FNV-1a. Hashing is
 //! only a bucket index: lookups always confirm full structural equality,
 //! so a 64-bit collision can never merge two distinct states — it only
 //! costs one extra comparison. This keeps the checker sound while staying
 //! deliberately independent of the DFS explorer's `std::collections`
 //! default hasher.
 
+pub use rcn_model::Fnv1a;
 use std::hash::{Hash, Hasher};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// A 64-bit FNV-1a [`Hasher`].
-pub struct Fnv1a {
-    state: u64,
-}
-
-impl Fnv1a {
-    /// A hasher at the FNV offset basis.
-    pub fn new() -> Fnv1a {
-        Fnv1a { state: FNV_OFFSET }
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a::new()
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.state
-    }
-}
 
 /// The canonical FNV-1a digest of any hashable state.
 pub fn canonical_hash<T: Hash>(value: &T) -> u64 {
@@ -86,20 +54,6 @@ impl StateIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Classic FNV-1a test vectors.
-        let mut h = Fnv1a::new();
-        h.write(b"");
-        assert_eq!(h.finish(), 0xcbf2_9ce4_8422_2325);
-        let mut h = Fnv1a::new();
-        h.write(b"a");
-        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
-        let mut h = Fnv1a::new();
-        h.write(b"foobar");
-        assert_eq!(h.finish(), 0x8594_4171_f739_67e8);
-    }
 
     #[test]
     fn index_distinguishes_colliding_buckets() {

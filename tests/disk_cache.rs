@@ -1,7 +1,7 @@
-//! Round-trip and corruption tests for the persistent analysis cache:
-//! a warm run must reproduce the cold run's classification exactly while
-//! computing nothing, and damaged cache files must degrade to a silent
-//! full recompute — never a wrong answer, never an error.
+//! Round-trip and corruption tests for the persistent verdict cache: a
+//! warm run must reproduce the cold run's classification exactly while
+//! computing nothing, and damaged or falsified cache files must degrade to
+//! a silent recompute — never a wrong answer, never an error.
 
 mod common;
 
@@ -12,7 +12,8 @@ use rcn::spec::zoo::{
     TestAndSet, Tnn,
 };
 use rcn::spec::ObjectType;
-use std::path::PathBuf;
+use rcn::HierarchyReport;
+use std::path::{Path, PathBuf};
 
 const CAP: usize = 4;
 
@@ -50,7 +51,7 @@ fn warm_run_reproduces_cold_run_across_the_zoo() {
     for ty in zoo() {
         // One subdirectory per type: fingerprints are content hashes, so
         // zoo types with identical tables (e.g. the consensus object vs. a
-        // sticky bit) would legitimately share entries in a common dir —
+        // sticky bit) would legitimately share verdicts in a common dir —
         // here we want every type's cold run to be genuinely cold.
         let dir = root.join(ty.name());
         let cold = SearchEngine::sequential().with_disk_cache(DiskCache::new(&dir));
@@ -58,7 +59,7 @@ fn warm_run_reproduces_cold_run_across_the_zoo() {
         let cold_stats = cold.stats();
         assert!(
             cold_stats.disk_entries_written > 0,
-            "{}: cold run should persist analyses, got {cold_stats}",
+            "{}: cold run should persist its levels, got {cold_stats}",
             ty.name()
         );
         assert_eq!(cold_stats.disk_hits, 0, "{}: cold run", ty.name());
@@ -73,9 +74,15 @@ fn warm_run_reproduces_cold_run_across_the_zoo() {
             ty.name()
         );
         assert_eq!(
-            warm_stats.analyses_computed,
-            0,
-            "{}: warm run should recompute nothing, got {warm_stats}",
+            (warm_stats.analyses_computed, warm_stats.partitions_tested),
+            (0, 0),
+            "{}: warm run should search nothing, got {warm_stats}",
+            ty.name()
+        );
+        assert_eq!(
+            warm_stats.disk_hits,
+            cold_stats.disk_entries_written,
+            "{}: every persisted level is a hit",
             ty.name()
         );
         assert_eq!(
@@ -90,14 +97,9 @@ fn warm_run_reproduces_cold_run_across_the_zoo() {
 
 #[test]
 fn warm_cache_agrees_under_threads() {
-    // The cache stores analyses, not search results: a warm parallel engine
-    // must land on the cold sequential answers. It may still compute a few
-    // analyses: before a worker sees the stop flag of a found witness, the
-    // other workers can claim instances past that witness, which the
-    // sequential cold run never visited. So instead of "computes nothing"
-    // (pinned on a sequential warm engine by
-    // `warm_run_reproduces_cold_run_across_the_zoo`), the claim is that
-    // every analysis the warm run computed was new to the cache.
+    // The cache stores level verdicts, so a warm parallel engine answers
+    // every level from disk: the cold sequential run's witnesses included,
+    // with nothing searched.
     let dir = scratch("threads");
     let ty = Tnn::new(4, 2);
     let cold = SearchEngine::sequential().with_disk_cache(DiskCache::new(&dir));
@@ -105,19 +107,57 @@ fn warm_cache_agrees_under_threads() {
 
     let warm = SearchEngine::new(4).with_disk_cache(DiskCache::new(&dir));
     let again = warm.classify(&ty, 5).expect("cap in range");
-    assert_eq!(again.discerning.level, reference.discerning.level);
-    assert_eq!(again.recording.level, reference.recording.level);
-    assert_eq!(again.consensus_number, reference.consensus_number);
-    assert_eq!(
-        again.recoverable_consensus_number,
-        reference.recoverable_consensus_number
-    );
+    assert_same_classification(&reference, &again, "warm at 4 threads");
     let stats = warm.stats();
-    assert!(stats.disk_hits > 0, "stats: {stats}");
     assert_eq!(
-        stats.disk_entries_written, stats.analyses_computed,
-        "every analysis the warm run computed must be new to the cache: {stats}"
+        stats.disk_hits,
+        cold.stats().disk_entries_written,
+        "{stats}"
     );
+    assert_eq!(
+        (
+            stats.analyses_computed,
+            stats.partitions_tested,
+            stats.disk_entries_written
+        ),
+        (0, 0, 0),
+        "{stats}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// No publish left a temp file behind in `dir`.
+fn assert_no_temp_litter(dir: &Path) {
+    let litter: Vec<_> = std::fs::read_dir(dir)
+        .expect("cache dir exists")
+        .map(|e| e.expect("dir entry").file_name())
+        .filter(|name| name.to_string_lossy().contains("tmp-"))
+        .collect();
+    assert!(litter.is_empty(), "temp files left behind: {litter:?}");
+}
+
+#[test]
+fn concurrent_classifications_share_one_cache_directory() {
+    // `add_all` classifies the three types on concurrent workers; the two
+    // test-and-set workers read and publish the very same files at once.
+    let types: Vec<Box<dyn ObjectType + Send + Sync>> = vec![
+        Box::new(TestAndSet::new()),
+        Box::new(TestAndSet::new()),
+        Box::new(StickyBit::new()),
+    ];
+    let run = |engine: SearchEngine| {
+        let mut report = HierarchyReport::new(CAP);
+        report.add_all(&types, &engine).expect("cap in range");
+        (report.classes().to_vec(), engine.stats())
+    };
+    let (reference, _) = run(SearchEngine::new(4));
+    let dir = scratch("concurrent");
+    let (cold, _) = run(SearchEngine::new(4).with_disk_cache(DiskCache::new(&dir)));
+    let (warm, warm_stats) = run(SearchEngine::new(4).with_disk_cache(DiskCache::new(&dir)));
+    assert_eq!(cold, reference, "cold verdicts");
+    assert_eq!(warm, reference, "warm verdicts");
+    assert_eq!(warm_stats.analyses_computed, 0, "{warm_stats}");
+    assert_no_temp_litter(&dir);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -232,16 +272,9 @@ fn version_one_cache_files_fall_back_to_recompute() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn version_two_cache_files_are_quarantined_then_recomputed() {
-    // Version 2 additionally persisted each analysis's `firsts`
-    // reachability labels. A genuine v2 file — right path, right
-    // fingerprint, old stamp, extra field — is moved aside to `.bad` on
-    // first load and its analyses recomputed.
-    let dir = assert_old_format_recomputes("v2-format", |t| {
-        restamp(t, 2).replace("\"value_sets\":", "\"firsts\":[0,1,2,3],\"value_sets\":")
-    });
-    let quarantined = std::fs::read_dir(&dir)
+/// How many `.bad` files `dir` holds.
+fn quarantined(dir: &Path) -> usize {
+    std::fs::read_dir(dir)
         .expect("cache dir exists")
         .filter(|e| {
             e.as_ref()
@@ -250,37 +283,94 @@ fn version_two_cache_files_are_quarantined_then_recomputed() {
                 .extension()
                 .is_some_and(|x| x == "bad")
         })
-        .count();
-    assert!(quarantined > 0, "v2 files must be quarantined to .bad");
+        .count()
+}
+
+#[test]
+fn version_two_cache_files_are_quarantined_then_recomputed() {
+    // Versions 2 and 3 persisted every analysis of a level (v2 with each
+    // analysis's `firsts` labels too). An old-stamped file with the old
+    // `entries` field at a current path is moved aside to `.bad` on first
+    // load and its level recomputed.
+    for version in [2, 3] {
+        let dir = assert_old_format_recomputes(&format!("v{version}-format"), |t| {
+            restamp(t, version).replace(
+                "\"witness\":",
+                "\"entries\":[{\"firsts\":[0,1,2,3]}],\"witness\":",
+            )
+        });
+        assert!(
+            quarantined(&dir) > 0,
+            "v{version} files must be quarantined to .bad"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Classifies `ty` cold, damages the one cache file `damage` changes, and
+/// checks that a warm run quarantines exactly that file, recomputes its
+/// level, serves every other level from disk, and matches the cold run —
+/// and that the recompute repaired the cache.
+fn assert_damaged_level_recomputes(
+    ty: &(dyn ObjectType + Sync),
+    tag: &str,
+    damage: impl Fn(&str) -> String,
+) {
+    let dir = scratch(tag);
+    let cold = SearchEngine::sequential().with_disk_cache(DiskCache::new(&dir));
+    let reference = cold.classify(ty, CAP).expect("cap in range");
+    let levels = cold.stats().disk_entries_written;
+    let (target, text) = std::fs::read_dir(&dir)
+        .expect("cache dir exists")
+        .map(|e| e.expect("dir entry").path())
+        .map(|p| {
+            let text = std::fs::read_to_string(&p).expect("cache file is text");
+            (p, text)
+        })
+        .find(|(_, text)| damage(text) != *text)
+        .unwrap_or_else(|| panic!("{tag}: no stored witness to damage"));
+    std::fs::write(&target, damage(&text)).expect("rewrite cache file");
+
+    let warm = SearchEngine::sequential().with_disk_cache(DiskCache::new(&dir));
+    let again = warm.classify(ty, CAP).expect("cap in range");
+    assert_same_classification(&reference, &again, tag);
+    let stats = warm.stats();
+    assert_eq!(stats.disk_hits, levels - 1, "{tag}: {stats}");
+    assert!(
+        stats.analyses_computed > 0,
+        "{tag}: must recompute, {stats}"
+    );
+    assert_eq!(stats.disk_entries_written, 1, "{tag}: {stats}");
+    assert!(
+        target.with_extension("bad").exists(),
+        "{tag}: the damaged file must be quarantined"
+    );
+
+    let repaired = SearchEngine::sequential().with_disk_cache(DiskCache::new(&dir));
+    let third = repaired.classify(ty, CAP).expect("cap in range");
+    assert_same_classification(&reference, &third, tag);
+    assert_eq!(repaired.stats().analyses_computed, 0, "{tag}: repaired");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn shape_mismatched_entries_are_skipped_individually() {
-    // Damage one entry per file (an extra word makes one of its bitsets
-    // disagree with its capacity) while its neighbours stay valid: the
-    // warm run must skip exactly the damaged entries — recomputing them —
-    // and still serve the rest from disk.
-    let ty = TeamCounter::new(4);
-    let dir = scratch("entry-shape");
-    let cold = SearchEngine::sequential().with_disk_cache(DiskCache::new(&dir));
-    let reference = cold.classify(&ty, CAP).expect("cap in range");
-    let touched = damage_all(&dir, |t| t.replacen("\"words\":[", "\"words\":[0,", 1));
-    assert!(touched > 0, "no cache files written");
+    // One level's witness gets an extra op, so its op and team vectors
+    // disagree in length: only that level is recomputed, every other
+    // level's file still hits.
+    assert_damaged_level_recomputes(&TeamCounter::new(4), "entry-shape", |t| {
+        t.replacen("\"ops\":[", "\"ops\":[0,", 1)
+    });
+}
 
-    let warm = SearchEngine::sequential().with_disk_cache(DiskCache::new(&dir));
-    let again = warm.classify(&ty, CAP).expect("cap in range");
-    assert_same_classification(&reference, &again, "entry-shape");
-    let stats = warm.stats();
-    assert!(
-        stats.disk_hits > 0,
-        "undamaged entries must still hit, got {stats}"
-    );
-    assert!(
-        stats.analyses_computed > 0,
-        "damaged entries must recompute, got {stats}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
+#[test]
+fn falsified_witnesses_are_quarantined_then_recomputed() {
+    // A well-formed witness that does not certify its level: test-and-set
+    // started already set answers everyone the same, so it discerns
+    // nothing. The re-check on load catches it.
+    assert_damaged_level_recomputes(&TestAndSet::new(), "falsified", |t| {
+        t.replace("\"initial\":0", "\"initial\":1")
+    });
 }
 
 #[test]
