@@ -72,11 +72,28 @@ fn critical_search(c: &mut Criterion) {
     });
 }
 
+/// E4 at three processes: the 3-process sticky tournament's `E_1*` graph
+/// at clamp 1 (16,907 budgeted states), the largest graph the valency
+/// machinery builds routinely.
+fn budgeted_sticky_3proc(c: &mut Criterion) {
+    let mut group = c.benchmark_group("budgeted_sticky_3proc");
+    group.sample_size(10);
+    group.bench_function("z1_clamp1", |b| {
+        let sys = TournamentConsensus::try_new(Arc::new(StickyBit::new()), vec![1, 0, 1]).unwrap();
+        b.iter(|| {
+            let graph = BudgetedGraph::explore(&sys, 1, 1, 1_000_000).unwrap();
+            graph.find_critical().expect("critical exists")
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     modelcheck_tnn,
     modelcheck_tnn_violation,
     modelcheck_tournament,
-    critical_search
+    critical_search,
+    budgeted_sticky_3proc
 );
 criterion_main!(benches);

@@ -1,8 +1,9 @@
 //! Independent valency re-derivation over the `E_z*` execution sets.
 //!
 //! The decider stack computes bivalence/univalence facts through
-//! `rcn-valency`'s `BudgetedGraph` (a forward exploration indexed by a
-//! `std` hash map, valencies by iterate-until-fixed sweeps). This module
+//! `rcn-valency`'s `BudgetedGraph` (a forward exploration indexed by packed
+//! state words in a `std` hash map, valencies by iterate-until-fixed
+//! sweeps). This module
 //! answers the *same question* — which decision values are reachable from
 //! the initial configuration when `p_i` may crash at most `z·n ×` (steps of
 //! lower-id processes) times, allowances clamped at a ceiling — with a
@@ -102,7 +103,8 @@ struct BudgetKey {
 /// the clamped `E_z*` crash budgets.
 pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
     let n = system.n();
-    let funded = (config.z * n) as u16;
+    // Saturating: a wrapped product would fund no crashes at all.
+    let funded = u16::try_from(config.z.saturating_mul(n)).unwrap_or(u16::MAX);
     let init = BudgetKey {
         config: system.initial_config(),
         allowance: vec![0; n],

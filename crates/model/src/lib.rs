@@ -33,7 +33,7 @@
 mod adversary;
 mod budget;
 mod execution;
-mod fnv;
+mod hash;
 mod heap;
 mod program;
 mod schedule;
@@ -43,7 +43,7 @@ mod system;
 pub use adversary::{drive, Adversary, CrashyAdversary, DriveReport, RoundRobin};
 pub use budget::{BudgetKind, BudgetTracker, CrashBudget};
 pub use execution::Execution;
-pub use fnv::Fnv1a;
+pub use hash::{Fnv1a, WordHasher};
 pub use heap::{HeapLayout, ObjectId};
 pub use program::{Action, LocalState, OutputInput, Program};
 pub use schedule::{

@@ -31,8 +31,22 @@ use std::fmt;
 /// assert_eq!(s.word(0), 1);
 /// assert_eq!(s.words(), &[1, 2]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LocalState(Vec<u32>);
+
+// Written out so that `clone_from` reuses the word buffer: the explorers
+// build every successor in one scratch configuration.
+impl Clone for LocalState {
+    #[inline]
+    fn clone(&self) -> Self {
+        LocalState(self.0.clone())
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl LocalState {
     /// Creates a state from words.

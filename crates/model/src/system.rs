@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 /// A configuration: per-process local states, per-object values, and the
 /// first output of each process (for checking).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Configuration {
     /// Local state of each process.
     pub states: Vec<LocalState>,
@@ -26,7 +26,65 @@ pub struct Configuration {
     pub decided: Vec<Option<u32>>,
 }
 
+// Written out so that `clone_from` reuses every buffer, down to each local
+// state's words (the derived `clone_from` reallocates them all).
+impl Clone for Configuration {
+    #[inline]
+    fn clone(&self) -> Self {
+        Configuration {
+            states: self.states.clone(),
+            values: self.values.clone(),
+            decided: self.decided.clone(),
+        }
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.states.clone_from(&source.states);
+        self.values.clone_from(&source.values);
+        self.decided.clone_from(&source.decided);
+    }
+}
+
 impl Configuration {
+    /// Appends the configuration's packed words to `out`: each local state
+    /// as its length followed by its words, then each object's value, then
+    /// each process's decision as a `(flag, value)` pair (`(0, 0)` when it
+    /// has not output).
+    ///
+    /// The encoding is injective over configurations with the same numbers
+    /// of processes and objects — every configuration of one [`System`] —
+    /// so in-memory indexes key states by these words instead of by the
+    /// nested vectors.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rcn_model::{HeapLayout, OutputInput, System};
+    /// use std::sync::Arc;
+    ///
+    /// let sys = System::new(Arc::new(OutputInput), Arc::new(HeapLayout::new()), vec![1, 0]);
+    /// let mut words = Vec::new();
+    /// sys.initial_config().pack_into(&mut words);
+    /// // Two one-word states, no objects, both decided at time zero.
+    /// assert_eq!(words, [1, 1, 1, 0, 1, 1, 1, 0]);
+    /// ```
+    #[inline]
+    pub fn pack_into(&self, out: &mut Vec<u32>) {
+        for state in &self.states {
+            let words = state.words();
+            out.push(u32::try_from(words.len()).expect("a local state has under 2^32 words"));
+            out.extend_from_slice(words);
+        }
+        out.extend(self.values.iter().map(|v| u32::from(v.0)));
+        for d in &self.decided {
+            match *d {
+                Some(v) => out.extend([1, v]),
+                None => out.extend([0, 0]),
+            }
+        }
+    }
+
     /// The number of processes.
     pub fn num_processes(&self) -> usize {
         self.states.len()

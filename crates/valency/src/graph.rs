@@ -7,9 +7,15 @@
 //! reachability, recoverable-wait-freedom cycle detection, valency — runs
 //! on this graph.
 
-use rcn_model::{Configuration, Event, ProcessId, Schedule, System, Violation};
+use rcn_model::{Configuration, Event, ProcessId, Schedule, System, Violation, WordHasher};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
+
+/// State ids keyed by packed state words
+/// ([`Configuration::pack_into`], plus crash allowances in the budgeted
+/// graph). Each state's full copy lives only in its graph's state vector.
+pub(crate) type PackedIndex = HashMap<Box<[u32]>, usize, BuildHasherDefault<WordHasher>>;
 
 /// Index of a configuration in a [`ConfigGraph`].
 pub type ConfigId = usize;
@@ -97,17 +103,17 @@ impl ConfigGraph {
         with_crashes: bool,
     ) -> Result<ConfigGraph, ExploreError> {
         let n = system.n();
-        let mut configs = Vec::new();
-        let mut index: HashMap<Configuration, ConfigId> = HashMap::new();
-        let mut edges: Vec<Vec<EdgeInfo>> = Vec::new();
-        let mut parent: Vec<Option<(ConfigId, Event)>> = Vec::new();
+        let mut configs = vec![system.initial_config()];
+        let mut key = Vec::new();
+        configs[0].pack_into(&mut key);
+        let mut index = PackedIndex::default();
+        index.insert(key.as_slice().into(), 0);
+        let mut edges: Vec<Vec<EdgeInfo>> = vec![Vec::new()];
+        let mut parent: Vec<Option<(ConfigId, Event)>> = vec![None];
 
-        let init = system.initial_config();
-        configs.push(init.clone());
-        index.insert(init, 0);
-        edges.push(Vec::new());
-        parent.push(None);
-
+        // Every successor is built in `next` and packed into `key`; only a
+        // configuration seen for the first time is copied out of them.
+        let mut next = configs[0].clone();
         let mut frontier = 0usize;
         while frontier < configs.len() {
             let id = frontier;
@@ -121,9 +127,11 @@ impl ConfigGraph {
                     &[Event::Step(p)]
                 };
                 for &event in events {
-                    let mut next = configs[id].clone();
+                    next.clone_from(&configs[id]);
                     let effect = system.apply(&mut next, event);
-                    let target = match index.get(&next) {
+                    key.clear();
+                    next.pack_into(&mut key);
+                    let target = match index.get(key.as_slice()) {
                         Some(&t) => t,
                         None => {
                             if configs.len() >= max_configs {
@@ -131,7 +139,7 @@ impl ConfigGraph {
                             }
                             let t = configs.len();
                             configs.push(next.clone());
-                            index.insert(next, t);
+                            index.insert(key.as_slice().into(), t);
                             edges.push(Vec::new());
                             parent.push(Some((id, event)));
                             t

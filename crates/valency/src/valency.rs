@@ -20,20 +20,27 @@
 //! the final configuration is *n-recording*, *v-hiding*, or has colliding
 //! values — computed with the same `U_x` reachability used by the deciders.
 
-use crate::graph::ExploreError;
+use crate::graph::{ExploreError, PackedIndex};
 use rcn_decide::Analysis;
 use rcn_model::{Action, Configuration, Event, ObjectId, ProcessId, Schedule, System};
 use rcn_spec::{OpId, ValueId};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A configuration plus clamped crash allowances (the `E_z*` budget state).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone)]
 struct BudgetedState {
     config: Configuration,
     /// `allowance[i]` = how many more times `p_i` may crash (clamped).
     /// `allowance[0]` is always 0: `p_0` never crashes.
     allowance: Vec<u16>,
+}
+
+impl BudgetedState {
+    /// The configuration's packed words followed by the allowances.
+    fn pack_into(&self, out: &mut Vec<u32>) {
+        self.config.pack_into(out);
+        out.extend(self.allowance.iter().map(|&a| u32::from(a)));
+    }
 }
 
 /// Valency of a state with respect to the explored execution set.
@@ -139,41 +146,46 @@ impl BudgetedGraph {
         max_states: usize,
     ) -> Result<BudgetedGraph, ExploreError> {
         let n = system.n();
-        let (start, _) = {
-            let mut config = system.initial_config();
-            system.run(&mut config, prefix);
-            (config, ())
-        };
-        let init = BudgetedState {
+        let mut start = system.initial_config();
+        system.run(&mut start, prefix);
+        let mut states = vec![BudgetedState {
             config: start,
             allowance: vec![0; n],
-        };
-        let mut states = vec![init.clone()];
-        let mut index: HashMap<BudgetedState, usize> = HashMap::from([(init, 0)]);
+        }];
+        let mut key = Vec::new();
+        states[0].pack_into(&mut key);
+        let mut index = PackedIndex::default();
+        index.insert(key.as_slice().into(), 0);
         let mut edges: Vec<Vec<(Event, usize)>> = vec![Vec::new()];
         let mut parent: Vec<Option<(usize, Event)>> = vec![None];
+        // A step of p_i funds z·n crashes of every higher-id process,
+        // saturating: a wrapped product would fund none.
+        let funded = u16::try_from(z.saturating_mul(n)).unwrap_or(u16::MAX);
 
+        // Every successor is built in `next` and packed into `key`; only a
+        // state seen for the first time is copied out of them.
+        let mut next = states[0].clone();
         let mut frontier = 0;
         while frontier < states.len() {
             let id = frontier;
             frontier += 1;
-            let state = states[id].clone();
             let mut out = Vec::new();
             for i in 0..n {
                 let p = ProcessId(i as u16);
-                let mut candidates = vec![Event::Step(p)];
-                if i > 0 && state.allowance[i] > 0 {
-                    candidates.push(Event::Crash(p));
-                }
-                for event in candidates {
-                    let mut next = state.clone();
+                let events = [Event::Step(p), Event::Crash(p)];
+                let events = if i > 0 && states[id].allowance[i] > 0 {
+                    &events[..]
+                } else {
+                    &events[..1]
+                };
+                for &event in events {
+                    next.config.clone_from(&states[id].config);
+                    next.allowance.clone_from(&states[id].allowance);
                     system.apply(&mut next.config, event);
                     match event {
                         Event::Step(_) => {
-                            // A step of p_i funds z·n crashes of every
-                            // higher-id process.
                             for a in next.allowance.iter_mut().skip(i + 1) {
-                                *a = (*a).saturating_add((z * n) as u16).min(clamp);
+                                *a = (*a).saturating_add(funded).min(clamp);
                             }
                         }
                         Event::Crash(_) => {
@@ -185,7 +197,9 @@ impl BudgetedGraph {
                             unreachable!("E_z graphs enumerate only steps and per-process crashes")
                         }
                     }
-                    let target = match index.get(&next) {
+                    key.clear();
+                    next.pack_into(&mut key);
+                    let target = match index.get(key.as_slice()) {
                         Some(&t) => t,
                         None => {
                             if states.len() >= max_states {
@@ -193,7 +207,7 @@ impl BudgetedGraph {
                             }
                             let t = states.len();
                             states.push(next.clone());
-                            index.insert(next, t);
+                            index.insert(key.as_slice().into(), t);
                             edges.push(Vec::new());
                             parent.push(Some((id, event)));
                             t

@@ -164,6 +164,43 @@ fn valency_verdicts_agree_with_the_budgeted_graph() {
     }
 }
 
+/// Crash funding saturates: at z = 32,768 and two processes, z·n = 65,536
+/// no longer fits the allowance word, and must fund as much as the clamp
+/// allows rather than wrap to zero. Both engines then build the graph of
+/// z = clamp, the smallest budget that already funds the whole clamp.
+#[test]
+fn crash_funding_saturates_instead_of_wrapping() {
+    let clamp = 4;
+    for (name, sys) in protocols() {
+        let wide = BudgetedGraph::explore(&sys, 32_768, clamp, 500_000).unwrap();
+        let exact = BudgetedGraph::explore(&sys, usize::from(clamp), clamp, 500_000).unwrap();
+        let crashes =
+            (0..wide.len()).any(|id| wide.successors(id).iter().any(|(e, _)| e.is_crash()));
+        assert!(crashes, "{name}: z = 32768 funds no crashes");
+        assert_eq!(wide.len(), exact.len(), "{name}: state count");
+        for id in 0..exact.len() {
+            assert_eq!(
+                wide.successors(id),
+                exact.successors(id),
+                "{name}: state {id}"
+            );
+            assert_eq!(wide.valency(id), exact.valency(id), "{name}: state {id}");
+        }
+        let check = |z| {
+            valency_check(
+                &sys,
+                ValencyConfig {
+                    z,
+                    clamp,
+                    max_states: 500_000,
+                },
+            )
+        };
+        let (wide, exact) = (check(32_768), check(usize::from(clamp)));
+        assert_eq!(wide, exact, "{name}: checker verdict");
+    }
+}
+
 /// The acceptance bar from the paper: the checker independently
 /// re-derives Golab's test&set separation and the `T_{2,1}` ⊥-divergence,
 /// and certifies the §4 algorithm and every tournament variant clean.
