@@ -1,23 +1,14 @@
 //! Benchmarks for the independent BFS model checker (`rcn-mc`) against
 //! the memoized DFS explorer (`rcn-faults`) on the same protocols and
 //! budgets — the differential pair the `RCN200` cross-check compares.
-//!
-//! Besides the stdout report, emits machine-readable `BENCH_mc.json`
-//! records (under `$RCN_BENCH_DIR`, default `bench-out/`) carrying wall
-//! time, states/sec (as `analyses_computed` states over `wall_seconds`),
-//! and the full `mc.*` metrics snapshot (frontier peak, dedup hits,
-//! events applied). EXPERIMENTS.md E16 reads its numbers from here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rcn_decide::{BenchRecord, BenchRecorder};
 use rcn_faults::{crashtest, CrashtestConfig};
-use rcn_mc::{model_check, model_check_traced, McConfig};
+use rcn_mc::{model_check, McConfig};
 use rcn_model::System;
-use rcn_obs::Tracer;
 use rcn_protocols::{TasConsensus, TnnRecoverable, TournamentConsensus};
 use rcn_spec::zoo::StickyBit;
 use std::sync::Arc;
-use std::time::Instant;
 
 fn protocols() -> Vec<(&'static str, System)> {
     vec![
@@ -33,18 +24,8 @@ fn protocols() -> Vec<(&'static str, System)> {
     ]
 }
 
-/// Times `runs` calls of `f` and returns seconds per call.
-fn time_per_call<T>(runs: u64, mut f: impl FnMut() -> T) -> f64 {
-    let start = Instant::now();
-    for _ in 0..runs {
-        criterion::black_box(f());
-    }
-    start.elapsed().as_secs_f64() / runs as f64
-}
-
-/// BFS checker vs DFS explorer at the default budget; records one BFS
-/// entry per protocol with the full `mc.*` snapshot riding along.
-fn bfs_vs_dfs(c: &mut Criterion, recorder: &mut BenchRecorder) {
+/// BFS checker vs DFS explorer at the default budget.
+fn bfs_vs_dfs(c: &mut Criterion) {
     let mc_config = McConfig::default();
     let dfs_config = CrashtestConfig {
         max_crashes: mc_config.max_crashes,
@@ -61,42 +42,12 @@ fn bfs_vs_dfs(c: &mut Criterion, recorder: &mut BenchRecorder) {
         group.bench_with_input(BenchmarkId::new("dfs", name), &sys, |b, sys| {
             b.iter(|| crashtest(sys, dfs_config));
         });
-        let runs = 20;
-        let bfs_wall = time_per_call(runs, || model_check(&sys, mc_config));
-        let dfs_wall = time_per_call(runs, || crashtest(&sys, dfs_config));
-        // One traced run per protocol puts frontier peak / dedup hits /
-        // events applied into the record's metrics snapshot.
-        let tracer = Tracer::metrics_only();
-        let report = model_check_traced(&sys, mc_config, &tracer);
-        let mut record = BenchRecord::from_timing(
-            format!(
-                "check/{name}/crashes={},depth={}/bfs",
-                mc_config.max_crashes, mc_config.max_depth
-            ),
-            1,
-            bfs_wall,
-            report.stats.states_visited,
-        );
-        if let Some(snapshot) = tracer.snapshot() {
-            record.metrics = snapshot;
-        }
-        recorder.record(record);
-        recorder.record(BenchRecord::from_timing(
-            format!(
-                "check/{name}/crashes={},depth={}/dfs",
-                dfs_config.max_crashes, dfs_config.max_depth
-            ),
-            1,
-            dfs_wall,
-            report.stats.states_visited,
-        ));
     }
     group.finish();
 }
 
-/// Raw BFS throughput at a deeper budget (more states, same protocols):
-/// the states/sec number EXPERIMENTS.md E16 quotes.
-fn bfs_throughput(c: &mut Criterion, recorder: &mut BenchRecorder) {
+/// Raw BFS throughput at a deeper budget (more states, same protocols).
+fn bfs_throughput(c: &mut Criterion) {
     let config = McConfig {
         max_crashes: 2,
         max_depth: 20,
@@ -109,30 +60,9 @@ fn bfs_throughput(c: &mut Criterion, recorder: &mut BenchRecorder) {
         group.bench_with_input(BenchmarkId::from_parameter(name), &sys, |b, sys| {
             b.iter(|| model_check(sys, config));
         });
-        let runs = 10;
-        let wall = time_per_call(runs, || model_check(&sys, config));
-        let report = model_check(&sys, config);
-        recorder.record(BenchRecord::from_timing(
-            format!("check/{name}/crashes=2,depth=20/bfs"),
-            1,
-            wall,
-            report.stats.states_visited,
-        ));
     }
     group.finish();
 }
 
-fn all(c: &mut Criterion) {
-    let mut recorder = BenchRecorder::new("mc");
-    bfs_vs_dfs(c, &mut recorder);
-    bfs_throughput(c, &mut recorder);
-    let dir = std::env::var("RCN_BENCH_DIR").unwrap_or_else(|_| "bench-out".into());
-    let path = std::path::Path::new(&dir).join(recorder.file_name());
-    match recorder.write_to(&path) {
-        Ok(()) => println!("bench records written to {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-}
-
-criterion_group!(mc, all);
+criterion_group!(mc, bfs_vs_dfs, bfs_throughput);
 criterion_main!(mc);

@@ -20,25 +20,26 @@
 //!
 //! The search and fault commands accept `--trace PATH` (record a JSONL
 //! trace; refuses to overwrite without `--force`) and `--metrics` (print
-//! the metrics registry). `--json` is declared only where the output is one
-//! JSON document (`classify`, `lint`, `crashtest`, `check`, `profile`).
+//! the metrics registry). The verdict commands (`classify`, `lint`,
+//! `crashtest`, `check`) accept `--json` and then print one
+//! [`verdict::Envelope`]; `profile --json` prints its span breakdown.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod types;
+mod verdict;
 
-use rcn_decide::{
-    explain_discerning, explain_recording, BenchRecord, BenchRecorder, DiskCache, SearchEngine,
-    TypeClassification,
-};
+use rcn_decide::{explain_discerning, explain_recording, DiskCache, SearchEngine, Witness};
 use rcn_obs::{parse_jsonl, ProfileReport, Tracer};
 use rcn_protocols::TnnRecoverable;
 use rcn_spec::dot::{to_dot, to_table_text};
 use rcn_valency::check_consensus;
+use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::time::Duration;
-use types::{parse_type, CATALOGUE};
+use std::time::{Duration, Instant};
+use types::{parse_type, DynObject, CATALOGUE};
+use verdict::{counters, coverage, Envelope, Payload, VerdictRecord};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -52,90 +53,94 @@ fn main() -> ExitCode {
     }
 }
 
+/// Runs one command line, printing the verdict commands' output (also when
+/// they fail, e.g. on a counterexample) before returning.
 fn run(args: &[String]) -> Result<(), String> {
+    let mut out = String::new();
+    let result = run_to(args, &mut out);
+    print!("{out}");
+    result
+}
+
+/// Runs one command line; the verdict commands append their output to
+/// `out` instead of printing it.
+fn run_to(args: &[String], out: &mut String) -> Result<(), String> {
     let mut args = args.iter().map(String::as_str);
     match args.next() {
         None | Some("help" | "--help" | "-h") => {
-            print_help();
+            print!("{HELP}");
             Ok(())
         }
         Some("types") => {
             cmd_types();
             Ok(())
         }
-        Some("classify") => cmd_classify(&args.collect::<Vec<_>>()),
-        Some("compare") => cmd_compare(&args.collect::<Vec<_>>()),
-        Some("witness") => cmd_witness(&args.collect::<Vec<_>>()),
+        Some("classify") => cmd_classify(&args.collect::<Vec<_>>(), out),
+        Some("compare") => cmd_compare(&args.collect::<Vec<_>>(), out),
+        Some("witness") => cmd_witness(&args.collect::<Vec<_>>(), out),
         Some("dot") => cmd_dot(&args.collect::<Vec<_>>()),
         Some("table") => cmd_table(&args.collect::<Vec<_>>()),
         Some("solve") => cmd_solve(&args.collect::<Vec<_>>()),
         Some("simulate-tnn") => cmd_simulate_tnn(&args.collect::<Vec<_>>()),
-        Some("lint") => cmd_lint(&args.collect::<Vec<_>>()),
-        Some("crashtest") => cmd_crashtest(&args.collect::<Vec<_>>()),
-        Some("check") => cmd_check(&args.collect::<Vec<_>>()),
+        Some("lint") => cmd_lint(&args.collect::<Vec<_>>(), out),
+        Some("crashtest") => cmd_crashtest(&args.collect::<Vec<_>>(), out),
+        Some("check") => cmd_check(&args.collect::<Vec<_>>(), out),
         Some("profile") => cmd_profile(&args.collect::<Vec<_>>()),
         Some(other) => Err(format!("unknown command `{other}`")),
     }
 }
 
-fn print_help() {
-    println!("rcn — determining recoverable consensus numbers (Ovens, PODC 2024)");
-    println!();
-    println!("commands:");
-    println!("  types                               list the type catalogue");
-    println!("  classify <type> [--cap N]           CN and RCN of a type (default cap 4)");
-    println!("  compare <type>… [--cap N]           hierarchy table over several types");
-    println!("  witness <type> <n> [kind]           find + explain a discerning/recording witness");
-    println!();
-    println!("search options (classify, compare, witness; `--flag value` or `--flag=value`):");
-    println!(
-        "  --threads N                         search worker threads (0 = all cores, default 1)"
-    );
-    println!("  --cache-dir DIR                     persist level verdicts under DIR and reuse them on later runs");
-    println!("  --no-cache                          ignore --cache-dir (search without the persistent cache)");
-    println!("  --stats                             print search statistics (analyses, cache/disk hits, wall time)");
-    println!("  --timeout SECS                      wall-clock deadline; partial results are reported as ≥N lower bounds");
-    println!("  --bench-json PATH                   (classify) write a machine-readable BENCH record of the run to PATH");
-    println!();
-    println!("observability (classify, compare, witness, lint, crashtest, check):");
-    println!("  --trace PATH                        record a JSONL span/event trace to PATH");
-    println!("                                      (refuses an existing file without --force)");
-    println!("  --metrics                           print the metrics registry after the run");
-    println!("  --json                              (classify, lint, crashtest, check) print one JSON document,");
-    println!("                                      with --stats and --metrics embedded");
-    println!();
-    println!("  dot <type> [--self-loops]           Graphviz state machine");
-    println!("  table <type>                        transition table");
-    println!("  solve <type> <input>…               build + verify recoverable consensus");
-    println!("  simulate-tnn <n> <n'> <input>…      model-check the §4 recoverable algorithm");
-    println!("  lint [<type>…|--all] [--json]       run the static analyzer over types (and,");
-    println!("       [--deny warnings]              with --all, the shipped protocols)");
-    println!("  crashtest <protocol> [--crashes K]  enumerate every crash placement within the");
-    println!("       [--depth D] [--max-states N]   budget (K crashes/process, schedules up to D");
-    println!("       [--inputs 0,1] [--shrink]      events); counterexamples are optionally");
-    println!("       [--json] [--memo-dir DIR]      shrunk to 1-minimal and replayed through the");
-    println!("       [--no-memo] [--timeout SECS]   threaded runtime; exits nonzero on violation.");
-    println!("       [--bench-json PATH]            --memo-dir persists certified verdicts so");
-    println!("       [--fault-model M]              repeated runs skip the search;");
-    println!(
-        "                                      M = per-process (default) | system | mid-op | all"
-    );
-    println!();
-    println!("  check <protocol>… [--crashes K]     independent breadth-first model checker:");
-    println!("       [--depth D] [--max-states N]   re-derives crashtest verdicts (with");
-    println!("       [--inputs 0,1] [--valency]     minimal-depth counterexamples) and, with");
-    println!("       [--z Z] [--clamp C] [--json]   --valency, the initial configuration's");
-    println!("       [--bench-json PATH]            valency; exits nonzero on violation;");
-    println!(
-        "       [--fault-model M]              M = per-process (default) | system | mid-op | all"
-    );
-    println!();
-    println!("  crashtest/check protocols: tas | tnn-wait-free[:n,n'] | tnn-recoverable[:n,n']");
-    println!("                             | tournament[:type]");
-    println!();
-    println!("  profile <trace.jsonl> [--json]      per-span time breakdown (self vs children,");
-    println!("                                      call counts, p50/p99) of a --trace file");
-}
+/// The `rcn help` text.
+const HELP: &str = r#"rcn — determining recoverable consensus numbers (Ovens, PODC 2024)
+
+commands:
+  types                               list the type catalogue
+  classify <type> [--cap N]           CN and RCN of a type (default cap 4)
+  compare <type>… [--cap N]           hierarchy table over several types
+  witness <type> <n> [kind]           find + explain a discerning/recording witness
+
+search options (classify, compare, witness; `--flag value` or `--flag=value`):
+  --threads N                         search worker threads (0 = all cores, default 1)
+  --cache-dir DIR                     persist level verdicts under DIR and reuse them on later runs
+  --no-cache                          ignore --cache-dir (search without the persistent cache)
+  --stats                             print search statistics (analyses, cache/disk hits, wall time)
+  --timeout SECS                      wall-clock deadline; partial results are reported as ≥N lower bounds
+
+observability (classify, compare, witness, lint, crashtest, check):
+  --trace PATH                        record a JSONL span/event trace to PATH
+                                      (refuses an existing file without --force)
+  --metrics                           print the metrics registry after the run
+  --json                              (classify, lint, crashtest, check) print one JSON document,
+                                      {rcn_version, command, records, metrics}
+
+  dot <type> [--self-loops]           Graphviz state machine
+  table <type>                        transition table
+  solve <type> <input>…               build + verify recoverable consensus
+  simulate-tnn <n> <n'> <input>…      model-check the §4 recoverable algorithm
+  lint [<type>…|--all] [--json]       run the static analyzer over types (and,
+       [--deny warnings]              with --all, the shipped protocols)
+  crashtest <protocol> [--crashes K]  enumerate every crash placement within the
+       [--depth D] [--max-states N]   budget (K crashes/process, schedules up to D
+       [--inputs 0,1] [--shrink]      events); counterexamples are optionally
+       [--json] [--memo-dir DIR]      shrunk to 1-minimal and replayed through the
+       [--no-memo] [--timeout SECS]   threaded runtime; exits nonzero on violation.
+       [--fault-model M]              --memo-dir persists certified verdicts so
+                                      repeated runs skip the search;
+                                      M = per-process (default) | system | mid-op | all
+
+  check <protocol>… [--crashes K]     independent breadth-first model checker:
+       [--depth D] [--max-states N]   re-derives crashtest verdicts (with
+       [--inputs 0,1] [--valency]     minimal-depth counterexamples) and, with
+       [--z Z] [--clamp C] [--json]   --valency, the initial configuration's
+       [--fault-model M]              valency; exits nonzero on violation;
+                                      M = per-process (default) | system | mid-op | all
+
+  crashtest/check protocols: tas | tnn-wait-free[:n,n'] | tnn-recoverable[:n,n']
+                             | tournament[:type]
+
+  profile <trace.jsonl> [--json]      per-span time breakdown (self vs children,
+                                      call counts, p50/p99) of a --trace file
+"#;
 
 /// Prints the type catalogue with per-type readability and size columns
 /// (parameterized entries are instantiated at their defaults).
@@ -168,6 +173,17 @@ const SEARCH_VALUE_FLAGS: &[&str] = &["--threads", "--cache-dir", "--timeout", "
 /// Valueless switches shared by the search commands. `--json` is not among
 /// them: only `classify` renders JSON.
 const SEARCH_SWITCH_FLAGS: &[&str] = &["--stats", "--no-cache", "--metrics", "--force"];
+
+/// Value flags of `crashtest` and `check`: the crash budget
+/// [`budget_from_args`] reads, and `--trace`.
+const BUDGET_VALUE_FLAGS: &[&str] = &[
+    "--crashes",
+    "--depth",
+    "--max-states",
+    "--fault-model",
+    "--inputs",
+    "--trace",
+];
 
 /// Command arguments split against an explicit per-command flag catalogue.
 ///
@@ -271,16 +287,24 @@ fn engine_from_args(parsed: &Parsed) -> Result<SearchEngine, String> {
             engine = engine.with_disk_cache(DiskCache::new(dir));
         }
     }
-    if let Some(v) = parsed.value("--timeout") {
-        let secs: f64 = v
-            .parse()
-            .map_err(|_| "timeout must be a number of seconds")?;
-        if secs <= 0.0 || !secs.is_finite() {
-            return Err("timeout must be a positive number of seconds".into());
-        }
-        engine = engine.with_timeout(Duration::from_secs_f64(secs));
+    if let Some(timeout) = timeout_from_args(parsed)? {
+        engine = engine.with_timeout(timeout);
     }
     Ok(engine)
+}
+
+/// Parses `--timeout SECS`: a positive, finite number of seconds.
+fn timeout_from_args(parsed: &Parsed) -> Result<Option<Duration>, String> {
+    let Some(v) = parsed.value("--timeout") else {
+        return Ok(None);
+    };
+    let secs: f64 = v
+        .parse()
+        .map_err(|_| "timeout must be a number of seconds")?;
+    if secs <= 0.0 || !secs.is_finite() {
+        return Err("timeout must be a positive number of seconds".into());
+    }
+    Ok(Some(Duration::from_secs_f64(secs)))
 }
 
 /// A deadline that fires mid-search leaves the reported levels honest but
@@ -296,15 +320,17 @@ fn warn_if_timed_out(engine: &SearchEngine) {
     }
 }
 
-fn maybe_print_stats(parsed: &Parsed, engine: &SearchEngine) {
-    if parsed.has("--stats") {
-        let n = engine.threads();
-        println!(
-            "search stats        : {} ({n} thread{})",
-            engine.stats(),
-            if n == 1 { "" } else { "s" }
-        );
+/// The `--stats` line of the search commands (empty without `--stats`).
+fn stats_line(parsed: &Parsed, engine: &SearchEngine) -> String {
+    if !parsed.has("--stats") {
+        return String::new();
     }
+    let n = engine.threads();
+    format!(
+        "search stats        : {} ({n} thread{})\n",
+        engine.stats(),
+        if n == 1 { "" } else { "s" }
+    )
 }
 
 /// Builds the run's tracer from `--trace PATH` / `--metrics` / `--force`:
@@ -327,50 +353,51 @@ fn tracer_from_args(parsed: &Parsed) -> Result<Tracer, String> {
     }
 }
 
-/// Flushes a `--trace` sink to disk and says where it went (text mode
-/// only — a `--json` command's stdout stays one JSON document).
-fn flush_trace(parsed: &Parsed, tracer: &Tracer) -> Result<(), String> {
-    if let Some(path) = parsed.value("--trace") {
+/// The one render path of the search and verdict commands. Flushes the
+/// `--trace` sink, then appends to `out` either `text` followed by where
+/// the trace went and the `--metrics` registry, or — under `--json` — one
+/// [`Envelope`] over `records` with that registry embedded.
+fn finish(
+    out: &mut String,
+    parsed: &Parsed,
+    command: &'static str,
+    text: &str,
+    records: Vec<VerdictRecord>,
+    tracer: &Tracer,
+) -> Result<(), String> {
+    let trace = parsed.value("--trace");
+    if let Some(path) = trace {
         tracer
             .flush()
             .map_err(|e| format!("flushing trace to {path}: {e}"))?;
-        if !parsed.has("--json") {
-            println!("trace               : {path}");
+    }
+    let metrics = parsed.has("--metrics").then(|| tracer.snapshot()).flatten();
+    if parsed.has("--json") {
+        let envelope = Envelope {
+            rcn_version: env!("CARGO_PKG_VERSION"),
+            command,
+            records,
+            metrics,
+        };
+        let json = serde_json::to_string(&envelope)
+            .map_err(|e| format!("serializing the {command} verdict: {e}"))?;
+        let _ = writeln!(out, "{json}");
+    } else {
+        out.push_str(text);
+        if let Some(path) = trace {
+            let _ = writeln!(out, "trace               : {path}");
+        }
+        if let Some(snapshot) = metrics {
+            out.push_str(&snapshot.render_text());
         }
     }
     Ok(())
 }
 
-/// Finishes the observability side of a run: flushes the JSONL trace (and
-/// says where it went) and renders the metrics registry when `--metrics`
-/// was asked for — aligned text by default, one JSON object with `--json`.
-/// Commands that embed the snapshot in their own JSON document call
-/// [`flush_trace`] instead.
-fn finish_tracing(parsed: &Parsed, tracer: &Tracer) -> Result<(), String> {
-    flush_trace(parsed, tracer)?;
-    if parsed.has("--metrics") {
-        if let Some(snapshot) = tracer.snapshot() {
-            if parsed.has("--json") {
-                println!("{}", snapshot.to_json());
-            } else {
-                print!("{}", snapshot.render_text());
-            }
-        }
-    }
-    Ok(())
-}
-
-fn cmd_classify(args: &[&str]) -> Result<(), String> {
+fn cmd_classify(args: &[&str], out: &mut String) -> Result<(), String> {
     let parsed = parse_args(
         args,
-        &[
-            "--cap",
-            "--threads",
-            "--cache-dir",
-            "--timeout",
-            "--bench-json",
-            "--trace",
-        ],
+        &[SEARCH_VALUE_FLAGS, &["--cap"]].concat(),
         &[SEARCH_SWITCH_FLAGS, &["--json"]].concat(),
     )?;
     let [spec] = parsed.positionals[..] else {
@@ -380,77 +407,47 @@ fn cmd_classify(args: &[&str]) -> Result<(), String> {
     let ty = parse_type(spec).map_err(|e| e.to_string())?;
     let tracer = tracer_from_args(&parsed)?;
     let engine = engine_from_args(&parsed)?.with_tracer(tracer.clone());
+    let started = Instant::now();
     let c = engine.classify(&*ty, cap).map_err(|e| e.to_string())?;
-    if parsed.has("--json") {
-        println!("{}", classify_json(&c, &parsed, &engine, &tracer)?);
-    } else {
-        println!("type                : {}", c.type_name);
-        println!("readable            : {}", c.readable);
-        println!("discerning number   : {}", c.discerning.display_level());
-        println!("recording number    : {}", c.recording.display_level());
-        println!("consensus number    : {}", c.consensus_number);
-        println!("recoverable CN      : {}", c.recoverable_consensus_number);
-        if let Some(w) = &c.discerning.witness {
-            println!("discerning witness  : {}", w.describe(&*ty));
-        }
-        if let Some(w) = &c.recording.witness {
-            println!("recording witness   : {}", w.describe(&*ty));
-        }
-        maybe_print_stats(&parsed, &engine);
+    let wall = started.elapsed();
+    let mut text = format!(
+        "type                : {}\nreadable            : {}\ndiscerning number   : {}\n\
+         recording number    : {}\nconsensus number    : {}\nrecoverable CN      : {}\n",
+        c.type_name,
+        c.readable,
+        c.discerning.display_level(),
+        c.recording.display_level(),
+        c.consensus_number,
+        c.recoverable_consensus_number
+    );
+    if let Some(w) = &c.discerning.witness {
+        let _ = writeln!(text, "discerning witness  : {}", w.describe(&*ty));
     }
+    if let Some(w) = &c.recording.witness {
+        let _ = writeln!(text, "recording witness   : {}", w.describe(&*ty));
+    }
+    text.push_str(&stats_line(&parsed, &engine));
     warn_if_timed_out(&engine);
-    if let Some(path) = parsed.value("--bench-json") {
-        let mut recorder = BenchRecorder::new(format!("classify_{spec}"));
-        recorder.record(BenchRecord::from_engine(
-            format!("classify/{spec}/cap={cap}"),
-            &engine,
-        ));
-        recorder
-            .write_to(std::path::Path::new(path))
-            .map_err(|e| format!("writing bench json to {path}: {e}"))?;
-        if parsed.has("--json") {
-            eprintln!("bench json          : {path}");
-        } else {
-            println!("bench json          : {path}");
-        }
-    }
-    if parsed.has("--json") {
-        flush_trace(&parsed, &tracer)
-    } else {
-        finish_tracing(&parsed, &tracer)
-    }
+    let stats = engine.stats();
+    let record = VerdictRecord {
+        subject: spec.to_string(),
+        clean: true,
+        coverage: coverage(
+            stats.timed_out,
+            !(c.discerning.capped || c.recording.capped),
+        ),
+        states: stats.instances_visited,
+        wall_seconds: wall.as_secs_f64(),
+        stats: Some(stats.metrics()),
+        payload: Payload::Classify(c),
+    };
+    finish(out, &parsed, "classify", &text, vec![record], &tracer)
 }
 
-/// `classify --json`: one JSON document holding the classification, with
-/// the search stats embedded under "stats" (`--stats`) and the metrics
-/// snapshot under "metrics" (`--metrics`).
-fn classify_json(
-    c: &TypeClassification,
-    parsed: &Parsed,
-    engine: &SearchEngine,
-    tracer: &Tracer,
-) -> Result<String, String> {
-    let mut doc =
-        serde_json::to_string(c).map_err(|e| format!("serializing classification: {e}"))?;
-    doc.pop(); // reopen the object
-    if parsed.has("--stats") {
-        doc.push_str(", \"stats\": ");
-        doc.push_str(&engine.stats().to_json());
-    }
-    if parsed.has("--metrics") {
-        if let Some(snapshot) = tracer.snapshot() {
-            doc.push_str(", \"metrics\": ");
-            doc.push_str(&snapshot.to_json());
-        }
-    }
-    doc.push('}');
-    Ok(doc)
-}
-
-fn cmd_compare(args: &[&str]) -> Result<(), String> {
+fn cmd_compare(args: &[&str], out: &mut String) -> Result<(), String> {
     let parsed = parse_args(
         args,
-        &["--cap", "--threads", "--cache-dir", "--timeout", "--trace"],
+        &[SEARCH_VALUE_FLAGS, &["--cap"]].concat(),
         SEARCH_SWITCH_FLAGS,
     )?;
     let cap = cap_from_args(&parsed)?;
@@ -466,13 +463,12 @@ fn cmd_compare(args: &[&str]) -> Result<(), String> {
     let engine = engine_from_args(&parsed)?.with_tracer(tracer.clone());
     let mut report = rcn_core::HierarchyReport::new(cap);
     report.add_all(&types, &engine).map_err(|e| e.to_string())?;
-    println!("{report}");
-    maybe_print_stats(&parsed, &engine);
+    let text = format!("{report}\n{}", stats_line(&parsed, &engine));
     warn_if_timed_out(&engine);
-    finish_tracing(&parsed, &tracer)
+    finish(out, &parsed, "compare", &text, Vec::new(), &tracer)
 }
 
-fn cmd_witness(args: &[&str]) -> Result<(), String> {
+fn cmd_witness(args: &[&str], out: &mut String) -> Result<(), String> {
     let parsed = parse_args(args, SEARCH_VALUE_FLAGS, SEARCH_SWITCH_FLAGS)?;
     let mut pos = parsed.positionals.iter().copied();
     let spec = pos.next().ok_or("usage: rcn witness <type> <n> [kind]")?;
@@ -485,35 +481,24 @@ fn cmd_witness(args: &[&str]) -> Result<(), String> {
     let ty = parse_type(spec).map_err(|e| e.to_string())?;
     let tracer = tracer_from_args(&parsed)?;
     let engine = engine_from_args(&parsed)?.with_tracer(tracer.clone());
-    match kind {
-        "discerning" => match engine
-            .find_discerning_witness(&*ty, n)
-            .map_err(|e| e.to_string())?
-        {
-            Some(w) => print!("{}", explain_discerning(&*ty, &w)),
-            None if engine.stats().timed_out => {
-                println!("search timed out before finding a {n}-discerning witness — inconclusive");
-            }
-            None => println!("{} is NOT {n}-discerning (no witness exists)", ty.name()),
-        },
-        "recording" => match engine
-            .find_recording_witness(&*ty, n)
-            .map_err(|e| e.to_string())?
-        {
-            Some(w) => print!("{}", explain_recording(&*ty, &w)),
-            None if engine.stats().timed_out => {
-                println!("search timed out before finding a {n}-recording witness — inconclusive");
-            }
-            None => println!("{} is NOT {n}-recording (no witness exists)", ty.name()),
-        },
+    let (found, explain): (_, fn(&DynObject, &Witness) -> String) = match kind {
+        "discerning" => (engine.find_discerning_witness(&*ty, n), explain_discerning),
+        "recording" => (engine.find_recording_witness(&*ty, n), explain_recording),
         other => {
             return Err(format!(
                 "kind must be `discerning` or `recording`, got `{other}`"
             ))
         }
-    }
-    maybe_print_stats(&parsed, &engine);
-    finish_tracing(&parsed, &tracer)
+    };
+    let mut text = match found.map_err(|e| e.to_string())? {
+        Some(w) => explain(&*ty, &w),
+        None if engine.stats().timed_out => {
+            format!("search timed out before finding a {n}-{kind} witness — inconclusive\n")
+        }
+        None => format!("{} is NOT {n}-{kind} (no witness exists)\n", ty.name()),
+    };
+    text.push_str(&stats_line(&parsed, &engine));
+    finish(out, &parsed, "witness", &text, Vec::new(), &tracer)
 }
 
 fn cmd_dot(args: &[&str]) -> Result<(), String> {
@@ -583,7 +568,7 @@ fn cmd_simulate_tnn(args: &[&str]) -> Result<(), String> {
     let n_prime: usize = pos[1].parse().map_err(|_| "n' must be a number")?;
     let inputs = parse_inputs_slice(&pos[2..])?;
     let procs = inputs.len();
-    let sys = TnnRecoverable::system(n, n_prime, inputs);
+    let sys = TnnRecoverable::try_system(n, n_prime, inputs).map_err(|e| e.to_string())?;
     let report = check_consensus(&sys, 50_000_000).map_err(|e| e.to_string())?;
     println!(
         "T_({n},{n_prime}) recoverable algorithm, {procs} processes: {} ({} configurations)",
@@ -616,7 +601,7 @@ const LINT_ALL_TYPES: &[&str] = &[
     "tas+read",
 ];
 
-fn cmd_lint(args: &[&str]) -> Result<(), String> {
+fn cmd_lint(args: &[&str], out: &mut String) -> Result<(), String> {
     use rcn_analyze::{ExploreConfig, Registry, Report};
 
     let parsed = parse_args(
@@ -624,8 +609,7 @@ fn cmd_lint(args: &[&str]) -> Result<(), String> {
         &["--deny", "--trace"],
         &["--json", "--all", "--stats", "--metrics", "--force"],
     )?;
-    let json = parsed.has("--json");
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let deny_warnings = match parsed.value("--deny") {
         None => false,
         Some("warnings") => true,
@@ -644,7 +628,27 @@ fn cmd_lint(args: &[&str]) -> Result<(), String> {
     let tracer = tracer_from_args(&parsed)?;
     let registry = Registry::with_defaults();
     let mut combined = Report::new();
+    let mut records = Vec::new();
+    // Each subject's findings become its record; the text report merges them.
+    let mut record = |subject: &str, mut report: Report, since: Instant| {
+        report.finish();
+        combined.merge(report.clone());
+        records.push(VerdictRecord {
+            subject: subject.to_string(),
+            clean: !report.should_fail(deny_warnings),
+            // RCN100 reports an exploration the state cap truncated.
+            coverage: coverage(
+                false,
+                !report.diagnostics.iter().any(|d| d.code == "RCN100"),
+            ),
+            states: 0,
+            wall_seconds: since.elapsed().as_secs_f64(),
+            stats: None,
+            payload: Payload::Lint(report),
+        });
+    };
     for spec in &specs {
+        let since = Instant::now();
         // `table:FILE` is loaded *without* up-front validation here: letting
         // the linter itself report closedness holes (RCN001) on a hand-edited
         // table is the point of linting it. Other commands keep the strict
@@ -658,42 +662,35 @@ fn cmd_lint(args: &[&str]) -> Result<(), String> {
         } else {
             parse_type(spec).map_err(|e| e.to_string())?
         };
-        combined.merge(registry.lint_type_traced(&*ty, &tracer));
+        record(spec, registry.lint_type_traced(&*ty, &tracer), since);
     }
     if all {
         // The shipped recoverable protocols ride along with --all: the §4
         // T_{n,n'} algorithm and the tournament over a sticky bit.
         let cfg = ExploreConfig::default();
+        let since = Instant::now();
         let sys = TnnRecoverable::system(5, 2, vec![0, 1]);
-        combined.merge(registry.lint_system_traced(&sys, &cfg, &tracer));
+        let report = registry.lint_system_traced(&sys, &cfg, &tracer);
+        record("tnn-recoverable:5,2 (inputs [0, 1])", report, since);
+        let since = Instant::now();
         let sticky: types::DynType = std::sync::Arc::new(rcn_spec::zoo::StickyBit::new());
         let sys = rcn_core::solve_recoverable(sticky, vec![1, 0, 1]).map_err(|e| e.to_string())?;
-        combined.merge(registry.lint_system_traced(&sys, &cfg, &tracer));
+        let report = registry.lint_system_traced(&sys, &cfg, &tracer);
+        record("tournament:sticky (inputs [1, 0, 1])", report, since);
     }
     combined.finish();
 
-    if json {
-        // With --metrics the one stdout document wraps the report so the
-        // snapshot can ride along (the same convention as crashtest).
-        match (parsed.has("--metrics"), tracer.snapshot()) {
-            (true, Some(snapshot)) => println!(
-                "{{\"report\": {}, \"metrics\": {}}}",
-                combined.render_json(),
-                snapshot.to_json()
-            ),
-            _ => println!("{}", combined.render_json()),
-        }
-    } else {
-        print!("{}", combined.render_text());
-    }
-    flush_trace(&parsed, &tracer)?;
-    if parsed.has("--metrics") && !json {
-        if let Some(snapshot) = tracer.snapshot() {
-            print!("{}", snapshot.render_text());
-        }
-    }
-    if parsed.has("--stats") {
-        let line = format!(
+    finish(
+        out,
+        &parsed,
+        "lint",
+        &combined.render_text(),
+        records,
+        &tracer,
+    )?;
+    if parsed.has("--stats") && !parsed.has("--json") {
+        let _ = writeln!(
+            out,
             "lint stats          : {} type(s){} linted, {} error(s), {} warning(s) in {:.3}s",
             specs.len(),
             if all { " + 2 system(s)" } else { "" },
@@ -701,12 +698,6 @@ fn cmd_lint(args: &[&str]) -> Result<(), String> {
             combined.warnings(),
             started.elapsed().as_secs_f64()
         );
-        if json {
-            // Keep stdout a single JSON document.
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
     }
     if combined.should_fail(deny_warnings) {
         Err(format!(
@@ -756,15 +747,15 @@ fn build_protocol(
             if params.is_some() {
                 return Err(format!("`tas` takes no parameters, got `{spec}`"));
             }
-            TasConsensus::system(inputs)
+            TasConsensus::try_system(inputs).map_err(|e| e.to_string())?
         }
         "tnn-wait-free" => {
             let (n, n_prime) = parse_pair(params, (2, 1))?;
-            TnnWaitFree::system(n, n_prime, inputs)
+            TnnWaitFree::try_system(n, n_prime, inputs).map_err(|e| e.to_string())?
         }
         "tnn-recoverable" => {
             let (n, n_prime) = parse_pair(params, (5, 2))?;
-            TnnRecoverable::system(n, n_prime, inputs)
+            TnnRecoverable::try_system(n, n_prime, inputs).map_err(|e| e.to_string())?
         }
         "tournament" => {
             let ty = parse_type(params.unwrap_or("sticky")).map_err(|e| e.to_string())?;
@@ -780,41 +771,44 @@ fn build_protocol(
     Ok((label, sys))
 }
 
-/// Minimal JSON string escaping for the hand-rendered `--json` output.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Parses the crash budget `crashtest` and `check` share — `--crashes`,
+/// `--depth`, `--max-states`, `--fault-model` — and `--inputs`.
+fn budget_from_args(
+    parsed: &Parsed,
+) -> Result<(rcn_faults::CrashtestConfig, Option<Vec<u32>>), String> {
+    let mut budget = rcn_faults::CrashtestConfig::default();
+    if let Some(v) = parsed.value("--crashes") {
+        budget.max_crashes = v.parse().map_err(|_| "crashes must be a number")?;
+    }
+    if let Some(v) = parsed.value("--depth") {
+        budget.max_depth = v.parse().map_err(|_| "depth must be a number")?;
+        if budget.max_depth == 0 {
+            return Err("depth must be at least 1".into());
         }
     }
-    out.push('"');
-    out
+    if let Some(v) = parsed.value("--max-states") {
+        budget.max_states = v.parse().map_err(|_| "max-states must be a number")?;
+        if budget.max_states == 0 {
+            return Err("max-states must be at least 1".into());
+        }
+    }
+    if let Some(v) = parsed.value("--fault-model") {
+        budget.fault_model = v.parse().map_err(|e| format!("{e}"))?;
+    }
+    let inputs = parsed
+        .value("--inputs")
+        .map(|v| parse_inputs_slice(&v.split(',').collect::<Vec<_>>()))
+        .transpose()?;
+    Ok((budget, inputs))
 }
 
-fn cmd_crashtest(args: &[&str]) -> Result<(), String> {
-    use rcn_faults::{
-        replay_traced, shrink_counterexample_traced, CrashExplorer, CrashtestConfig, ExplorerMemo,
-    };
+fn cmd_crashtest(args: &[&str], out: &mut String) -> Result<(), String> {
+    use rcn_faults::{replay_traced, shrink_counterexample_traced, CrashExplorer, ExplorerMemo};
+    use verdict::CrashtestVerdict;
 
     let parsed = parse_args(
         args,
-        &[
-            "--crashes",
-            "--depth",
-            "--max-states",
-            "--fault-model",
-            "--inputs",
-            "--memo-dir",
-            "--timeout",
-            "--bench-json",
-            "--trace",
-        ],
+        &[BUDGET_VALUE_FLAGS, &["--memo-dir", "--timeout"]].concat(),
         &[
             "--shrink",
             "--no-memo",
@@ -829,57 +823,21 @@ fn cmd_crashtest(args: &[&str]) -> Result<(), String> {
             "usage: rcn crashtest <protocol> [--crashes K] [--depth D] [--max-states N] \
              [--fault-model per-process|system|mid-op|all] [--inputs 0,1] \
              [--memo-dir DIR] [--no-memo] \
-             [--timeout SECS] [--shrink] [--json] [--stats] [--trace PATH] [--metrics] \
-             [--bench-json PATH]"
+             [--timeout SECS] [--shrink] [--json] [--stats] [--trace PATH] [--metrics]"
                 .into(),
         );
     };
-    let mut config = CrashtestConfig::default();
-    if let Some(v) = parsed.value("--crashes") {
-        config.max_crashes = v.parse().map_err(|_| "crashes must be a number")?;
-    }
-    if let Some(v) = parsed.value("--depth") {
-        config.max_depth = v.parse().map_err(|_| "depth must be a number")?;
-        if config.max_depth == 0 {
-            return Err("depth must be at least 1".into());
-        }
-    }
-    if let Some(v) = parsed.value("--max-states") {
-        config.max_states = v.parse().map_err(|_| "max-states must be a number")?;
-        if config.max_states == 0 {
-            return Err("max-states must be at least 1".into());
-        }
-    }
-    if let Some(v) = parsed.value("--fault-model") {
-        config.fault_model = v.parse().map_err(|e| format!("{e}"))?;
-    }
-    let inputs = parsed
-        .value("--inputs")
-        .map(|v| parse_inputs_slice(&v.split(',').collect::<Vec<_>>()))
-        .transpose()?;
+    let (config, inputs) = budget_from_args(&parsed)?;
     let (label, sys) = build_protocol(spec, inputs)?;
     // The crash budget of zero is legal but worth flagging: the run is a
     // crash-free exploration, not a crash-robustness certificate.
     let crash_free = config.max_crashes == 0;
+    let shrink = parsed.has("--shrink");
 
     let tracer = tracer_from_args(&parsed)?;
-    let bench_path = parsed.value("--bench-json");
-    // Bench records want clean per-run `crashtest.*` counters; when the
-    // shared tracer is not already recording, the run gets its own registry.
-    let run_tracer = if bench_path.is_some() && !tracer.recording() {
-        Tracer::metrics_only()
-    } else {
-        tracer.clone()
-    };
-    let mut explorer = CrashExplorer::new(&sys, config).with_tracer(run_tracer.clone());
-    if let Some(v) = parsed.value("--timeout") {
-        let secs: f64 = v
-            .parse()
-            .map_err(|_| "timeout must be a number of seconds")?;
-        if !(secs > 0.0 && secs.is_finite()) {
-            return Err("timeout must be a positive number of seconds".into());
-        }
-        explorer = explorer.with_timeout(std::time::Duration::from_secs_f64(secs));
+    let mut explorer = CrashExplorer::new(&sys, config).with_tracer(tracer.clone());
+    if let Some(timeout) = timeout_from_args(&parsed)? {
+        explorer = explorer.with_timeout(timeout);
     }
     // `--no-memo` wins over `--memo-dir`, like `--no-cache`/`--cache-dir`.
     if let Some(dir) = parsed.value("--memo-dir") {
@@ -887,180 +845,127 @@ fn cmd_crashtest(args: &[&str]) -> Result<(), String> {
             explorer = explorer.with_memo(ExplorerMemo::new(dir));
         }
     }
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let report = explorer.explore();
     let shrunk = report.counterexample.as_ref().map(|cex| {
-        let minimal = if parsed.has("--shrink") {
-            shrink_counterexample_traced(&sys, cex, &run_tracer)
+        let minimal = if shrink {
+            shrink_counterexample_traced(&sys, cex, &tracer)
         } else {
             cex.clone()
         };
         // Counterexamples are never reported on the abstract executor's
         // word alone: the schedule must reproduce end-to-end through the
         // threaded runtime too.
-        let replayed = replay_traced(&sys, &minimal.schedule, &run_tracer);
+        let replayed = replay_traced(&sys, &minimal.schedule, &tracer);
         (minimal, replayed)
     });
     let wall = started.elapsed();
 
-    if let Some(_path) = bench_path {
-        let mut recorder = BenchRecorder::new("crashtest");
-        // The fault model joins the record name only when it is not the
-        // default, so historical `crashtest/...` series stay comparable.
-        let model_suffix = if config.fault_model == rcn_model::FaultModel::default() {
-            String::new()
+    let mut text = String::new();
+    let _ = writeln!(text, "protocol            : {label}");
+    let _ = writeln!(
+        text,
+        "crash budget        : ≤{} crash(es) per process, schedules ≤{} events{}",
+        config.max_crashes,
+        config.max_depth,
+        if crash_free {
+            " (crash-free exploration: no crash robustness is being tested)"
         } else {
-            format!(",model={}", config.fault_model)
-        };
-        let mut record = BenchRecord::from_timing(
-            format!(
-                "crashtest/{spec}/crashes={},depth={}{model_suffix}",
-                config.max_crashes, config.max_depth
-            ),
-            1,
-            wall.as_secs_f64(),
-            report.stats.states_visited,
-        );
-        if let Some(snapshot) = run_tracer.snapshot() {
-            record.metrics = snapshot;
+            ""
         }
-        recorder.record(record);
-        let path = bench_path.unwrap();
-        recorder
-            .write_to(std::path::Path::new(path))
-            .map_err(|e| format!("writing bench records to {path}: {e}"))?;
-        if !parsed.has("--json") {
-            println!("bench records       : {path}");
+    );
+    let _ = writeln!(text, "fault model         : {}", config.fault_model);
+    let _ = writeln!(text, "explored            : {}", report.stats);
+    if parsed.has("--stats") {
+        let _ = writeln!(
+            text,
+            "crashtest stats     : {} in {:.3}s{}{}",
+            report.stats,
+            wall.as_secs_f64(),
+            if report.stats.depth_limited {
+                " (depth cap reached)"
+            } else {
+                ""
+            },
+            if shrink && shrunk.is_some() {
+                " (+shrink/replay)"
+            } else {
+                ""
+            },
+        );
+    }
+    match &shrunk {
+        None if report.is_certified_clean() => {
+            let _ = writeln!(
+                text,
+                "verdict             : CERTIFIED CLEAN — no crash placement within the \
+                 budget violates agreement or validity"
+            );
+        }
+        None => {
+            let why = if report.stats.timed_out {
+                "the deadline expired"
+            } else {
+                "search was capped"
+            };
+            let _ = writeln!(
+                text,
+                "verdict             : clean within the explored bound ({why}, so this \
+                 is NOT a certification)"
+            );
+        }
+        Some((cex, replayed)) => {
+            let tag = if shrink {
+                "minimal schedule"
+            } else {
+                "schedule"
+            };
+            let _ = writeln!(text, "{tag:<20}: {}", cex.schedule);
+            let _ = writeln!(text, "violation           : {}", cex.violation);
+            if let Some(d) = &cex.divergence {
+                let _ = writeln!(text, "divergence          : {d}");
+            }
+            let _ = writeln!(
+                text,
+                "threaded replay     : {}",
+                if replayed.confirmed() {
+                    "CONFIRMED (same outputs, same violation, faithful trace)"
+                } else {
+                    "DID NOT CONFIRM — executor/runtime disagreement, please report"
+                }
+            );
         }
     }
 
-    if parsed.has("--json") {
-        let mut fields = vec![
-            format!("\"protocol\": {}", json_str(spec)),
-            format!("\"crashes\": {}", config.max_crashes),
-            format!("\"crash_free\": {crash_free}"),
-            format!("\"depth\": {}", config.max_depth),
-            format!(
-                "\"fault_model\": {}",
-                json_str(&config.fault_model.to_string())
-            ),
-            format!("\"states_visited\": {}", report.stats.states_visited),
-            format!("\"events_applied\": {}", report.stats.events_applied),
-            format!("\"resumed_states\": {}", report.stats.resumed_states),
-            format!("\"exhaustive\": {}", report.stats.exhaustive()),
-            format!("\"clean\": {}", report.counterexample.is_none()),
-        ];
-        if let Some((cex, replayed)) = &shrunk {
-            fields.push(format!(
-                "\"schedule\": {}",
-                json_str(&cex.schedule.to_string())
-            ));
-            fields.push(format!(
-                "\"violation\": {}",
-                json_str(&cex.violation.to_string())
-            ));
-            if let Some(d) = &cex.divergence {
-                fields.push(format!("\"divergence\": {}", json_str(&d.to_string())));
-            }
-            fields.push(format!("\"shrunk\": {}", parsed.has("--shrink")));
-            fields.push(format!("\"replay_confirmed\": {}", replayed.confirmed()));
-        }
-        if parsed.has("--stats") {
-            fields.push(format!("\"wall_seconds\": {}", wall.as_secs_f64()));
-        }
-        if parsed.has("--metrics") {
-            if let Some(snapshot) = run_tracer.snapshot() {
-                fields.push(format!("\"metrics\": {}", snapshot.to_json()));
-            }
-        }
-        println!("{{{}}}", fields.join(", "));
-    } else {
-        println!("protocol            : {label}");
-        println!(
-            "crash budget        : ≤{} crash(es) per process, schedules ≤{} events{}",
-            config.max_crashes,
-            config.max_depth,
-            if crash_free {
-                " (crash-free exploration: no crash robustness is being tested)"
-            } else {
-                ""
-            }
-        );
-        println!("fault model         : {}", config.fault_model);
-        println!("explored            : {}", report.stats);
-        if parsed.has("--stats") {
-            println!(
-                "crashtest stats     : {} in {:.3}s{}{}",
-                report.stats,
-                wall.as_secs_f64(),
-                if report.stats.depth_limited {
-                    " (depth cap reached)"
-                } else {
-                    ""
-                },
-                if parsed.has("--shrink") && report.counterexample.is_some() {
-                    " (+shrink/replay)"
-                } else {
-                    ""
-                },
-            );
-        }
-        match &shrunk {
-            None => {
-                if report.is_certified_clean() {
-                    println!(
-                        "verdict             : CERTIFIED CLEAN — no crash placement within the \
-                         budget violates agreement or validity"
-                    );
-                } else {
-                    let why = if report.stats.timed_out {
-                        "the deadline expired"
-                    } else {
-                        "search was capped"
-                    };
-                    println!(
-                        "verdict             : clean within the explored bound ({why}, so this \
-                         is NOT a certification)"
-                    );
-                }
-            }
-            Some((cex, replayed)) => {
-                let tag = if parsed.has("--shrink") {
-                    "minimal schedule"
-                } else {
-                    "schedule"
-                };
-                println!("{tag:<20}: {}", cex.schedule);
-                println!("violation           : {}", cex.violation);
-                if let Some(d) = &cex.divergence {
-                    println!("divergence          : {d}");
-                }
-                println!(
-                    "threaded replay     : {}",
-                    if replayed.confirmed() {
-                        "CONFIRMED (same outputs, same violation, faithful trace)"
-                    } else {
-                        "DID NOT CONFIRM — executor/runtime disagreement, please report"
-                    }
-                );
-            }
-        }
-    }
-    if let Some(path) = parsed.value("--trace") {
-        tracer
-            .flush()
-            .map_err(|e| format!("flushing trace to {path}: {e}"))?;
-        if !parsed.has("--json") {
-            println!("trace               : {path}");
-        }
-    }
-    // In JSON mode the metrics already rode along inside the one report
-    // object; only text mode gets the registry printed separately.
-    if parsed.has("--metrics") && !parsed.has("--json") {
-        if let Some(snapshot) = run_tracer.snapshot() {
-            print!("{}", snapshot.render_text());
-        }
-    }
+    let stats = &report.stats;
+    let record = VerdictRecord {
+        subject: spec.to_string(),
+        clean: shrunk.is_none(),
+        coverage: coverage(stats.timed_out, stats.exhaustive()),
+        states: stats.states_visited,
+        wall_seconds: wall.as_secs_f64(),
+        stats: Some(counters(&[
+            ("crashtest.states_visited", stats.states_visited),
+            ("crashtest.events_applied", stats.events_applied),
+            ("crashtest.memo_hits", stats.memo_hits),
+            ("crashtest.re_explored", stats.re_explored),
+            ("crashtest.resumed_states", stats.resumed_states),
+        ])),
+        payload: Payload::Crashtest(CrashtestVerdict {
+            crashes: config.max_crashes,
+            crash_free,
+            depth: config.max_depth,
+            fault_model: config.fault_model.to_string(),
+            shrunk: shrink,
+            schedule: shrunk.as_ref().map(|(cex, _)| cex.schedule.to_string()),
+            violation: shrunk.as_ref().map(|(cex, _)| cex.violation.to_string()),
+            divergence: shrunk
+                .as_ref()
+                .and_then(|(cex, _)| cex.divergence.as_ref().map(ToString::to_string)),
+            replay_confirmed: shrunk.as_ref().map(|(_, replayed)| replayed.confirmed()),
+        }),
+    };
+    finish(out, &parsed, "crashtest", &text, vec![record], &tracer)?;
     match &shrunk {
         Some(_) => Err(format!(
             "crashtest found a counterexample for {spec} (see above)"
@@ -1076,52 +981,30 @@ fn cmd_crashtest(args: &[&str]) -> Result<(), String> {
 /// re-derives the initial configuration's valency by a worklist fixpoint
 /// over the budgeted `E_z*` graph. Exits nonzero if any protocol has a
 /// counterexample.
-fn cmd_check(args: &[&str]) -> Result<(), String> {
+fn cmd_check(args: &[&str], out: &mut String) -> Result<(), String> {
     use rcn_mc::{model_check_traced, valency_check, McConfig, ValencyConfig};
+    use verdict::{CheckVerdict, ValencyVerdict};
 
     let parsed = parse_args(
         args,
-        &[
-            "--crashes",
-            "--depth",
-            "--max-states",
-            "--fault-model",
-            "--inputs",
-            "--z",
-            "--clamp",
-            "--trace",
-            "--bench-json",
-        ],
+        &[BUDGET_VALUE_FLAGS, &["--z", "--clamp"]].concat(),
         &["--valency", "--json", "--stats", "--metrics", "--force"],
     )?;
     if parsed.positionals.is_empty() {
         return Err(
             "usage: rcn check <protocol>… [--crashes K] [--depth D] [--max-states N] \
              [--fault-model per-process|system|mid-op|all] [--inputs 0,1] [--valency] \
-             [--z Z] [--clamp C] [--json] [--stats] \
-             [--trace PATH] [--metrics] [--bench-json PATH]"
+             [--z Z] [--clamp C] [--json] [--stats] [--trace PATH] [--metrics]"
                 .into(),
         );
     }
-    let mut config = McConfig::default();
-    if let Some(v) = parsed.value("--crashes") {
-        config.max_crashes = v.parse().map_err(|_| "crashes must be a number")?;
-    }
-    if let Some(v) = parsed.value("--depth") {
-        config.max_depth = v.parse().map_err(|_| "depth must be a number")?;
-        if config.max_depth == 0 {
-            return Err("depth must be at least 1".into());
-        }
-    }
-    if let Some(v) = parsed.value("--max-states") {
-        config.max_states = v.parse().map_err(|_| "max-states must be a number")?;
-        if config.max_states == 0 {
-            return Err("max-states must be at least 1".into());
-        }
-    }
-    if let Some(v) = parsed.value("--fault-model") {
-        config.fault_model = v.parse().map_err(|e| format!("{e}"))?;
-    }
+    let (budget, inputs) = budget_from_args(&parsed)?;
+    let config = McConfig {
+        max_crashes: budget.max_crashes,
+        max_depth: budget.max_depth,
+        max_states: budget.max_states,
+        fault_model: budget.fault_model,
+    };
     let mut vconfig = ValencyConfig::default();
     if let Some(v) = parsed.value("--z") {
         vconfig.z = v.parse().map_err(|_| "z must be a number")?;
@@ -1132,28 +1015,15 @@ fn cmd_check(args: &[&str]) -> Result<(), String> {
     if parsed.value("--max-states").is_some() {
         vconfig.max_states = config.max_states;
     }
-    let inputs = parsed
-        .value("--inputs")
-        .map(|v| parse_inputs_slice(&v.split(',').collect::<Vec<_>>()))
-        .transpose()?;
 
     let tracer = tracer_from_args(&parsed)?;
-    let bench_path = parsed.value("--bench-json");
-    let mut recorder = BenchRecorder::new("mc");
     let mut violators: Vec<&str> = Vec::new();
-    let mut json_objects: Vec<String> = Vec::new();
-
+    let mut text = String::new();
+    let mut records = Vec::new();
     for (i, spec) in parsed.positionals.iter().enumerate() {
         let (label, sys) = build_protocol(spec, inputs.clone())?;
-        // Bench records want clean per-run `mc.*` counters; when the shared
-        // tracer is not already recording, each run gets its own registry.
-        let run_tracer = if bench_path.is_some() && !tracer.recording() {
-            Tracer::metrics_only()
-        } else {
-            tracer.clone()
-        };
-        let started = std::time::Instant::now();
-        let report = model_check_traced(&sys, config, &run_tracer);
+        let started = Instant::now();
+        let report = model_check_traced(&sys, config, &tracer);
         let valency = parsed
             .has("--valency")
             .then(|| valency_check(&sys, vconfig));
@@ -1161,152 +1031,92 @@ fn cmd_check(args: &[&str]) -> Result<(), String> {
         if report.counterexample.is_some() {
             violators.push(spec);
         }
-        if let Some(_path) = bench_path {
-            let model_suffix = if config.fault_model == rcn_model::FaultModel::default() {
-                String::new()
-            } else {
-                format!(",model={}", config.fault_model)
-            };
-            let mut record = BenchRecord::from_timing(
-                format!(
-                    "check/{spec}/crashes={},depth={}{model_suffix}",
-                    config.max_crashes, config.max_depth
-                ),
-                1,
-                wall.as_secs_f64(),
-                report.stats.states_visited,
-            );
-            if let Some(snapshot) = run_tracer.snapshot() {
-                record.metrics = snapshot;
-            }
-            recorder.record(record);
-        }
 
-        if parsed.has("--json") {
-            let mut fields = vec![
-                format!("\"protocol\": {}", json_str(spec)),
-                format!("\"crashes\": {}", config.max_crashes),
-                format!("\"depth\": {}", config.max_depth),
-                format!(
-                    "\"fault_model\": {}",
-                    json_str(&config.fault_model.to_string())
-                ),
-                format!("\"states_visited\": {}", report.stats.states_visited),
-                format!("\"events_applied\": {}", report.stats.events_applied),
-                format!("\"frontier_peak\": {}", report.stats.frontier_peak),
-                format!("\"dedup_ratio\": {:.4}", report.stats.dedup_ratio()),
-                format!("\"coverage\": {}", json_str(&report.coverage.to_string())),
-                format!("\"clean\": {}", report.counterexample.is_none()),
-            ];
-            if let Some(cex) = &report.counterexample {
-                fields.push(format!(
-                    "\"schedule\": {}",
-                    json_str(&cex.schedule.to_string())
-                ));
-                fields.push(format!(
-                    "\"violation\": {}",
-                    json_str(&cex.violation.to_string())
-                ));
-            }
-            if let Some(v) = &valency {
-                fields.push(format!(
-                    "\"valency\": {{\"verdict\": {}, \"z\": {}, \"clamp\": {}, \
-                     \"states\": {}, \"coverage\": {}}}",
-                    json_str(&v.valency.to_string()),
-                    vconfig.z,
-                    vconfig.clamp,
-                    v.states,
-                    json_str(&v.coverage.to_string())
-                ));
-            }
-            if parsed.has("--stats") {
-                fields.push(format!("\"wall_seconds\": {}", wall.as_secs_f64()));
-            }
-            json_objects.push(format!("{{{}}}", fields.join(", ")));
-        } else {
-            if i > 0 {
-                println!();
-            }
-            println!("protocol            : {label}");
-            println!(
-                "crash budget        : ≤{} crash(es) per process, schedules ≤{} events",
-                config.max_crashes, config.max_depth
-            );
-            println!("fault model         : {}", config.fault_model);
-            println!("explored            : {}", report.stats);
-            println!("coverage            : {}", report.coverage);
-            if parsed.has("--stats") {
-                println!(
-                    "check stats         : {} in {:.3}s",
-                    report.stats,
-                    wall.as_secs_f64()
-                );
-            }
-            match &report.counterexample {
-                None => {
-                    if report.is_certified_clean() {
-                        println!(
-                            "verdict             : CERTIFIED CLEAN — breadth-first search found \
-                             no violating schedule within the budget"
-                        );
-                    } else {
-                        println!(
-                            "verdict             : clean within the explored bound (state cap \
-                             hit, so this is NOT a certification)"
-                        );
-                    }
-                }
-                Some(cex) => {
-                    println!("minimal schedule    : {}", cex.schedule);
-                    println!("violation           : {}", cex.violation);
-                    println!(
-                        "verdict             : VIOLATION — minimal-depth counterexample found \
-                         by breadth-first search"
-                    );
-                }
-            }
-            if let Some(v) = &valency {
-                println!(
-                    "valency             : initial configuration is {} (z={}, clamp={}, \
-                     {} states, {})",
-                    v.valency, vconfig.z, vconfig.clamp, v.states, v.coverage
-                );
-            }
+        if i > 0 {
+            text.push('\n');
         }
-    }
-
-    if parsed.has("--json") {
-        // One protocol prints its object bare; several are wrapped so the
-        // stdout document stays a single JSON value.
-        let metrics_field = parsed
-            .has("--metrics")
-            .then(|| tracer.snapshot())
-            .flatten()
-            .map(|s| format!(", \"metrics\": {}", s.to_json()))
-            .unwrap_or_default();
-        match &json_objects[..] {
-            [one] if metrics_field.is_empty() => println!("{one}"),
-            [one] => println!(
-                "{{{}{metrics_field}}}",
-                &one[1..one.len() - 1] // splice metrics into the one object
+        let _ = writeln!(text, "protocol            : {label}");
+        let _ = writeln!(
+            text,
+            "crash budget        : ≤{} crash(es) per process, schedules ≤{} events",
+            config.max_crashes, config.max_depth
+        );
+        let _ = writeln!(text, "fault model         : {}", config.fault_model);
+        let _ = writeln!(text, "explored            : {}", report.stats);
+        let _ = writeln!(text, "coverage            : {}", report.coverage);
+        if parsed.has("--stats") {
+            let _ = writeln!(
+                text,
+                "check stats         : {} in {:.3}s",
+                report.stats,
+                wall.as_secs_f64()
+            );
+        }
+        let _ = match &report.counterexample {
+            None if report.is_certified_clean() => writeln!(
+                text,
+                "verdict             : CERTIFIED CLEAN — breadth-first search found \
+                 no violating schedule within the budget"
             ),
-            many => println!("{{\"checks\": [{}]{metrics_field}}}", many.join(", ")),
+            None => writeln!(
+                text,
+                "verdict             : clean within the explored bound (state cap \
+                 hit, so this is NOT a certification)"
+            ),
+            Some(cex) => writeln!(
+                text,
+                "minimal schedule    : {}\nviolation           : {}\n\
+                 verdict             : VIOLATION — minimal-depth counterexample found \
+                 by breadth-first search",
+                cex.schedule, cex.violation
+            ),
+        };
+        if let Some(v) = &valency {
+            let _ = writeln!(
+                text,
+                "valency             : initial configuration is {} (z={}, clamp={}, \
+                 {} states, {})",
+                v.valency, vconfig.z, vconfig.clamp, v.states, v.coverage
+            );
         }
+
+        let stats = &report.stats;
+        records.push(VerdictRecord {
+            subject: spec.to_string(),
+            clean: report.counterexample.is_none(),
+            coverage: coverage(false, report.coverage.is_exhaustive()),
+            states: stats.states_visited,
+            wall_seconds: wall.as_secs_f64(),
+            stats: Some(counters(&[
+                ("mc.states_visited", stats.states_visited),
+                ("mc.events_applied", stats.events_applied),
+                ("mc.dedup_hits", stats.dedup_hits),
+                ("mc.frontier_peak", stats.frontier_peak),
+            ])),
+            payload: Payload::Check(CheckVerdict {
+                crashes: config.max_crashes,
+                depth: config.max_depth,
+                fault_model: config.fault_model.to_string(),
+                schedule: report
+                    .counterexample
+                    .as_ref()
+                    .map(|c| c.schedule.to_string()),
+                violation: report
+                    .counterexample
+                    .as_ref()
+                    .map(|c| c.violation.to_string()),
+                valency: valency.map(|v| ValencyVerdict {
+                    verdict: v.valency.to_string(),
+                    z: vconfig.z,
+                    clamp: vconfig.clamp,
+                    states: v.states,
+                    coverage: v.coverage.to_string(),
+                }),
+            }),
+        });
     }
-    if let Some(path) = bench_path {
-        recorder
-            .write_to(std::path::Path::new(path))
-            .map_err(|e| format!("writing bench records to {path}: {e}"))?;
-        if !parsed.has("--json") {
-            println!("bench records       : {path}");
-        }
-    }
-    flush_trace(&parsed, &tracer)?;
-    if parsed.has("--metrics") && !parsed.has("--json") {
-        if let Some(snapshot) = tracer.snapshot() {
-            print!("{}", snapshot.render_text());
-        }
-    }
+
+    finish(out, &parsed, "check", &text, records, &tracer)?;
     match &violators[..] {
         [] => Ok(()),
         some => Err(format!(
@@ -1551,22 +1361,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_flag_writes_a_record() {
-        let dir = scratch_path("bench");
-        let path = dir.join("BENCH_classify_tas.json");
-        let path_str = path.to_str().unwrap().to_string();
-        assert!(run(&s(&["classify", "tas", "--bench-json", &path_str])).is_ok());
-        let text = std::fs::read_to_string(&path).expect("bench json written");
-        assert!(text.contains("\"cache_hits\""), "got: {text}");
-        assert!(text.contains("classify/tas/cap=4"), "got: {text}");
-        std::fs::remove_dir_all(&dir).ok();
-        // Only classify takes the flag; elsewhere it is a usage error, not
-        // silently swallowed.
-        assert!(run(&s(&["witness", "tas", "2", "--bench-json", "x.json"])).is_err());
-        assert!(run(&s(&["compare", "tas", "--bench-json", "x.json"])).is_err());
-    }
-
-    #[test]
     fn json_is_a_usage_error_where_no_json_is_rendered() {
         // `compare` and `witness` print text; a `--json` there used to
         // print that text followed by a JSON metrics object.
@@ -1577,29 +1371,218 @@ mod tests {
         assert!(run(&s(&["classify", "tas", "--json", "--stats", "--metrics"])).is_ok());
     }
 
-    #[test]
-    fn classify_json_embeds_the_stats() {
-        #[derive(serde::Deserialize)]
-        struct Doc {
-            type_name: String,
-            stats: rcn_obs::MetricsSnapshot,
+    /// The envelope's top-level keys and its records, as a test reads them.
+    #[derive(serde::Deserialize)]
+    struct Doc {
+        rcn_version: String,
+        command: String,
+        records: Vec<Record>,
+        metrics: Option<rcn_obs::MetricsSnapshot>,
+    }
+
+    /// A record's shared fields (the payload is checked through `json`).
+    #[derive(serde::Deserialize)]
+    struct Record {
+        subject: String,
+        clean: bool,
+        coverage: String,
+        states: u64,
+        wall_seconds: f64,
+        stats: Option<rcn_obs::MetricsSnapshot>,
+    }
+
+    /// The keys of a JSON object, in document order.
+    struct Keys(Vec<String>);
+
+    impl serde::Deserialize for Keys {
+        fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+            let entries = value
+                .as_object()
+                .ok_or_else(|| serde::Error::custom("not an object"))?;
+            Ok(Keys(entries.iter().map(|(k, _)| k.clone()).collect()))
         }
+    }
+
+    /// Runs a `--json` command line in-process: its stdout must be exactly
+    /// one envelope. Returns the raw document, the parsed envelope, and
+    /// whether the command succeeded.
+    fn json_doc(args: &[&str]) -> (String, Doc, bool) {
+        let mut out = String::new();
+        let ok = run_to(&s(args), &mut out).is_ok();
+        let doc: Doc = serde_json::from_str(&out).unwrap_or_else(|e| panic!("{e}: {out}"));
+        let Keys(keys) = serde_json::from_str(&out).unwrap();
+        assert_eq!(keys, ["rcn_version", "command", "records", "metrics"]);
+        assert_eq!(doc.rcn_version, env!("CARGO_PKG_VERSION"));
+        assert_eq!(doc.command, args[0]);
+        for record in &doc.records {
+            assert!(["exhaustive", "bounded", "timed_out"].contains(&record.coverage.as_str()));
+            assert!(record.wall_seconds >= 0.0);
+        }
+        (out, doc, ok)
+    }
+
+    #[test]
+    fn every_verdict_command_prints_one_envelope() {
+        let (json, doc, ok) = json_doc(&["classify", "tas", "--cap", "3", "--json"]);
+        assert!(ok);
+        let [record] = &doc.records[..] else {
+            panic!("one record per type: {json}")
+        };
+        assert_eq!(record.subject, "tas");
+        assert!(record.clean && record.states > 0);
+        assert!(json.contains(r#""payload":{"Classify":{"type_name":"test-and-set""#));
+        assert!(doc.metrics.is_none(), "no --metrics, no snapshot");
+
+        let (json, doc, ok) = json_doc(&["crashtest", "tas", "--shrink", "--json"]);
+        assert!(!ok, "a counterexample fails the command");
+        assert!(!doc.records[0].clean);
+        assert!(
+            json.contains(r#""schedule":"p0 p0 p1 c0 p0 p0 p0""#),
+            "{json}"
+        );
+        assert!(json.contains(r#""replay_confirmed":true"#), "{json}");
+
+        let (json, doc, ok) = json_doc(&["check", "tnn-recoverable:5,2", "--valency", "--json"]);
+        assert!(ok);
+        assert!(doc.records[0].clean);
+        assert_eq!(doc.records[0].coverage, "exhaustive");
+        assert!(json.contains(r#""fault_model":"per-process""#), "{json}");
+        assert!(
+            json.contains(r#""valency":{"verdict":"bivalent""#),
+            "{json}"
+        );
+
+        let (_, doc, ok) = json_doc(&["lint", "tas", "sticky", "--json"]);
+        assert!(ok);
+        let subjects: Vec<_> = doc.records.iter().map(|r| r.subject.as_str()).collect();
+        assert_eq!(subjects, ["tas", "sticky"]);
+        assert!(doc.records.iter().all(|r| r.clean && r.stats.is_none()));
+    }
+
+    #[test]
+    fn envelope_shape_does_not_depend_on_flags_or_subject_count() {
+        // `json_doc` pins the top-level keys on every document; here the
+        // records keep their shape too, with and without --stats/--metrics.
+        for base in [
+            &["classify", "tas", "--cap", "3", "--json"][..],
+            &["crashtest", "tnn-recoverable:5,2", "--json"],
+            &["check", "tas", "--json"],
+            &["lint", "tas", "--json"],
+        ] {
+            let (_, plain, _) = json_doc(base);
+            let (_, flagged, _) = json_doc(&[base, &["--stats", "--metrics"]].concat());
+            assert_eq!(plain.records.len(), flagged.records.len(), "{base:?}");
+            assert!(
+                plain.metrics.is_none() && flagged.metrics.is_some(),
+                "{base:?}"
+            );
+            let stats = |d: &Doc| d.records[0].stats.is_some();
+            assert_eq!(stats(&plain), stats(&flagged), "{base:?}");
+        }
+        // `check` with one protocol and with three: the same envelope, one
+        // record per protocol.
+        let (_, one, _) = json_doc(&["check", "tas", "--json"]);
+        let (_, three, ok) = json_doc(&[
+            "check",
+            "tas",
+            "tnn-recoverable:5,2",
+            "tournament:sticky",
+            "--json",
+            "--metrics",
+        ]);
+        assert!(!ok, "tas violates");
+        assert_eq!(one.records.len(), 1);
+        let clean: Vec<_> = three.records.iter().map(|r| r.clean).collect();
+        assert_eq!(clean, [false, true, true]);
+        let metrics = three.metrics.expect("--metrics embeds the snapshot");
+        assert!(
+            metrics.counter("mc.states_visited") > Some(0),
+            "{metrics:?}"
+        );
+        assert!(metrics.counter("mc.frontier_peak") > Some(0), "{metrics:?}");
+        for record in &three.records {
+            let stats = record.stats.as_ref().unwrap();
+            assert_eq!(stats.counter("mc.states_visited"), Some(record.states));
+            assert!(stats.counter("mc.frontier_peak") > Some(0));
+        }
+    }
+
+    #[test]
+    fn json_records_carry_the_search_counters() {
+        // The recording scan reuses the discerning scan's analyses.
+        let (_, doc, _) = json_doc(&["classify", "team-counter", "--cap", "4", "--json"]);
+        let stats = doc.records[0].stats.as_ref().unwrap();
+        assert!(stats.counter("engine.cache_hits") > Some(0), "{stats:?}");
+        assert!(stats.counter("engine.analyses_computed") > Some(0));
+        // The crashtest counters, per record and in the registry.
+        let (_, doc, _) = json_doc(&["crashtest", "tas", "--json", "--metrics"]);
+        let metrics = doc.metrics.unwrap();
+        assert!(metrics.counter("crashtest.states_visited") > Some(0));
+        assert!(metrics.counter("crashtest.events_applied") > Some(0));
+        let stats = doc.records[0].stats.as_ref().unwrap();
+        assert_eq!(
+            stats.counter("crashtest.states_visited"),
+            Some(doc.records[0].states)
+        );
+        // A cold classify persists levels; the warm one is served from disk.
         let dir = scratch_path("classify-json");
-        let tas = rcn_spec::zoo::TestAndSet::new();
-        let parsed = parse_args(&["--json", "--stats"], &[], &["--json", "--stats"]).unwrap();
+        let dir_arg = dir.display().to_string();
         let mut disk_hits = Vec::new();
         for _ in 0..2 {
-            let engine = SearchEngine::sequential().with_disk_cache(DiskCache::new(&dir));
-            let c = engine.classify(&tas, 3).unwrap();
-            let json = classify_json(&c, &parsed, &engine, &Tracer::disabled()).unwrap();
-            let doc: Doc = serde_json::from_str(&json).expect("one JSON document");
-            assert_eq!(doc.type_name, c.type_name);
-            disk_hits.push(doc.stats.counter("engine.disk_hits"));
+            let (_, doc, _) = json_doc(&[
+                "classify",
+                "tas",
+                "--cap",
+                "3",
+                "--cache-dir",
+                &dir_arg,
+                "--json",
+            ]);
+            let stats = doc.records[0].stats.as_ref().unwrap();
+            disk_hits.push(stats.counter("engine.disk_hits"));
         }
-        // Cold, then warm.
         assert_eq!(disk_hits[0], Some(0));
         assert!(disk_hits[1] > Some(0), "{disk_hits:?}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn out_of_range_parameters_are_usage_errors_not_panics() {
+        // Each must reach the CLI as a constructor's error, never as a
+        // panic (exit 101).
+        for args in [
+            &["classify", "faa:0"][..],
+            &["classify", "cas:0"],
+            &["classify", "register:0"],
+            &["classify", "team-counter:0"],
+            &["table", "mconsensus:0"],
+            &["classify", "tnn:0,0"],
+            &["dot", "tnn:0,0"],
+            &["lint", "tnn:0,0"],
+            &["crashtest", "tnn-recoverable:2,5"],
+            &["check", "tnn-wait-free:0,0"],
+            &["simulate-tnn", "0", "0", "0", "1"],
+            &["crashtest", "tas", "--inputs", "1,0,1"],
+            &["check", "tas", "--inputs", "1,0,1"],
+        ] {
+            let err = run(&s(args)).expect_err(&args.join(" "));
+            assert!(!err.contains("counterexample"), "{args:?}: {err}");
+        }
+        let err = run(&s(&["crashtest", "tas", "--inputs", "1,0,1"])).unwrap_err();
+        assert!(err.contains("exactly 2 processes"), "got: {err}");
+    }
+
+    #[test]
+    fn malformed_type_arguments_are_usage_errors() {
+        for spec in [
+            "register:x",
+            "tnn:4,zz",
+            "faa:-3",
+            "tas:5",
+            "register:3,9,9",
+        ] {
+            assert!(run(&s(&["classify", spec])).is_err(), "{spec}");
+        }
     }
 
     #[test]
@@ -1755,25 +1738,6 @@ mod tests {
     }
 
     #[test]
-    fn crashtest_writes_bench_records() {
-        let dir = scratch_path("crashtest-bench");
-        let path = dir.join("BENCH_crashtest.json");
-        let path_str = path.display().to_string();
-        // tas violates, so the run exits nonzero — the records are still
-        // written first (CI wraps the call the same way).
-        assert!(run(&s(&["crashtest", "tas", "--bench-json", &path_str])).is_err());
-        let text = std::fs::read_to_string(&path).unwrap();
-        for fragment in [
-            "\"crashtest/tas/crashes=2,depth=16\"",
-            "\"crashtest.states_visited\"",
-            "\"crashtest.events_applied\"",
-        ] {
-            assert!(text.contains(fragment), "missing {fragment} in:\n{text}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn check_rediscovers_the_known_counterexamples() {
         // The independent BFS checker exits nonzero on the same broken
         // protocols as the DFS explorer, in every output mode.
@@ -1803,25 +1767,6 @@ mod tests {
         assert!(run(&s(&["check", "tas", "--crashes", "x"])).is_err());
         assert!(run(&s(&["check", "tas", "--z", "x"])).is_err());
         assert!(run(&s(&["check", "tas", "--shrink"])).is_err());
-    }
-
-    #[test]
-    fn check_writes_bench_records() {
-        let dir = scratch_path("check-bench");
-        let path = dir.join("BENCH_mc.json");
-        let path_str = path.display().to_string();
-        // tas violates, so the run exits nonzero — the records are still
-        // written first (CI wraps the call the same way).
-        assert!(run(&s(&["check", "tas", "--bench-json", &path_str])).is_err());
-        let text = std::fs::read_to_string(&path).unwrap();
-        for fragment in [
-            "\"check/tas/crashes=2,depth=16\"",
-            "\"mc.states_visited\"",
-            "\"mc.frontier_peak\"",
-        ] {
-            assert!(text.contains(fragment), "missing {fragment} in:\n{text}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

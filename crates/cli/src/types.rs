@@ -9,12 +9,15 @@ use rcn_spec::zoo::{
     BoundedQueue, BoundedStack, CompareAndSwap, ConsensusObject, FetchAndAdd, MultiConsensus,
     Register, StickyBit, Swap, TeamCounter, TestAndSet, Tnn, WithRead,
 };
-use rcn_spec::{ObjectType, TableType};
+use rcn_spec::{ObjectType, TableType, TypeSpecError};
 use std::fmt;
 use std::sync::Arc;
 
+/// A parsed type as the searches take it.
+pub type DynObject = dyn ObjectType + Send + Sync;
+
 /// A parsed, boxed type.
-pub type DynType = Arc<dyn ObjectType + Send + Sync>;
+pub type DynType = Arc<DynObject>;
 
 /// Errors from [`parse_type`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,15 +72,55 @@ pub const CATALOGUE: &[(&str, &str)] = &[
     ),
 ];
 
-fn args_of(spec: &str) -> (&str, Vec<usize>) {
-    match spec.split_once(':') {
-        None => (spec, Vec::new()),
-        Some((name, rest)) => (
-            name,
-            rest.split(',')
-                .filter_map(|a| a.trim().parse().ok())
-                .collect(),
-        ),
+impl From<TypeSpecError> for ParseTypeError {
+    fn from(e: TypeSpecError) -> Self {
+        ParseTypeError::new(e.to_string())
+    }
+}
+
+/// A `name[:a,b,…]` expression split into its name and numeric arguments.
+struct Expr<'a> {
+    name: &'a str,
+    args: Vec<usize>,
+}
+
+impl<'a> Expr<'a> {
+    /// Splits `spec`, rejecting any argument that is not a number.
+    fn parse(spec: &'a str) -> Result<Self, ParseTypeError> {
+        let Some((name, rest)) = spec.split_once(':') else {
+            return Ok(Expr {
+                name: spec,
+                args: Vec::new(),
+            });
+        };
+        let number = |a: &str| {
+            a.trim().parse().map_err(|_| {
+                ParseTypeError::new(format!(
+                    "bad argument `{a}` in `{spec}` (expected a number)"
+                ))
+            })
+        };
+        let args = rest.split(',').map(number).collect::<Result<_, _>>()?;
+        Ok(Expr { name, args })
+    }
+
+    /// Builds the type from its `N` arguments, `defaults` filling in the
+    /// ones not given; more than `N` is an error.
+    fn build<const N: usize, T: ObjectType + Send + Sync + 'static>(
+        &self,
+        defaults: [usize; N],
+        make: impl FnOnce([usize; N]) -> Result<T, TypeSpecError>,
+    ) -> Result<DynType, ParseTypeError> {
+        if self.args.len() > N {
+            return Err(ParseTypeError::new(format!(
+                "`{}` takes at most {N} argument(s), got {}",
+                self.name,
+                self.args.len()
+            )));
+        }
+        let mut args = defaults;
+        args[..self.args.len()].copy_from_slice(&self.args);
+        Ok(Arc::new(make(args)?))
     }
 }
 
@@ -85,8 +128,8 @@ fn args_of(spec: &str) -> (&str, Vec<usize>) {
 ///
 /// # Errors
 ///
-/// Returns [`ParseTypeError`] for unknown names, bad arguments, or
-/// unreadable table files.
+/// Returns [`ParseTypeError`] for unknown names, malformed, surplus or
+/// out-of-range arguments, or unreadable table files.
 pub fn parse_type(spec: &str) -> Result<DynType, ParseTypeError> {
     let spec = spec.trim();
     if let Some(inner) = spec.strip_suffix("+read") {
@@ -106,36 +149,29 @@ pub fn parse_type(spec: &str) -> Result<DynType, ParseTypeError> {
             .map_err(|e| ParseTypeError::new(format!("invalid table in {path}: {e}")))?;
         return Ok(Arc::new(table));
     }
-    let (name, args) = args_of(spec);
-    let arg = |i: usize, default: usize| args.get(i).copied().unwrap_or(default);
-    let ty: DynType = match name {
-        "register" | "reg" => Arc::new(Register::new(arg(0, 2))),
-        "tas" | "test-and-set" => Arc::new(TestAndSet::new()),
-        "faa" | "fetch-and-add" => Arc::new(FetchAndAdd::new(arg(0, 4))),
-        "swap" => Arc::new(Swap::new(arg(0, 2))),
-        "cas" | "compare-and-swap" => Arc::new(CompareAndSwap::new(arg(0, 3))),
-        "sticky" | "sticky-bit" => Arc::new(StickyBit::new()),
-        "consensus" => Arc::new(ConsensusObject::new()),
-        "mconsensus" | "multi-consensus" => Arc::new(MultiConsensus::new(arg(0, 2))),
-        "queue" => Arc::new(BoundedQueue::new(arg(0, 2), arg(1, 2))),
-        "stack" => Arc::new(BoundedStack::new(arg(0, 2), arg(1, 2))),
-        "tnn" => Arc::new(Tnn::new(arg(0, 5), arg(1, 2))),
-        "team-counter" | "tc" => Arc::new(TeamCounter::new(arg(0, 4))),
-        "xn" => {
-            let n = arg(0, 4);
-            return shipped_xn(n)
-                .map(|x| Arc::new(x) as DynType)
-                .ok_or_else(|| {
-                    ParseTypeError::new(format!("no synthesized X_{n} is shipped (try xn:4)"))
-                });
-        }
-        other => {
-            return Err(ParseTypeError::new(format!(
-                "unknown type `{other}` (run `rcn types` for the catalogue)"
-            )))
-        }
-    };
-    Ok(ty)
+    let expr = Expr::parse(spec)?;
+    match expr.name {
+        "register" | "reg" => expr.build([2], |[d]| Register::try_new(d)),
+        "tas" | "test-and-set" => expr.build([], |[]| Ok(TestAndSet::new())),
+        "faa" | "fetch-and-add" => expr.build([4], |[m]| FetchAndAdd::try_new(m)),
+        "swap" => expr.build([2], |[d]| Swap::try_new(d)),
+        "cas" | "compare-and-swap" => expr.build([3], |[d]| CompareAndSwap::try_new(d)),
+        "sticky" | "sticky-bit" => expr.build([], |[]| Ok(StickyBit::new())),
+        "consensus" => expr.build([], |[]| Ok(ConsensusObject::new())),
+        "mconsensus" | "multi-consensus" => expr.build([2], |[d]| MultiConsensus::try_new(d)),
+        "queue" => expr.build([2, 2], |[a, c]| BoundedQueue::try_new(a, c)),
+        "stack" => expr.build([2, 2], |[a, c]| BoundedStack::try_new(a, c)),
+        "tnn" => expr.build([5, 2], |[n, n_prime]| Tnn::try_new(n, n_prime)),
+        "team-counter" | "tc" => expr.build([4], |[n]| TeamCounter::try_new(n)),
+        "xn" => expr.build([4], |[n]| {
+            shipped_xn(n).ok_or_else(|| {
+                TypeSpecError::BadParameters(format!("no synthesized X_{n} is shipped (try xn:4)"))
+            })
+        }),
+        other => Err(ParseTypeError::new(format!(
+            "unknown type `{other}` (run `rcn types` for the catalogue)"
+        ))),
+    }
 }
 
 #[cfg(test)]
@@ -187,6 +223,48 @@ mod tests {
             Ok(_) => panic!("warp-drive must not parse"),
         };
         assert!(err.to_string().contains("unknown type"));
+    }
+
+    #[test]
+    fn malformed_or_surplus_arguments_are_rejected() {
+        // A bad or surplus argument must not fall back to a default.
+        for spec in [
+            "register:x",
+            "tnn:4,zz",
+            "faa:-3",
+            "tas:5",
+            "register:3,9,9",
+            "register:",
+            "sticky:1",
+            "queue:2,2,2",
+        ] {
+            assert!(parse_type(spec).is_err(), "{spec} must not parse");
+        }
+        let err = parse_type("tnn:4,zz").err().unwrap().to_string();
+        assert!(err.contains("bad argument `zz`"), "got: {err}");
+        let err = parse_type("tas:5").err().unwrap().to_string();
+        assert!(err.contains("at most 0 argument"), "got: {err}");
+    }
+
+    #[test]
+    fn out_of_range_arguments_are_errors_not_panics() {
+        for spec in [
+            "faa:0",
+            "cas:0",
+            "register:0",
+            "swap:0",
+            "mconsensus:0",
+            "team-counter:0",
+            "team-counter:1",
+            "tnn:0,0",
+            "tnn:2,5",
+            "queue:0,2",
+            "stack:2,0",
+        ] {
+            assert!(parse_type(spec).is_err(), "{spec} must not parse");
+        }
+        let err = parse_type("tnn:0,0").err().unwrap().to_string();
+        assert!(err.contains("requires n > n' >= 1"), "got: {err}");
     }
 
     #[test]

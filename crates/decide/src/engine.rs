@@ -149,7 +149,7 @@ pub struct SearchStats {
 impl SearchStats {
     /// The stats as a metrics snapshot (the same `engine.*` counter names
     /// an attached [`Tracer`] publishes), so scripts consume one schema
-    /// whether they read `--stats --json` or `--metrics --json`.
+    /// whether they read a `--json` record's `stats` or its `metrics`.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
         snap.push_counter("engine.analyses_computed", self.analyses_computed);
@@ -163,11 +163,6 @@ impl SearchStats {
         snap.push_counter("engine.timed_out", u64::from(self.timed_out));
         snap.push_counter("engine.wall_ns", duration_to_ns(self.wall_time));
         snap
-    }
-
-    /// The stats as one compact JSON object (the metrics-snapshot schema).
-    pub fn to_json(&self) -> String {
-        self.metrics().to_json()
     }
 }
 
@@ -1252,7 +1247,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_metrics_json_matches_the_counters() {
+    fn stats_metrics_match_the_counters() {
         let engine = SearchEngine::sequential();
         engine.classify(&TestAndSet::new(), 3).unwrap();
         let stats = engine.stats();
@@ -1262,7 +1257,6 @@ mod tests {
             snap.counter("engine.busy_ns"),
             Some(u64::try_from(stats.busy_time.as_nanos()).unwrap())
         );
-        assert!(stats.to_json().contains("\"engine.analyses_computed\""));
     }
 
     #[test]

@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bench;
 mod bitset;
 pub mod brute;
 mod cache;
@@ -48,7 +47,6 @@ mod search;
 pub mod synthesis;
 mod witness;
 
-pub use bench::{BenchRecord, BenchRecorder};
 pub use bitset::BitSet;
 pub use cache::{
     type_fingerprint, CacheIo, DiskCache, FaultMode, FaultyIo, StoreNames, SystemIo, VerdictStore,

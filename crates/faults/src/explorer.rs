@@ -82,7 +82,7 @@ impl Default for CrashtestConfig {
 }
 
 /// The explorer's public search-effort counters — the stable seam other
-/// crates (the RCN200 cross-checker lint, the CLI, bench records) compare
+/// crates (the RCN200 cross-checker lint, the CLI's verdict records) compare
 /// and report. Tracer counters mirror these; the struct is authoritative
 /// and available without any tracer attached.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -15,7 +15,8 @@
 //!   field unconditionally.
 //! * [`MetricsRegistry`] / [`Counter`] / [`HistogramHandle`] — named
 //!   instruments behind pre-resolved atomic handles, frozen into a
-//!   serializable [`MetricsSnapshot`] for `--metrics` and `BenchRecord`.
+//!   serializable [`MetricsSnapshot`] for `--metrics` and the `--json`
+//!   verdict records.
 //! * [`ProfileReport`] / [`parse_jsonl`] — aggregation of a recorded
 //!   trace back into a per-span breakdown (calls, total vs self time,
 //!   p50/p99) for `rcn profile <trace.jsonl>`.

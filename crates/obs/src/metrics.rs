@@ -4,8 +4,8 @@
 //! monotonic [`Counter`]s and log₂-bucketed [`HistogramHandle`]s that hot
 //! loops bump through pre-resolved `Arc` handles. A [`MetricsSnapshot`]
 //! freezes the registry into plain sorted vectors with serde derives, so
-//! the CLI's `--metrics` flag can render it as aligned text or one JSON
-//! object, and `BenchRecord` can embed it verbatim.
+//! the CLI's `--metrics` flag can render it as aligned text or embed it in
+//! the `--json` verdict document verbatim.
 //!
 //! [`Tracer`]: crate::Tracer
 
@@ -335,11 +335,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// The snapshot as one compact JSON object.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("metrics snapshots always serialize")
-    }
 }
 
 #[cfg(test)]
@@ -423,7 +418,7 @@ mod tests {
         registry.counter("a").add(1);
         registry.histogram("h").observe(42);
         let snap = registry.snapshot();
-        let json = snap.to_json();
+        let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).expect("parse back");
         assert_eq!(back, snap);
     }

@@ -12,6 +12,7 @@
 //! process's value while the other process may never even have moved — or
 //! both end up "losers" deciding each other's values.
 
+use crate::PlanError;
 use rcn_model::{Action, HeapLayout, LocalState, ObjectId, ProcessId, Program, System};
 use rcn_spec::zoo::{Register, TestAndSet};
 use rcn_spec::{Response, ValueId};
@@ -46,23 +47,35 @@ impl TasConsensus {
     ///
     /// # Panics
     ///
-    /// Panics unless exactly two binary inputs are given.
+    /// Panics where [`TasConsensus::try_system`] errs, or if any input is
+    /// not binary.
     pub fn system(inputs: Vec<u32>) -> System {
-        assert_eq!(inputs.len(), 2, "the protocol is for exactly 2 processes");
+        Self::try_system(inputs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Self::system`]: [`PlanError::WrongProcessCount`] unless
+    /// exactly two inputs are given. Panics if any input is not binary.
+    pub fn try_system(inputs: Vec<u32>) -> Result<System, PlanError> {
+        if inputs.len() != 2 {
+            return Err(PlanError::WrongProcessCount {
+                expected: 2,
+                found: inputs.len(),
+            });
+        }
         assert!(inputs.iter().all(|&x| x <= 1), "inputs must be binary");
         let mut layout = HeapLayout::new();
         let tas = layout.add_object("T", Arc::new(TestAndSet::new()), ValueId::new(0));
         // Register domain 3: values 0, 1, and ⊥ = 2 (initial).
         let a0 = layout.add_object("A0", Arc::new(Register::new(3)), ValueId::new(2));
         let a1 = layout.add_object("A1", Arc::new(Register::new(3)), ValueId::new(2));
-        System::new(
+        Ok(System::new(
             Arc::new(TasConsensus {
                 tas,
                 announce: [a0, a1],
             }),
             Arc::new(layout),
             inputs,
-        )
+        ))
     }
 }
 

@@ -19,13 +19,29 @@
 
 use rcn_model::{Action, HeapLayout, LocalState, ObjectId, ProcessId, Program, System};
 use rcn_spec::zoo::Tnn;
-use rcn_spec::Response;
+use rcn_spec::{Response, TypeSpecError};
 use std::sync::Arc;
 
 /// Phases shared by both programs (stored in `LocalState` word 1).
 const PHASE_START: u32 = 0;
 const PHASE_APPLIED_R: u32 = 1;
 const PHASE_DECIDED: u32 = 2;
+
+/// `inputs.len()` processes running `program` over one `T_{n,n'}` object
+/// initialized to `s`.
+fn tnn_system<P: Program + 'static>(
+    n: usize,
+    n_prime: usize,
+    inputs: Vec<u32>,
+    program: fn(Tnn, ObjectId) -> P,
+) -> Result<System, TypeSpecError> {
+    assert!(inputs.iter().all(|&x| x <= 1), "inputs must be binary");
+    let tnn = Tnn::try_new(n, n_prime)?;
+    let mut layout = HeapLayout::new();
+    let object = layout.add_object("O", Arc::new(tnn), tnn.s());
+    let program = Arc::new(program(tnn, object));
+    Ok(System::new(program, Arc::new(layout), inputs))
+}
 
 /// The wait-free n-process consensus program using one `T_{n,n'}` object
 /// (§4, first algorithm).
@@ -52,18 +68,19 @@ impl TnnWaitFree {
     ///
     /// # Panics
     ///
-    /// Panics if the `T_{n,n'}` parameters are invalid or any input is not
+    /// Panics where [`TnnWaitFree::try_system`] errs, or if any input is not
     /// binary.
     pub fn system(n: usize, n_prime: usize, inputs: Vec<u32>) -> System {
-        assert!(inputs.iter().all(|&x| x <= 1), "inputs must be binary");
-        let tnn = Tnn::new(n, n_prime);
-        let mut layout = HeapLayout::new();
-        let object = layout.add_object("O", Arc::new(tnn), tnn.s());
-        System::new(
-            Arc::new(TnnWaitFree { tnn, object }),
-            Arc::new(layout),
-            inputs,
-        )
+        Self::try_system(n, n_prime, inputs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Self::system`]: [`TypeSpecError::BadParameters`] unless
+    /// `n > n' ≥ 1`. Panics if any input is not binary.
+    pub fn try_system(n: usize, n_prime: usize, inputs: Vec<u32>) -> Result<System, TypeSpecError> {
+        tnn_system(n, n_prime, inputs, |tnn, object| TnnWaitFree {
+            tnn,
+            object,
+        })
     }
 }
 
@@ -126,18 +143,19 @@ impl TnnRecoverable {
     ///
     /// # Panics
     ///
-    /// Panics if the `T_{n,n'}` parameters are invalid or any input is not
+    /// Panics where [`TnnRecoverable::try_system`] errs, or if any input is not
     /// binary.
     pub fn system(n: usize, n_prime: usize, inputs: Vec<u32>) -> System {
-        assert!(inputs.iter().all(|&x| x <= 1), "inputs must be binary");
-        let tnn = Tnn::new(n, n_prime);
-        let mut layout = HeapLayout::new();
-        let object = layout.add_object("O", Arc::new(tnn), tnn.s());
-        System::new(
-            Arc::new(TnnRecoverable { tnn, object }),
-            Arc::new(layout),
-            inputs,
-        )
+        Self::try_system(n, n_prime, inputs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Self::system`]: [`TypeSpecError::BadParameters`] unless
+    /// `n > n' ≥ 1`. Panics if any input is not binary.
+    pub fn try_system(n: usize, n_prime: usize, inputs: Vec<u32>) -> Result<System, TypeSpecError> {
+        tnn_system(n, n_prime, inputs, |tnn, object| TnnRecoverable {
+            tnn,
+            object,
+        })
     }
 }
 

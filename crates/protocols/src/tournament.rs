@@ -52,7 +52,8 @@ struct PlanNode {
     cand: [ObjectId; 2],
 }
 
-/// Errors from [`TournamentConsensus::try_new`].
+/// Errors from building a protocol system ([`TournamentConsensus::try_new`],
+/// [`crate::TasConsensus::try_system`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// The type has no read operation (the construction needs one).
@@ -67,6 +68,13 @@ pub enum PlanError {
     },
     /// Fewer than 2 processes.
     TooFewProcesses,
+    /// The protocol is defined for exactly `expected` processes.
+    WrongProcessCount {
+        /// The number of processes the protocol is for.
+        expected: usize,
+        /// The number of inputs given.
+        found: usize,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -78,6 +86,10 @@ impl fmt::Display for PlanError {
                 "no non-hiding recording witness for a ({team0} vs {team1}) contest"
             ),
             PlanError::TooFewProcesses => write!(f, "need at least 2 processes"),
+            PlanError::WrongProcessCount { expected, found } => write!(
+                f,
+                "the protocol is for exactly {expected} processes, got {found} inputs"
+            ),
         }
     }
 }

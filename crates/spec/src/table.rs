@@ -48,6 +48,9 @@ pub enum TypeSpecError {
     },
     /// The type has no values or no operations.
     Empty,
+    /// A zoo constructor's parameters break its precondition (an empty
+    /// domain, or `T_(n,n')` without `n > n' >= 1`); the message names it.
+    BadParameters(String),
     /// A name list has the wrong length.
     WrongNameCount {
         /// Which list is wrong: `"value"`, `"op"`, or `"response"`.
@@ -90,6 +93,7 @@ impl fmt::Display for TypeSpecError {
             TypeSpecError::Empty => {
                 write!(f, "type must have at least one value and one operation")
             }
+            TypeSpecError::BadParameters(message) => f.write_str(message),
             TypeSpecError::WrongNameCount {
                 kind,
                 found,

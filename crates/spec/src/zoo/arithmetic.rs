@@ -6,6 +6,7 @@
 
 use crate::ids::{OpId, Outcome, Response, ValueId};
 use crate::object_type::ObjectType;
+use crate::{zoo::require, TypeSpecError};
 
 /// Fetch-and-add over `Z_m` (addition modulo `m`).
 ///
@@ -37,10 +38,18 @@ impl FetchAndAdd {
     ///
     /// # Panics
     ///
-    /// Panics if `modulus < 2`.
+    /// Panics where [`FetchAndAdd::try_new`] errs.
     pub fn new(modulus: usize) -> Self {
-        assert!(modulus >= 2, "fetch-and-add modulus must be at least 2");
-        FetchAndAdd { modulus }
+        Self::try_new(modulus).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if `modulus < 2`.
+    pub fn try_new(modulus: usize) -> Result<Self, TypeSpecError> {
+        require(
+            modulus >= 2,
+            format_args!("fetch-and-add modulus must be at least 2, got {modulus}"),
+        )?;
+        Ok(FetchAndAdd { modulus })
     }
 }
 
@@ -105,10 +114,15 @@ impl Swap {
     ///
     /// # Panics
     ///
-    /// Panics if `domain == 0`.
+    /// Panics where [`Swap::try_new`] errs.
     pub fn new(domain: usize) -> Self {
-        assert!(domain > 0, "swap domain must be nonempty");
-        Swap { domain }
+        Self::try_new(domain).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if `domain == 0`.
+    pub fn try_new(domain: usize) -> Result<Self, TypeSpecError> {
+        require(domain > 0, format_args!("swap domain must be nonempty"))?;
+        Ok(Swap { domain })
     }
 
     /// The op id of `swap(k)`.
@@ -195,10 +209,15 @@ impl CompareAndSwap {
     ///
     /// # Panics
     ///
-    /// Panics if `domain == 0`.
+    /// Panics where [`CompareAndSwap::try_new`] errs.
     pub fn new(domain: usize) -> Self {
-        assert!(domain > 0, "cas domain must be nonempty");
-        CompareAndSwap { domain }
+        Self::try_new(domain).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if `domain == 0`.
+    pub fn try_new(domain: usize) -> Result<Self, TypeSpecError> {
+        require(domain > 0, format_args!("cas domain must be nonempty"))?;
+        Ok(CompareAndSwap { domain })
     }
 
     /// The op id of `cas(expected, new)`.

@@ -8,6 +8,7 @@
 
 use crate::ids::{OpId, Outcome, Response, ValueId};
 use crate::object_type::ObjectType;
+use crate::{zoo::require, TypeSpecError};
 
 /// Enumerates all sequences over `{0..alphabet}` of length at most `capacity`
 /// and provides dense ids for them. Sequence id 0 is the empty sequence.
@@ -101,15 +102,21 @@ impl BoundedQueue {
     ///
     /// # Panics
     ///
-    /// Panics if `alphabet == 0` or `capacity == 0`.
+    /// Panics where [`BoundedQueue::try_new`] errs.
     pub fn new(alphabet: usize, capacity: usize) -> Self {
-        assert!(
+        Self::try_new(alphabet, capacity).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if
+    /// `alphabet == 0` or `capacity == 0`.
+    pub fn try_new(alphabet: usize, capacity: usize) -> Result<Self, TypeSpecError> {
+        require(
             alphabet > 0 && capacity > 0,
-            "queue dimensions must be positive"
-        );
-        BoundedQueue {
+            format_args!("queue dimensions must be positive"),
+        )?;
+        Ok(BoundedQueue {
             code: SeqCode::new(alphabet, capacity),
-        }
+        })
     }
 
     /// The op id of `enq(k)`.
@@ -222,15 +229,21 @@ impl BoundedStack {
     ///
     /// # Panics
     ///
-    /// Panics if `alphabet == 0` or `capacity == 0`.
+    /// Panics where [`BoundedStack::try_new`] errs.
     pub fn new(alphabet: usize, capacity: usize) -> Self {
-        assert!(
+        Self::try_new(alphabet, capacity).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if
+    /// `alphabet == 0` or `capacity == 0`.
+    pub fn try_new(alphabet: usize, capacity: usize) -> Result<Self, TypeSpecError> {
+        require(
             alphabet > 0 && capacity > 0,
-            "stack dimensions must be positive"
-        );
-        BoundedStack {
+            format_args!("stack dimensions must be positive"),
+        )?;
+        Ok(BoundedStack {
             code: SeqCode::new(alphabet, capacity),
-        }
+        })
     }
 
     /// The op id of `push(k)`.

@@ -34,3 +34,16 @@ pub use test_and_set::TestAndSet;
 pub use tnn::Tnn;
 pub use with_read::WithRead;
 pub use xn::{TeamCounter, Xn};
+
+use crate::TypeSpecError;
+use std::fmt;
+
+/// States a zoo constructor's precondition once: `Ok` when it `holds`,
+/// otherwise [`TypeSpecError::BadParameters`] carrying `message`.
+fn require(holds: bool, message: fmt::Arguments<'_>) -> Result<(), TypeSpecError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(TypeSpecError::BadParameters(message.to_string()))
+    }
+}

@@ -10,6 +10,7 @@
 
 use crate::ids::{OpId, Outcome, Response, ValueId};
 use crate::object_type::ObjectType;
+use crate::{zoo::require, TypeSpecError};
 
 /// A consensus object over the domain `{0, …, domain-1}`.
 ///
@@ -47,10 +48,18 @@ impl MultiConsensus {
     ///
     /// # Panics
     ///
-    /// Panics if `domain == 0`.
+    /// Panics where [`MultiConsensus::try_new`] errs.
     pub fn new(domain: usize) -> Self {
-        assert!(domain > 0, "consensus domain must be nonempty");
-        MultiConsensus { domain }
+        Self::try_new(domain).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if `domain == 0`.
+    pub fn try_new(domain: usize) -> Result<Self, TypeSpecError> {
+        require(
+            domain > 0,
+            format_args!("consensus domain must be nonempty"),
+        )?;
+        Ok(MultiConsensus { domain })
     }
 
     /// The size of the proposal domain.

@@ -6,6 +6,7 @@
 
 use crate::ids::{OpId, Outcome, Response, ValueId};
 use crate::object_type::ObjectType;
+use crate::{zoo::require, TypeSpecError};
 
 /// A read/write register over the domain `{0, …, domain-1}`.
 ///
@@ -35,10 +36,15 @@ impl Register {
     ///
     /// # Panics
     ///
-    /// Panics if `domain == 0`.
+    /// Panics where [`Register::try_new`] errs.
     pub fn new(domain: usize) -> Self {
-        assert!(domain > 0, "register domain must be nonempty");
-        Register { domain }
+        Self::try_new(domain).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if `domain == 0`.
+    pub fn try_new(domain: usize) -> Result<Self, TypeSpecError> {
+        require(domain > 0, format_args!("register domain must be nonempty"))?;
+        Ok(Register { domain })
     }
 
     /// The size of the value domain.

@@ -22,6 +22,7 @@
 
 use crate::ids::{OpId, Outcome, Response, ValueId};
 use crate::object_type::ObjectType;
+use crate::{zoo::require, TypeSpecError};
 
 /// The deterministic type `T_{n,n'}` of §4 of the paper.
 ///
@@ -50,13 +51,18 @@ impl Tnn {
     ///
     /// # Panics
     ///
-    /// Panics unless `n > n' ≥ 1` (the paper's precondition).
+    /// Panics where [`Tnn::try_new`] errs.
     pub fn new(n: usize, n_prime: usize) -> Self {
-        assert!(
+        Self::try_new(n, n_prime).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] unless `n > n' ≥ 1`.
+    pub fn try_new(n: usize, n_prime: usize) -> Result<Self, TypeSpecError> {
+        require(
             n > n_prime && n_prime >= 1,
-            "T_(n,n') requires n > n' >= 1, got n={n}, n'={n_prime}"
-        );
-        Tnn { n, n_prime }
+            format_args!("T_(n,n') requires n > n' >= 1, got n={n}, n'={n_prime}"),
+        )?;
+        Ok(Tnn { n, n_prime })
     }
 
     /// The parameter `n` (the consensus number, Lemma 15).

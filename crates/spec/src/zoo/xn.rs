@@ -24,6 +24,7 @@
 
 use crate::ids::{OpId, Outcome, Response, ValueId};
 use crate::object_type::ObjectType;
+use crate::{zoo::require, TypeSpecError};
 
 /// A readable type with consensus number `n` and recoverable consensus
 /// number `n−1`.
@@ -57,10 +58,15 @@ impl TeamCounter {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2`.
+    /// Panics where [`TeamCounter::try_new`] errs.
     pub fn new(n: usize) -> Self {
-        assert!(n >= 2, "team counter needs n >= 2");
-        TeamCounter { n }
+        Self::try_new(n).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if `n < 2`.
+    pub fn try_new(n: usize) -> Result<Self, TypeSpecError> {
+        require(n >= 2, format_args!("team counter needs n >= 2, got {n}"))?;
+        Ok(TeamCounter { n })
     }
 
     /// The parameter `n` (the consensus number of the family).
