@@ -1573,6 +1573,29 @@ mod tests {
     }
 
     #[test]
+    fn parameters_beyond_the_id_space_are_prompt_usage_errors() {
+        // Ids are 16-bit: these types would alias op or value ids (or never
+        // finish building their value codes), so the constructors refuse
+        // them before any search starts.
+        for args in [
+            &["classify", "queue:2,70", "--cap", "2"][..],
+            &["classify", "queue:300,2", "--cap", "2"],
+            &["classify", "register:70000"],
+            &["classify", "cas:257"],
+            &["classify", "queue:2,15+read"],
+        ] {
+            let start = Instant::now();
+            let err = run(&s(args)).expect_err(&args.join(" "));
+            assert!(err.contains("ids are 16-bit"), "{args:?}: {err}");
+            assert!(
+                start.elapsed() < Duration::from_secs(2),
+                "{args:?} took {:?}",
+                start.elapsed()
+            );
+        }
+    }
+
+    #[test]
     fn malformed_type_arguments_are_usage_errors() {
         for spec in [
             "register:x",

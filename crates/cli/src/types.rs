@@ -137,7 +137,7 @@ pub fn parse_type(spec: &str) -> Result<DynType, ParseTypeError> {
         // WithRead is generic over a concrete type; go through the table
         // normal form to augment a dynamic one.
         let table = TableType::from_type(&*base);
-        return Ok(Arc::new(WithRead::new(table)));
+        return Ok(Arc::new(WithRead::try_new(table)?));
     }
     if let Some(path) = spec.strip_prefix("table:") {
         let json = std::fs::read_to_string(path)
@@ -207,6 +207,13 @@ mod tests {
         assert_eq!(t.num_values(), 5);
         let t = parse_type("queue:2,3").unwrap();
         assert_eq!(t.name(), "queue<2,3>");
+    }
+
+    #[test]
+    fn sizes_up_to_the_id_space_parse() {
+        let t = parse_type("register:65535").unwrap();
+        assert_eq!(t.num_ops(), 65_536);
+        assert!(parse_type("register:65536").is_err());
     }
 
     #[test]

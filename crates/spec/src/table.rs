@@ -6,6 +6,7 @@
 
 use crate::ids::{OpId, Outcome, Response, ValueId};
 use crate::object_type::ObjectType;
+use crate::zoo::require_ids;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -49,7 +50,9 @@ pub enum TypeSpecError {
     /// The type has no values or no operations.
     Empty,
     /// A zoo constructor's parameters break its precondition (an empty
-    /// domain, or `T_(n,n')` without `n > n' >= 1`); the message names it.
+    /// domain, or `T_(n,n')` without `n > n' >= 1`), or a type's sizes
+    /// exceed the 16-bit id space ([`MAX_IDS`](crate::zoo::MAX_IDS)); the
+    /// message names it.
     BadParameters(String),
     /// A name list has the wrong length.
     WrongNameCount {
@@ -208,6 +211,14 @@ impl TableType {
         if self.num_values == 0 || self.num_ops == 0 {
             return Err(TypeSpecError::Empty);
         }
+        require_ids(
+            format_args!("table `{}`", self.name),
+            [
+                Some(self.num_values),
+                Some(self.num_ops),
+                Some(self.num_responses),
+            ],
+        )?;
         if self.table.len() != self.num_values {
             return Err(TypeSpecError::WrongRowCount {
                 found: self.table.len(),
@@ -410,6 +421,14 @@ mod tests {
         b.set(0, 0, Outcome::new(Response(0), ValueId(1)));
         b.set(1, 0, Outcome::new(Response(1), ValueId(1)));
         b.build().unwrap()
+    }
+
+    #[test]
+    fn validate_rejects_sizes_beyond_the_id_space() {
+        let mut t = tiny();
+        t.num_responses = crate::zoo::MAX_IDS + 1;
+        let err = t.validate().unwrap_err();
+        assert!(err.to_string().contains("65537 responses"), "{err}");
     }
 
     #[test]

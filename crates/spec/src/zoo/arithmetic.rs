@@ -6,7 +6,8 @@
 
 use crate::ids::{OpId, Outcome, Response, ValueId};
 use crate::object_type::ObjectType;
-use crate::{zoo::require, TypeSpecError};
+use crate::zoo::{require, require_ids};
+use crate::TypeSpecError;
 
 /// Fetch-and-add over `Z_m` (addition modulo `m`).
 ///
@@ -43,11 +44,17 @@ impl FetchAndAdd {
         Self::try_new(modulus).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if `modulus < 2`.
+    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if `modulus < 2`,
+    /// or if the type would have more than [`MAX_IDS`](crate::zoo::MAX_IDS)
+    /// values, operations or responses.
     pub fn try_new(modulus: usize) -> Result<Self, TypeSpecError> {
         require(
             modulus >= 2,
             format_args!("fetch-and-add modulus must be at least 2, got {modulus}"),
+        )?;
+        require_ids(
+            format_args!("fetch-and-add<{modulus}>"),
+            [Some(modulus), Some(2), Some(modulus)],
         )?;
         Ok(FetchAndAdd { modulus })
     }
@@ -119,9 +126,15 @@ impl Swap {
         Self::try_new(domain).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if `domain == 0`.
+    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if `domain == 0`,
+    /// or if the type would have more than [`MAX_IDS`](crate::zoo::MAX_IDS)
+    /// values, operations or responses.
     pub fn try_new(domain: usize) -> Result<Self, TypeSpecError> {
         require(domain > 0, format_args!("swap domain must be nonempty"))?;
+        require_ids(
+            format_args!("swap<{domain}>"),
+            [Some(domain), domain.checked_add(1), Some(domain)],
+        )?;
         Ok(Swap { domain })
     }
 
@@ -214,9 +227,15 @@ impl CompareAndSwap {
         Self::try_new(domain).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if `domain == 0`.
+    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if `domain == 0`,
+    /// or if the type would have more than [`MAX_IDS`](crate::zoo::MAX_IDS)
+    /// values, operations or responses.
     pub fn try_new(domain: usize) -> Result<Self, TypeSpecError> {
         require(domain > 0, format_args!("cas domain must be nonempty"))?;
+        require_ids(
+            format_args!("compare-and-swap<{domain}>"),
+            [Some(domain), domain.checked_mul(domain), Some(domain)],
+        )?;
         Ok(CompareAndSwap { domain })
     }
 

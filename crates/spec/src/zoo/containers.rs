@@ -8,7 +8,8 @@
 
 use crate::ids::{OpId, Outcome, Response, ValueId};
 use crate::object_type::ObjectType;
-use crate::{zoo::require, TypeSpecError};
+use crate::zoo::{require, require_ids};
+use crate::TypeSpecError;
 
 /// Enumerates all sequences over `{0..alphabet}` of length at most `capacity`
 /// and provides dense ids for them. Sequence id 0 is the empty sequence.
@@ -21,14 +22,27 @@ struct SeqCode {
 }
 
 impl SeqCode {
+    /// The number of sequences over a nonempty `alphabet` of length at most
+    /// `capacity` (`Σ alphabet^len`), or `None` when it overflows `usize`.
+    fn count(alphabet: usize, capacity: usize) -> Option<usize> {
+        if alphabet == 1 {
+            return capacity.checked_add(1);
+        }
+        // alphabet ≥ 2 overflows within 64 lengths, so this loop is short.
+        (0..=capacity).try_fold(0usize, |total, len| {
+            total.checked_add(alphabet.checked_pow(u32::try_from(len).ok()?)?)
+        })
+    }
+
+    /// The code for a nonempty `alphabet` and a `capacity` whose
+    /// [`count`](Self::count) the caller has bounded (every constructor
+    /// checks it against the id space first), so no sum here overflows.
     fn new(alphabet: usize, capacity: usize) -> Self {
         let mut offsets = Vec::with_capacity(capacity + 2);
         let mut total = 0usize;
-        let mut count = 1usize; // alphabet^len
-        for _ in 0..=capacity {
+        for len in 0..=capacity {
             offsets.push(total);
-            total += count;
-            count *= alphabet;
+            total += alphabet.pow(len as u32);
         }
         offsets.push(total);
         SeqCode {
@@ -108,11 +122,21 @@ impl BoundedQueue {
     }
 
     /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if
-    /// `alphabet == 0` or `capacity == 0`.
+    /// `alphabet == 0` or `capacity == 0`,
+    /// or if the type would have more than [`MAX_IDS`](crate::zoo::MAX_IDS)
+    /// values, operations or responses.
     pub fn try_new(alphabet: usize, capacity: usize) -> Result<Self, TypeSpecError> {
         require(
             alphabet > 0 && capacity > 0,
             format_args!("queue dimensions must be positive"),
+        )?;
+        require_ids(
+            format_args!("queue<{alphabet},{capacity}>"),
+            [
+                SeqCode::count(alphabet, capacity),
+                alphabet.checked_add(1),
+                alphabet.checked_add(3),
+            ],
         )?;
         Ok(BoundedQueue {
             code: SeqCode::new(alphabet, capacity),
@@ -235,11 +259,21 @@ impl BoundedStack {
     }
 
     /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if
-    /// `alphabet == 0` or `capacity == 0`.
+    /// `alphabet == 0` or `capacity == 0`,
+    /// or if the type would have more than [`MAX_IDS`](crate::zoo::MAX_IDS)
+    /// values, operations or responses.
     pub fn try_new(alphabet: usize, capacity: usize) -> Result<Self, TypeSpecError> {
         require(
             alphabet > 0 && capacity > 0,
             format_args!("stack dimensions must be positive"),
+        )?;
+        require_ids(
+            format_args!("stack<{alphabet},{capacity}>"),
+            [
+                SeqCode::count(alphabet, capacity),
+                alphabet.checked_add(1),
+                alphabet.checked_add(3),
+            ],
         )?;
         Ok(BoundedStack {
             code: SeqCode::new(alphabet, capacity),

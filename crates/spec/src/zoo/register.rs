@@ -6,7 +6,8 @@
 
 use crate::ids::{OpId, Outcome, Response, ValueId};
 use crate::object_type::ObjectType;
-use crate::{zoo::require, TypeSpecError};
+use crate::zoo::{require, require_ids};
+use crate::TypeSpecError;
 
 /// A read/write register over the domain `{0, …, domain-1}`.
 ///
@@ -41,9 +42,16 @@ impl Register {
         Self::try_new(domain).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if `domain == 0`.
+    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if `domain == 0`,
+    /// or if the type would have more than [`MAX_IDS`](crate::zoo::MAX_IDS)
+    /// values, operations or responses.
     pub fn try_new(domain: usize) -> Result<Self, TypeSpecError> {
         require(domain > 0, format_args!("register domain must be nonempty"))?;
+        let plus_one = domain.checked_add(1);
+        require_ids(
+            format_args!("register<{domain}>"),
+            [Some(domain), plus_one, plus_one],
+        )?;
         Ok(Register { domain })
     }
 

@@ -22,7 +22,8 @@
 
 use crate::ids::{OpId, Outcome, Response, ValueId};
 use crate::object_type::ObjectType;
-use crate::{zoo::require, TypeSpecError};
+use crate::zoo::{require, require_ids};
+use crate::TypeSpecError;
 
 /// The deterministic type `T_{n,n'}` of §4 of the paper.
 ///
@@ -56,11 +57,18 @@ impl Tnn {
         Self::try_new(n, n_prime).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] unless `n > n' ≥ 1`.
+    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] unless `n > n' ≥ 1`,
+    /// or if the type would have more than [`MAX_IDS`](crate::zoo::MAX_IDS)
+    /// values, operations or responses.
     pub fn try_new(n: usize, n_prime: usize) -> Result<Self, TypeSpecError> {
         require(
             n > n_prime && n_prime >= 1,
             format_args!("T_(n,n') requires n > n' >= 1, got n={n}, n'={n_prime}"),
+        )?;
+        let values = n.checked_mul(2);
+        require_ids(
+            format_args!("T_({n},{n_prime})"),
+            [values, Some(3), values.and_then(|v| v.checked_add(3))],
         )?;
         Ok(Tnn { n, n_prime })
     }

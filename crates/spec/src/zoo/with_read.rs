@@ -11,6 +11,8 @@
 
 use crate::ids::{OpId, Outcome, Response, ValueId};
 use crate::object_type::ObjectType;
+use crate::zoo::require_ids;
+use crate::TypeSpecError;
 
 /// Augments an inner type with one extra operation: a read that returns the
 /// current value and leaves it unchanged.
@@ -36,8 +38,27 @@ pub struct WithRead<T> {
 
 impl<T: ObjectType> WithRead<T> {
     /// Wraps `inner`, adding a read operation.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`WithRead::try_new`] errs.
     pub fn new(inner: T) -> Self {
-        WithRead { inner }
+        Self::try_new(inner).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if the read
+    /// and its responses would take the type beyond the id space
+    /// ([`MAX_IDS`](crate::zoo::MAX_IDS)).
+    pub fn try_new(inner: T) -> Result<Self, TypeSpecError> {
+        require_ids(
+            format_args!("{}+read", inner.name()),
+            [
+                Some(inner.num_values()),
+                inner.num_ops().checked_add(1),
+                inner.num_responses().checked_add(inner.num_values()),
+            ],
+        )?;
+        Ok(WithRead { inner })
     }
 
     /// The inner type.

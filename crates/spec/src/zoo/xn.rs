@@ -24,7 +24,8 @@
 
 use crate::ids::{OpId, Outcome, Response, ValueId};
 use crate::object_type::ObjectType;
-use crate::{zoo::require, TypeSpecError};
+use crate::zoo::{require, require_ids};
+use crate::TypeSpecError;
 
 /// A readable type with consensus number `n` and recoverable consensus
 /// number `n−1`.
@@ -63,9 +64,16 @@ impl TeamCounter {
         Self::try_new(n).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if `n < 2`.
+    /// Fallible [`Self::new`]: [`TypeSpecError::BadParameters`] if `n < 2`,
+    /// or if the type would have more than [`MAX_IDS`](crate::zoo::MAX_IDS)
+    /// values, operations or responses.
     pub fn try_new(n: usize) -> Result<Self, TypeSpecError> {
         require(n >= 2, format_args!("team counter needs n >= 2, got {n}"))?;
+        let values = n.checked_mul(2);
+        require_ids(
+            format_args!("team-counter<{n}>"),
+            [values, Some(3), values.and_then(|v| v.checked_add(3))],
+        )?;
         Ok(TeamCounter { n })
     }
 
