@@ -19,6 +19,19 @@ impl BitSet {
         }
     }
 
+    /// A set over `0..capacity` from its little-endian word image (the
+    /// layout [`Analysis`](crate::Analysis) stores its sets in).
+    pub(crate) fn from_words(words: Vec<u64>, capacity: usize) -> Self {
+        let set = BitSet { words, capacity };
+        debug_assert!(set.is_well_formed(), "malformed bitset word image");
+        set
+    }
+
+    /// The little-endian word image of the set.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// The capacity this set was created with.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -102,34 +115,7 @@ impl BitSet {
             other.capacity,
             self.capacity
         );
-        self.or_words(&other.words, shift);
-    }
-
-    /// Word-level OR primitive: ORs `src` (a little-endian word image of a
-    /// bitset) into `self` at bit offset `shift`. Tail bits of `src` beyond
-    /// its own capacity are assumed clear (true for well-formed sets), so
-    /// well-formedness of `self` is preserved whenever the caller has
-    /// checked the capacity bound, as [`union_shifted_with`]
-    /// (Self::union_shifted_with) does.
-    fn or_words(&mut self, src: &[u64], shift: usize) {
-        let (w, b) = (shift / 64, shift % 64);
-        if b == 0 {
-            for (i, &s) in src.iter().enumerate() {
-                if s != 0 {
-                    self.words[w + i] |= s;
-                }
-            }
-        } else {
-            for (i, &s) in src.iter().enumerate() {
-                if s == 0 {
-                    continue;
-                }
-                self.words[w + i] |= s << b;
-                if let Some(hi) = self.words.get_mut(w + i + 1) {
-                    *hi |= s >> (64 - b);
-                }
-            }
-        }
+        or_shifted(&mut self.words, &other.words, shift);
     }
 
     /// Returns `true` if the two sets share an element.
@@ -168,6 +154,35 @@ impl BitSet {
             words: &self.words,
             word_index: 0,
             current: self.words.first().copied().unwrap_or(0),
+        }
+    }
+}
+
+/// Word-level OR primitive: ORs `src` (a little-endian word image of a
+/// bitset) into `dst` at bit offset `shift`. Each source word is split
+/// across (at most) two destination words; a high spill past the end of
+/// `dst` is dropped. Tail bits of `src` beyond its own capacity are assumed
+/// clear (true for well-formed sets), so `dst` stays well-formed whenever
+/// the caller has checked that `shift` plus the source capacity fits, as
+/// [`BitSet::union_shifted_with`] does. The analysis kernel calls it on
+/// slices of its flat word arrays.
+pub(crate) fn or_shifted(dst: &mut [u64], src: &[u64], shift: usize) {
+    let (w, b) = (shift / 64, shift % 64);
+    if b == 0 {
+        for (i, &s) in src.iter().enumerate() {
+            if s != 0 {
+                dst[w + i] |= s;
+            }
+        }
+    } else {
+        for (i, &s) in src.iter().enumerate() {
+            if s == 0 {
+                continue;
+            }
+            dst[w + i] |= s << b;
+            if let Some(hi) = dst.get_mut(w + i + 1) {
+                *hi |= s >> (64 - b);
+            }
         }
     }
 }

@@ -14,8 +14,8 @@
 //! for any deterministic type.
 
 use crate::reach::Analysis;
-use crate::search::{op_multisets, partitions};
-use crate::witness::{Team, Witness, WitnessError};
+use crate::search::{op_multisets, partitions, team_of};
+use crate::witness::{Witness, WitnessError};
 use rcn_spec::{ObjectType, ValueId};
 use serde::{Deserialize, Serialize};
 
@@ -47,16 +47,16 @@ pub fn check_discerning<T: ObjectType + ?Sized>(
 ) -> Result<bool, WitnessError> {
     witness.validate(ty)?;
     let analysis = Analysis::new(ty, witness.initial, &witness.ops);
-    let t0 = witness.team_members(Team::T0);
-    let t1 = witness.team_members(Team::T1);
-    Ok(pairs_disjoint(&analysis, &t0, &t1))
+    let (t0, t1) = witness.team_masks();
+    Ok(pairs_disjoint(&analysis, t0, t1))
 }
 
-pub(crate) fn pairs_disjoint(analysis: &Analysis, t0: &[usize], t1: &[usize]) -> bool {
+/// `R_{0,j} ∩ R_{1,j} = ∅` for every `j`, for the teams with bitmasks `t0`
+/// and `t1`: each pair-set word of both unions is ORed on the stack.
+pub(crate) fn pairs_disjoint(analysis: &Analysis, t0: u32, t1: u32) -> bool {
     (0..analysis.n()).all(|j| {
-        !analysis
-            .pair_set(t0, j)
-            .intersects(&analysis.pair_set(t1, j))
+        (0..analysis.pair_width())
+            .all(|w| analysis.pair_word(t0, j, w) & analysis.pair_word(t1, j, w) == 0)
     })
 }
 
@@ -75,11 +75,9 @@ pub fn find_discerning_witness<T: ObjectType + ?Sized>(ty: &T, n: usize) -> Opti
         let u = ValueId(u as u16);
         for ops in op_multisets(ty.num_ops(), n) {
             let analysis = Analysis::new(ty, u, &ops);
-            for teams in partitions(n) {
-                let t0: Vec<usize> = (0..n).filter(|&i| teams[i] == Team::T0).collect();
-                let t1: Vec<usize> = (0..n).filter(|&i| teams[i] == Team::T1).collect();
-                if pairs_disjoint(&analysis, &t0, &t1) {
-                    return Some(Witness::new(u, teams, ops));
+            for (t0, t1) in partitions(n) {
+                if pairs_disjoint(&analysis, t0, t1) {
+                    return Some(Witness::new(u, team_of(n, t1), ops));
                 }
             }
         }
@@ -169,6 +167,7 @@ pub fn discerning_number<T: ObjectType + ?Sized>(ty: &T, cap: usize) -> LevelRes
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::witness::Team;
     use rcn_spec::zoo::{
         BoundedQueue, CompareAndSwap, ConsensusObject, FetchAndAdd, Register, StickyBit, Swap,
         TestAndSet,

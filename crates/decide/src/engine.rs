@@ -34,8 +34,8 @@ use crate::classify::{level_to_bound, TypeClassification};
 use crate::discerning::{check_discerning, pairs_disjoint, LevelResult};
 use crate::reach::{Analysis, MAX_PROCESSES};
 use crate::recording::{check_recording, recording_holds};
-use crate::search::{instances, partitions};
-use crate::witness::{Team, Witness};
+use crate::search::{instances, partitions, team_of};
+use crate::witness::Witness;
 use crate::DiskCache;
 use rcn_obs::{MetricsSnapshot, Span, Tracer};
 use rcn_spec::{ObjectType, OpId, ValueId};
@@ -212,7 +212,8 @@ impl Condition {
         }
     }
 
-    fn holds(self, analysis: &Analysis, u: ValueId, t0: &[usize], t1: &[usize]) -> bool {
+    /// Whether the condition holds for the teams with bitmasks `t0`, `t1`.
+    fn holds(self, analysis: &Analysis, u: ValueId, t0: u32, t1: u32) -> bool {
         match self {
             Condition::Recording => recording_holds(analysis, u, t0, t1),
             Condition::Discerning => pairs_disjoint(analysis, t0, t1),
@@ -786,15 +787,7 @@ impl SearchEngine {
     ) -> Result<FindOutcome, SearchError> {
         let space: Vec<(ValueId, Vec<OpId>)> =
             instances(ty.num_values(), ty.num_ops(), n).collect();
-        let parts: Vec<Vec<Team>> = partitions(n).collect();
-        let teams_of: Vec<(Vec<usize>, Vec<usize>)> = parts
-            .iter()
-            .map(|teams| {
-                let t0 = (0..n).filter(|&i| teams[i] == Team::T0).collect();
-                let t1 = (0..n).filter(|&i| teams[i] == Team::T1).collect();
-                (t0, t1)
-            })
-            .collect();
+        let parts: Vec<(u32, u32)> = partitions(n).collect();
 
         if self.tracer.recording() {
             // Queue depth at level start: how many claimable tasks the
@@ -802,7 +795,7 @@ impl SearchEngine {
             level_span.event(
                 "engine.queue",
                 i64::try_from(space.len()).unwrap_or(i64::MAX),
-                &format!("instances={} partitions={}", space.len(), teams_of.len()),
+                &format!("instances={} partitions={}", space.len(), parts.len()),
             );
         }
 
@@ -842,7 +835,7 @@ impl SearchEngine {
                 let task = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let analysis = call.memo.get_or_compute(engine, ty, *u, ops);
                     local_instances += 1;
-                    for (p, (t0, t1)) in teams_of.iter().enumerate() {
+                    for (p, &(t0, t1)) in parts.iter().enumerate() {
                         if local_partitions.is_multiple_of(256) && past_deadline() {
                             deadline_hit.store(true, Ordering::Relaxed);
                             stop.store(true, Ordering::Relaxed);
@@ -850,7 +843,7 @@ impl SearchEngine {
                         }
                         local_partitions += 1;
                         if cond.holds(&analysis, *u, t0, t1) {
-                            let witness = Witness::new(*u, parts[p].clone(), ops.clone());
+                            let witness = Witness::new(*u, team_of(n, t1), ops.clone());
                             let mut slot = found.lock().expect("witness slot");
                             match &*slot {
                                 Some((best, _)) if *best <= (i, p) => {}

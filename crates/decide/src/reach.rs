@@ -13,27 +13,39 @@
 //!   reachable after p_j applied)` over the same first-team restriction.
 //!
 //! The analysis is computed once per `(initial value, op assignment)`; team
-//! partitions are then evaluated by cheap bitset unions, which is what makes
-//! the exhaustive witness search feasible.
+//! partitions are then evaluated by ORing a few words per team, which is
+//! what makes the exhaustive witness search feasible. An analysis stores its
+//! per-first sets in two flat word arrays with fixed strides, and a
+//! partition test takes its teams as bitmasks and ORs their words on the
+//! stack: neither building an analysis nor testing a partition allocates
+//! per node or per partition.
 //!
 //! Two implementations share the same pipeline and must stay bit-identical
 //! (the differential suite pins this):
 //!
 //! * [`Analysis::new`] — the kernelized path, and the only one the deciders
 //!   use: `ObjectType::apply` is hoisted out of the hot loops into
-//!   per-(process, value) transition tables, and `(response, value)`-pair
-//!   accumulation uses whole-word shifted ORs ([`BitSet::union_shifted_with`])
-//!   instead of bit-at-a-time inserts.
-//! * [`Analysis::new_scalar`] — the original bit-at-a-time reference,
-//!   kept as the differential/benchmark baseline.
+//!   per-(process, value) transition tables, the downstream value sets are
+//!   one flat word array indexed by node, and `(response, value)`-pair
+//!   accumulation uses whole-word shifted ORs (the slice-level primitive
+//!   behind [`BitSet::union_shifted_with`]) instead of bit-at-a-time
+//!   inserts.
+//! * [`Analysis::new_scalar`] — the original bit-at-a-time reference over
+//!   [`BitSet`]s, kept as the differential/benchmark baseline; it copies
+//!   its sets into the flat layout only at the end.
 
-use crate::bitset::BitSet;
+use crate::bitset::{or_shifted, BitSet};
 use rcn_spec::{ObjectType, OpId, ValueId};
 
 /// Maximum number of processes the analysis supports (masks are `u32`).
 pub const MAX_PROCESSES: usize = 20;
 
 /// Reachability analysis of one `(u, ops)` instance.
+///
+/// The per-first sets live in two flat word arrays with fixed strides:
+/// every value set is `vw = ⌈|V|/64⌉` words and every pair set
+/// `pw = ⌈|R|·|V|/64⌉` words, so a team union is a handful of word ORs at
+/// computed offsets and an analysis is three allocations, whatever `n`.
 ///
 /// # Examples
 ///
@@ -55,13 +67,19 @@ pub struct Analysis {
     n: usize,
     num_values: usize,
     num_responses: usize,
-    /// `value_sets[f]`: values reachable over schedules whose first process
-    /// is `p_f` (the per-first building block of the `U_x` sets).
-    value_sets: Vec<BitSet>,
-    /// `pair_sets[f * n + j]`: `(response, value)` pairs of `p_j` over
-    /// schedules whose first process is `p_f` and that contain `p_j` (the
-    /// per-first building block of the `R_{x,j}` sets).
-    pair_sets: Vec<BitSet>,
+    /// Words per value set: `⌈num_values / 64⌉`.
+    vw: usize,
+    /// Words per pair set: `⌈num_responses · num_values / 64⌉`.
+    pw: usize,
+    /// `value_words[f * vw..][..vw]`: values reachable over schedules whose
+    /// first process is `p_f` (the per-first building block of the `U_x`
+    /// sets).
+    value_words: Vec<u64>,
+    /// `pair_words[(f * n + j) * pw..][..pw]`: `(response, value)` pairs of
+    /// `p_j` over schedules whose first process is `p_f` and that contain
+    /// `p_j` (the per-first building block of the `R_{x,j}` sets), pair
+    /// `(r, v)` at bit `r · num_values + v`.
+    pair_words: Vec<u64>,
 }
 
 /// Precomputed per-(process, value) transitions of one instance. The hot
@@ -153,50 +171,49 @@ fn firsts_of(t: &Tables) -> Vec<u32> {
     firsts
 }
 
-/// Downstream value sets: `downstream[node]` holds the node's own value
-/// plus every value reachable from it (`None` = unreachable node), computed
-/// in decreasing mask order (reverse topological), so each node's children
-/// are done before it.
-fn downstream_from(t: &Tables, firsts: &[u32]) -> Vec<Option<BitSet>> {
+/// Downstream value sets, flat: `downstream[node * vw..][..vw]` holds the
+/// node's own value plus every value reachable from it, computed in
+/// decreasing mask order (reverse topological), so each node's children
+/// are done before it. Unreachable nodes keep an all-zero set, and every
+/// child of a reachable node is reachable, so no reachability flag is
+/// needed beside the words.
+fn downstream_from(t: &Tables, firsts: &[u32], vw: usize) -> Vec<u64> {
     let nv = t.num_values;
-    let mut downstream: Vec<Option<BitSet>> = vec![None; t.num_nodes()];
+    let mut downstream = vec![0u64; t.num_nodes() * vw];
     for mask in (1u32..(1 << t.n)).rev() {
         for v in 0..nv {
             let id = t.node(mask, v);
             if firsts[id] == 0 {
                 continue;
             }
-            let mut set = BitSet::new(nv);
-            set.insert(v);
+            // Children sit at larger masks, hence at larger node ids.
+            let (head, tail) = downstream.split_at_mut((id + 1) * vw);
+            let set = &mut head[id * vw..];
+            set[v / 64] |= 1 << (v % 64);
             for j in 0..t.n {
                 if mask & (1 << j) != 0 {
                     continue;
                 }
                 let (_, next) = t.step[j * nv + v];
-                if let Some(ds) = &downstream[t.node(mask | (1 << j), next)] {
-                    set.union_with(ds);
+                let child = (t.node(mask | (1 << j), next) - id - 1) * vw;
+                for (a, b) in set.iter_mut().zip(&tail[child..child + vw]) {
+                    *a |= b;
                 }
             }
-            downstream[id] = Some(set);
         }
     }
     downstream
 }
 
-/// Accumulates the per-first value/pair sets over every nonempty mask. The
-/// pair kernel: a node's downstream value set, shifted by
-/// `response * num_values`, is exactly the block of `(response, value)`
+/// Accumulates the per-first value/pair words over every nonempty mask,
+/// then adds the first application itself (p_f's own pair from the
+/// virtual root). The pair kernel: a node's downstream value set, shifted
+/// by `response * num_values`, is exactly the block of `(response, value)`
 /// pairs process `j` contributes — one whole-word OR per (node, j, first)
 /// instead of one insert per pair.
-fn accumulate(
-    t: &Tables,
-    firsts: &[u32],
-    downstream: &[Option<BitSet>],
-) -> (Vec<BitSet>, Vec<BitSet>) {
-    let n = t.n;
-    let nv = t.num_values;
-    let mut value_sets = vec![BitSet::new(nv); n];
-    let mut pair_sets = vec![BitSet::new(t.num_responses * nv); n * n];
+fn accumulate(t: &Tables, firsts: &[u32], downstream: &[u64], a: &mut Analysis) {
+    let (n, nv, vw, pw) = (t.n, t.num_values, a.vw, a.pw);
+    let ds = |node: usize| &downstream[node * vw..(node + 1) * vw];
     for mask in 1u32..(1 << n) {
         for v in 0..nv {
             let label = firsts[t.node(mask, v)];
@@ -208,7 +225,7 @@ fn accumulate(
             while l != 0 {
                 let f = l.trailing_zeros() as usize;
                 l &= l - 1;
-                value_sets[f].insert(v);
+                a.value_words[f * vw + v / 64] |= 1 << (v % 64);
             }
             // Pairs contributed by each process j applying here.
             for j in 0..n {
@@ -216,28 +233,24 @@ fn accumulate(
                     continue;
                 }
                 let (resp, next) = t.step[j * nv + v];
-                let Some(ds) = &downstream[t.node(mask | (1 << j), next)] else {
-                    continue;
-                };
-                let shift = resp * nv;
+                let src = ds(t.node(mask | (1 << j), next));
                 let mut l = label;
                 while l != 0 {
                     let f = l.trailing_zeros() as usize;
                     l &= l - 1;
-                    pair_sets[f * n + j].union_shifted_with(ds, shift);
+                    let row = (f * n + j) * pw;
+                    or_shifted(&mut a.pair_words[row..row + pw], src, resp * nv);
                 }
             }
         }
     }
-    (value_sets, pair_sets)
-}
-
-/// The first application itself: p_f's own pair from the virtual root.
-fn accumulate_root(t: &Tables, downstream: &[Option<BitSet>], pair_sets: &mut [BitSet]) {
     for (f, &(resp, next)) in t.root.iter().enumerate() {
-        if let Some(ds) = &downstream[t.node(1 << f, next)] {
-            pair_sets[f * t.n + f].union_shifted_with(ds, resp * t.num_values);
-        }
+        let row = (f * n + f) * pw;
+        or_shifted(
+            &mut a.pair_words[row..row + pw],
+            ds(t.node(1 << f, next)),
+            resp * nv,
+        );
     }
 }
 
@@ -251,22 +264,33 @@ impl Analysis {
     /// range for the type.
     pub fn new<T: ObjectType + ?Sized>(ty: &T, u: ValueId, ops: &[OpId]) -> Analysis {
         let t = Tables::new(ty, u, ops);
+        let mut a = Analysis::empty(t.n, t.num_values, t.num_responses);
         let firsts = firsts_of(&t);
-        let downstream = downstream_from(&t, &firsts);
-        let (value_sets, mut pair_sets) = accumulate(&t, &firsts, &downstream);
-        accumulate_root(&t, &downstream, &mut pair_sets);
+        let downstream = downstream_from(&t, &firsts, a.vw);
+        accumulate(&t, &firsts, &downstream, &mut a);
+        a
+    }
+
+    /// An analysis with every set empty, laid out for `n` processes.
+    fn empty(n: usize, num_values: usize, num_responses: usize) -> Analysis {
+        let vw = num_values.div_ceil(64);
+        let pw = (num_responses * num_values).div_ceil(64);
         Analysis {
-            n: t.n,
-            num_values: t.num_values,
-            num_responses: t.num_responses,
-            value_sets,
-            pair_sets,
+            n,
+            num_values,
+            num_responses,
+            vw,
+            pw,
+            value_words: vec![0; n * vw],
+            pair_words: vec![0; n * n * pw],
         }
     }
 
-    /// The original bit-at-a-time implementation, kept verbatim as the
-    /// reference the kernelized path is measured and differentially tested
-    /// against. Produces a bit-identical [`Analysis`].
+    /// The original bit-at-a-time implementation over [`BitSet`]s, kept as
+    /// the reference the kernelized path is measured and differentially
+    /// tested against. It shares no code with [`new`](Self::new) beyond
+    /// the final copy of its sets into the flat layout, and produces a
+    /// bit-identical [`Analysis`].
     ///
     /// # Panics
     ///
@@ -386,13 +410,14 @@ impl Analysis {
             }
         }
 
-        Analysis {
-            n,
-            num_values,
-            num_responses,
-            value_sets,
-            pair_sets,
+        let mut a = Analysis::empty(n, num_values, num_responses);
+        for (f, set) in value_sets.iter().enumerate() {
+            a.value_words[f * a.vw..(f + 1) * a.vw].copy_from_slice(set.words());
         }
+        for (row, set) in pair_sets.iter().enumerate() {
+            a.pair_words[row * a.pw..(row + 1) * a.pw].copy_from_slice(set.words());
+        }
+        a
     }
 
     /// Number of processes in the analyzed assignment.
@@ -403,36 +428,68 @@ impl Analysis {
     /// The `U`-style value set for a team: all values reachable over
     /// nonempty schedules whose first process is a member of `team`.
     pub fn value_set(&self, team: &[usize]) -> BitSet {
-        let mut out = BitSet::new(self.num_values);
-        for &f in team {
-            out.union_with(&self.value_sets[f]);
-        }
-        out
+        let words = (0..self.vw)
+            .map(|w| self.value_word(team_mask(team), w))
+            .collect();
+        BitSet::from_words(words, self.num_values)
     }
 
     /// The `R_{x,j}`-style pair set: `(response, value)` pairs of `p_j` over
     /// schedules containing `p_j` whose first process is in `team`.
     pub fn pair_set(&self, team: &[usize], j: usize) -> BitSet {
-        // Capacity is the pair-universe size, not something to infer from an
-        // arbitrary stored set (indexing `pair_sets[j]` happened to alias
-        // `pair_sets[0 * n + j]`, which has the right capacity only because
-        // all rows share it).
-        let mut out = BitSet::new(self.num_responses * self.num_values);
-        for &f in team {
-            out.union_with(&self.pair_sets[f * self.n + j]);
+        assert!(j < self.n, "process {j} out of range");
+        let words = (0..self.pw)
+            .map(|w| self.pair_word(team_mask(team), j, w))
+            .collect();
+        BitSet::from_words(words, self.num_responses * self.num_values)
+    }
+
+    /// Words per value set.
+    pub(crate) fn value_width(&self) -> usize {
+        self.vw
+    }
+
+    /// Words per pair set.
+    pub(crate) fn pair_width(&self) -> usize {
+        self.pw
+    }
+
+    /// Word `w` of the value set of the team with bitmask `team`: the OR of
+    /// that word over the team's per-first value sets.
+    pub(crate) fn value_word(&self, team: u32, w: usize) -> u64 {
+        let mut out = 0;
+        let mut m = team;
+        while m != 0 {
+            let f = m.trailing_zeros() as usize;
+            m &= m - 1;
+            out |= self.value_words[f * self.vw + w];
         }
         out
     }
 
-    /// Per-first value set (building block of [`value_set`](Self::value_set)).
-    pub fn value_set_of_first(&self, f: usize) -> &BitSet {
-        &self.value_sets[f]
+    /// Word `w` of the pair set of `p_j` for the team with bitmask `team`.
+    pub(crate) fn pair_word(&self, team: u32, j: usize, w: usize) -> u64 {
+        let mut out = 0;
+        let mut m = team;
+        while m != 0 {
+            let f = m.trailing_zeros() as usize;
+            m &= m - 1;
+            out |= self.pair_words[(f * self.n + j) * self.pw + w];
+        }
+        out
     }
+}
 
-    /// Per-first pair set (building block of [`pair_set`](Self::pair_set)).
-    pub fn pair_set_of_first(&self, f: usize, j: usize) -> &BitSet {
-        &self.pair_sets[f * self.n + j]
-    }
+/// The bitmask of a team given as process indices.
+///
+/// # Panics
+///
+/// Panics if a member is not below [`MAX_PROCESSES`].
+fn team_mask(team: &[usize]) -> u32 {
+    team.iter().fold(0, |m, &f| {
+        assert!(f < MAX_PROCESSES, "process {f} out of range");
+        m | 1 << f
+    })
 }
 
 #[cfg(test)]
@@ -440,7 +497,7 @@ mod tests {
     use super::*;
     use rcn_model::{s_p_first_in, ProcessId};
     use rcn_spec::apply_all;
-    use rcn_spec::zoo::{Register, TeamCounter, TestAndSet, Tnn};
+    use rcn_spec::zoo::{FetchAndAdd, Register, TeamCounter, TestAndSet, Tnn};
     use std::collections::HashSet;
 
     /// Brute-force U_x by enumerating S(P) schedules directly.
@@ -572,6 +629,57 @@ mod tests {
         let tc = TeamCounter::new(5);
         let inc = OpId::new(0);
         check_paths_agree(&tc, ValueId::new(0), &[inc; 5]);
+
+        // More than 64 values: value sets span two words.
+        let faa = FetchAndAdd::new(70);
+        let reg = Register::new(70);
+        for u in [0, 1, 63, 64, 69] {
+            let u = ValueId::new(u);
+            for ops in wide_faa_ops() {
+                check_paths_agree(&faa, u, &ops);
+            }
+            for ops in wide_register_ops(&reg) {
+                check_paths_agree(&reg, u, &ops);
+            }
+        }
+    }
+
+    /// Fetch-and-add assignments (`op0` = fetch&inc, `op1` = read) for 2
+    /// and 3 processes.
+    fn wide_faa_ops() -> Vec<Vec<OpId>> {
+        let (inc, read) = (OpId::new(0), OpId::new(1));
+        vec![
+            vec![inc, inc],
+            vec![inc, read],
+            vec![inc; 3],
+            vec![inc, read, inc],
+        ]
+    }
+
+    /// Register assignments whose writes straddle the word boundary at 64.
+    fn wide_register_ops(reg: &Register) -> Vec<Vec<OpId>> {
+        let read = reg.read_op().expect("registers are readable");
+        vec![
+            vec![reg.write_op(3), reg.write_op(66)],
+            vec![reg.write_op(64), read],
+            vec![reg.write_op(0), reg.write_op(65), read],
+            vec![reg.write_op(63), reg.write_op(69), reg.write_op(64)],
+        ]
+    }
+
+    #[test]
+    fn matches_brute_force_beyond_one_word_of_values() {
+        let faa = FetchAndAdd::new(70);
+        let reg = Register::new(70);
+        for u in [0, 1, 63, 64, 69] {
+            let u = ValueId::new(u);
+            for ops in wide_faa_ops() {
+                check_against_brute(&faa, u, &ops);
+            }
+            for ops in wide_register_ops(&reg) {
+                check_against_brute(&reg, u, &ops);
+            }
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@
 
 use crate::discerning::LevelResult;
 use crate::reach::Analysis;
-use crate::search::{op_multisets, partitions};
-use crate::witness::{Team, Witness, WitnessError};
+use crate::search::{op_multisets, partitions, team_of};
+use crate::witness::{Witness, WitnessError};
 use rcn_spec::{ObjectType, ValueId};
 
 /// Checks whether a concrete witness establishes that `ty` is
@@ -52,22 +52,26 @@ pub fn check_recording<T: ObjectType + ?Sized>(
 ) -> Result<bool, WitnessError> {
     witness.validate(ty)?;
     let analysis = Analysis::new(ty, witness.initial, &witness.ops);
-    let t0 = witness.team_members(Team::T0);
-    let t1 = witness.team_members(Team::T1);
-    Ok(recording_holds(&analysis, witness.initial, &t0, &t1))
+    let (t0, t1) = witness.team_masks();
+    Ok(recording_holds(&analysis, witness.initial, t0, t1))
 }
 
-pub(crate) fn recording_holds(analysis: &Analysis, u: ValueId, t0: &[usize], t1: &[usize]) -> bool {
-    let u0 = analysis.value_set(t0);
-    let u1 = analysis.value_set(t1);
-    if u0.intersects(&u1) {
+/// The recording condition for the teams with bitmasks `t0` and `t1`:
+/// `U_0 ∩ U_1 = ∅` (each value-set word of both unions ORed on the stack)
+/// and the hiding clause.
+pub(crate) fn recording_holds(analysis: &Analysis, u: ValueId, t0: u32, t1: u32) -> bool {
+    if (0..analysis.value_width())
+        .any(|w| analysis.value_word(t0, w) & analysis.value_word(t1, w) != 0)
+    {
         return false;
     }
     // Hiding clause: if u ∈ U_x then |T_x̄| = 1.
-    if u0.contains(u.index()) && t1.len() != 1 {
+    let (w, bit) = (u.index() / 64, 1u64 << (u.index() % 64));
+    let hides = |team: u32| analysis.value_word(team, w) & bit != 0;
+    if hides(t0) && t1.count_ones() != 1 {
         return false;
     }
-    if u1.contains(u.index()) && t0.len() != 1 {
+    if hides(t1) && t0.count_ones() != 1 {
         return false;
     }
     true
@@ -84,11 +88,9 @@ pub fn find_recording_witness<T: ObjectType + ?Sized>(ty: &T, n: usize) -> Optio
         let u = ValueId(u as u16);
         for ops in op_multisets(ty.num_ops(), n) {
             let analysis = Analysis::new(ty, u, &ops);
-            for teams in partitions(n) {
-                let t0: Vec<usize> = (0..n).filter(|&i| teams[i] == Team::T0).collect();
-                let t1: Vec<usize> = (0..n).filter(|&i| teams[i] == Team::T1).collect();
-                if recording_holds(&analysis, u, &t0, &t1) {
-                    return Some(Witness::new(u, teams, ops));
+            for (t0, t1) in partitions(n) {
+                if recording_holds(&analysis, u, t0, t1) {
+                    return Some(Witness::new(u, team_of(n, t1), ops));
                 }
             }
         }

@@ -54,21 +54,28 @@ impl Iterator for OpMultisets {
 }
 
 /// Iterates all partitions of `n` processes into two nonempty teams with
-/// `p_0 ∈ T_0`. Each item maps process index to team.
-pub(crate) fn partitions(n: usize) -> impl Iterator<Item = Vec<Team>> {
+/// `p_0 ∈ T_0`, as team bitmasks `(T_0, T_1)` (bit `i` stands for `p_i`).
+pub(crate) fn partitions(n: usize) -> impl Iterator<Item = (u32, u32)> {
+    let all = (1u32 << n) - 1;
     // Bits 0..n-1 of the counter give the team of p_1..p_{n-1}.
     (1u32..(1 << (n - 1))).map(move |bits| {
-        let mut teams = Vec::with_capacity(n);
-        teams.push(Team::T0);
-        for i in 0..n - 1 {
-            teams.push(if bits & (1 << i) != 0 {
+        let t1 = bits << 1;
+        (all & !t1, t1)
+    })
+}
+
+/// The team of each of `n` processes, given the bitmask of `T_1`: the
+/// witness form of a partition.
+pub(crate) fn team_of(n: usize, t1: u32) -> Vec<Team> {
+    (0..n)
+        .map(|i| {
+            if t1 & (1 << i) != 0 {
                 Team::T1
             } else {
                 Team::T0
-            });
-        }
-        teams
-    })
+            }
+        })
+        .collect()
 }
 
 /// Iterates the `(initial value, op multiset)` *instances* of the witness
@@ -121,11 +128,16 @@ mod tests {
 
     #[test]
     fn partitions_have_p0_in_t0_and_nonempty_t1() {
-        let all: Vec<Vec<Team>> = partitions(4).collect();
+        let all: Vec<(u32, u32)> = partitions(4).collect();
         assert_eq!(all.len(), 7); // 2^3 - 1
-        for p in &all {
-            assert_eq!(p[0], Team::T0);
-            assert!(p.contains(&Team::T1));
+        for &(t0, t1) in &all {
+            assert_eq!(t0 & t1, 0, "teams overlap");
+            assert_eq!(t0 | t1, 0b1111, "teams cover all processes");
+            assert_ne!(t0 & 1, 0, "p0 on T0");
+            assert_ne!(t1, 0, "T1 nonempty");
+            let teams = team_of(4, t1);
+            assert_eq!(teams[0], Team::T0);
+            assert!(teams.contains(&Team::T1));
         }
         let set: std::collections::HashSet<_> = all.iter().cloned().collect();
         assert_eq!(set.len(), all.len());
@@ -133,8 +145,9 @@ mod tests {
 
     #[test]
     fn partitions_of_two() {
-        let all: Vec<Vec<Team>> = partitions(2).collect();
-        assert_eq!(all, vec![vec![Team::T0, Team::T1]]);
+        let all: Vec<(u32, u32)> = partitions(2).collect();
+        assert_eq!(all, vec![(0b01, 0b10)]);
+        assert_eq!(team_of(2, 0b10), vec![Team::T0, Team::T1]);
     }
 
     #[test]

@@ -123,6 +123,23 @@ impl Witness {
         (0..self.n()).filter(|&i| self.team_of[i] == team).collect()
     }
 
+    /// The bitmasks `(T_0, T_1)` of the two teams (bit `i` stands for
+    /// `p_i`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the witness has more than 32 processes.
+    pub(crate) fn team_masks(&self) -> (u32, u32) {
+        assert!(self.n() <= 32, "team masks cover at most 32 processes");
+        self.team_of
+            .iter()
+            .enumerate()
+            .fold((0, 0), |(t0, t1), (i, team)| match team {
+                Team::T0 => (t0 | 1 << i, t1),
+                Team::T1 => (t0, t1 | 1 << i),
+            })
+    }
+
     /// Validates the witness against a type.
     ///
     /// # Errors

@@ -7,7 +7,7 @@
 
 use rcn::decide::{
     check_discerning, check_recording, discerning_number, find_discerning_witness,
-    find_recording_witness, recording_number, Analysis, SearchEngine,
+    find_recording_witness, recording_number, Analysis, SearchEngine, Team, Witness,
 };
 use rcn::spec::zoo::{
     CompareAndSwap, ConsensusObject, FetchAndAdd, Register, StickyBit, Swap, TeamCounter,
@@ -201,5 +201,46 @@ fn classify_reports_cache_hits() {
         );
         assert!(stats.analyses_computed > 0);
         assert!(stats.instances_visited >= stats.analyses_computed);
+    }
+}
+
+#[test]
+fn mask_predicates_match_the_bitset_definitions_across_zoo() {
+    // The checkers test a partition on team bitmasks, ORing the per-first
+    // words on the stack. Compare them on every two-team partition of every
+    // instance of the zoo with the conditions spelled out over the
+    // `BitSet`s the public accessors return.
+    for ty in zoo() {
+        for n in 2..=CAP {
+            for ops in op_multisets(ty.num_ops(), n) {
+                for u in 0..ty.num_values() {
+                    let u = ValueId::new(u as u16);
+                    let analysis = Analysis::new(&*ty, u, &ops);
+                    for t1 in 1u32..(1 << n) - 1 {
+                        let team_of: Vec<Team> = (0..n)
+                            .map(|i| Team::from_index((t1 as usize >> i) & 1))
+                            .collect();
+                        let witness = Witness::new(u, team_of, ops.clone());
+                        let t0 = witness.team_members(Team::T0);
+                        let t1 = witness.team_members(Team::T1);
+
+                        let discerning = (0..n).all(|j| {
+                            !analysis
+                                .pair_set(&t0, j)
+                                .intersects(&analysis.pair_set(&t1, j))
+                        });
+                        let (u0, u1) = (analysis.value_set(&t0), analysis.value_set(&t1));
+                        // Disjoint, and if u ∈ U_x then |T_x̄| = 1.
+                        let recording = !u0.intersects(&u1)
+                            && (!u0.contains(u.index()) || t1.len() == 1)
+                            && (!u1.contains(u.index()) || t0.len() == 1);
+
+                        let at = format!("{} {witness}", ty.name());
+                        assert_eq!(check_discerning(&*ty, &witness), Ok(discerning), "{at}");
+                        assert_eq!(check_recording(&*ty, &witness), Ok(recording), "{at}");
+                    }
+                }
+            }
+        }
     }
 }
