@@ -26,7 +26,8 @@
 //! * [`Analysis::new`] — the kernelized path, and the only one the deciders
 //!   use: `ObjectType::apply` is hoisted out of the hot loops into
 //!   per-(process, value) transition tables, the downstream value sets are
-//!   one flat word array indexed by node, and `(response, value)`-pair
+//!   one flat word array indexed by node and built in the same reverse
+//!   sweep that accumulates the sets, and `(response, value)`-pair
 //!   accumulation uses whole-word shifted ORs (the slice-level primitive
 //!   behind [`BitSet::union_shifted_with`]) instead of bit-at-a-time
 //!   inserts.
@@ -171,61 +172,39 @@ fn firsts_of(t: &Tables) -> Vec<u32> {
     firsts
 }
 
-/// Downstream value sets, flat: `downstream[node * vw..][..vw]` holds the
-/// node's own value plus every value reachable from it, computed in
-/// decreasing mask order (reverse topological), so each node's children
-/// are done before it. Unreachable nodes keep an all-zero set, and every
-/// child of a reachable node is reachable, so no reachability flag is
-/// needed beside the words.
-fn downstream_from(t: &Tables, firsts: &[u32], vw: usize) -> Vec<u64> {
-    let nv = t.num_values;
+/// One reverse-topological sweep (decreasing masks, so every node's
+/// children are done before the node) that builds the downstream value sets
+/// and accumulates the per-first value and pair words from them.
+///
+/// `downstream[node * vw..][..vw]` holds the node's own value plus every
+/// value reachable from it. Unreachable nodes keep an all-zero set, and
+/// every child of a reachable node is reachable, so no flag is needed
+/// beside the words. The pair kernel: a child's downstream set, shifted by
+/// `response * num_values`, is exactly the block of `(response, value)`
+/// pairs process `j` contributes by applying at the node — one whole-word
+/// OR per (node, j, first) instead of one insert per pair. The first
+/// application itself (p_f's own pair from the virtual root) comes last.
+fn sweep(t: &Tables, firsts: &[u32], a: &mut Analysis) {
+    let (n, nv, vw, pw) = (t.n, t.num_values, a.vw, a.pw);
     let mut downstream = vec![0u64; t.num_nodes() * vw];
-    for mask in (1u32..(1 << t.n)).rev() {
+    for mask in (1u32..(1 << n)).rev() {
         for v in 0..nv {
             let id = t.node(mask, v);
-            if firsts[id] == 0 {
-                continue;
-            }
-            // Children sit at larger masks, hence at larger node ids.
-            let (head, tail) = downstream.split_at_mut((id + 1) * vw);
-            let set = &mut head[id * vw..];
-            set[v / 64] |= 1 << (v % 64);
-            for j in 0..t.n {
-                if mask & (1 << j) != 0 {
-                    continue;
-                }
-                let (_, next) = t.step[j * nv + v];
-                let child = (t.node(mask | (1 << j), next) - id - 1) * vw;
-                for (a, b) in set.iter_mut().zip(&tail[child..child + vw]) {
-                    *a |= b;
-                }
-            }
-        }
-    }
-    downstream
-}
-
-/// Accumulates the per-first value/pair words over every nonempty mask,
-/// then adds the first application itself (p_f's own pair from the
-/// virtual root). The pair kernel: a node's downstream value set, shifted
-/// by `response * num_values`, is exactly the block of `(response, value)`
-/// pairs process `j` contributes — one whole-word OR per (node, j, first)
-/// instead of one insert per pair.
-fn accumulate(t: &Tables, firsts: &[u32], downstream: &[u64], a: &mut Analysis) {
-    let (n, nv, vw, pw) = (t.n, t.num_values, a.vw, a.pw);
-    let ds = |node: usize| &downstream[node * vw..(node + 1) * vw];
-    for mask in 1u32..(1 << n) {
-        for v in 0..nv {
-            let label = firsts[t.node(mask, v)];
+            let label = firsts[id];
             if label == 0 {
                 continue;
             }
+            let bit = 1u64 << (v % 64);
+            // Children sit at larger masks, hence at larger node ids.
+            let (head, tail) = downstream.split_at_mut((id + 1) * vw);
+            let set = &mut head[id * vw..];
+            set[v / 64] |= bit;
             // Values of this node belong to U_f for every first f.
             let mut l = label;
             while l != 0 {
                 let f = l.trailing_zeros() as usize;
                 l &= l - 1;
-                a.value_words[f * vw + v / 64] |= 1 << (v % 64);
+                a.value_words[f * vw + v / 64] |= bit;
             }
             // Pairs contributed by each process j applying here.
             for j in 0..n {
@@ -233,24 +212,24 @@ fn accumulate(t: &Tables, firsts: &[u32], downstream: &[u64], a: &mut Analysis) 
                     continue;
                 }
                 let (resp, next) = t.step[j * nv + v];
-                let src = ds(t.node(mask | (1 << j), next));
+                let child = &tail[(t.node(mask | (1 << j), next) - id - 1) * vw..][..vw];
+                for (w, c) in set.iter_mut().zip(child) {
+                    *w |= c;
+                }
                 let mut l = label;
                 while l != 0 {
                     let f = l.trailing_zeros() as usize;
                     l &= l - 1;
                     let row = (f * n + j) * pw;
-                    or_shifted(&mut a.pair_words[row..row + pw], src, resp * nv);
+                    or_shifted(&mut a.pair_words[row..row + pw], child, resp * nv);
                 }
             }
         }
     }
     for (f, &(resp, next)) in t.root.iter().enumerate() {
         let row = (f * n + f) * pw;
-        or_shifted(
-            &mut a.pair_words[row..row + pw],
-            ds(t.node(1 << f, next)),
-            resp * nv,
-        );
+        let start = &downstream[t.node(1 << f, next) * vw..][..vw];
+        or_shifted(&mut a.pair_words[row..row + pw], start, resp * nv);
     }
 }
 
@@ -265,9 +244,7 @@ impl Analysis {
     pub fn new<T: ObjectType + ?Sized>(ty: &T, u: ValueId, ops: &[OpId]) -> Analysis {
         let t = Tables::new(ty, u, ops);
         let mut a = Analysis::empty(t.n, t.num_values, t.num_responses);
-        let firsts = firsts_of(&t);
-        let downstream = downstream_from(&t, &firsts, a.vw);
-        accumulate(&t, &firsts, &downstream, &mut a);
+        sweep(&t, &firsts_of(&t), &mut a);
         a
     }
 
