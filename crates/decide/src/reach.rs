@@ -313,8 +313,9 @@ impl Analysis {
         }
 
         // downstream[node]: values reachable from the node (including its
-        // own value), computed in decreasing mask order (reverse topological).
-        let mut downstream: Vec<Option<BitSet>> = vec![None; num_nodes];
+        // own value; empty for an unreachable node), computed in decreasing
+        // mask order (reverse topological).
+        let mut downstream = vec![BitSet::new(num_values); num_nodes];
         for mask in (1u32..(1 << n)).rev() {
             for v in 0..num_values {
                 let id = node(mask, v);
@@ -329,11 +330,9 @@ impl Analysis {
                     }
                     let out = ty.apply(ValueId(v as u16), op);
                     let child = node(mask | (1 << j), out.next.index());
-                    if let Some(ds) = &downstream[child] {
-                        set.union_with(ds);
-                    }
+                    set.union_with(&downstream[child]);
                 }
-                downstream[id] = Some(set);
+                downstream[id] = set;
             }
         }
 
@@ -344,10 +343,8 @@ impl Analysis {
         for (f, &op) in ops.iter().enumerate() {
             let out = ty.apply(u, op);
             let start = node(1 << f, out.next.index());
-            if let Some(ds) = &downstream[start] {
-                for v in ds.iter() {
-                    pair_sets[f * n + f].insert(out.response.index() * num_values + v);
-                }
+            for v in downstream[start].iter() {
+                pair_sets[f * n + f].insert(out.response.index() * num_values + v);
             }
         }
 
@@ -370,10 +367,7 @@ impl Analysis {
                         continue;
                     }
                     let out = ty.apply(ValueId(v as u16), op);
-                    let child = node(mask | (1 << j), out.next.index());
-                    let Some(ds) = &downstream[child] else {
-                        continue;
-                    };
+                    let ds = &downstream[node(mask | (1 << j), out.next.index())];
                     for f in 0..n {
                         if label & (1 << f) == 0 {
                             continue;

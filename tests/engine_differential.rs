@@ -13,7 +13,7 @@ use rcn::spec::zoo::{
     CompareAndSwap, ConsensusObject, FetchAndAdd, Register, StickyBit, Swap, TeamCounter,
     TestAndSet, Tnn,
 };
-use rcn::spec::{ObjectType, OpId, ValueId};
+use rcn::spec::{ObjectType, OpId, Outcome, Response, TableType, ValueId};
 
 const CAP: usize = 4;
 
@@ -204,13 +204,45 @@ fn classify_reports_cache_hits() {
     }
 }
 
+/// A type on which the recording condition's hiding clause decides: with
+/// ops `[a, a, b]` from value 0, the schedules starting with `b` reach
+/// {1, 2, 0} (`b a a` returns to 0) and those starting with an `a` reach
+/// {3, …, 7}. The value sets are disjoint, but `u ∈ U_1` while `|T_0| = 2`,
+/// so the partition `{a, a} | {b}` is not a recording witness.
+fn hiding_table() -> TableType {
+    let (a, b) = (0, 1);
+    let mut t = TableType::builder("hiding", 8, 2, 1);
+    for v in 0..8u16 {
+        for op in [a, b] {
+            t.set(v, op, Outcome::new(Response::new(0), ValueId::new(v)));
+        }
+    }
+    for (v, op, next) in [
+        (0, b, 1),
+        (1, a, 2),
+        (2, a, 0),
+        (0, a, 3),
+        (3, a, 5),
+        (3, b, 4),
+        (5, b, 6),
+        (4, a, 7),
+    ] {
+        t.set(v, op, Outcome::new(Response::new(0), ValueId::new(next)));
+    }
+    t.build().expect("valid table")
+}
+
 #[test]
 fn mask_predicates_match_the_bitset_definitions_across_zoo() {
     // The checkers test a partition on team bitmasks, ORing the per-first
     // words on the stack. Compare them on every two-team partition of every
-    // instance of the zoo with the conditions spelled out over the
-    // `BitSet`s the public accessors return.
-    for ty in zoo() {
+    // instance of the zoo (plus a type where the hiding clause decides)
+    // with the conditions spelled out over the `BitSet`s the public
+    // accessors return.
+    let mut types = zoo();
+    types.push(Box::new(hiding_table()));
+    let mut hidden = 0;
+    for ty in types {
         for n in 2..=CAP {
             for ops in op_multisets(ty.num_ops(), n) {
                 for u in 0..ty.num_values() {
@@ -231,9 +263,11 @@ fn mask_predicates_match_the_bitset_definitions_across_zoo() {
                         });
                         let (u0, u1) = (analysis.value_set(&t0), analysis.value_set(&t1));
                         // Disjoint, and if u ∈ U_x then |T_x̄| = 1.
-                        let recording = !u0.intersects(&u1)
+                        let disjoint = !u0.intersects(&u1);
+                        let recording = disjoint
                             && (!u0.contains(u.index()) || t1.len() == 1)
                             && (!u1.contains(u.index()) || t0.len() == 1);
+                        hidden += usize::from(disjoint && !recording);
 
                         let at = format!("{} {witness}", ty.name());
                         assert_eq!(check_discerning(&*ty, &witness), Ok(discerning), "{at}");
@@ -243,4 +277,5 @@ fn mask_predicates_match_the_bitset_definitions_across_zoo() {
             }
         }
     }
+    assert!(hidden > 0, "no partition exercised the hiding clause");
 }
