@@ -46,7 +46,7 @@ pub const MAX_PROCESSES: usize = 20;
 /// The per-first sets live in two flat word arrays with fixed strides:
 /// every value set is `vw = ⌈|V|/64⌉` words and every pair set
 /// `pw = ⌈|R|·|V|/64⌉` words, so a team union is a handful of word ORs at
-/// computed offsets and an analysis is three allocations, whatever `n`.
+/// computed offsets, and an analysis holds two allocations whatever `n` is.
 ///
 /// # Examples
 ///
@@ -399,9 +399,8 @@ impl Analysis {
     /// The `U`-style value set for a team: all values reachable over
     /// nonempty schedules whose first process is a member of `team`.
     pub fn value_set(&self, team: &[usize]) -> BitSet {
-        let words = (0..self.vw)
-            .map(|w| self.value_word(team_mask(team), w))
-            .collect();
+        let team = team_mask(team);
+        let words = (0..self.vw).map(|w| self.value_word(team, w)).collect();
         BitSet::from_words(words, self.num_values)
     }
 
@@ -409,9 +408,8 @@ impl Analysis {
     /// schedules containing `p_j` whose first process is in `team`.
     pub fn pair_set(&self, team: &[usize], j: usize) -> BitSet {
         assert!(j < self.n, "process {j} out of range");
-        let words = (0..self.pw)
-            .map(|w| self.pair_word(team_mask(team), j, w))
-            .collect();
+        let team = team_mask(team);
+        let words = (0..self.pw).map(|w| self.pair_word(team, j, w)).collect();
         BitSet::from_words(words, self.num_responses * self.num_values)
     }
 
