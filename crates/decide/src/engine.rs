@@ -2,11 +2,11 @@
 //!
 //! Both witness searches iterate the same space: `(initial value, op
 //! multiset)` *instances* — each requiring one [`Analysis`] (the expensive
-//! part) — times a set of team partitions (cheap bitset unions). The engine
-//! makes each instance one task, covering all of its partitions, and hands
-//! the tasks to worker threads through a shared claim counter. It cancels
-//! all workers as soon as any of them finds a witness, and memoizes
-//! analyses in a cache shared across deciders — [`classify`]
+//! part) — times a set of team partitions (cheap word ORs over two team
+//! bitmasks). The engine makes each instance one task, covering all of its
+//! partitions, and hands the tasks to worker threads through a shared claim
+//! counter. It cancels all workers as soon as any of them finds a witness,
+//! and memoizes analyses in a cache shared across deciders — [`classify`]
 //! (`SearchEngine::classify`) runs *both* deciders over the same instance
 //! space, so the second decider's scan hits the cache instead of rebuilding
 //! every reachability graph.

@@ -81,7 +81,7 @@ pub(crate) fn team_of(n: usize, t1: u32) -> Vec<Team> {
 /// Iterates the `(initial value, op multiset)` *instances* of the witness
 /// space — the outer two loops of both deciders, and the unit of work the
 /// parallel engine shards across threads (one [`crate::Analysis`] is built
-/// per instance; partitions are then cheap bitset unions).
+/// per instance; partitions are then cheap word ORs over team masks).
 pub(crate) fn instances(
     num_values: usize,
     num_ops: usize,

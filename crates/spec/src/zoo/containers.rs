@@ -42,7 +42,8 @@ impl SeqCode {
         let mut total = 0usize;
         for len in 0..=capacity {
             offsets.push(total);
-            total += alphabet.pow(len as u32);
+            let len = u32::try_from(len).expect("capacity is bounded by the id space");
+            total += alphabet.pow(len);
         }
         offsets.push(total);
         SeqCode {
