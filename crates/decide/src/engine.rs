@@ -6,10 +6,10 @@
 //! bitmasks). The engine makes each instance one task, covering all of its
 //! partitions, and hands the tasks to worker threads through a shared claim
 //! counter. It cancels all workers as soon as any of them finds a witness,
-//! and memoizes analyses in a cache shared across deciders — [`classify`]
-//! (`SearchEngine::classify`) runs *both* deciders over the same instance
-//! space, so the second decider's scan hits the cache instead of rebuilding
-//! every reachability graph.
+//! and memoizes analyses in a cache shared across deciders —
+//! [`classify`](SearchEngine::classify) runs *both* deciders over the same
+//! instance space, so the second decider's scan hits the cache instead of
+//! rebuilding every reachability graph.
 //!
 //! Level verdicts can also be made *durable* by attaching a
 //! [`DiskCache`](crate::DiskCache): each level search first reads that

@@ -48,9 +48,9 @@ pub const MAX_IDS: usize = 1 << 16;
 /// [`TypeSpecError::BadParameters`] naming the first size beyond it.
 /// Callers compute the sizes with checked arithmetic; `None` stands for a
 /// size that overflowed `usize`, which is beyond the bound too. Every
-/// fallible zoo constructor and [`TableType::validate`]
-/// (crate::TableType::validate) call this before building anything of
-/// that size.
+/// fallible zoo constructor and
+/// [`TableType::validate`](crate::TableType::validate) call this before
+/// building anything of that size.
 pub(crate) fn require_ids(
     name: fmt::Arguments<'_>,
     [values, ops, responses]: [Option<usize>; 3],
