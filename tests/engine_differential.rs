@@ -5,9 +5,11 @@
 //! one-worker engine visits instances in the sequential deciders' order,
 //! so its witnesses must be theirs exactly.
 
+use rcn::decide::brute::{check_discerning_brute, check_recording_brute};
 use rcn::decide::{
     check_discerning, check_recording, discerning_number, find_discerning_witness,
-    find_recording_witness, recording_number, Analysis, SearchEngine, Team, Witness,
+    find_recording_witness, is_n_discerning, is_n_recording, recording_number, synthesis, Analysis,
+    SearchEngine, Team, Witness,
 };
 use rcn::spec::zoo::{
     CompareAndSwap, ConsensusObject, FetchAndAdd, Register, StickyBit, Swap, TeamCounter,
@@ -278,4 +280,73 @@ fn mask_predicates_match_the_bitset_definitions_across_zoo() {
         }
     }
     assert!(hidden > 0, "no partition exercised the hiding clause");
+}
+
+/// Whether any witness of the *unreduced* space passes `holds`: every
+/// initial value, every op tuple (not just the sorted multisets) and every
+/// two-team partition (not just those with `p_0 ∈ T_0`).
+fn brute_exists(
+    ty: &dyn ObjectType,
+    n: usize,
+    holds: fn(&dyn ObjectType, &Witness) -> bool,
+) -> bool {
+    let num_ops = ty.num_ops();
+    let tuples = num_ops.pow(n as u32);
+    (0..ty.num_values()).any(|u| {
+        (0..tuples).any(|code| {
+            // Digit `i` of `code` in base `num_ops` is p_i's op.
+            let ops: Vec<OpId> = (0..n)
+                .map(|i| OpId::new((code / num_ops.pow(i as u32) % num_ops) as u16))
+                .collect();
+            (1usize..(1 << n) - 1).any(|t1| {
+                let team_of = (0..n).map(|i| Team::from_index((t1 >> i) & 1)).collect();
+                holds(
+                    ty,
+                    &Witness::new(ValueId::new(u as u16), team_of, ops.clone()),
+                )
+            })
+        })
+    })
+}
+
+#[test]
+fn symmetry_reductions_lose_no_witness() {
+    // The deciders search op multisets with `p_0 ∈ T_0`. A witness that
+    // exists only outside that reduced space would turn into a false
+    // refutation, so compare both verdicts with a brute-force search over
+    // the whole space, judged by the schedule-enumerating definitions.
+    let mut cases: Vec<(Box<dyn ObjectType + Send + Sync>, Vec<usize>)> = zoo()
+        .into_iter()
+        .map(|ty| {
+            let levels = if ty.num_ops() <= 4 {
+                vec![2, 3]
+            } else {
+                vec![2]
+            };
+            (ty, levels)
+        })
+        .collect();
+    for seed in 0..40 {
+        let mut rng = synthesis::rng(seed);
+        let table = synthesis::random_readable_table(&mut rng, 3 + seed as usize % 2, 2);
+        cases.push((Box::new(table), vec![2, 3]));
+    }
+    let (mut holds, mut refuted) = (0, 0);
+    for (ty, levels) in &cases {
+        for &n in levels {
+            let discerning = brute_exists(&**ty, n, |t, w| check_discerning_brute(t, w));
+            let recording = brute_exists(&**ty, n, |t, w| check_recording_brute(t, w));
+            let at = format!("{} n={n}", ty.name());
+            assert_eq!(is_n_discerning(&**ty, n), discerning, "discerning: {at}");
+            assert_eq!(is_n_recording(&**ty, n), recording, "recording: {at}");
+            for verdict in [discerning, recording] {
+                if verdict {
+                    holds += 1;
+                } else {
+                    refuted += 1;
+                }
+            }
+        }
+    }
+    assert!(holds > 0 && refuted > 0, "{holds} held, {refuted} refuted");
 }
