@@ -41,27 +41,15 @@ impl HierarchyReport {
         }
     }
 
-    /// Classifies a type and appends it to the report.
-    pub fn add<T: ObjectType + ?Sized>(&mut self, ty: &T) -> &TypeClassification {
+    /// Classifies a type (on [`SearchEngine::sequential`]) and appends it
+    /// to the report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the report's cap exceeds [`rcn_decide::MAX_PROCESSES`].
+    pub fn add<T: ObjectType + Sync + ?Sized>(&mut self, ty: &T) -> &TypeClassification {
         self.classes.push(classify(ty, self.cap));
         self.classes.last().expect("just pushed")
-    }
-
-    /// Classifies a type through a [`SearchEngine`] (instrumented, and
-    /// parallel at the instance level when the engine has >1 thread) and
-    /// appends it to the report.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SearchError`] if the report's cap is out of the engine's
-    /// supported range.
-    pub fn add_with<T: ObjectType + Sync + ?Sized>(
-        &mut self,
-        ty: &T,
-        engine: &SearchEngine,
-    ) -> Result<&TypeClassification, SearchError> {
-        self.classes.push(engine.classify(ty, self.cap)?);
-        Ok(self.classes.last().expect("just pushed"))
     }
 
     /// Classifies a whole set of types concurrently — one type per worker
@@ -216,10 +204,12 @@ mod tests {
     }
 
     #[test]
-    fn add_with_surfaces_engine_errors() {
+    fn add_all_surfaces_engine_errors() {
+        let types: Vec<Box<dyn ObjectType + Send + Sync>> =
+            vec![Box::new(Register::new(2)), Box::new(TestAndSet::new())];
         let mut report = HierarchyReport::new(rcn_decide::MAX_PROCESSES + 1);
-        let engine = SearchEngine::sequential();
-        assert!(report.add_with(&Register::new(2), &engine).is_err());
+        let engine = SearchEngine::new(2);
+        assert!(report.add_all(&types, &engine).is_err());
         assert!(report.classes().is_empty());
     }
 

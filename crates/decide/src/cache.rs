@@ -17,8 +17,6 @@
 //!   directory never observe half-written files; reads parse and validate
 //!   the whole file; anything rejected is quarantined to `.bad` (evidence
 //!   preserved, recompute-forever loops broken).
-//! * [`AnalysisStore`] is the per-call in-memory analysis memo the engine
-//!   works against (shared by both deciders of a `classify`).
 //!
 //! Trust model: a stored verdict is used only if the file parses, the
 //! header matches, and a stored witness has the level's arity and passes
@@ -36,20 +34,18 @@
 //! [`check_discerning`]: crate::check_discerning
 //! [`check_recording`]: crate::check_recording
 
-use crate::engine::{Condition, SearchEngine};
-use crate::reach::Analysis;
+use crate::engine::Condition;
 use crate::witness::Witness;
 use rcn_model::Fnv1a;
 use rcn_obs::Tracer;
 use rcn_spec::{ObjectType, OpId, ValueId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hasher;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// The filesystem operations the cache performs, abstracted so tests can
 /// inject faults at every call site (see [`FaultyIo`]).
@@ -541,8 +537,10 @@ impl DiskCache {
 
     /// Attaches a [`Tracer`]: loads, stores, quarantines, and transient-
     /// fault retries become `cache.*` events (with byte sizes and outcomes)
-    /// and counters. [`SearchEngine::with_tracer`] propagates its tracer
-    /// here automatically when the cache has none of its own.
+    /// and counters.
+    /// [`SearchEngine::with_tracer`](crate::SearchEngine::with_tracer)
+    /// propagates its tracer here automatically when the cache has none of
+    /// its own.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> DiskCache {
         self.tracer = tracer;
@@ -609,60 +607,6 @@ impl DiskCache {
         };
         self.store
             .store(&Self::file_name(fingerprint, cond, n), &file, &self.tracer)
-    }
-}
-
-/// One memo slot: a lazily built analysis. The `OnceLock` lets it be built
-/// outside the map lock (distinct instances build in parallel) while any
-/// second caller for the same instance waits for the first instead of
-/// recomputing.
-type Slot = Arc<OnceLock<Arc<Analysis>>>;
-
-/// The per-call analysis memo: one slot per `(initial value, ops)`
-/// instance. Scoped to one type; `classify` shares one across both
-/// deciders, so the second decider's scan hits the memo.
-#[derive(Default)]
-pub(crate) struct AnalysisStore {
-    memo: Mutex<HashMap<(u16, Vec<OpId>), Slot>>,
-}
-
-impl AnalysisStore {
-    /// Returns the analysis for one instance, computing it at most once
-    /// across all workers. A computation increments the engine's
-    /// `analyses_computed`, a memo hit its `cache_hits`.
-    pub(crate) fn get_or_compute<T: ObjectType + ?Sized>(
-        &self,
-        engine: &SearchEngine,
-        ty: &T,
-        u: ValueId,
-        ops: &[OpId],
-    ) -> Arc<Analysis> {
-        let cell = Arc::clone(
-            self.memo
-                .lock()
-                .expect("analysis memo")
-                .entry((u.index() as u16, ops.to_vec()))
-                .or_default(),
-        );
-        let mut computed = false;
-        let analysis = cell.get_or_init(|| {
-            computed = true;
-            // One span per analysis actually computed (memo hits stay
-            // silent — they are counters, not work).
-            let _span = engine.tracer().span_with(
-                "engine.analysis",
-                i64::try_from(ops.len()).unwrap_or(i64::MAX),
-                "",
-            );
-            Arc::new(Analysis::new(ty, u, ops))
-        });
-        let counter = if computed {
-            &engine.counters().analyses_computed
-        } else {
-            &engine.counters().cache_hits
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        Arc::clone(analysis)
     }
 }
 

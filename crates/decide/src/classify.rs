@@ -17,8 +17,8 @@
 //! and a result at the cap is reported as a lower bound of an exact number
 //! rather than an exact number.
 
-use crate::discerning::{discerning_number, LevelResult};
-use crate::recording::recording_number;
+use crate::discerning::LevelResult;
+use crate::engine::{or_panic, SearchEngine};
 use rcn_spec::ObjectType;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -101,12 +101,13 @@ impl TypeClassification {
     }
 }
 
-/// Classifies a type by running both deciders up to `cap` and applying the
-/// theorems above.
+/// Classifies a type by deciding both conditions up to `cap` on
+/// [`SearchEngine::sequential`] and applying the theorems above.
 ///
 /// # Panics
 ///
-/// Panics if `cap < 2`.
+/// Panics with the [`SearchError`](crate::SearchError) message if
+/// `cap < 2`, if `cap > MAX_PROCESSES`, or if the type's `apply` panics.
 ///
 /// # Examples
 ///
@@ -119,20 +120,8 @@ impl TypeClassification {
 /// assert_eq!(c.consensus_number, Bound::Exact(2));
 /// assert_eq!(c.recoverable_consensus_number, Bound::Exact(1)); // Golab
 /// ```
-pub fn classify<T: ObjectType + ?Sized>(ty: &T, cap: usize) -> TypeClassification {
-    let readable = ty.is_readable();
-    let discerning = discerning_number(ty, cap);
-    let recording = recording_number(ty, cap);
-    let consensus_number = level_to_bound(&discerning, readable);
-    let recoverable_consensus_number = level_to_bound(&recording, readable);
-    TypeClassification {
-        type_name: ty.name(),
-        readable,
-        discerning,
-        recording,
-        consensus_number,
-        recoverable_consensus_number,
-    }
+pub fn classify<T: ObjectType + Sync + ?Sized>(ty: &T, cap: usize) -> TypeClassification {
+    or_panic(SearchEngine::sequential().classify(ty, cap))
 }
 
 pub(crate) fn level_to_bound(level: &LevelResult, readable: bool) -> Bound {

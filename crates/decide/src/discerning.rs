@@ -13,10 +13,10 @@
 //! number ≥ n **iff** it is n-discerning, and that n-discerning is necessary
 //! for any deterministic type.
 
+use crate::engine::{or_panic, SearchEngine};
 use crate::reach::Analysis;
-use crate::search::{op_multisets, partitions, team_of};
 use crate::witness::{Witness, WitnessError};
-use rcn_spec::{ObjectType, ValueId};
+use rcn_spec::ObjectType;
 use serde::{Deserialize, Serialize};
 
 /// Checks whether a concrete witness establishes that `ty` is
@@ -60,7 +60,8 @@ pub(crate) fn pairs_disjoint(analysis: &Analysis, t0: u32, t1: u32) -> bool {
     })
 }
 
-/// Searches exhaustively for an `n`-discerning witness.
+/// Searches exhaustively for an `n`-discerning witness, on
+/// [`SearchEngine::sequential`].
 ///
 /// Returns the first witness found (initial values in id order, op
 /// assignments in multiset order, partitions with `p_0 ∈ T_0`), or `None`
@@ -68,29 +69,19 @@ pub(crate) fn pairs_disjoint(analysis: &Analysis, t0: u32, t1: u32) -> bool {
 ///
 /// # Panics
 ///
-/// Panics if `n < 2` (the condition requires two nonempty teams).
-pub fn find_discerning_witness<T: ObjectType + ?Sized>(ty: &T, n: usize) -> Option<Witness> {
-    assert!(n >= 2, "n-discerning requires n >= 2");
-    for u in 0..ty.num_values() {
-        let u = ValueId(u as u16);
-        for ops in op_multisets(ty.num_ops(), n) {
-            let analysis = Analysis::new(ty, u, &ops);
-            for (t0, t1) in partitions(n) {
-                if pairs_disjoint(&analysis, t0, t1) {
-                    return Some(Witness::new(u, team_of(n, t1), ops));
-                }
-            }
-        }
-    }
-    None
+/// Panics with the [`SearchError`](crate::SearchError) message if `n < 2`
+/// (the condition requires two nonempty teams), if `n > MAX_PROCESSES`, or
+/// if the type's `apply` panics.
+pub fn find_discerning_witness<T: ObjectType + Sync + ?Sized>(ty: &T, n: usize) -> Option<Witness> {
+    or_panic(SearchEngine::sequential().find_discerning_witness(ty, n))
 }
 
 /// Returns `true` if `ty` is `n`-discerning.
 ///
 /// # Panics
 ///
-/// Panics if `n < 2`.
-pub fn is_n_discerning<T: ObjectType + ?Sized>(ty: &T, n: usize) -> bool {
+/// As [`find_discerning_witness`].
+pub fn is_n_discerning<T: ObjectType + Sync + ?Sized>(ty: &T, n: usize) -> bool {
     find_discerning_witness(ty, n).is_some()
 }
 
@@ -131,7 +122,8 @@ impl LevelResult {
 ///
 /// # Panics
 ///
-/// Panics if `cap < 2`.
+/// Panics with the [`SearchError`](crate::SearchError) message if
+/// `cap < 2`, if `cap > MAX_PROCESSES`, or if the type's `apply` panics.
 ///
 /// # Examples
 ///
@@ -142,26 +134,8 @@ impl LevelResult {
 /// assert_eq!(discerning_number(&Register::new(2), 4).level, 1);
 /// assert_eq!(discerning_number(&TestAndSet::new(), 4).level, 2);
 /// ```
-pub fn discerning_number<T: ObjectType + ?Sized>(ty: &T, cap: usize) -> LevelResult {
-    assert!(cap >= 2, "cap must be at least 2");
-    let mut best = LevelResult {
-        level: 1,
-        capped: false,
-        witness: None,
-    };
-    for n in 2..=cap {
-        match find_discerning_witness(ty, n) {
-            Some(w) => {
-                best = LevelResult {
-                    level: n,
-                    capped: n == cap,
-                    witness: Some(w),
-                };
-            }
-            None => return best,
-        }
-    }
-    best
+pub fn discerning_number<T: ObjectType + Sync + ?Sized>(ty: &T, cap: usize) -> LevelResult {
+    or_panic(SearchEngine::sequential().discerning_number(ty, cap))
 }
 
 #[cfg(test)]
@@ -172,6 +146,7 @@ mod tests {
         BoundedQueue, CompareAndSwap, ConsensusObject, FetchAndAdd, Register, StickyBit, Swap,
         TestAndSet,
     };
+    use rcn_spec::ValueId;
 
     #[test]
     fn register_is_not_2_discerning() {

@@ -56,12 +56,8 @@ pub use classify::{classify, robust_level, Bound, TypeClassification};
 pub use discerning::{
     check_discerning, discerning_number, find_discerning_witness, is_n_discerning, LevelResult,
 };
-pub use engine::{
-    try_classify, try_discerning_number, try_recording_number, SearchEngine, SearchError,
-    SearchStats,
-};
+pub use engine::{SearchEngine, SearchError, SearchStats};
 pub use explain::{explain_discerning, explain_recording};
 pub use reach::{Analysis, MAX_PROCESSES};
 pub use recording::{check_recording, find_recording_witness, is_n_recording, recording_number};
-pub use search::search_space_size;
 pub use witness::{Team, Witness, WitnessError};

@@ -18,8 +18,8 @@
 //! computed here **is** the recoverable consensus number.
 
 use crate::discerning::LevelResult;
+use crate::engine::{or_panic, SearchEngine};
 use crate::reach::Analysis;
-use crate::search::{op_multisets, partitions, team_of};
 use crate::witness::{Witness, WitnessError};
 use rcn_spec::{ObjectType, ValueId};
 
@@ -77,33 +77,23 @@ pub(crate) fn recording_holds(analysis: &Analysis, u: ValueId, t0: u32, t1: u32)
     true
 }
 
-/// Searches exhaustively for an `n`-recording witness.
+/// Searches exhaustively for an `n`-recording witness, on
+/// [`SearchEngine::sequential`].
 ///
 /// # Panics
 ///
-/// Panics if `n < 2`.
-pub fn find_recording_witness<T: ObjectType + ?Sized>(ty: &T, n: usize) -> Option<Witness> {
-    assert!(n >= 2, "n-recording requires n >= 2");
-    for u in 0..ty.num_values() {
-        let u = ValueId(u as u16);
-        for ops in op_multisets(ty.num_ops(), n) {
-            let analysis = Analysis::new(ty, u, &ops);
-            for (t0, t1) in partitions(n) {
-                if recording_holds(&analysis, u, t0, t1) {
-                    return Some(Witness::new(u, team_of(n, t1), ops));
-                }
-            }
-        }
-    }
-    None
+/// Panics with the [`SearchError`](crate::SearchError) message if `n < 2`,
+/// if `n > MAX_PROCESSES`, or if the type's `apply` panics.
+pub fn find_recording_witness<T: ObjectType + Sync + ?Sized>(ty: &T, n: usize) -> Option<Witness> {
+    or_panic(SearchEngine::sequential().find_recording_witness(ty, n))
 }
 
 /// Returns `true` if `ty` is `n`-recording.
 ///
 /// # Panics
 ///
-/// Panics if `n < 2`.
-pub fn is_n_recording<T: ObjectType + ?Sized>(ty: &T, n: usize) -> bool {
+/// As [`find_recording_witness`].
+pub fn is_n_recording<T: ObjectType + Sync + ?Sized>(ty: &T, n: usize) -> bool {
     find_recording_witness(ty, n).is_some()
 }
 
@@ -116,7 +106,8 @@ pub fn is_n_recording<T: ObjectType + ?Sized>(ty: &T, n: usize) -> bool {
 ///
 /// # Panics
 ///
-/// Panics if `cap < 2`.
+/// Panics with the [`SearchError`](crate::SearchError) message if
+/// `cap < 2`, if `cap > MAX_PROCESSES`, or if the type's `apply` panics.
 ///
 /// # Examples
 ///
@@ -129,26 +120,8 @@ pub fn is_n_recording<T: ObjectType + ?Sized>(ty: &T, n: usize) -> bool {
 /// // The sticky bit keeps its full power.
 /// assert!(recording_number(&StickyBit::new(), 4).capped);
 /// ```
-pub fn recording_number<T: ObjectType + ?Sized>(ty: &T, cap: usize) -> LevelResult {
-    assert!(cap >= 2, "cap must be at least 2");
-    let mut best = LevelResult {
-        level: 1,
-        capped: false,
-        witness: None,
-    };
-    for n in 2..=cap {
-        match find_recording_witness(ty, n) {
-            Some(w) => {
-                best = LevelResult {
-                    level: n,
-                    capped: n == cap,
-                    witness: Some(w),
-                };
-            }
-            None => return best,
-        }
-    }
-    best
+pub fn recording_number<T: ObjectType + Sync + ?Sized>(ty: &T, cap: usize) -> LevelResult {
+    or_panic(SearchEngine::sequential().recording_number(ty, cap))
 }
 
 #[cfg(test)]
@@ -229,7 +202,7 @@ mod tests {
         // same level via a (possibly different) witness.
         use crate::discerning::is_n_discerning;
         for n in 2..4 {
-            for ty in [&TestAndSet::new() as &dyn rcn_spec::ObjectType] {
+            for ty in [&TestAndSet::new() as &(dyn rcn_spec::ObjectType + Sync)] {
                 if is_n_recording(ty, n) {
                     assert!(is_n_discerning(ty, n));
                 }

@@ -79,9 +79,9 @@ pub(crate) fn team_of(n: usize, t1: u32) -> Vec<Team> {
 }
 
 /// Iterates the `(initial value, op multiset)` *instances* of the witness
-/// space — the outer two loops of both deciders, and the unit of work the
-/// parallel engine shards across threads (one [`crate::Analysis`] is built
-/// per instance; partitions are then cheap word ORs over team masks).
+/// space — the unit of work the engine shards across threads (one
+/// [`crate::Analysis`] is built per instance; partitions are then cheap
+/// word ORs over team masks).
 pub(crate) fn instances(
     num_values: usize,
     num_ops: usize,
@@ -89,19 +89,6 @@ pub(crate) fn instances(
 ) -> impl Iterator<Item = (ValueId, Vec<OpId>)> {
     (0..num_values)
         .flat_map(move |u| op_multisets(num_ops, n).map(move |ops| (ValueId(u as u16), ops)))
-}
-
-/// The number of `(value, op multiset, partition)` triples a search over a
-/// type with `num_values` values and `num_ops` ops visits for `n` processes.
-///
-/// Useful for sizing caps before launching an exhaustive search.
-pub fn search_space_size(num_values: usize, num_ops: usize, n: usize) -> u128 {
-    let mut multisets: u128 = 1;
-    // C(num_ops + n - 1, n)
-    for k in 0..n {
-        multisets = multisets * (num_ops + k) as u128 / (k + 1) as u128;
-    }
-    num_values as u128 * multisets * ((1u128 << (n - 1)) - 1)
 }
 
 #[cfg(test)]
@@ -157,17 +144,8 @@ mod tests {
         assert_eq!(all.len(), 12);
         let set: std::collections::HashSet<_> = all.iter().cloned().collect();
         assert_eq!(set.len(), all.len());
-        // Same order as the sequential deciders: value-major, multiset-minor.
+        // Value-major, multiset-minor: the order a one-worker engine visits.
         assert_eq!(all[0].0.index(), 0);
         assert_eq!(all[6].0.index(), 1);
-    }
-
-    #[test]
-    fn space_size_formula() {
-        // 2 values, 3 ops, n=2: 2 * C(4,2) * 1 = 12.
-        assert_eq!(search_space_size(2, 3, 2), 12);
-        // matches the actual iterators:
-        let count = 2 * op_multisets(3, 2).count() * partitions(2).count();
-        assert_eq!(search_space_size(2, 3, 2), count as u128);
     }
 }

@@ -44,13 +44,13 @@ impl TargetProfile {
 
     /// Checks a type against the profile (deciders capped at
     /// `max(discerning, recording) + 1` so exactness is established).
-    pub fn matches<T: ObjectType + ?Sized>(&self, ty: &T) -> bool {
+    pub fn matches<T: ObjectType + Sync + ?Sized>(&self, ty: &T) -> bool {
         self.classify(ty).is_some()
     }
 
     /// Like [`matches`](Self::matches) but returns the classification on
     /// success.
-    pub fn classify<T: ObjectType + ?Sized>(&self, ty: &T) -> Option<TypeClassification> {
+    pub fn classify<T: ObjectType + Sync + ?Sized>(&self, ty: &T) -> Option<TypeClassification> {
         if ty.is_readable() != self.readable {
             return None;
         }
@@ -65,7 +65,7 @@ impl TargetProfile {
 
     /// Distance of a type from the profile: 0 iff it matches. Used as the
     /// search objective.
-    pub fn distance<T: ObjectType + ?Sized>(&self, ty: &T) -> usize {
+    pub fn distance<T: ObjectType + Sync + ?Sized>(&self, ty: &T) -> usize {
         if ty.is_readable() != self.readable {
             return usize::MAX;
         }

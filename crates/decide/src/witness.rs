@@ -7,6 +7,7 @@
 //! and [`crate::check_discerning`] / [`crate::check_recording`] re-verify a
 //! witness independently of the search (certificates are replayable).
 
+use crate::reach::MAX_PROCESSES;
 use rcn_spec::{ObjectType, OpId, ValueId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -76,6 +77,13 @@ pub enum WitnessError {
     LengthMismatch,
     /// Fewer than 2 processes.
     TooFewProcesses,
+    /// More processes than an [`Analysis`](crate::Analysis) supports.
+    TooManyProcesses {
+        /// The witness's process count.
+        n: usize,
+        /// The supported maximum ([`MAX_PROCESSES`]).
+        max: usize,
+    },
     /// One of the teams is empty.
     EmptyTeam,
     /// The initial value is out of range for the type.
@@ -92,6 +100,9 @@ impl fmt::Display for WitnessError {
         match self {
             WitnessError::LengthMismatch => write!(f, "team and op vectors differ in length"),
             WitnessError::TooFewProcesses => write!(f, "a witness needs at least 2 processes"),
+            WitnessError::TooManyProcesses { n, max } => {
+                write!(f, "a witness of {n} processes exceeds the maximum of {max}")
+            }
             WitnessError::EmptyTeam => write!(f, "both teams must be nonempty"),
             WitnessError::InitialOutOfRange => write!(f, "initial value out of range"),
             WitnessError::OpOutOfRange { process } => {
@@ -151,6 +162,12 @@ impl Witness {
         }
         if self.n() < 2 {
             return Err(WitnessError::TooFewProcesses);
+        }
+        if self.n() > MAX_PROCESSES {
+            return Err(WitnessError::TooManyProcesses {
+                n: self.n(),
+                max: MAX_PROCESSES,
+            });
         }
         if self.team_members(Team::T0).is_empty() || self.team_members(Team::T1).is_empty() {
             return Err(WitnessError::EmptyTeam);
@@ -232,6 +249,26 @@ mod tests {
             vec![OpId::new(0), OpId::new(0)],
         );
         assert_eq!(w.validate(&TestAndSet::new()), Err(WitnessError::EmptyTeam));
+    }
+
+    #[test]
+    fn oversized_witnesses_are_errors_not_panics() {
+        // One process past what an analysis supports: the checkers must
+        // reject the witness before building one.
+        let n = MAX_PROCESSES + 1;
+        let mut teams = vec![Team::T0; n];
+        teams[n - 1] = Team::T1;
+        let w = Witness::new(ValueId::new(0), teams, vec![OpId::new(0); n]);
+        let err = WitnessError::TooManyProcesses {
+            n,
+            max: MAX_PROCESSES,
+        };
+        assert_eq!(w.validate(&TestAndSet::new()), Err(err.clone()));
+        assert_eq!(
+            crate::check_recording(&TestAndSet::new(), &w),
+            Err(err.clone())
+        );
+        assert_eq!(crate::check_discerning(&TestAndSet::new(), &w), Err(err));
     }
 
     #[test]

@@ -23,7 +23,7 @@ fn golab_test_and_set_separation() {
 #[test]
 fn faa_and_swap_drop_to_level_1() {
     for ty in [
-        &FetchAndAdd::new(4) as &dyn ObjectType,
+        &FetchAndAdd::new(4) as &(dyn ObjectType + Sync),
         &FetchAndAdd::new(6),
         &Swap::new(2),
         &Swap::new(3),
@@ -44,7 +44,7 @@ fn faa_and_swap_drop_to_level_1() {
 #[test]
 fn recording_types_keep_full_power() {
     for ty in [
-        &StickyBit::new() as &dyn ObjectType,
+        &StickyBit::new() as &(dyn ObjectType + Sync),
         &ConsensusObject::new(),
         &CompareAndSwap::new(3),
     ] {
