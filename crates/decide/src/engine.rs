@@ -759,48 +759,38 @@ impl SearchEngine {
         call: &SearchCall<'_>,
         level_span: &Span,
     ) -> Result<Vec<FindOutcome>, SearchError> {
-        let stored: Vec<Option<Option<Witness>>> = conds
+        let mut outcomes: Vec<Option<FindOutcome>> = conds
             .iter()
             .map(|&cond| {
                 let (disk, fingerprint) = call.disk?;
-                let stored = disk.load(ty, fingerprint, cond, n)?;
+                let witness = disk.load(ty, fingerprint, cond, n)?;
                 self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                Some(stored)
+                Some(FindOutcome {
+                    witness,
+                    timed_out: false,
+                })
             })
             .collect();
         let unanswered: Vec<Condition> = conds
             .iter()
-            .zip(&stored)
-            .filter(|(_, stored)| stored.is_none())
-            .map(|(&cond, _)| cond)
+            .zip(&outcomes)
+            .filter_map(|(&cond, outcome)| outcome.is_none().then_some(cond))
             .collect();
-        let mut searched = if unanswered.is_empty() {
-            Vec::new()
-        } else {
-            self.search_level(ty, n, &unanswered, call, level_span)?
-        }
-        .into_iter()
-        .zip(&unanswered);
-        Ok(stored
-            .into_iter()
-            .map(|stored| match stored {
-                Some(witness) => FindOutcome {
-                    witness,
-                    timed_out: false,
-                },
-                None => {
-                    let (found, &cond) = searched.next().expect("one outcome per search");
-                    if let (false, Some((disk, fingerprint))) = (found.timed_out, call.disk) {
-                        if disk.store(fingerprint, cond, n, &found.witness) {
-                            self.counters
-                                .disk_entries_written
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
+        if !unanswered.is_empty() {
+            let searched = self.search_level(ty, n, &unanswered, call, level_span)?;
+            let slots = outcomes.iter_mut().filter(|outcome| outcome.is_none());
+            for ((slot, found), cond) in slots.zip(searched).zip(unanswered) {
+                if let (false, Some((disk, fingerprint))) = (found.timed_out, call.disk) {
+                    if disk.store(fingerprint, cond, n, &found.witness) {
+                        self.counters
+                            .disk_entries_written
+                            .fetch_add(1, Ordering::Relaxed);
                     }
-                    found
                 }
-            })
-            .collect())
+                *slot = Some(found);
+            }
+        }
+        Ok(outcomes.into_iter().flatten().collect())
     }
 
     /// The parallel witness search of `conds` over one level: one task per
@@ -809,7 +799,8 @@ impl SearchEngine {
     /// partition, for every condition still open at that instance; the
     /// analysis is dropped when the task ends. A condition closes at its
     /// earliest `(instance, partition)` witness: workers skip it at later
-    /// instances and stop claiming once every condition is closed. With
+    /// instances and stop at the first claim where every condition is
+    /// closed. With
     /// one worker the visit order is fixed (instances in order, partitions
     /// in order), so the returned witnesses are deterministic.
     ///
@@ -859,23 +850,20 @@ impl SearchEngine {
         // so far, so more threads can only improve (not degrade) how
         // canonical the returned witness is; and the instance it was found
         // at (`usize::MAX` while none is), which later instances skip.
+        // `closed_at` only lets workers skip work, so `Relaxed` suffices:
+        // the witnesses are published through the `found` mutexes.
         let found: Vec<WitnessSlot> = conds.iter().map(|_| Mutex::new(None)).collect();
         let closed_at: Vec<AtomicUsize> =
             conds.iter().map(|_| AtomicUsize::new(usize::MAX)).collect();
 
         let past_deadline = || call.deadline.is_some_and(|d| Instant::now() >= d);
-        let all_closed = || {
-            closed_at
-                .iter()
-                .all(|at| at.load(Ordering::Relaxed) != usize::MAX)
-        };
 
         let worker = |engine: &SearchEngine| {
             let mut local_analyses = 0u64;
             let mut local_visits = 0u64;
             let mut local_partitions = 0u64;
             loop {
-                if stop.load(Ordering::Relaxed) || all_closed() {
+                if stop.load(Ordering::Relaxed) {
                     break;
                 }
                 if past_deadline() {
@@ -892,8 +880,8 @@ impl SearchEngine {
                     .filter(|&k| i < closed_at[k].load(Ordering::Relaxed))
                     .fold(0u32, |open, k| open | 1 << k);
                 if open == 0 {
-                    // Every condition closed at an earlier instance since
-                    // the check above.
+                    // Every condition closed at an earlier instance: this
+                    // and every later claim has nothing left to test.
                     break;
                 }
                 // Contain panics to the task: a broken `ObjectType` must
