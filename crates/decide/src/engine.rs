@@ -690,28 +690,33 @@ impl SearchEngine {
             capped: false,
             witness: None,
         });
-        // Indices into `conds` of the conditions still being scanned.
+        // Indices into `conds` of the conditions still being scanned, and
+        // those conditions.
         let mut open: Vec<usize> = (0..N).collect();
+        let mut searched = conds.to_vec();
         for n in 2..=cap {
             if open.is_empty() {
                 break;
             }
-            let searched: Vec<Condition> = open.iter().map(|&k| conds[k]).collect();
-            let outcomes = self.find_witnesses(ty, n, &searched, call)?;
-            let mut still_open = Vec::with_capacity(open.len());
-            for (k, outcome) in open.into_iter().zip(outcomes) {
+            let mut outcomes = self.find_witnesses(ty, n, &searched, call)?.into_iter();
+            open.retain(|&k| {
+                let outcome = outcomes.next().expect("one outcome per condition");
                 if outcome.timed_out {
                     best[k].capped = true;
-                } else if let Some(w) = outcome.witness {
-                    best[k] = LevelResult {
-                        level: n,
-                        capped: n == cap,
-                        witness: Some(w),
-                    };
-                    still_open.push(k);
+                    return false;
                 }
-            }
-            open = still_open;
+                let Some(w) = outcome.witness else {
+                    return false;
+                };
+                best[k] = LevelResult {
+                    level: n,
+                    capped: n == cap,
+                    witness: Some(w),
+                };
+                true
+            });
+            searched.clear();
+            searched.extend(open.iter().map(|&k| conds[k]));
         }
         Ok(best)
     }
@@ -733,11 +738,16 @@ impl SearchEngine {
         let start = Instant::now();
         // The span brackets the same region `busy_time` measures, so a
         // profile's `engine.level` total reconciles with the busy stat.
-        let names: Vec<&str> = conds.iter().map(|c| c.name()).collect();
+        let detail = if self.tracer.recording() {
+            let names: Vec<&str> = conds.iter().map(|c| c.name()).collect();
+            names.join("+")
+        } else {
+            String::new()
+        };
         let level_span = self.tracer.span_with(
             "engine.level",
             i64::try_from(n).unwrap_or(i64::MAX),
-            &names.join("+"),
+            &detail,
         );
         self.wall.enter();
         let outcomes = self.decide_level(ty, n, conds, call, &level_span);
@@ -790,7 +800,10 @@ impl SearchEngine {
                 *slot = Some(found);
             }
         }
-        Ok(outcomes.into_iter().flatten().collect())
+        Ok(outcomes
+            .into_iter()
+            .map(|outcome| outcome.expect("answered from disk or searched"))
+            .collect())
     }
 
     /// The parallel witness search of `conds` over one level: one task per
