@@ -485,7 +485,9 @@ mod tests {
                 ref counterexample,
             } => {
                 assert_eq!(process, ProcessId(0));
-                assert!(!counterexample.cycle.is_empty());
+                // The exact lasso: p0 spins from the initial configuration.
+                assert_eq!(counterexample.prefix, Schedule::new());
+                assert_eq!(counterexample.cycle.to_string(), "p0");
                 // The cycle must contain a step of p0 and no crash of p0.
                 assert!(counterexample.cycle.steps_of(process) > 0);
                 assert_eq!(counterexample.cycle.crashes_of(process), 0);
