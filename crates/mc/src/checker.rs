@@ -4,7 +4,7 @@
 //! any schedule within a per-process crash budget and a length cap violate
 //! agreement or validity?* — answered by a different algorithm than
 //! `rcn-faults`' memoized DFS: a plain breadth-first search over
-//! canonically-hashed `(configuration, crash-counts)` states with parent
+//! structurally keyed `(configuration, crash-counts)` states with parent
 //! pointers. The two engines share no search code (this crate depends only
 //! on `rcn-model` and `rcn-obs`), so a verdict they agree on does not rest
 //! on any single search's pruning being sound — exactly the bug class the
@@ -24,7 +24,7 @@
 //!   The DFS's skip rules (no-op steps, crashes in the initial state) are
 //!   optimizations this checker intentionally does not copy.
 
-use crate::hash::StateIndex;
+use crate::hash::{canonical_hash, StateIndex};
 use rcn_model::{
     charge_crashes, event_enabled, Configuration, Event, FaultModel, ProcessId, Schedule, System,
     Violation,
@@ -178,17 +178,35 @@ impl McReport {
 
 /// One stored state: a configuration plus the per-process crash counts
 /// spent reaching it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 struct StateKey {
     config: Configuration,
     crashes: Vec<usize>,
 }
 
+// Written out so that `clone_from` reuses every buffer: the search builds
+// each successor in one scratch key.
+impl Clone for StateKey {
+    fn clone(&self) -> Self {
+        StateKey {
+            config: self.config.clone(),
+            crashes: self.crashes.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.config.clone_from(&source.config);
+        self.crashes.clone_from(&source.crashes);
+    }
+}
+
 /// The back-pointer that reconstructs a stored state's schedule; node `i`
-/// belongs to the state stored at `keys[i]`.
+/// belongs to the state stored at `keys[i]`. A `u32` depth cannot wrap:
+/// a BFS depth is below the number of stored states, which `u32` indices
+/// already bound.
 struct Node {
     parent: Option<(u32, Event)>,
-    depth: u16,
+    depth: u32,
 }
 
 /// The breadth-first checker.
@@ -257,17 +275,20 @@ impl<'s> ModelChecker<'s> {
             crashes: vec![0; n],
         }];
         let mut index = StateIndex::new();
-        index.insert(&keys[0], 0);
+        index.insert(canonical_hash(&keys[0]), 0);
         stats.states_visited = 1;
         stats.frontier_peak = 1;
         depths.observe(0);
 
+        // Every successor is built in `next`; only a state seen for the
+        // first time is copied out of it.
+        let mut next = keys[0].clone();
         let mut head = 0usize;
         while head < nodes.len() {
             let id = head;
             head += 1;
-            let depth = nodes[id].depth as usize;
-            if depth >= self.config.max_depth {
+            let depth = nodes[id].depth;
+            if depth as usize >= self.config.max_depth {
                 stats.depth_clipped = true;
                 continue;
             }
@@ -293,8 +314,8 @@ impl<'s> ModelChecker<'s> {
                 ) {
                     continue;
                 }
-                let mut next = keys[id].config.clone();
-                let effect = self.system.apply(&mut next, event);
+                next.clone_from(&keys[id]);
+                let effect = self.system.apply(&mut next.config, event);
                 stats.events_applied += 1;
                 events_counter.incr();
                 if let Some(violation) = effect.violation {
@@ -311,13 +332,9 @@ impl<'s> ModelChecker<'s> {
                     self.publish(&report, &span);
                     return report;
                 }
-                let mut crashes = keys[id].crashes.clone();
-                charge_crashes(&mut crashes, event);
-                let key = StateKey {
-                    config: next,
-                    crashes,
-                };
-                if index.find(&keys, &key).is_some() {
+                charge_crashes(&mut next.crashes, event);
+                let digest = canonical_hash(&next);
+                if index.find(&keys, digest, &next).is_some() {
                     stats.dedup_hits += 1;
                     dedup_counter.incr();
                     continue;
@@ -326,14 +343,14 @@ impl<'s> ModelChecker<'s> {
                     stats.state_clipped = true;
                     continue;
                 }
-                index.insert(&key, nodes.len());
-                keys.push(key);
+                index.insert(digest, nodes.len());
+                keys.push(next.clone());
                 nodes.push(Node {
                     parent: Some((id as u32, event)),
-                    depth: (depth + 1) as u16,
+                    depth: depth + 1,
                 });
                 stats.states_visited += 1;
-                depths.observe(depth as u64 + 1);
+                depths.observe(u64::from(depth) + 1);
                 let frontier = (nodes.len() - head) as u64;
                 if frontier > stats.frontier_peak {
                     stats.frontier_peak = frontier;

@@ -1,31 +1,41 @@
-//! Canonical FNV-1a state hashing for the breadth-first checker.
+//! Canonical state digests and the collision-safe index over them.
 //!
 //! The checker keys its visited set on the *canonical encoding* of a state
-//! (the `Hash` traversal of its fields, which is deterministic and
-//! injective up to structural equality) folded through `rcn-model`'s
-//! [`Fnv1a`], the workspace's one FNV-1a. Hashing is
-//! only a bucket index: lookups always confirm full structural equality,
-//! so a 64-bit collision can never merge two distinct states — it only
-//! costs one extra comparison. This keeps the checker sound while staying
-//! deliberately independent of the DFS explorer's `std::collections`
-//! default hasher.
+//! (the derived `Hash` traversal of its fields, which is deterministic and
+//! injective up to structural equality) folded a word at a time through
+//! `rcn-model`'s [`WordHasher`]. The digest is only a bucket key: it is
+//! never persisted, and every probe confirms full structural equality, so a
+//! 64-bit collision can never merge two distinct states — it only costs one
+//! extra comparison. This keeps the checker sound while staying
+//! independent of the packed word keys (`Configuration::pack_into`) that
+//! the engines it checks index their states by.
+//!
+//! The caller computes each state's digest once ([`canonical_hash`]) and
+//! hands it to both [`StateIndex::find`] and [`StateIndex::insert`].
 
-pub use rcn_model::Fnv1a;
-use std::hash::{Hash, Hasher};
+use rcn_model::WordHasher;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// The canonical FNV-1a digest of any hashable state.
+/// The canonical digest of any hashable state.
 pub fn canonical_hash<T: Hash>(value: &T) -> u64 {
-    let mut h = Fnv1a::new();
+    let mut h = WordHasher::default();
     value.hash(&mut h);
     h.finish()
 }
 
-/// A chained hash index over an external state store: maps canonical
-/// digests to the indices of the states bearing them, confirming equality
-/// through the caller's slice on every probe.
+/// Marks the end of a same-digest chain.
+const NONE: u32 = u32::MAX;
+
+/// A chained hash index over an external state store, whose states are
+/// inserted in store order: one `u32` head per digest, and a same-digest
+/// chain in a `Vec<u32>` parallel to the store. Every probe confirms
+/// equality through the caller's slice.
 #[derive(Default)]
 pub struct StateIndex {
-    buckets: std::collections::HashMap<u64, Vec<u32>>,
+    heads: HashMap<u64, u32, BuildHasherDefault<WordHasher>>,
+    /// `next[i]`: the state stored before `i` with the same digest.
+    next: Vec<u32>,
 }
 
 impl StateIndex {
@@ -34,20 +44,31 @@ impl StateIndex {
         StateIndex::default()
     }
 
-    /// Looks up `key` among `states`, returning its index if present.
-    pub fn find<T: Hash + Eq>(&self, states: &[T], key: &T) -> Option<usize> {
-        let digest = canonical_hash(key);
-        self.buckets
-            .get(&digest)?
-            .iter()
-            .map(|&i| i as usize)
-            .find(|&i| &states[i] == key)
+    /// Looks up `key`, whose digest is `digest`, among `states`, returning
+    /// its index if present.
+    pub fn find<T: Eq>(&self, states: &[T], digest: u64, key: &T) -> Option<usize> {
+        let mut i = *self.heads.get(&digest)?;
+        while i != NONE {
+            if &states[i as usize] == key {
+                return Some(i as usize);
+            }
+            i = self.next[i as usize];
+        }
+        None
     }
 
-    /// Records that `key` lives at `index` in the caller's store.
-    pub fn insert<T: Hash>(&mut self, key: &T, index: usize) {
-        let digest = canonical_hash(key);
-        self.buckets.entry(digest).or_default().push(index as u32);
+    /// Records that the state with digest `digest` lives at `index` in the
+    /// caller's store.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is not the next slot of the store (states are indexed in
+    /// store order), or does not fit in a `u32`.
+    pub fn insert(&mut self, digest: u64, index: usize) {
+        assert_eq!(index, self.next.len(), "states are indexed in store order");
+        let index = u32::try_from(index).expect("under 2^32 states");
+        let prev = self.heads.insert(digest, index).unwrap_or(NONE);
+        self.next.push(prev);
     }
 }
 
@@ -57,15 +78,31 @@ mod tests {
 
     #[test]
     fn index_distinguishes_colliding_buckets() {
-        // Equality is structural even if digests were to collide: the index
-        // never returns a structurally different state.
+        // Equality is structural even when digests collide: with every
+        // state under one digest, the index still never returns a
+        // structurally different state.
         let states = vec![(1u32, 2u32), (3, 4), (1, 3)];
         let mut index = StateIndex::new();
-        for (i, s) in states.iter().enumerate() {
-            index.insert(s, i);
+        for i in 0..states.len() {
+            index.insert(7, i);
         }
-        assert_eq!(index.find(&states, &(1, 2)), Some(0));
-        assert_eq!(index.find(&states, &(1, 3)), Some(2));
-        assert_eq!(index.find(&states, &(9, 9)), None);
+        assert_eq!(index.find(&states, 7, &(1, 2)), Some(0));
+        assert_eq!(index.find(&states, 7, &(1, 3)), Some(2));
+        assert_eq!(index.find(&states, 7, &(9, 9)), None);
+        assert_eq!(index.find(&states, 8, &(1, 2)), None);
+    }
+
+    #[test]
+    fn index_finds_states_by_their_canonical_digest() {
+        let states = vec![vec![1u32, 2], vec![1, 2, 0], vec![]];
+        let mut index = StateIndex::new();
+        for (i, s) in states.iter().enumerate() {
+            index.insert(canonical_hash(s), i);
+        }
+        for (i, s) in states.iter().enumerate() {
+            assert_eq!(index.find(&states, canonical_hash(s), s), Some(i));
+        }
+        let absent = vec![2u32, 1];
+        assert_eq!(index.find(&states, canonical_hash(&absent), &absent), None);
     }
 }

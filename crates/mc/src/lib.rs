@@ -9,13 +9,15 @@
 //!
 //! `rcn-mc` re-derives both families of verdicts from the `System`
 //! semantics alone, by explicit-state breadth-first search over
-//! canonically-hashed states, and **deliberately shares no code** with
-//! either engine — this crate depends only on `rcn-model` (the semantics
-//! under test) and `rcn-obs` (observability). Its own hashing
-//! ([`hash`]: FNV-1a plus a collision-safe chained index), its own search
-//! ([`checker`]: FIFO frontier, parent pointers, no pruning rules), its
-//! own valency fixpoint ([`valency`]: backward worklist over explicit
-//! edges). Where the two stacks agree, the verdict no longer hinges on any
+//! structurally keyed states, and **deliberately shares no search code**
+//! with either engine — this crate depends only on `rcn-model` (the
+//! semantics under test) and `rcn-obs` (observability). From `rcn-model`
+//! it takes the crash semantics and one bucket hash, `WordHasher`, which
+//! cannot decide state identity: its own index ([`hash`]: a digest of the
+//! derived `Hash` encoding, a flat chained table, structural equality
+//! confirmed on every probe), its own search ([`checker`]: FIFO
+//! frontier, parent pointers, no pruning rules), its own valency fixpoint
+//! ([`valency`]: backward worklist over explicit edges). Where the two stacks agree, the verdict no longer hinges on any
 //! single implementation being right; where they disagree, the RCN200–203
 //! cross-checker lints in `rcn-analyze` turn the divergence into a hard
 //! CI failure.
@@ -36,5 +38,5 @@ pub use checker::{
     model_check, model_check_traced, Coverage, McConfig, McCounterexample, McReport, McStats,
     ModelChecker,
 };
-pub use hash::{canonical_hash, Fnv1a, StateIndex};
+pub use hash::{canonical_hash, StateIndex};
 pub use valency::{valency_check, McValency, ValencyConfig, ValencyReport};

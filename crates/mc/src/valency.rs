@@ -7,8 +7,8 @@
 //! answers the *same question* — which decision values are reachable from
 //! the initial configuration when `p_i` may crash at most `z·n ×` (steps of
 //! lower-id processes) times, allowances clamped at a ceiling — with a
-//! different implementation: breadth-first search keyed by the canonical
-//! FNV index of [`crate::hash`], explicit edge lists, and a backward
+//! different implementation: breadth-first search keyed by the structural
+//! index of [`crate::hash`], explicit edge lists, and a backward
 //! worklist propagation from deciding states. Agreement between the two is
 //! the RCN201 cross-check.
 //!
@@ -30,7 +30,7 @@
 //! is why the cross-check refuses to compare bounded valencies.
 
 use crate::checker::Coverage;
-use crate::hash::StateIndex;
+use crate::hash::{canonical_hash, StateIndex};
 use rcn_model::{Event, ProcessId, System};
 use std::fmt;
 
@@ -93,10 +93,26 @@ pub struct ValencyReport {
 }
 
 /// One stored budgeted state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 struct BudgetKey {
     config: rcn_model::Configuration,
     allowance: Vec<u16>,
+}
+
+// Written out so that `clone_from` reuses every buffer: the search builds
+// each successor in one scratch key.
+impl Clone for BudgetKey {
+    fn clone(&self) -> Self {
+        BudgetKey {
+            config: self.config.clone(),
+            allowance: self.allowance.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.config.clone_from(&source.config);
+        self.allowance.clone_from(&source.allowance);
+    }
 }
 
 /// Breadth-first valency check of `system`'s initial configuration under
@@ -111,22 +127,27 @@ pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
     };
     let mut keys = vec![init];
     let mut index = StateIndex::new();
-    index.insert(&keys[0], 0);
+    index.insert(canonical_hash(&keys[0]), 0);
     let mut edges: Vec<(u32, u32)> = Vec::new();
     let mut clipped = false;
 
+    // Every successor is built in `next`; only a state seen for the first
+    // time is copied out of it.
+    let mut next = keys[0].clone();
     let mut head = 0usize;
     while head < keys.len() {
         let id = head;
         head += 1;
         for i in 0..n {
             let p = ProcessId(i as u16);
-            let mut candidates = vec![Event::Step(p)];
-            if i > 0 && keys[id].allowance[i] > 0 {
-                candidates.push(Event::Crash(p));
-            }
-            for event in candidates {
-                let mut next = keys[id].clone();
+            let events = [Event::Step(p), Event::Crash(p)];
+            let events = if i > 0 && keys[id].allowance[i] > 0 {
+                &events[..]
+            } else {
+                &events[..1]
+            };
+            for &event in events {
+                next.clone_from(&keys[id]);
                 system.apply(&mut next.config, event);
                 match event {
                     Event::Step(_) => {
@@ -142,7 +163,8 @@ pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
                         unreachable!("valency graphs enumerate only steps and per-process crashes")
                     }
                 }
-                let target = match index.find(&keys, &next) {
+                let digest = canonical_hash(&next);
+                let target = match index.find(&keys, digest, &next) {
                     Some(t) => t,
                     None => {
                         if keys.len() >= config.max_states {
@@ -150,8 +172,8 @@ pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
                             continue;
                         }
                         let t = keys.len();
-                        index.insert(&next, t);
-                        keys.push(next);
+                        index.insert(digest, t);
+                        keys.push(next.clone());
                         t
                     }
                 };

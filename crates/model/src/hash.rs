@@ -1,16 +1,17 @@
 //! The workspace's two 64-bit hashes.
 //!
-//! [`Fnv1a`] hashes bytes. Three layers use it: the breadth-first
-//! checker's state index in `rcn-mc`, and the content fingerprints that key
-//! the persistent verdict stores (`rcn-decide`'s `type_fingerprint`,
-//! `rcn-faults`' `system_fingerprint`). Fingerprints are written into
-//! files, so they mix words through [`Fnv1a::mix`], which fixes the byte
-//! order.
+//! [`Fnv1a`] hashes bytes. Two layers use it: the content fingerprints
+//! that key the persistent verdict stores (`rcn-decide`'s
+//! `type_fingerprint`, `rcn-faults`' `system_fingerprint`). Fingerprints
+//! are written into files, so they mix words through [`Fnv1a::mix`], which
+//! fixes the byte order.
 //!
-//! [`WordHasher`] hashes a word at a time, for in-memory indexes over
-//! packed state words ([`Configuration::pack_into`](crate::Configuration::pack_into)),
-//! where FNV's byte loop costs about 1.5× as much. Its digests are never
-//! written anywhere, so they are free to change.
+//! [`WordHasher`] hashes a word at a time, for in-memory indexes: over
+//! packed state words ([`Configuration::pack_into`](crate::Configuration::pack_into))
+//! in `rcn-valency`, and over the derived `Hash` encoding of structural
+//! states in `rcn-mc`'s breadth-first index. FNV's byte loop costs about
+//! 1.5× as much there. Its digests are never written anywhere, so they are
+//! free to change.
 
 use std::hash::Hasher;
 

@@ -13,7 +13,7 @@
 //!   infinitely many steps, stops crashing, and never outputs. On a finite
 //!   graph this is exact — no bounding, no approximation.
 
-use crate::graph::{ConfigGraph, ConfigId, ExploreError};
+use crate::graph::{ConfigGraph, ConfigId, EdgeInfo, ExploreError};
 use rcn_model::{Event, ProcessId, Schedule, System, Violation};
 use std::collections::HashMap;
 use std::fmt;
@@ -194,62 +194,51 @@ pub fn check_graph(graph: &ConfigGraph) -> Verdict {
 /// Finds a reachable cycle in which `p` steps, never crashes and stays
 /// undecided — Tarjan SCCs on the restricted graph, then a cycle walk.
 fn starvation_cycle(graph: &ConfigGraph, p: ProcessId) -> Option<Counterexample> {
-    let n = graph.len();
     // "Undecided" means: no recorded output AND not sitting in an output
     // state (where steps are no-ops and the process has effectively decided).
-    let keep = |id: ConfigId| {
-        graph.config(id).decided[p.index()].is_none()
-            && !matches!(
-                graph.system().action_of(graph.config(id), p),
-                rcn_model::Action::Output(_)
-            )
-    };
-    let keep_edge = |e: &rcn_model::Event| !matches!(e, Event::Crash(q) if *q == p);
-
-    let sccs = tarjan(n, |id| {
-        if !keep(id) {
-            return Vec::new();
+    let keep: Vec<bool> = (0..graph.len())
+        .map(|id| {
+            let config = graph.config(id);
+            config.decided[p.index()].is_none()
+                && !matches!(
+                    graph.system().action_of(config, p),
+                    rcn_model::Action::Output(_)
+                )
+        })
+        .collect();
+    // The restricted graph: edges between kept configurations, except
+    // crashes of `p`.
+    let keep_edge = |e: &EdgeInfo| keep[e.target] && !matches!(e.event, Event::Crash(q) if q == p);
+    let kept_edges = |id: ConfigId| -> &[EdgeInfo] {
+        if keep[id] {
+            graph.edges(id)
+        } else {
+            &[]
         }
-        graph
-            .edges(id)
+    };
+
+    let sccs = tarjan(graph.len(), |id| {
+        kept_edges(id)
             .iter()
-            .filter(|e| keep(e.target) && keep_edge(&e.event))
+            .filter(|e| keep_edge(e))
             .map(|e| e.target)
-            .collect()
     });
 
     // An SCC is bad if it contains a Step(p) edge that stays inside it
     // (including self-loops).
-    for scc in &sccs {
-        if scc.len() == 1 {
-            let id = scc[0];
-            let has_self_loop = keep(id)
-                && graph
-                    .edges(id)
-                    .iter()
-                    .any(|e| e.target == id && keep_edge(&e.event) && e.event == Event::Step(p));
-            if !has_self_loop {
-                continue;
-            }
-        }
-        let inside: std::collections::HashSet<ConfigId> = scc.iter().copied().collect();
+    for (c, scc) in sccs.iter().enumerate() {
+        let inside = |id: ConfigId| sccs.component[id] == c as u32;
         let step_edge = scc.iter().find_map(|&id| {
-            if !keep(id) {
-                return None;
-            }
-            graph
-                .edges(id)
+            kept_edges(id)
                 .iter()
-                .find(|e| {
-                    e.event == Event::Step(p) && inside.contains(&e.target) && keep_edge(&e.event)
-                })
+                .find(|e| e.event == Event::Step(p) && inside(e.target) && keep_edge(e))
                 .map(|e| (id, e.target))
         });
         let Some((src, dst)) = step_edge else {
             continue;
         };
         // Build the cycle: src --Step(p)--> dst --…--> src inside the SCC.
-        let back = path_within(graph, &inside, dst, src, &keep_edge, &keep)?;
+        let back = path_within(graph, &inside, dst, src, &keep_edge)?;
         let mut cycle = Schedule::new();
         cycle.push(Event::Step(p));
         cycle.extend(&back);
@@ -266,11 +255,10 @@ fn starvation_cycle(graph: &ConfigGraph, p: ProcessId) -> Option<Counterexample>
 /// BFS path from `from` to `to` within `inside`, honoring the edge filter.
 fn path_within(
     graph: &ConfigGraph,
-    inside: &std::collections::HashSet<ConfigId>,
+    inside: &dyn Fn(ConfigId) -> bool,
     from: ConfigId,
     to: ConfigId,
-    keep_edge: &dyn Fn(&Event) -> bool,
-    keep: &dyn Fn(ConfigId) -> bool,
+    keep_edge: &dyn Fn(&EdgeInfo) -> bool,
 ) -> Option<Schedule> {
     if from == to {
         return Some(Schedule::new());
@@ -279,7 +267,7 @@ fn path_within(
     let mut queue = std::collections::VecDeque::from([from]);
     while let Some(id) = queue.pop_front() {
         for e in graph.edges(id) {
-            if !inside.contains(&e.target) || !keep_edge(&e.event) || !keep(e.target) {
+            if !inside(e.target) || !keep_edge(e) {
                 continue;
             }
             if e.target != from && !prev.contains_key(&e.target) {
@@ -302,9 +290,32 @@ fn path_within(
     None
 }
 
+/// The strongly connected components of a graph, in the order Tarjan's
+/// algorithm completes them, stored flat.
+struct Sccs {
+    /// Every node, grouped by component; a component's nodes are in the
+    /// order they left Tarjan's stack.
+    members: Vec<ConfigId>,
+    /// `ends[c]`: one past component `c`'s last node in `members`.
+    ends: Vec<usize>,
+    /// `component[id]`: the component `id` belongs to.
+    component: Vec<u32>,
+}
+
+impl Sccs {
+    /// The components' node lists, in completion order.
+    fn iter(&self) -> impl Iterator<Item = &[ConfigId]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.members[start..end])
+    }
+}
+
 /// Iterative Tarjan SCC over an implicit graph. Returns all SCCs (singletons
-/// included).
-fn tarjan(n: usize, successors: impl Fn(ConfigId) -> Vec<ConfigId>) -> Vec<Vec<ConfigId>> {
+/// included). `successors` yields a node's successors without allocating;
+/// the walk keeps one live iterator per node on its DFS path.
+fn tarjan<I: Iterator<Item = ConfigId>>(n: usize, successors: impl Fn(ConfigId) -> I) -> Sccs {
     #[derive(Clone, Copy)]
     struct NodeState {
         index: u32,
@@ -323,59 +334,58 @@ fn tarjan(n: usize, successors: impl Fn(ConfigId) -> Vec<ConfigId>) -> Vec<Vec<C
     ];
     let mut counter = 0u32;
     let mut stack: Vec<ConfigId> = Vec::new();
-    let mut sccs: Vec<Vec<ConfigId>> = Vec::new();
+    let mut sccs = Sccs {
+        members: Vec::with_capacity(n),
+        ends: Vec::new(),
+        component: vec![0; n],
+    };
+    // Explicit DFS stack of (node, its remaining successors).
+    let mut dfs: Vec<(ConfigId, I)> = Vec::new();
+    let mut visit = |node: ConfigId, state: &mut [NodeState], stack: &mut Vec<ConfigId>| {
+        state[node] = NodeState {
+            index: counter,
+            lowlink: counter,
+            on_stack: true,
+            visited: true,
+        };
+        counter += 1;
+        stack.push(node);
+    };
 
-    // Explicit DFS stack of (node, successor list, next successor index).
     for root in 0..n {
         if state[root].visited {
             continue;
         }
-        let mut dfs: Vec<(ConfigId, Vec<ConfigId>, usize)> = Vec::new();
-        state[root].visited = true;
-        state[root].index = counter;
-        state[root].lowlink = counter;
-        counter += 1;
-        state[root].on_stack = true;
-        stack.push(root);
-        dfs.push((root, successors(root), 0));
+        visit(root, &mut state, &mut stack);
+        dfs.push((root, successors(root)));
 
-        while let Some((node, succs, mut i)) = dfs.pop() {
-            let mut descended = false;
-            while i < succs.len() {
-                let next = succs[i];
-                i += 1;
+        while let Some((node, succs)) = dfs.last_mut() {
+            let node = *node;
+            if let Some(next) = succs.next() {
                 if !state[next].visited {
-                    state[next].visited = true;
-                    state[next].index = counter;
-                    state[next].lowlink = counter;
-                    counter += 1;
-                    state[next].on_stack = true;
-                    stack.push(next);
-                    dfs.push((node, succs, i));
-                    dfs.push((next, successors(next), 0));
-                    descended = true;
-                    break;
+                    visit(next, &mut state, &mut stack);
+                    dfs.push((next, successors(next)));
                 } else if state[next].on_stack {
                     state[node].lowlink = state[node].lowlink.min(state[next].index);
                 }
-            }
-            if descended {
                 continue;
             }
             // Node finished.
+            dfs.pop();
             if state[node].lowlink == state[node].index {
-                let mut scc = Vec::new();
+                let c = sccs.ends.len() as u32;
                 loop {
                     let w = stack.pop().expect("tarjan stack underflow");
                     state[w].on_stack = false;
-                    scc.push(w);
+                    sccs.component[w] = c;
+                    sccs.members.push(w);
                     if w == node {
                         break;
                     }
                 }
-                sccs.push(scc);
+                sccs.ends.push(sccs.members.len());
             }
-            if let Some(&mut (parent, _, _)) = dfs.last_mut() {
+            if let Some(&(parent, _)) = dfs.last() {
                 state[parent].lowlink = state[parent].lowlink.min(state[node].lowlink);
             }
         }
@@ -563,18 +573,22 @@ mod tests {
     fn tarjan_finds_simple_cycles() {
         // 0 -> 1 -> 2 -> 0, 3 isolated.
         let adj = [vec![1], vec![2], vec![0], vec![]];
-        let sccs = tarjan(4, |i| adj[i].clone());
+        let sccs = tarjan(4, |i| adj[i].iter().copied());
         let big: Vec<_> = sccs.iter().filter(|s| s.len() == 3).collect();
         assert_eq!(big.len(), 1);
-        assert_eq!(sccs.iter().map(Vec::len).sum::<usize>(), 4);
+        assert_eq!(sccs.iter().map(<[_]>::len).sum::<usize>(), 4);
+        assert_eq!(sccs.component[0], sccs.component[2]);
+        assert_ne!(sccs.component[0], sccs.component[3]);
     }
 
     #[test]
     fn tarjan_handles_self_loops_and_chains() {
         // 0 -> 0 (self loop), 0 -> 1.
         let adj = [vec![0, 1], vec![]];
-        let sccs = tarjan(2, |i| adj[i].clone());
-        assert_eq!(sccs.len(), 2);
+        let sccs = tarjan(2, |i| adj[i].iter().copied());
+        // Completion order: the sink first.
+        let order: Vec<&[ConfigId]> = sccs.iter().collect();
+        assert_eq!(order, [&[1][..], &[0][..]]);
     }
 }
 

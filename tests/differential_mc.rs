@@ -10,9 +10,10 @@
 use rcn::faults::{crashtest, replay, CrashtestConfig};
 use rcn::mc::{model_check, valency_check, Coverage, McConfig, ValencyConfig};
 use rcn::protocols::{TasConsensus, TnnRecoverable, TnnWaitFree, TournamentConsensus};
-use rcn::spec::zoo::{CompareAndSwap, StickyBit, Tnn};
+use rcn::spec::zoo::{CompareAndSwap, Register, StickyBit, Tnn};
+use rcn::spec::{OpId, Response, ValueId};
 use rcn::valency::BudgetedGraph;
-use rcn_model::{FaultModel, System};
+use rcn_model::{Action, FaultModel, HeapLayout, LocalState, ProcessId, System};
 use std::sync::Arc;
 
 fn protocols() -> Vec<(&'static str, System)> {
@@ -199,6 +200,74 @@ fn crash_funding_saturates_instead_of_wrapping() {
         let (wide, exact) = (check(32_768), check(usize::from(clamp)));
         assert_eq!(wide, exact, "{name}: checker verdict");
     }
+}
+
+/// A one-process program that reads a register `steps` times, then
+/// outputs 99, which is not its input: a validity violation `steps + 1`
+/// events deep.
+struct LateInvalidOutput {
+    reg: rcn_model::ObjectId,
+    steps: u32,
+}
+
+impl rcn_model::Program for LateInvalidOutput {
+    fn name(&self) -> String {
+        "late-invalid-output".into()
+    }
+    fn initial_state(&self, _pid: ProcessId, _input: u32) -> LocalState {
+        LocalState::word1(0)
+    }
+    fn action(&self, _pid: ProcessId, state: &LocalState) -> Action {
+        if state.word(0) < self.steps {
+            Action::Invoke {
+                object: self.reg,
+                op: OpId::new(2), // read
+            }
+        } else {
+            Action::Output(99)
+        }
+    }
+    fn transition(&self, _pid: ProcessId, state: &LocalState, _r: Response) -> LocalState {
+        LocalState::word1(state.word(0) + 1)
+    }
+}
+
+/// Depths past 65 535 are counted exactly: a violation one event beyond a
+/// 70 000-event cap is out of budget for both engines.
+#[test]
+fn deep_budgets_keep_violations_beyond_the_cap_out_of_budget() {
+    let mut layout = HeapLayout::new();
+    let reg = layout.add_object("R", Arc::new(Register::new(2)), ValueId::new(0));
+    let program = LateInvalidOutput { reg, steps: 70_001 };
+    let sys = System::new(Arc::new(program), Arc::new(layout), vec![0]);
+    let (max_crashes, max_depth, max_states) = (0, 70_000, 500_000);
+    let bfs = model_check(
+        &sys,
+        McConfig {
+            max_crashes,
+            max_depth,
+            max_states,
+            fault_model: FaultModel::PER_PROCESS,
+        },
+    );
+    assert_eq!(
+        bfs.counterexample.as_ref().map(|c| c.schedule.len()),
+        None,
+        "a violation past the depth cap"
+    );
+    assert!(bfs.is_certified_clean());
+    assert!(bfs.stats.depth_clipped);
+    assert_eq!(bfs.stats.states_visited, 70_001);
+    let dfs = crashtest(
+        &sys,
+        CrashtestConfig {
+            max_crashes,
+            max_depth,
+            max_states,
+            fault_model: FaultModel::PER_PROCESS,
+        },
+    );
+    assert!(dfs.counterexample.is_none() && dfs.stats.exhaustive());
 }
 
 /// The acceptance bar from the paper: the checker independently
