@@ -198,10 +198,20 @@ pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
 /// state's own decided values over the reversed edge list, evaluated at the
 /// initial state.
 fn initial_valency(keys: &[BudgetKey], edges: &[(u32, u32)]) -> McValency {
-    // Reverse adjacency as a CSR-style bucket list.
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); keys.len()];
+    // Reverse adjacency in CSR form: the predecessors of `i`, in edge
+    // order, are `preds[starts[i]..starts[i + 1]]`.
+    let mut starts = vec![0usize; keys.len() + 1];
+    for &(_, to) in edges {
+        starts[to as usize + 1] += 1;
+    }
+    for i in 0..keys.len() {
+        starts[i + 1] += starts[i];
+    }
+    let mut preds = vec![0u32; edges.len()];
+    let mut fill = starts.clone();
     for &(from, to) in edges {
-        preds[to as usize].push(from);
+        preds[fill[to as usize]] = from;
+        fill[to as usize] += 1;
     }
     let reach = |want_zero: bool| -> bool {
         let mut seen = vec![false; keys.len()];
@@ -222,7 +232,8 @@ fn initial_valency(keys: &[BudgetKey], edges: &[(u32, u32)]) -> McValency {
             if i == 0 {
                 return true;
             }
-            for &p in &preds[i as usize] {
+            let i = i as usize;
+            for &p in &preds[starts[i]..starts[i + 1]] {
                 if !seen[p as usize] {
                     seen[p as usize] = true;
                     work.push(p);
