@@ -91,18 +91,4 @@ mod tests {
         assert_eq!(index.find(&states, 7, &(9, 9)), None);
         assert_eq!(index.find(&states, 8, &(1, 2)), None);
     }
-
-    #[test]
-    fn index_finds_states_by_their_canonical_digest() {
-        let states = vec![vec![1u32, 2], vec![1, 2, 0], vec![]];
-        let mut index = StateIndex::new();
-        for (i, s) in states.iter().enumerate() {
-            index.insert(canonical_hash(s), i);
-        }
-        for (i, s) in states.iter().enumerate() {
-            assert_eq!(index.find(&states, canonical_hash(s), s), Some(i));
-        }
-        let absent = vec![2u32, 1];
-        assert_eq!(index.find(&states, canonical_hash(&absent), &absent), None);
-    }
 }
