@@ -8,8 +8,9 @@
 
 use rcn::model::{Event, Fnv1a, System, Violation};
 use rcn::protocols::{TasConsensus, TnnRecoverable, TnnWaitFree, TournamentConsensus};
-use rcn::spec::zoo::{BoundedStack, StickyBit};
-use rcn::spec::ValueId;
+use rcn::decide::synthesis;
+use rcn::spec::zoo::{BoundedStack, CompareAndSwap, StickyBit, TeamCounter, Tnn};
+use rcn::spec::{ObjectType, ValueId};
 use rcn::universal::UniversalSim;
 use rcn::valency::{check_graph, BudgetedGraph, ConfigGraph, Valency};
 use std::hash::Hasher;
@@ -220,4 +221,89 @@ fn universal_stack_simulation() {
         config_graph_shape(&config_graph(&stack_sim())),
         (88, 352, 14440953365186833131, 7954183457069903686)
     );
+}
+
+/// What one tournament pins: the shape of its configuration graph (as
+/// [`config_graph_shape`]), then the critical execution of its `E_1*` graph
+/// at clamp 2 with the teams, object and Observation 11 class found there.
+/// The edge digest fixes the contest witnesses the construction chose.
+fn tournament_digest(system: &System) -> String {
+    let configs = config_graph_shape(&ConfigGraph::explore(system, 2_000_000).unwrap());
+    let graph = BudgetedGraph::explore(system, 1, 2, 2_000_000).unwrap();
+    let critical = match graph.find_critical() {
+        Some(id) => {
+            let info = graph.analyze_critical(id);
+            format!(
+                "{} teams={:?} object={:?} class={:?}",
+                info.schedule, info.teams, info.object, info.class
+            )
+        }
+        None => "no critical".to_string(),
+    };
+    format!("configs={configs:?} critical: {critical}")
+}
+
+/// The tournament over `ty` at 2 and at 3 processes (where it builds),
+/// pinned against `expected` (one digest per built system, in order).
+fn check_tournaments(ty: Arc<dyn ObjectType + Send + Sync>, expected: &[&str]) {
+    let digests: Vec<String> = [vec![0, 1], vec![1, 0, 1]]
+        .into_iter()
+        .filter_map(|inputs| TournamentConsensus::try_new(ty.clone(), inputs).ok())
+        .map(|system| tournament_digest(&system))
+        .collect();
+    assert_eq!(digests, expected, "{}", ty.name());
+}
+
+/// Two-team recording systems with the same witness shape give the same
+/// graphs: sticky and `cas:3` agree, and so do `tnn:4,3` and
+/// `team-counter:4`.
+const STICKY_2: &str = "configs=(176, 704, 17087891805530725431, 16477392617488139335) critical: p0 p0 c1 c1 p1 p1 teams=[Some(0), Some(1)] object=Some(ObjectId(0)) class=Some(Recording)";
+const STICKY_3: &str = "configs=(11672, 70032, 5520929110217788692, 13794250407645169857) critical: p0 p0 c1 c1 p1 p1 p1 p1 p1 p1 p1 c2 c2 p2 p2 p2 p2 p2 teams=[Some(1), Some(0), Some(0)] object=Some(ObjectId(3)) class=Some(Recording)";
+const COUNTER_2: &str = "configs=(288, 1152, 15372315909224840015, 16039484554907267239) critical: p0 p0 c1 c1 p1 p1 teams=[Some(0), Some(1)] object=Some(ObjectId(0)) class=Some(Recording)";
+const COUNTER_3: &str = "configs=(49660, 297960, 6405468977122104320, 9550563586194187809) critical: p0 p0 c1 c1 p1 p1 p1 p1 p1 p1 p1 c2 c2 p2 p2 p2 p2 p2 teams=[Some(1), Some(0), Some(0)] object=Some(ObjectId(3)) class=Some(Recording)";
+
+#[test]
+fn sticky_tournaments() {
+    check_tournaments(Arc::new(StickyBit::new()), &[STICKY_2, STICKY_3]);
+}
+
+#[test]
+fn cas_tournaments() {
+    check_tournaments(Arc::new(CompareAndSwap::new(3)), &[STICKY_2, STICKY_3]);
+}
+
+#[test]
+fn tnn_tournaments() {
+    check_tournaments(Arc::new(Tnn::new(4, 3)), &[COUNTER_2, COUNTER_3]);
+}
+
+#[test]
+fn team_counter_tournaments() {
+    check_tournaments(Arc::new(TeamCounter::new(4)), &[COUNTER_2, COUNTER_3]);
+}
+
+/// The first five `random_readable_table(4, 2)`s (seed 11) that build a
+/// 2-process tournament, each with its index in the stream.
+#[test]
+fn tournaments_over_random_tables() {
+    let mut rng = synthesis::rng(11);
+    let mut built = Vec::new();
+    for index in 0.. {
+        let table = synthesis::random_readable_table(&mut rng, 4, 2);
+        if let Ok(system) = TournamentConsensus::try_new(Arc::new(table), vec![0, 1]) {
+            built.push(format!("#{index} {}", tournament_digest(&system)));
+            if built.len() == 5 {
+                break;
+            }
+        }
+    }
+    let wide = "configs=(232, 928, 10627145578523468642, 18211206083880874300) critical: p0 p0 c1 c1 p1 p1 teams=[Some(0), Some(1)] object=Some(ObjectId(0)) class=Some(Recording)";
+    let expected = [
+        format!("#13 {STICKY_2}"),
+        format!("#25 {wide}"),
+        format!("#35 {wide}"),
+        format!("#41 {wide}"),
+        format!("#52 {wide}"),
+    ];
+    assert_eq!(built, expected);
 }
