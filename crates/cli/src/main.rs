@@ -1573,6 +1573,23 @@ mod tests {
     }
 
     #[test]
+    fn tournaments_beyond_an_analysis_are_usage_errors_not_panics() {
+        // 21 processes, one past what a contest witness's analysis
+        // supports: both commands must refuse the plan (exit 1), not panic.
+        let inputs: Vec<String> = (0..21).map(|i| (i % 2).to_string()).collect();
+        let joined = inputs.join(",");
+        let mut solve = vec!["solve", "sticky"];
+        solve.extend(inputs.iter().map(String::as_str));
+        for args in [
+            &["crashtest", "tournament:sticky", "--inputs", &joined][..],
+            &solve,
+        ] {
+            let err = run(&s(args)).expect_err(args[0]);
+            assert!(err.contains("21 processes exceed"), "{}: {err}", args[0]);
+        }
+    }
+
+    #[test]
     fn parameters_beyond_the_id_space_are_prompt_usage_errors() {
         // Ids are 16-bit: these types would alias op or value ids (or never
         // finish building their value codes), so the constructors refuse

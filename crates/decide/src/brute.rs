@@ -107,7 +107,7 @@ pub fn check_recording_brute<T: ObjectType + ?Sized>(ty: &T, witness: &Witness) 
 mod tests {
     use super::*;
     use crate::discerning::check_discerning;
-    use crate::recording::check_recording;
+    use crate::recording::{check_recording, recording_class, CriticalClass};
     use crate::synthesis;
     use rand::Rng;
     use rcn_spec::zoo::{StickyBit, TestAndSet, Tnn};
@@ -141,55 +141,57 @@ mod tests {
         )
     }
 
+    /// The fast checks agree with the definitions on `w`: both conditions,
+    /// and the whole Observation 11 trichotomy read off the brute `U_x`.
+    fn assert_agree<T: ObjectType + ?Sized>(ty: &T, w: &Witness, context: &str) {
+        assert_eq!(
+            check_discerning(ty, w),
+            Ok(check_discerning_brute(ty, w)),
+            "{context}: {w}"
+        );
+        assert_eq!(
+            check_recording(ty, w),
+            Ok(check_recording_brute(ty, w)),
+            "{context}: {w}"
+        );
+        let (u0, u1) = (u_set(ty, w, Team::T0), u_set(ty, w, Team::T1));
+        let u = w.initial.index();
+        let crowded = |x: Team| w.team_members(x).len() > 1;
+        let class = if !u0.is_disjoint(&u1) {
+            CriticalClass::Colliding
+        } else if u0.contains(&u) && crowded(Team::T1) {
+            CriticalClass::Hiding(0)
+        } else if u1.contains(&u) && crowded(Team::T0) {
+            CriticalClass::Hiding(1)
+        } else {
+            CriticalClass::Recording
+        };
+        assert_eq!(recording_class(ty, w), Ok(class), "{context}: {w}");
+    }
+
     #[test]
     fn fast_and_brute_agree_on_zoo_witnesses() {
         let mut rng = synthesis::rng(42);
-        for _ in 0..200 {
+        for round in 0..200 {
             let n = rng.gen_range(2..5);
+            let context = format!("round {round}");
             // Alternate between types.
             match rng.gen_range(0..3) {
-                0 => {
-                    let ty = TestAndSet::new();
-                    let w = random_witness(&mut rng, 2, 2, n);
-                    assert_eq!(
-                        check_discerning(&ty, &w),
-                        Ok(check_discerning_brute(&ty, &w)),
-                        "{w}"
-                    );
-                    assert_eq!(
-                        check_recording(&ty, &w),
-                        Ok(check_recording_brute(&ty, &w)),
-                        "{w}"
-                    );
-                }
-                1 => {
-                    let ty = StickyBit::new();
-                    let w = random_witness(&mut rng, 3, 3, n);
-                    assert_eq!(
-                        check_discerning(&ty, &w),
-                        Ok(check_discerning_brute(&ty, &w)),
-                        "{w}"
-                    );
-                    assert_eq!(
-                        check_recording(&ty, &w),
-                        Ok(check_recording_brute(&ty, &w)),
-                        "{w}"
-                    );
-                }
-                _ => {
-                    let ty = Tnn::new(4, 2);
-                    let w = random_witness(&mut rng, 8, 3, n);
-                    assert_eq!(
-                        check_discerning(&ty, &w),
-                        Ok(check_discerning_brute(&ty, &w)),
-                        "{w}"
-                    );
-                    assert_eq!(
-                        check_recording(&ty, &w),
-                        Ok(check_recording_brute(&ty, &w)),
-                        "{w}"
-                    );
-                }
+                0 => assert_agree(
+                    &TestAndSet::new(),
+                    &random_witness(&mut rng, 2, 2, n),
+                    &context,
+                ),
+                1 => assert_agree(
+                    &StickyBit::new(),
+                    &random_witness(&mut rng, 3, 3, n),
+                    &context,
+                ),
+                _ => assert_agree(
+                    &Tnn::new(4, 2),
+                    &random_witness(&mut rng, 8, 3, n),
+                    &context,
+                ),
             }
         }
     }
@@ -201,16 +203,7 @@ mod tests {
             let table = synthesis::random_readable_table(&mut rng, 4, 2);
             let n = rng.gen_range(2..5);
             let w = random_witness(&mut rng, 4, 3, n);
-            assert_eq!(
-                check_discerning(&table, &w),
-                Ok(check_discerning_brute(&table, &w)),
-                "round {round}: {w}"
-            );
-            assert_eq!(
-                check_recording(&table, &w),
-                Ok(check_recording_brute(&table, &w)),
-                "round {round}: {w}"
-            );
+            assert_agree(&table, &w, &format!("round {round}"));
         }
     }
 

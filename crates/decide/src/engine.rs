@@ -37,7 +37,7 @@ use crate::cache::type_fingerprint;
 use crate::classify::{level_to_bound, TypeClassification};
 use crate::discerning::{check_discerning, pairs_disjoint, LevelResult};
 use crate::reach::{Analysis, MAX_PROCESSES};
-use crate::recording::{check_recording, recording_holds};
+use crate::recording::{check_recording, class_of, CriticalClass};
 use crate::search::{instances, partitions, team_of};
 use crate::witness::Witness;
 use crate::DiskCache;
@@ -230,7 +230,7 @@ impl Condition {
     /// Whether the condition holds for the teams with bitmasks `t0`, `t1`.
     fn holds(self, analysis: &Analysis, u: ValueId, t0: u32, t1: u32) -> bool {
         match self {
-            Condition::Recording => recording_holds(analysis, u, t0, t1),
+            Condition::Recording => class_of(analysis, u, t0, t1) == CriticalClass::Recording,
             Condition::Discerning => pairs_disjoint(analysis, t0, t1),
         }
     }

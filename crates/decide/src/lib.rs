@@ -59,5 +59,9 @@ pub use discerning::{
 pub use engine::{SearchEngine, SearchError, SearchStats};
 pub use explain::{explain_discerning, explain_recording};
 pub use reach::{Analysis, MAX_PROCESSES};
-pub use recording::{check_recording, find_recording_witness, is_n_recording, recording_number};
+pub use recording::{
+    check_recording, find_recording_witness, is_n_recording, recording_class, recording_number,
+    CriticalClass,
+};
+pub use search::{op_multisets, OpMultisets};
 pub use witness::{Team, Witness, WitnessError};

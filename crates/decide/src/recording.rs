@@ -22,9 +22,36 @@ use crate::engine::{or_panic, SearchEngine};
 use crate::reach::Analysis;
 use crate::witness::{Witness, WitnessError};
 use rcn_spec::{ObjectType, ValueId};
+use std::fmt;
+
+/// The trichotomy of Observation 11: what the `U_x` sets of a witness (a
+/// critical configuration's object value, poised operations and teams)
+/// say about it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CriticalClass {
+    /// `U_0 ∩ U_1 = ∅` and the hiding clause holds: the witness is
+    /// *n-recording* (which certifies the type is n-recording).
+    Recording,
+    /// `U_0 ∩ U_1 = ∅`, but `u ∈ U_v` while the other team has more than
+    /// one process: *v-hiding*.
+    Hiding(u32),
+    /// The two teams can drive the object to a common value.
+    Colliding,
+}
+
+impl fmt::Display for CriticalClass {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CriticalClass::Recording => write!(f, "n-recording"),
+            CriticalClass::Hiding(v) => write!(f, "{v}-hiding"),
+            CriticalClass::Colliding => write!(f, "colliding"),
+        }
+    }
+}
 
 /// Checks whether a concrete witness establishes that `ty` is
-/// `witness.n()`-recording.
+/// `witness.n()`-recording: [`recording_class`] is
+/// [`CriticalClass::Recording`].
 ///
 /// # Errors
 ///
@@ -50,31 +77,47 @@ pub fn check_recording<T: ObjectType + ?Sized>(
     ty: &T,
     witness: &Witness,
 ) -> Result<bool, WitnessError> {
+    Ok(recording_class(ty, witness)? == CriticalClass::Recording)
+}
+
+/// Classifies a witness by Observation 11 (one analysis). This is the one
+/// definition of the recording condition: the deciders, the valency
+/// machinery's critical configurations and the tournament's contests all
+/// go through it.
+///
+/// # Errors
+///
+/// Returns [`WitnessError`] if the witness is malformed for `ty` (among
+/// others, if it has fewer than 2 processes or an empty team).
+pub fn recording_class<T: ObjectType + ?Sized>(
+    ty: &T,
+    witness: &Witness,
+) -> Result<CriticalClass, WitnessError> {
     witness.validate(ty)?;
     let analysis = Analysis::new(ty, witness.initial, &witness.ops);
     let (t0, t1) = witness.team_masks();
-    Ok(recording_holds(&analysis, witness.initial, t0, t1))
+    Ok(class_of(&analysis, witness.initial, t0, t1))
 }
 
-/// The recording condition for the teams with bitmasks `t0` and `t1`:
-/// `U_0 ∩ U_1 = ∅` (each value-set word of both unions ORed on the stack)
-/// and the hiding clause.
-pub(crate) fn recording_holds(analysis: &Analysis, u: ValueId, t0: u32, t1: u32) -> bool {
+/// The class of the teams with bitmasks `t0` and `t1` from `u`: colliding
+/// unless `U_0 ∩ U_1 = ∅` (each value-set word of both unions ORed on the
+/// stack), then recording unless the hiding clause (`u ∈ U_x` implies
+/// `|T_x̄| = 1`) fails.
+pub(crate) fn class_of(analysis: &Analysis, u: ValueId, t0: u32, t1: u32) -> CriticalClass {
     if (0..analysis.value_width())
         .any(|w| analysis.value_word(t0, w) & analysis.value_word(t1, w) != 0)
     {
-        return false;
+        return CriticalClass::Colliding;
     }
-    // Hiding clause: if u ∈ U_x then |T_x̄| = 1.
     let (w, bit) = (u.index() / 64, 1u64 << (u.index() % 64));
     let hides = |team: u32| analysis.value_word(team, w) & bit != 0;
     if hides(t0) && t1.count_ones() != 1 {
-        return false;
+        CriticalClass::Hiding(0)
+    } else if hides(t1) && t0.count_ones() != 1 {
+        CriticalClass::Hiding(1)
+    } else {
+        CriticalClass::Recording
     }
-    if hides(t1) && t0.count_ones() != 1 {
-        return false;
-    }
-    true
 }
 
 /// Searches exhaustively for an `n`-recording witness, on
@@ -127,9 +170,11 @@ pub fn recording_number<T: ObjectType + Sync + ?Sized>(ty: &T, cap: usize) -> Le
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Team;
     use rcn_spec::zoo::{
         CompareAndSwap, ConsensusObject, Register, StickyBit, TeamCounter, TestAndSet, Tnn,
     };
+    use rcn_spec::{OpId, Outcome, Response};
 
     #[test]
     fn test_and_set_is_not_2_recording() {
@@ -193,6 +238,87 @@ mod tests {
             let w = find_recording_witness(&StickyBit::new(), n).expect("witness");
             assert_eq!(check_recording(&StickyBit::new(), &w), Ok(true), "n={n}");
         }
+    }
+
+    /// Two ops `a` (0) and `b` (1) over 12 values, every cell not listed
+    /// a self-loop. From 0, `a` then `b b` return to 0 while `b`-first
+    /// schedules stay in 3..=7; from 8, `a b` returns to 8 while `b a`
+    /// goes to 10, 11.
+    fn hider() -> rcn_spec::TableType {
+        let mut b = rcn_spec::TableType::builder("hider", 12, 2, 1);
+        for v in 0..12 {
+            for op in 0..2 {
+                b.set(v, op, Outcome::new(Response(0), ValueId(v)));
+            }
+        }
+        for (v, op, next) in [
+            (0, 0, 1),
+            (1, 1, 2),
+            (2, 1, 0),
+            (0, 1, 3),
+            (3, 1, 4),
+            (3, 0, 5),
+            (5, 1, 6),
+            (4, 0, 7),
+            (8, 0, 9),
+            (9, 1, 8),
+            (8, 1, 10),
+            (10, 0, 11),
+        ] {
+            b.set(v, op, Outcome::new(Response(0), ValueId(next)));
+        }
+        b.build().unwrap()
+    }
+
+    fn witness(u: u16, teams: &[usize], ops: &[u16]) -> Witness {
+        Witness::new(
+            ValueId(u),
+            teams.iter().map(|&t| Team::from_index(t)).collect(),
+            ops.iter().map(|&op| OpId(op)).collect(),
+        )
+    }
+
+    #[test]
+    fn each_class_has_a_witness() {
+        use CriticalClass::{Colliding, Hiding, Recording};
+        // Test-and-set from clear: both teams set the bit.
+        let tas = witness(0, &[0, 1], &[0, 0]);
+        assert_eq!(recording_class(&TestAndSet::new(), &tas), Ok(Colliding));
+        // Sticky bit from ⊥, write(0) against write(1).
+        let sticky = witness(0, &[0, 1], &[0, 1]);
+        assert_eq!(recording_class(&StickyBit::new(), &sticky), Ok(Recording));
+        // U_0 = {0, 1, 2} ∋ u = 0 and U_1 = {3, …, 7}: the lone `a` team
+        // hides behind a team of two, and with the labels swapped so does
+        // team 1.
+        let hider = hider();
+        let hide0 = witness(0, &[0, 1, 1], &[0, 1, 1]);
+        assert_eq!(recording_class(&hider, &hide0), Ok(Hiding(0)));
+        let hide1 = witness(0, &[0, 0, 1], &[1, 1, 0]);
+        assert_eq!(recording_class(&hider, &hide1), Ok(Hiding(1)));
+        // U_0 = {8, 9} ∋ u = 8, U_1 = {10, 11}: u ∈ U_0, but the other
+        // team is one process, so the witness hides and still records.
+        let lone = witness(8, &[0, 1], &[0, 1]);
+        assert!(crate::brute::u_set(&hider, &lone, Team::T0).contains(&8));
+        assert_eq!(recording_class(&hider, &lone), Ok(Recording));
+        assert_eq!(check_recording(&hider, &lone), Ok(true));
+        assert_eq!(check_recording(&hider, &hide0), Ok(false));
+        // A malformed witness is an error, not a class.
+        let lonely = witness(0, &[0], &[0]);
+        assert_eq!(
+            recording_class(&hider, &lonely),
+            Err(WitnessError::TooFewProcesses)
+        );
+        assert_eq!(
+            recording_class(&hider, &witness(0, &[0, 0], &[0, 1])),
+            Err(WitnessError::EmptyTeam)
+        );
+    }
+
+    #[test]
+    fn classes_display_as_observation_11_names() {
+        assert_eq!(CriticalClass::Recording.to_string(), "n-recording");
+        assert_eq!(CriticalClass::Hiding(1).to_string(), "1-hiding");
+        assert_eq!(CriticalClass::Colliding.to_string(), "colliding");
     }
 
     #[test]

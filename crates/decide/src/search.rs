@@ -13,15 +13,17 @@ use crate::witness::Team;
 use rcn_spec::{OpId, ValueId};
 
 /// Iterates all non-decreasing op assignments of length `n` over
-/// `0..num_ops` (op multisets).
-pub(crate) fn op_multisets(num_ops: usize, n: usize) -> OpMultisets {
+/// `0..num_ops` (op multisets), in lexicographic order.
+pub fn op_multisets(num_ops: usize, n: usize) -> OpMultisets {
     OpMultisets {
         num_ops,
         current: Some(vec![OpId(0); n]),
     }
 }
 
-pub(crate) struct OpMultisets {
+/// The iterator [`op_multisets`] returns.
+#[derive(Debug, Clone)]
+pub struct OpMultisets {
     num_ops: usize,
     current: Option<Vec<OpId>>,
 }

@@ -22,7 +22,9 @@
 //! Hiding witnesses (`u ∈ U_x`, `|T_x̄| = 1`) are not supported; the plan
 //! builder reports which contests lack a non-hiding witness.
 
-use rcn_decide::Analysis;
+use rcn_decide::{
+    op_multisets, recording_class, Analysis, CriticalClass, Team, Witness, MAX_PROCESSES,
+};
 use rcn_model::{Action, HeapLayout, LocalState, ObjectId, ProcessId, Program, System};
 use rcn_spec::zoo::Register;
 use rcn_spec::{ObjectType, OpId, Response, ValueId};
@@ -68,6 +70,14 @@ pub enum PlanError {
     },
     /// Fewer than 2 processes.
     TooFewProcesses,
+    /// More processes than a contest witness supports: the root contest
+    /// spans every process.
+    TooManyProcesses {
+        /// The number of inputs given.
+        n: usize,
+        /// The supported maximum ([`MAX_PROCESSES`]).
+        max: usize,
+    },
     /// The protocol is defined for exactly `expected` processes.
     WrongProcessCount {
         /// The number of processes the protocol is for.
@@ -86,6 +96,10 @@ impl fmt::Display for PlanError {
                 "no non-hiding recording witness for a ({team0} vs {team1}) contest"
             ),
             PlanError::TooFewProcesses => write!(f, "need at least 2 processes"),
+            PlanError::TooManyProcesses { n, max } => write!(
+                f,
+                "{n} processes exceed the {max} a contest witness supports"
+            ),
             PlanError::WrongProcessCount { expected, found } => write!(
                 f,
                 "the protocol is for exactly {expected} processes, got {found} inputs"
@@ -132,7 +146,8 @@ impl TournamentConsensus {
     /// # Errors
     ///
     /// Returns [`PlanError`] if the type is not readable, there are fewer
-    /// than 2 processes, or some contest lacks a non-hiding witness.
+    /// than 2 or more than [`MAX_PROCESSES`] processes, or some contest
+    /// lacks a non-hiding witness.
     ///
     /// # Panics
     ///
@@ -145,6 +160,12 @@ impl TournamentConsensus {
         let n = inputs.len();
         if n < 2 {
             return Err(PlanError::TooFewProcesses);
+        }
+        if n > MAX_PROCESSES {
+            return Err(PlanError::TooManyProcesses {
+                n,
+                max: MAX_PROCESSES,
+            });
         }
         let read_op = ty.read_op().ok_or(PlanError::NotReadable)?;
         let mut resp_to_value = vec![None; ty.num_responses()];
@@ -222,8 +243,9 @@ fn build_tree(
     Ok(())
 }
 
-/// Searches for a non-hiding recording witness for the given teams:
-/// a value `u` and per-member ops with `U_0 ∩ U_1 = ∅` and `u ∉ U_0 ∪ U_1`.
+/// Searches for a non-hiding recording witness for the given teams: a
+/// value `u` and per-member ops that [`recording_class`] finds recording,
+/// with `u ∉ U_0 ∪ U_1`.
 fn find_contest_witness(
     ty: &dyn ObjectType,
     team0: &[usize],
@@ -237,76 +259,48 @@ fn find_contest_witness(
     let uniform = (0..num_ops).flat_map(move |x| {
         (0..num_ops).map(move |y| (vec![OpId(x as u16); a], vec![OpId(y as u16); b]))
     });
-    let full = multisets(num_ops, a).into_iter().flat_map(move |ops0| {
-        multisets(num_ops, b)
-            .into_iter()
-            .map(move |ops1| (ops0.clone(), ops1))
-    });
+    let full = op_multisets(num_ops, a)
+        .flat_map(move |ops0| op_multisets(num_ops, b).map(move |ops1| (ops0.clone(), ops1)));
+    let mut team_of = vec![Team::T0; a];
+    team_of.resize(a + b, Team::T1);
     for u in 0..ty.num_values() {
         let u = ValueId(u as u16);
         for (ops0, ops1) in uniform.clone().chain(full.clone()) {
-            {
-                let mut ops: Vec<OpId> = Vec::with_capacity(a + b);
-                ops.extend(&ops0);
-                ops.extend(&ops1);
-                let analysis = Analysis::new(ty, u, &ops);
-                let t0: Vec<usize> = (0..a).collect();
-                let t1: Vec<usize> = (a..a + b).collect();
-                let u0 = analysis.value_set(&t0);
-                let u1 = analysis.value_set(&t1);
-                if u0.intersects(&u1) || u0.contains(u.index()) || u1.contains(u.index()) {
-                    continue;
-                }
-                let mut team_of_value = vec![None; ty.num_values()];
-                for v in u0.iter() {
-                    team_of_value[v] = Some(0);
-                }
-                for v in u1.iter() {
-                    team_of_value[v] = Some(1);
-                }
-                let mut members = Vec::with_capacity(a + b);
-                for (k, &p) in team0.iter().enumerate() {
-                    members.push((p, 0u8, ops[k]));
-                }
-                for (k, &p) in team1.iter().enumerate() {
-                    members.push((p, 1u8, ops[a + k]));
-                }
-                return Ok(PlanNode {
-                    members,
-                    initial: u,
-                    team_of_value,
-                    object: ObjectId::new(0), // filled later
-                    cand: [ObjectId::new(0), ObjectId::new(0)],
-                });
+            let witness = Witness::new(u, team_of.clone(), [ops0, ops1].concat());
+            if recording_class(ty, &witness) != Ok(CriticalClass::Recording) {
+                continue;
             }
+            // `team_of_value[v]` = the team whose first move can produce
+            // `v`; a recording witness's `U` sets are disjoint.
+            let analysis = Analysis::new(ty, u, &witness.ops);
+            let mut team_of_value = vec![None; ty.num_values()];
+            for team in [Team::T0, Team::T1] {
+                for v in analysis.value_set(&witness.team_members(team)).iter() {
+                    team_of_value[v] = Some(team.index() as u8);
+                }
+            }
+            // A hiding witness (`u ∈ U_0 ∪ U_1`) defeats the at-most-once
+            // read of `u`.
+            if team_of_value[u.index()].is_some() {
+                continue;
+            }
+            let members = team0
+                .iter()
+                .chain(team1)
+                .zip(&witness.team_of)
+                .zip(&witness.ops)
+                .map(|((&p, team), &op)| (p, team.index() as u8, op))
+                .collect();
+            return Ok(PlanNode {
+                members,
+                initial: u,
+                team_of_value,
+                object: ObjectId::new(0), // filled later
+                cand: [ObjectId::new(0), ObjectId::new(0)],
+            });
         }
     }
     Err(PlanError::NoWitness { team0: a, team1: b })
-}
-
-/// Non-decreasing op sequences of length `k` over `0..num_ops` (owned, so
-/// the candidate iterators above stay `Clone`; the lists are small for the
-/// node sizes the tournament uses).
-fn multisets(num_ops: usize, k: usize) -> Vec<Vec<OpId>> {
-    let mut out = Vec::new();
-    let mut current = vec![OpId(0); k];
-    loop {
-        out.push(current.clone());
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return out;
-            }
-            i -= 1;
-            if current[i].index() + 1 < num_ops {
-                let bumped = OpId(current[i].0 + 1);
-                for slot in current.iter_mut().skip(i) {
-                    *slot = bumped;
-                }
-                break;
-            }
-        }
-    }
 }
 
 // Local state layout: [candidate, path_index, stage, winner_team].
@@ -472,6 +466,25 @@ mod tests {
         assert_eq!(
             TournamentConsensus::try_new(Arc::new(StickyBit::new()), vec![1]).unwrap_err(),
             PlanError::TooFewProcesses
+        );
+    }
+
+    #[test]
+    fn processes_beyond_an_analysis_are_rejected() {
+        // The root contest spans every process, so its witness needs an
+        // analysis of all of them: refuse before searching.
+        let n = MAX_PROCESSES + 1;
+        let err = TournamentConsensus::try_new(Arc::new(StickyBit::new()), vec![0; n]).unwrap_err();
+        assert_eq!(
+            err,
+            PlanError::TooManyProcesses {
+                n,
+                max: MAX_PROCESSES
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "21 processes exceed the 20 a contest witness supports"
         );
     }
 

@@ -112,7 +112,7 @@ pub fn theorem13_chain(
         let graph = BudgetedGraph::explore_from(system, &prefix, z, clamp, max_states)?;
         let critical = graph.find_critical().ok_or(ChainError::NoCritical)?;
         let info = graph.analyze_critical(critical);
-        let class = info.class.clone().ok_or(ChainError::Unclassifiable)?;
+        let class = info.class.ok_or(ChainError::Unclassifiable)?;
         match class {
             CriticalClass::Recording => {
                 links.push(ChainLink {

@@ -18,12 +18,14 @@
 //! critical execution `α`: both teams nonempty (Lemma 7), all processes
 //! poised on one object (Lemma 9), and the trichotomy of Observation 11 —
 //! the final configuration is *n-recording*, *v-hiding*, or has colliding
-//! values — computed with the same `U_x` reachability used by the deciders.
+//! values. The configuration is read as a [`Witness`] and classified by
+//! [`rcn_decide::recording_class`], the deciders' own definition.
 
 use crate::graph::{ExploreError, PackedIndex};
-use rcn_decide::Analysis;
+pub use rcn_decide::CriticalClass;
+use rcn_decide::{recording_class, Team, Witness};
 use rcn_model::{Action, Configuration, Event, ObjectId, ProcessId, Schedule, System};
-use rcn_spec::{OpId, ValueId};
+use rcn_spec::OpId;
 use std::fmt;
 
 /// A configuration plus clamped crash allowances (the `E_z*` budget state).
@@ -65,28 +67,6 @@ impl fmt::Display for Valency {
     }
 }
 
-/// The Observation 11 trichotomy for a critical configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CriticalClass {
-    /// `U_0 ∩ U_1 = ∅` and the hiding clause holds: the configuration is
-    /// *n-recording* (which certifies the object's type is n-recording).
-    Recording,
-    /// `U_0 ∩ U_1 = ∅` but the current value of `O` is in `U_v`: *v-hiding*.
-    Hiding(u32),
-    /// The two teams can drive `O` to a common value.
-    Colliding,
-}
-
-impl fmt::Display for CriticalClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CriticalClass::Recording => write!(f, "n-recording"),
-            CriticalClass::Hiding(v) => write!(f, "{v}-hiding"),
-            CriticalClass::Colliding => write!(f, "colliding"),
-        }
-    }
-}
-
 /// Everything the machinery derives about one critical execution.
 #[derive(Debug, Clone)]
 pub struct CriticalInfo {
@@ -98,7 +78,13 @@ pub struct CriticalInfo {
     /// The single object all undecided processes are poised to access
     /// (Lemma 9), if indeed single.
     pub object: Option<ObjectId>,
-    /// The Observation 11 classification, when `object` is `Some`.
+    /// The configuration as a witness, when `object` is `Some`: the
+    /// object's value as `u`, then each poised process that has a team,
+    /// in process order, with its poised operation.
+    pub witness: Option<Witness>,
+    /// The Observation 11 classification of `witness` for the object's
+    /// type; `None` if there is no witness or it is malformed (fewer than
+    /// two such processes, or an empty team).
     pub class: Option<CriticalClass>,
 }
 
@@ -325,66 +311,23 @@ impl BudgetedGraph {
             }
         }
         let object = if same { object } else { None };
-        let class = object.and_then(|o| self.classify_critical(config, o, &teams, &poised_ops));
+        let witness = object.map(|o| {
+            let (team_of, ops) = teams
+                .iter()
+                .zip(&poised_ops)
+                .filter_map(|(&team, &op)| Some((Team::from_index(team? as usize), op?)))
+                .unzip();
+            Witness::new(config.values[o.index()], team_of, ops)
+        });
+        let class = object
+            .zip(witness.as_ref())
+            .and_then(|(o, w)| recording_class(self.system.layout().object_type(o), w).ok());
         CriticalInfo {
             schedule: self.path_to(id),
             teams,
             object,
+            witness,
             class,
-        }
-    }
-
-    fn classify_critical(
-        &self,
-        config: &Configuration,
-        object: ObjectId,
-        teams: &[Option<u32>],
-        poised_ops: &[Option<OpId>],
-    ) -> Option<CriticalClass> {
-        // Gather the processes that are poised with a known team.
-        let mut procs: Vec<(usize, OpId, u32)> = Vec::new();
-        for (i, (team, op)) in teams.iter().zip(poised_ops).enumerate() {
-            if let (Some(team), Some(op)) = (team, op) {
-                procs.push((i, *op, *team));
-            }
-        }
-        if procs.is_empty() {
-            return None;
-        }
-        let ty = self.system.layout().object_type(object);
-        let u: ValueId = config.values[object.index()];
-        let ops: Vec<OpId> = procs.iter().map(|&(_, op, _)| op).collect();
-        let analysis = Analysis::new(ty, u, &ops);
-        let t0: Vec<usize> = procs
-            .iter()
-            .enumerate()
-            .filter(|(_, &(_, _, team))| team == 0)
-            .map(|(k, _)| k)
-            .collect();
-        let t1: Vec<usize> = procs
-            .iter()
-            .enumerate()
-            .filter(|(_, &(_, _, team))| team == 1)
-            .map(|(k, _)| k)
-            .collect();
-        if t0.is_empty() || t1.is_empty() {
-            return None;
-        }
-        let u0 = analysis.value_set(&t0);
-        let u1 = analysis.value_set(&t1);
-        if u0.intersects(&u1) {
-            return Some(CriticalClass::Colliding);
-        }
-        let hiding0 = u0.contains(u.index());
-        let hiding1 = u1.contains(u.index());
-        // n-recording: disjoint, and if u ∈ U_x then |T_x̄| = 1.
-        let recording_ok = (!hiding0 || t1.len() == 1) && (!hiding1 || t0.len() == 1);
-        if recording_ok {
-            Some(CriticalClass::Recording)
-        } else if hiding0 {
-            Some(CriticalClass::Hiding(0))
-        } else {
-            Some(CriticalClass::Hiding(1))
         }
     }
 }

@@ -6,9 +6,9 @@
 //! edge order, parents and valencies bit-identical, so these constants must
 //! never move.
 
+use rcn::decide::synthesis;
 use rcn::model::{Event, Fnv1a, System, Violation};
 use rcn::protocols::{TasConsensus, TnnRecoverable, TnnWaitFree, TournamentConsensus};
-use rcn::decide::synthesis;
 use rcn::spec::zoo::{BoundedStack, CompareAndSwap, StickyBit, TeamCounter, Tnn};
 use rcn::spec::{ObjectType, ValueId};
 use rcn::universal::UniversalSim;

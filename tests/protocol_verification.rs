@@ -1,12 +1,11 @@
 //! Integration tests: exhaustive model-checking of every protocol in the
 //! repository, positive and negative — the executable form of Lemma 16 and
-//! of the robustness theorem's algorithmic direction.
+//! of the robustness theorem's algorithmic direction. The tournament
+//! construction is checked in `round_trip.rs`, against the decider.
 
 use rcn::model::Schedule;
-use rcn::protocols::{TasConsensus, TnnRecoverable, TnnWaitFree, TournamentConsensus};
-use rcn::spec::zoo::{CompareAndSwap, StickyBit, TeamCounter, Tnn};
+use rcn::protocols::{TasConsensus, TnnRecoverable, TnnWaitFree};
 use rcn::valency::{check_consensus, check_graph, ConfigGraph, Verdict};
-use std::sync::Arc;
 
 fn inputs(n: usize) -> Vec<u32> {
     (0..n as u32).map(|i| i % 2).collect()
@@ -84,43 +83,6 @@ fn tas_consensus_is_exactly_wait_free() {
     assert!(check_graph(&crash_free).is_correct());
     let crashy = check_consensus(&sys, 1_000_000).expect("fits");
     assert!(!crashy.verdict.is_correct());
-}
-
-/// The tournament construction is exhaustively correct under crashes for
-/// every type/size pair we can afford to explore.
-#[test]
-fn tournament_verifies_exhaustively() {
-    // 2 processes across several witness types.
-    for (label, sys) in [
-        (
-            "sticky 2",
-            TournamentConsensus::try_new(Arc::new(StickyBit::new()), inputs(2)).unwrap(),
-        ),
-        (
-            "cas3 2",
-            TournamentConsensus::try_new(Arc::new(CompareAndSwap::new(3)), inputs(2)).unwrap(),
-        ),
-        (
-            "tnn(3,2) 2",
-            TournamentConsensus::try_new(Arc::new(Tnn::new(3, 2)), inputs(2)).unwrap(),
-        ),
-        (
-            "team-counter(4) 2",
-            TournamentConsensus::try_new(Arc::new(TeamCounter::new(4)), inputs(2)).unwrap(),
-        ),
-    ] {
-        let report = check_consensus(&sys, 10_000_000).expect("fits");
-        assert!(report.verdict.is_correct(), "{label}: {}", report.verdict);
-    }
-}
-
-/// The 3-process sticky tournament also verifies exhaustively (a larger
-/// state space: two contest objects plus four candidate registers).
-#[test]
-fn tournament_three_processes_verifies() {
-    let sys = TournamentConsensus::try_new(Arc::new(StickyBit::new()), inputs(3)).unwrap();
-    let report = check_consensus(&sys, 20_000_000).expect("fits");
-    assert!(report.verdict.is_correct(), "{}", report.verdict);
 }
 
 /// Uniform inputs decide the unique input (validity), under any schedule.
