@@ -270,8 +270,8 @@ fn find_contest_witness(
             if recording_class(ty, &witness) != Ok(CriticalClass::Recording) {
                 continue;
             }
-            // `team_of_value[v]` = the team whose first move can produce
-            // `v`; a recording witness's `U` sets are disjoint.
+            // A recording witness's `U` sets are disjoint, so each value
+            // has at most one team.
             let analysis = Analysis::new(ty, u, &witness.ops);
             let mut team_of_value = vec![None; ty.num_values()];
             for team in [Team::T0, Team::T1] {
