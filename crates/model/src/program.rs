@@ -77,6 +77,22 @@ impl LocalState {
     pub fn words(&self) -> &[u32] {
         &self.0
     }
+
+    /// Replaces the words in place, reusing the buffer.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rcn_model::LocalState;
+    /// let mut s = LocalState::word2(1, 2);
+    /// s.set_words(&[7]);
+    /// assert_eq!(s, LocalState::word1(7));
+    /// ```
+    #[inline]
+    pub fn set_words(&mut self, words: &[u32]) {
+        self.0.clear();
+        self.0.extend_from_slice(words);
+    }
 }
 
 impl fmt::Display for LocalState {

@@ -85,6 +85,54 @@ impl Configuration {
         }
     }
 
+    /// Overwrites `self` with the configuration whose packed words
+    /// ([`pack_into`](Self::pack_into)) start `words`, reusing every buffer,
+    /// and returns how many words it read.
+    ///
+    /// The words do not record how many processes and objects they cover:
+    /// those come from `self`, which must therefore be a configuration of
+    /// the same [`System`]. Its local states' word counts and its decisions
+    /// may differ from the packed ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` ends before the encoding it starts does.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rcn_model::{HeapLayout, OutputInput, System};
+    /// use std::sync::Arc;
+    ///
+    /// let sys = System::new(Arc::new(OutputInput), Arc::new(HeapLayout::new()), vec![1, 0]);
+    /// let config = sys.initial_config();
+    /// let mut words = Vec::new();
+    /// config.pack_into(&mut words);
+    /// words.push(9); // whatever follows is left alone
+    /// let mut copy = System::new(Arc::new(OutputInput), Arc::new(HeapLayout::new()), vec![0, 0])
+    ///     .initial_config();
+    /// assert_eq!(copy.unpack_from(&words), 8);
+    /// assert_eq!(copy, config);
+    /// ```
+    pub fn unpack_from(&mut self, words: &[u32]) -> usize {
+        let mut rest = words;
+        for state in &mut self.states {
+            let (&len, tail) = rest.split_first().expect("a length prefix");
+            let (state_words, tail) = tail.split_at(len as usize);
+            state.set_words(state_words);
+            rest = tail;
+        }
+        let (values, tail) = rest.split_at(self.values.len());
+        for (value, &word) in self.values.iter_mut().zip(values) {
+            *value = ValueId(u16::try_from(word).expect("a packed value id"));
+        }
+        let (decided, tail) = tail.split_at(2 * self.decided.len());
+        for (d, pair) in self.decided.iter_mut().zip(decided.chunks_exact(2)) {
+            *d = (pair[0] != 0).then_some(pair[1]);
+        }
+        words.len() - tail.len()
+    }
+
     /// The number of processes.
     pub fn num_processes(&self) -> usize {
         self.states.len()

@@ -331,9 +331,10 @@ pub fn verify_simulation(
 ) -> Result<SimReport, rcn_valency::ExploreError> {
     let graph = rcn_valency::ConfigGraph::explore(system, max_configs)?;
     let n = system.n();
+    let mut config = graph.config(0);
     for id in 0..graph.len() {
-        let config = graph.config(id);
-        if let Some(v) = check_config(system, sim, initial, n, id, config) {
+        graph.config_into(id, &mut config);
+        if let Some(v) = check_config(system, sim, initial, n, id, &config) {
             return Ok(SimReport {
                 configs: graph.len(),
                 violation: Some(v),

@@ -205,8 +205,9 @@ pub fn verify_scripted(
 ) -> Result<crate::SimReport, rcn_valency::ExploreError> {
     let graph = rcn_valency::ConfigGraph::explore(system, max_configs)?;
     let n = scripts.len();
+    let mut config = graph.config(0);
     for id in 0..graph.len() {
-        let config = graph.config(id);
+        graph.config_into(id, &mut config);
         // Decode the log (slots are the only objects, in order).
         let mut winners = Vec::new();
         let mut seen_undecided = false;

@@ -157,7 +157,7 @@ pub fn check_consensus(system: &System, max_configs: usize) -> Result<CheckRepor
 pub fn check_graph(graph: &ConfigGraph) -> Verdict {
     // Outputs made at time zero (initial output states) have no edge to
     // carry their violation; check the initial configuration directly.
-    if let Some(violation) = graph.system().check_initial_outputs(graph.config(0)) {
+    if let Some(violation) = graph.system().check_initial_outputs(&graph.config(0)) {
         return Verdict::Unsafe {
             violation,
             counterexample: Counterexample {
@@ -196,12 +196,13 @@ pub fn check_graph(graph: &ConfigGraph) -> Verdict {
 fn starvation_cycle(graph: &ConfigGraph, p: ProcessId) -> Option<Counterexample> {
     // "Undecided" means: no recorded output AND not sitting in an output
     // state (where steps are no-ops and the process has effectively decided).
+    let mut config = graph.config(0);
     let keep: Vec<bool> = (0..graph.len())
         .map(|id| {
-            let config = graph.config(id);
+            graph.config_into(id, &mut config);
             config.decided[p.index()].is_none()
                 && !matches!(
-                    graph.system().action_of(config, p),
+                    graph.system().action_of(&config, p),
                     rcn_model::Action::Output(_)
                 )
         })

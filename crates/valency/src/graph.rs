@@ -7,15 +7,9 @@
 //! reachability, recoverable-wait-freedom cycle detection, valency — runs
 //! on this graph.
 
-use rcn_model::{Configuration, Event, ProcessId, Schedule, System, Violation, WordHasher};
-use std::collections::HashMap;
+use crate::store::{Rules, Store};
+use rcn_model::{Configuration, Event, Schedule, System, Violation};
 use std::fmt;
-use std::hash::BuildHasherDefault;
-
-/// State ids keyed by packed state words
-/// ([`Configuration::pack_into`], plus crash allowances in the budgeted
-/// graph). Each state's full copy lives only in its graph's state vector.
-pub(crate) type PackedIndex = HashMap<Box<[u32]>, usize, BuildHasherDefault<WordHasher>>;
 
 /// Index of a configuration in a [`ConfigGraph`].
 pub type ConfigId = usize;
@@ -72,10 +66,30 @@ impl std::error::Error for ExploreError {}
 /// ```
 pub struct ConfigGraph {
     system: System,
-    configs: Vec<Configuration>,
-    edges: Vec<Vec<EdgeInfo>>,
-    /// BFS parent of each configuration (for counterexample paths).
-    parent: Vec<Option<(ConfigId, Event)>>,
+    store: Store<EdgeInfo>,
+}
+
+/// Every process may step, and crash when crashes are on.
+struct Unbudgeted {
+    with_crashes: bool,
+}
+
+impl Rules for Unbudgeted {
+    type Edge = EdgeInfo;
+
+    fn may_crash(&self, _extra: &[u32], _i: usize) -> bool {
+        self.with_crashes
+    }
+
+    fn extra_after(&self, _extra: &[u32], _event: Event, _out: &mut Vec<u32>) {}
+
+    fn edge(event: Event, target: ConfigId, violation: Option<Violation>) -> EdgeInfo {
+        EdgeInfo {
+            event,
+            target,
+            violation,
+        }
+    }
 }
 
 impl ConfigGraph {
@@ -102,86 +116,42 @@ impl ConfigGraph {
         max_configs: usize,
         with_crashes: bool,
     ) -> Result<ConfigGraph, ExploreError> {
-        let n = system.n();
-        let mut configs = vec![system.initial_config()];
-        let mut key = Vec::new();
-        configs[0].pack_into(&mut key);
-        let mut index = PackedIndex::default();
-        index.insert(key.as_slice().into(), 0);
-        let mut edges: Vec<Vec<EdgeInfo>> = vec![Vec::new()];
-        let mut parent: Vec<Option<(ConfigId, Event)>> = vec![None];
-
-        // Every successor is built in `next` and packed into `key`; only a
-        // configuration seen for the first time is copied out of them.
-        let mut next = configs[0].clone();
-        let mut frontier = 0usize;
-        while frontier < configs.len() {
-            let id = frontier;
-            frontier += 1;
-            let mut out = Vec::with_capacity(2 * n);
-            for i in 0..n {
-                let p = ProcessId(i as u16);
-                let events: &[Event] = if with_crashes {
-                    &[Event::Step(p), Event::Crash(p)]
-                } else {
-                    &[Event::Step(p)]
-                };
-                for &event in events {
-                    next.clone_from(&configs[id]);
-                    let effect = system.apply(&mut next, event);
-                    key.clear();
-                    next.pack_into(&mut key);
-                    let target = match index.get(key.as_slice()) {
-                        Some(&t) => t,
-                        None => {
-                            if configs.len() >= max_configs {
-                                return Err(ExploreError::TooLarge { limit: max_configs });
-                            }
-                            let t = configs.len();
-                            configs.push(next.clone());
-                            index.insert(key.as_slice().into(), t);
-                            edges.push(Vec::new());
-                            parent.push(Some((id, event)));
-                            t
-                        }
-                    };
-                    out.push(EdgeInfo {
-                        event,
-                        target,
-                        violation: effect.violation,
-                    });
-                }
-            }
-            edges[id] = out;
-        }
-
+        let rules = Unbudgeted { with_crashes };
+        let store = Store::explore(system, system.initial_config(), &[], &rules, max_configs)?;
         Ok(ConfigGraph {
             system: system.clone(),
-            configs,
-            edges,
-            parent,
+            store,
         })
     }
 
     /// Number of reachable configurations.
     pub fn len(&self) -> usize {
-        self.configs.len()
+        self.store.len()
     }
 
     /// Returns `true` if the graph is empty (never: the initial
     /// configuration is always present).
     pub fn is_empty(&self) -> bool {
-        self.configs.is_empty()
+        self.store.len() == 0
     }
 
-    /// The configuration with the given id (0 is the initial one).
-    pub fn config(&self, id: ConfigId) -> &Configuration {
-        &self.configs[id]
+    /// The configuration with the given id (0 is the initial one),
+    /// unpacked from the graph's store.
+    pub fn config(&self, id: ConfigId) -> Configuration {
+        self.store.config(id)
+    }
+
+    /// Overwrites `into` with the configuration with the given id, reusing
+    /// its buffers: a pass over every configuration unpacks them all
+    /// through one scratch configuration. `into` must be a configuration of
+    /// the graph's system (for example `config(0)`).
+    pub fn config_into(&self, id: ConfigId, into: &mut Configuration) {
+        self.store.config_into(id, into);
     }
 
     /// Outgoing edges of a configuration.
     pub fn edges(&self, id: ConfigId) -> &[EdgeInfo] {
-        &self.edges[id]
+        self.store.edges(id)
     }
 
     /// The system the graph was built from.
@@ -192,30 +162,20 @@ impl ConfigGraph {
     /// A schedule from the initial configuration to `id`, following BFS
     /// parents.
     pub fn path_to(&self, id: ConfigId) -> Schedule {
-        let mut events = Vec::new();
-        let mut cur = id;
-        while let Some((prev, event)) = self.parent[cur] {
-            events.push(event);
-            cur = prev;
-        }
-        events.reverse();
-        Schedule::from_events(events)
+        self.store.path_to(id)
     }
 
     /// Iterates over `(source, edge)` pairs of the whole graph.
     pub fn all_edges(&self) -> impl Iterator<Item = (ConfigId, &EdgeInfo)> {
-        self.edges
-            .iter()
-            .enumerate()
-            .flat_map(|(src, outs)| outs.iter().map(move |e| (src, e)))
+        (0..self.len()).flat_map(move |src| self.edges(src).iter().map(move |e| (src, e)))
     }
 }
 
 impl fmt::Debug for ConfigGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ConfigGraph")
-            .field("configs", &self.configs.len())
-            .field("edges", &self.edges.iter().map(Vec::len).sum::<usize>())
+            .field("configs", &self.len())
+            .field("edges", &self.store.edge_count())
             .finish()
     }
 }
@@ -223,7 +183,7 @@ impl fmt::Debug for ConfigGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcn_model::{Action, HeapLayout, LocalState, Program};
+    use rcn_model::{Action, HeapLayout, LocalState, ProcessId, Program};
     use rcn_spec::zoo::Register;
     use std::sync::Arc;
 
@@ -300,13 +260,21 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn limits_beyond_u32_ids_do_not_wrap() {
+        // Taken modulo 2^32 this limit would be 2.
+        let limit = (1usize << 32) + 2;
+        assert!(ConfigGraph::explore(&sys(vec![0, 1]), limit).unwrap().len() > 2);
+    }
+
+    #[test]
     fn paths_replay_to_their_configuration() {
         let system = sys(vec![0, 1]);
         let graph = ConfigGraph::explore(&system, 100_000).unwrap();
         for id in (0..graph.len()).step_by(3) {
             let schedule = graph.path_to(id);
             let (config, _) = system.run_from_start(&schedule);
-            assert_eq!(&config, graph.config(id), "path {schedule}");
+            assert_eq!(config, graph.config(id), "path {schedule}");
         }
     }
 
@@ -314,7 +282,7 @@ mod tests {
     fn crash_edges_return_to_initial_states() {
         let system = sys(vec![1, 0]);
         let graph = ConfigGraph::explore(&system, 100_000).unwrap();
-        let init = graph.config(0).clone();
+        let init = graph.config(0);
         for (src, e) in graph.all_edges() {
             if let Event::Crash(p) = e.event {
                 let target = graph.config(e.target);

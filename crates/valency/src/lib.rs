@@ -31,6 +31,7 @@
 mod chain;
 mod checker;
 mod graph;
+mod store;
 mod valency;
 
 pub use chain::{theorem13_chain, ChainError, ChainLink, ChainReport};

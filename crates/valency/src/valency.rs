@@ -21,27 +21,57 @@
 //! values. The configuration is read as a [`Witness`] and classified by
 //! [`rcn_decide::recording_class`], the deciders' own definition.
 
-use crate::graph::{ExploreError, PackedIndex};
+use crate::graph::ExploreError;
+use crate::store::{Rules, Store};
 pub use rcn_decide::CriticalClass;
 use rcn_decide::{recording_class, Team, Witness};
-use rcn_model::{Action, Configuration, Event, ObjectId, ProcessId, Schedule, System};
+use rcn_model::{Action, Event, ObjectId, ProcessId, Schedule, System, Violation};
 use rcn_spec::OpId;
 use std::fmt;
 
-/// A configuration plus clamped crash allowances (the `E_z*` budget state).
-#[derive(Debug, Clone)]
-struct BudgetedState {
-    config: Configuration,
-    /// `allowance[i]` = how many more times `p_i` may crash (clamped).
-    /// `allowance[0]` is always 0: `p_0` never crashes.
-    allowance: Vec<u16>,
+/// The `E_z*` budget: a state's extra words are its clamped crash
+/// allowances, `extra[i]` = how many more times `p_i` may crash.
+/// `extra[0]` is always 0: `p_0` never crashes.
+struct Budget {
+    /// Crashes of every higher-id process one step funds.
+    funded: u32,
+    clamp: u32,
 }
 
-impl BudgetedState {
-    /// The configuration's packed words followed by the allowances.
-    fn pack_into(&self, out: &mut Vec<u32>) {
-        self.config.pack_into(out);
-        out.extend(self.allowance.iter().map(|&a| u32::from(a)));
+impl Rules for Budget {
+    type Edge = (Event, usize);
+
+    fn may_crash(&self, extra: &[u32], i: usize) -> bool {
+        i > 0 && extra[i] > 0
+    }
+
+    fn extra_after(&self, extra: &[u32], event: Event, out: &mut Vec<u32>) {
+        match event {
+            Event::Step(p) => out.extend(extra.iter().enumerate().map(|(j, &a)| {
+                if j > p.index() {
+                    (a + self.funded).min(self.clamp)
+                } else {
+                    a
+                }
+            })),
+            Event::Crash(p) => {
+                out.extend(
+                    extra
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &a)| if j == p.index() { a - 1 } else { a }),
+                )
+            }
+            // The E_z graphs are defined over the paper's §3 budget model,
+            // which has only per-process events.
+            Event::SystemCrash | Event::CrashDuring(_) => {
+                unreachable!("E_z graphs enumerate only steps and per-process crashes")
+            }
+        }
+    }
+
+    fn edge(event: Event, target: usize, _violation: Option<Violation>) -> (Event, usize) {
+        (event, target)
     }
 }
 
@@ -91,9 +121,7 @@ pub struct CriticalInfo {
 /// The explored `E_z*` execution graph with valencies.
 pub struct BudgetedGraph {
     system: System,
-    states: Vec<BudgetedState>,
-    edges: Vec<Vec<(Event, usize)>>,
-    parent: Vec<Option<(usize, Event)>>,
+    store: Store<(Event, usize)>,
     valency: Vec<Valency>,
     z: usize,
     clamp: u16,
@@ -134,83 +162,18 @@ impl BudgetedGraph {
         let n = system.n();
         let mut start = system.initial_config();
         system.run(&mut start, prefix);
-        let mut states = vec![BudgetedState {
-            config: start,
-            allowance: vec![0; n],
-        }];
-        let mut key = Vec::new();
-        states[0].pack_into(&mut key);
-        let mut index = PackedIndex::default();
-        index.insert(key.as_slice().into(), 0);
-        let mut edges: Vec<Vec<(Event, usize)>> = vec![Vec::new()];
-        let mut parent: Vec<Option<(usize, Event)>> = vec![None];
         // A step of p_i funds z·n crashes of every higher-id process,
         // saturating: a wrapped product would fund none.
         let funded = u16::try_from(z.saturating_mul(n)).unwrap_or(u16::MAX);
-
-        // Every successor is built in `next` and packed into `key`; only a
-        // state seen for the first time is copied out of them.
-        let mut next = states[0].clone();
-        let mut frontier = 0;
-        while frontier < states.len() {
-            let id = frontier;
-            frontier += 1;
-            let mut out = Vec::new();
-            for i in 0..n {
-                let p = ProcessId(i as u16);
-                let events = [Event::Step(p), Event::Crash(p)];
-                let events = if i > 0 && states[id].allowance[i] > 0 {
-                    &events[..]
-                } else {
-                    &events[..1]
-                };
-                for &event in events {
-                    next.config.clone_from(&states[id].config);
-                    next.allowance.clone_from(&states[id].allowance);
-                    system.apply(&mut next.config, event);
-                    match event {
-                        Event::Step(_) => {
-                            for a in next.allowance.iter_mut().skip(i + 1) {
-                                *a = (*a).saturating_add(funded).min(clamp);
-                            }
-                        }
-                        Event::Crash(_) => {
-                            next.allowance[i] -= 1;
-                        }
-                        // The E_z graphs are defined over the paper's §3
-                        // budget model, which has only per-process events.
-                        Event::SystemCrash | Event::CrashDuring(_) => {
-                            unreachable!("E_z graphs enumerate only steps and per-process crashes")
-                        }
-                    }
-                    key.clear();
-                    next.pack_into(&mut key);
-                    let target = match index.get(key.as_slice()) {
-                        Some(&t) => t,
-                        None => {
-                            if states.len() >= max_states {
-                                return Err(ExploreError::TooLarge { limit: max_states });
-                            }
-                            let t = states.len();
-                            states.push(next.clone());
-                            index.insert(key.as_slice().into(), t);
-                            edges.push(Vec::new());
-                            parent.push(Some((id, event)));
-                            t
-                        }
-                    };
-                    out.push((event, target));
-                }
-            }
-            edges[id] = out;
-        }
-
-        let valency = compute_valencies(&states, &edges);
+        let budget = Budget {
+            funded: u32::from(funded),
+            clamp: u32::from(clamp),
+        };
+        let store = Store::explore(system, start, &vec![0; n], &budget, max_states)?;
+        let valency = compute_valencies(&store);
         Ok(BudgetedGraph {
             system: system.clone(),
-            states,
-            edges,
-            parent,
+            store,
             valency,
             z,
             clamp,
@@ -219,12 +182,12 @@ impl BudgetedGraph {
 
     /// Number of budgeted states.
     pub fn len(&self) -> usize {
-        self.states.len()
+        self.store.len()
     }
 
     /// Returns `true` if the graph is empty (never).
     pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
+        self.store.len() == 0
     }
 
     /// The budget multiplier `z`.
@@ -244,7 +207,7 @@ impl BudgetedGraph {
 
     /// Outgoing `(event, target)` edges of a budgeted state.
     pub fn successors(&self, id: usize) -> &[(Event, usize)] {
-        &self.edges[id]
+        self.store.edges(id)
     }
 
     /// The valency of the initial state.
@@ -254,14 +217,7 @@ impl BudgetedGraph {
 
     /// Schedule from the initial state to `id`.
     pub fn path_to(&self, id: usize) -> Schedule {
-        let mut events = Vec::new();
-        let mut cur = id;
-        while let Some((prev, event)) = self.parent[cur] {
-            events.push(event);
-            cur = prev;
-        }
-        events.reverse();
-        Schedule::from_events(events)
+        self.store.path_to(id)
     }
 
     /// Finds a *critical* state: bivalent, with every successor univalent
@@ -269,7 +225,8 @@ impl BudgetedGraph {
     pub fn find_critical(&self) -> Option<usize> {
         (0..self.len()).find(|&id| {
             self.valency[id] == Valency::Bivalent
-                && self.edges[id]
+                && self
+                    .successors(id)
                     .iter()
                     .all(|&(_, t)| matches!(self.valency[t], Valency::Univalent(_)))
         })
@@ -280,9 +237,9 @@ impl BudgetedGraph {
     /// Observation 11 classification.
     pub fn analyze_critical(&self, id: usize) -> CriticalInfo {
         let n = self.system.n();
-        let config = &self.states[id].config;
+        let config = self.store.config(id);
         let mut teams = vec![None; n];
-        for &(event, target) in &self.edges[id] {
+        for &(event, target) in self.successors(id) {
             if let Event::Step(p) = event {
                 if let Valency::Univalent(v) = self.valency[target] {
                     teams[p.index()] = Some(v);
@@ -298,7 +255,7 @@ impl BudgetedGraph {
             if config.decided[i].is_some() {
                 continue;
             }
-            match self.system.action_of(config, p) {
+            match self.system.action_of(&config, p) {
                 Action::Invoke { object: o, op } => {
                     *poised = Some(op);
                     match object {
@@ -332,38 +289,58 @@ impl BudgetedGraph {
     }
 }
 
-/// Backward fixpoint: which states can reach a 0-decision / a 1-decision.
-fn compute_valencies(states: &[BudgetedState], edges: &[Vec<(Event, usize)>]) -> Vec<Valency> {
-    let n = states.len();
-    let mut reach0 = vec![false; n];
-    let mut reach1 = vec![false; n];
-    for (i, s) in states.iter().enumerate() {
-        for d in s.config.decided.iter().flatten() {
-            match d {
-                0 => reach0[i] = true,
-                _ => reach1[i] = true,
-            }
+/// Which states can reach a 0-decision, and which a 1-decision: one
+/// backward worklist per decision value over the reversed edges, seeded
+/// with the states that have already decided it.
+fn compute_valencies(store: &Store<(Event, usize)>) -> Vec<Valency> {
+    let n = store.len();
+    // Reverse adjacency in CSR form: the predecessors of `i` are
+    // `preds[starts[i]..starts[i + 1]]`.
+    let mut starts = vec![0usize; n + 1];
+    for id in 0..n {
+        for &(_, target) in store.edges(id) {
+            starts[target + 1] += 1;
         }
     }
-    // Fixpoint sweeps (the graph is small; simple iteration suffices).
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in (0..n).rev() {
-            for &(_, t) in &edges[i] {
-                if reach0[t] && !reach0[i] {
-                    reach0[i] = true;
-                    changed = true;
-                }
-                if reach1[t] && !reach1[i] {
-                    reach1[i] = true;
-                    changed = true;
+    for i in 0..n {
+        starts[i + 1] += starts[i];
+    }
+    let mut preds = vec![0u32; starts[n]];
+    let mut fill = starts.clone();
+    for id in 0..n {
+        for &(_, target) in store.edges(id) {
+            preds[fill[target]] = id as u32;
+            fill[target] += 1;
+        }
+    }
+    // reach[0][i]: state i can reach a 0-decision; reach[1][i]: any other.
+    let mut reach = [vec![false; n], vec![false; n]];
+    let mut work: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
+    let mut config = store.config(0);
+    for id in 0..n {
+        store.config_into(id, &mut config);
+        for &d in config.decided.iter().flatten() {
+            work[usize::from(d != 0)].push(id as u32);
+        }
+    }
+    for (reach, work) in reach.iter_mut().zip(&mut work) {
+        // Two processes may have decided the same value: one seed each.
+        work.dedup();
+        for &i in work.iter() {
+            reach[i as usize] = true;
+        }
+        while let Some(i) = work.pop() {
+            let i = i as usize;
+            for &p in &preds[starts[i]..starts[i + 1]] {
+                if !reach[p as usize] {
+                    reach[p as usize] = true;
+                    work.push(p);
                 }
             }
         }
     }
     (0..n)
-        .map(|i| match (reach0[i], reach1[i]) {
+        .map(|i| match (reach[0][i], reach[1][i]) {
             (true, true) => Valency::Bivalent,
             (true, false) => Valency::Univalent(0),
             (false, true) => Valency::Univalent(1),
@@ -466,7 +443,11 @@ mod tests {
         // With z=1, n=2: p1 can only crash after p0 stepped.
         let graph = BudgetedGraph::explore(&sticky_sys(vec![0, 1]), 1, 4, 100_000).unwrap();
         // State 0 has no crash edges at all (no allowance yet).
-        let crashes_at_init = graph.edges[0].iter().filter(|(e, _)| e.is_crash()).count();
+        let crashes_at_init = graph
+            .successors(0)
+            .iter()
+            .filter(|(e, _)| e.is_crash())
+            .count();
         assert_eq!(crashes_at_init, 0);
     }
 
