@@ -107,6 +107,7 @@ pub fn check_recording_brute<T: ObjectType + ?Sized>(ty: &T, witness: &Witness) 
 mod tests {
     use super::*;
     use crate::discerning::check_discerning;
+    use crate::recording::tests::hider;
     use crate::recording::{check_recording, recording_class, CriticalClass};
     use crate::synthesis;
     use rand::Rng;
@@ -141,9 +142,19 @@ mod tests {
         )
     }
 
+    /// A random 3-process witness over [`hider`] from one of the two values
+    /// its hiding schedules start at, 0 and 8: about one draw in 64 hides
+    /// team 0, and one in 64 team 1.
+    fn random_hider_witness(rng: &mut rand::rngs::StdRng) -> Witness {
+        let mut w = random_witness(rng, 1, 2, 3);
+        w.initial = ValueId::new(if rng.gen_bool(0.5) { 0 } else { 8 });
+        w
+    }
+
     /// The fast checks agree with the definitions on `w`: both conditions,
     /// and the whole Observation 11 trichotomy read off the brute `U_x`.
-    fn assert_agree<T: ObjectType + ?Sized>(ty: &T, w: &Witness, context: &str) {
+    /// Returns the class.
+    fn assert_agree<T: ObjectType + ?Sized>(ty: &T, w: &Witness, context: &str) -> CriticalClass {
         assert_eq!(
             check_discerning(ty, w),
             Ok(check_discerning_brute(ty, w)),
@@ -167,16 +178,34 @@ mod tests {
             CriticalClass::Recording
         };
         assert_eq!(recording_class(ty, w), Ok(class), "{context}: {w}");
+        class
+    }
+
+    /// Every class of the trichotomy, in the order [`assert_drawn`] checks.
+    const CLASSES: [CriticalClass; 4] = [
+        CriticalClass::Colliding,
+        CriticalClass::Hiding(0),
+        CriticalClass::Hiding(1),
+        CriticalClass::Recording,
+    ];
+
+    /// A differential that never drew some class has not compared it.
+    fn assert_drawn(drawn: &[CriticalClass]) {
+        for class in CLASSES {
+            assert!(drawn.contains(&class), "no {class:?} witness drawn");
+        }
     }
 
     #[test]
     fn fast_and_brute_agree_on_zoo_witnesses() {
         let mut rng = synthesis::rng(42);
+        let hider = hider();
+        let mut drawn = Vec::new();
         for round in 0..200 {
             let n = rng.gen_range(2..5);
             let context = format!("round {round}");
             // Alternate between types.
-            match rng.gen_range(0..3) {
+            drawn.push(match rng.gen_range(0..4) {
                 0 => assert_agree(
                     &TestAndSet::new(),
                     &random_witness(&mut rng, 2, 2, n),
@@ -187,24 +216,40 @@ mod tests {
                     &random_witness(&mut rng, 3, 3, n),
                     &context,
                 ),
-                _ => assert_agree(
+                2 => assert_agree(
                     &Tnn::new(4, 2),
                     &random_witness(&mut rng, 8, 3, n),
                     &context,
                 ),
+                _ => assert_agree(&hider, &random_witness(&mut rng, 12, 2, n), &context),
+            });
+            // Uniform draws almost never hide: add two aimed ones.
+            for _ in 0..2 {
+                let w = random_hider_witness(&mut rng);
+                drawn.push(assert_agree(&hider, &w, &format!("{context}, hider")));
             }
         }
+        assert_drawn(&drawn);
     }
 
     #[test]
     fn fast_and_brute_agree_on_random_tables() {
         let mut rng = synthesis::rng(7);
+        let hider = hider();
+        let mut drawn = Vec::new();
         for round in 0..60 {
             let table = synthesis::random_readable_table(&mut rng, 4, 2);
             let n = rng.gen_range(2..5);
             let w = random_witness(&mut rng, 4, 3, n);
-            assert_agree(&table, &w, &format!("round {round}"));
+            let context = format!("round {round}");
+            drawn.push(assert_agree(&table, &w, &context));
+            // Random tables rarely hide: interleave the hiding table.
+            for _ in 0..4 {
+                let w = random_hider_witness(&mut rng);
+                drawn.push(assert_agree(&hider, &w, &format!("{context}, hider")));
+            }
         }
+        assert_drawn(&drawn);
     }
 
     #[test]

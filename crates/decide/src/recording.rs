@@ -168,7 +168,7 @@ pub fn recording_number<T: ObjectType + Sync + ?Sized>(ty: &T, cap: usize) -> Le
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::Team;
     use rcn_spec::zoo::{
@@ -243,8 +243,9 @@ mod tests {
     /// Two ops `a` (0) and `b` (1) over 12 values, every cell not listed
     /// a self-loop. From 0, `a` then `b b` return to 0 while `b`-first
     /// schedules stay in 3..=7; from 8, `a b` returns to 8 while `b a`
-    /// goes to 10, 11.
-    fn hider() -> rcn_spec::TableType {
+    /// goes to 10, 11. It has witnesses of every Observation 11 class
+    /// (shared with `brute.rs`' differentials).
+    pub(crate) fn hider() -> rcn_spec::TableType {
         let mut b = rcn_spec::TableType::builder("hider", 12, 2, 1);
         for v in 0..12 {
             for op in 0..2 {

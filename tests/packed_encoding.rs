@@ -1,7 +1,8 @@
-//! The packed state encoding the configuration graphs index by
+//! The packed state encoding the configuration graphs store states as
 //! (`Configuration::pack_into`) must be injective over the configurations
-//! of one system, and the buffer-reusing `clone_from` the explorers build
-//! successors with must copy exactly, whatever shape it overwrites.
+//! of one system, its decoder (`Configuration::unpack_from`) must invert
+//! it, and the buffer-reusing `clone_from` the explorers build successors
+//! with must copy exactly, whatever shape it overwrites.
 
 use proptest::prelude::*;
 use rcn::model::{
@@ -186,6 +187,51 @@ proptest! {
                 prop_assert_eq!(&copy, target);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `unpack_from` inverts `pack_into` whatever the scratch configuration
+    /// held: the growing program's local states change word count, the trap
+    /// program's keep per-process word counts of their own, and either may
+    /// have decided. Words after the encoding are left unread.
+    #[test]
+    fn unpack_inverts_pack_across_shapes(
+        three in prop::bool::ANY,
+        moves in arb_moves(14),
+        other in arb_moves(14),
+    ) {
+        let n = if three { 3 } else { 2 };
+        let sources = visited(&system(false, vec![0, 1, 1][..usize::from(n)].to_vec()), &events(&moves, n));
+        let scratch = visited(&system(true, vec![1, 0, 0][..usize::from(n)].to_vec()), &events(&other, n));
+        for source in &sources {
+            let mut words = packed(source);
+            let len = words.len();
+            words.push(7);
+            for target in scratch.iter().chain(&sources) {
+                let mut copy = target.clone();
+                prop_assert_eq!(copy.unpack_from(&words), len);
+                prop_assert_eq!(&copy, source);
+            }
+        }
+    }
+}
+
+/// Both decision flags round-trip, each over the other.
+#[test]
+fn unpack_flips_decision_flags() {
+    let sys = system(false, vec![0, 1]);
+    let schedule: Vec<Event> = (0..3).map(|_| Event::Step(ProcessId(0))).collect();
+    let configs = visited(&sys, &schedule);
+    let (undecided, decided) = (&configs[0], &configs[3]);
+    assert_eq!(undecided.decided, [None, None]);
+    assert_eq!(decided.decided, [Some(0), None]);
+    for (source, target) in [(decided, undecided), (undecided, decided)] {
+        let mut copy = target.clone();
+        copy.unpack_from(&packed(source));
+        assert_eq!(&copy, source);
     }
 }
 
