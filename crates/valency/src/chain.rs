@@ -112,48 +112,30 @@ pub fn theorem13_chain(
         let graph = BudgetedGraph::explore_from(system, &prefix, z, clamp, max_states)?;
         let critical = graph.find_critical().ok_or(ChainError::NoCritical)?;
         let info = graph.analyze_critical(critical);
-        let class = info.class.ok_or(ChainError::Unclassifiable)?;
-        match class {
-            CriticalClass::Recording => {
-                links.push(ChainLink {
-                    critical: info,
-                    continuation: Schedule::new(),
-                });
-                return Ok(ChainReport {
-                    links,
-                    reached_recording: true,
-                });
-            }
-            CriticalClass::Hiding(_) => {
-                // Figure 2: crash the suffix p_{n-i-1}, …, p_{n-1}.
-                let k = n.saturating_sub(stage + 1).max(1);
-                let continuation = Schedule::lambda(k, n);
-                prefix.extend(&info.critical_schedule_with(&continuation));
-                links.push(ChainLink {
-                    critical: info,
-                    continuation,
-                });
-            }
+        let continuation = match info.class.ok_or(ChainError::Unclassifiable)? {
+            CriticalClass::Recording => Schedule::new(),
+            // Figure 2: crash the suffix p_{n-i-1}, …, p_{n-1}.
+            CriticalClass::Hiding(_) => Schedule::lambda(n.saturating_sub(stage + 1).max(1), n),
+            // Figure 1: step then crash the highest process.
             CriticalClass::Colliding => {
-                // Figure 1: step then crash the highest process.
                 let p = ProcessId((n - 1) as u16);
-                let continuation = Schedule::from_events([Event::Step(p), Event::Crash(p)]);
-                prefix.extend(&info.critical_schedule_with(&continuation));
-                links.push(ChainLink {
-                    critical: info,
-                    continuation,
-                });
+                Schedule::from_events([Event::Step(p), Event::Crash(p)])
             }
+        };
+        let reached_recording = info.class == Some(CriticalClass::Recording);
+        prefix.extend(&info.schedule.concat(&continuation));
+        links.push(ChainLink {
+            critical: info,
+            continuation,
+        });
+        if reached_recording {
+            return Ok(ChainReport {
+                links,
+                reached_recording,
+            });
         }
     }
     Err(ChainError::TooLong)
-}
-
-impl CriticalInfo {
-    /// The critical execution followed by a continuation, as one schedule.
-    fn critical_schedule_with(&self, continuation: &Schedule) -> Schedule {
-        self.schedule.concat(continuation)
-    }
 }
 
 #[cfg(test)]

@@ -209,20 +209,12 @@ fn starvation_cycle(graph: &ConfigGraph, p: ProcessId) -> Option<Counterexample>
         .collect();
     // The restricted graph: edges between kept configurations, except
     // crashes of `p`.
+    // A configuration left out keeps no edge in or out: it is a singleton
+    // SCC without a kept self-loop.
     let keep_edge = |e: &EdgeInfo| keep[e.target] && !matches!(e.event, Event::Crash(q) if q == p);
-    let kept_edges = |id: ConfigId| -> &[EdgeInfo] {
-        if keep[id] {
-            graph.edges(id)
-        } else {
-            &[]
-        }
-    };
-
     let sccs = tarjan(graph.len(), |id| {
-        kept_edges(id)
-            .iter()
-            .filter(|e| keep_edge(e))
-            .map(|e| e.target)
+        let edges = if keep[id] { graph.edges(id) } else { &[] };
+        edges.iter().filter(|e| keep_edge(e)).map(|e| e.target)
     });
 
     // An SCC is bad if it contains a Step(p) edge that stays inside it
@@ -230,7 +222,8 @@ fn starvation_cycle(graph: &ConfigGraph, p: ProcessId) -> Option<Counterexample>
     for (c, scc) in sccs.iter().enumerate() {
         let inside = |id: ConfigId| sccs.component[id] == c as u32;
         let step_edge = scc.iter().find_map(|&id| {
-            kept_edges(id)
+            graph
+                .edges(id)
                 .iter()
                 .find(|e| e.event == Event::Step(p) && inside(e.target) && keep_edge(e))
                 .map(|e| (id, e.target))
@@ -261,29 +254,24 @@ fn path_within(
     to: ConfigId,
     keep_edge: &dyn Fn(&EdgeInfo) -> bool,
 ) -> Option<Schedule> {
-    if from == to {
-        return Some(Schedule::new());
-    }
     let mut prev: HashMap<ConfigId, (ConfigId, Event)> = HashMap::new();
     let mut queue = std::collections::VecDeque::from([from]);
     while let Some(id) = queue.pop_front() {
-        for e in graph.edges(id) {
-            if !inside(e.target) || !keep_edge(e) {
-                continue;
+        if id == to {
+            let mut events = Vec::new();
+            let mut cur = to;
+            while cur != from {
+                let (pr, ev) = prev[&cur];
+                events.push(ev);
+                cur = pr;
             }
-            if e.target != from && !prev.contains_key(&e.target) {
+            events.reverse();
+            return Some(Schedule::from_events(events));
+        }
+        for e in graph.edges(id) {
+            if inside(e.target) && keep_edge(e) && e.target != from && !prev.contains_key(&e.target)
+            {
                 prev.insert(e.target, (id, e.event));
-                if e.target == to {
-                    let mut events = Vec::new();
-                    let mut cur = to;
-                    while cur != from {
-                        let (pr, ev) = prev[&cur];
-                        events.push(ev);
-                        cur = pr;
-                    }
-                    events.reverse();
-                    return Some(Schedule::from_events(events));
-                }
                 queue.push_back(e.target);
             }
         }
@@ -317,22 +305,8 @@ impl Sccs {
 /// included). `successors` yields a node's successors without allocating;
 /// the walk keeps one live iterator per node on its DFS path.
 fn tarjan<I: Iterator<Item = ConfigId>>(n: usize, successors: impl Fn(ConfigId) -> I) -> Sccs {
-    #[derive(Clone, Copy)]
-    struct NodeState {
-        index: u32,
-        lowlink: u32,
-        on_stack: bool,
-        visited: bool,
-    }
-    let mut state = vec![
-        NodeState {
-            index: 0,
-            lowlink: 0,
-            on_stack: false,
-            visited: false,
-        };
-        n
-    ];
+    const UNSEEN: u32 = u32::MAX;
+    let (mut index, mut lowlink, mut on_stack) = (vec![UNSEEN; n], vec![0u32; n], vec![false; n]);
     let mut counter = 0u32;
     let mut stack: Vec<ConfigId> = Vec::new();
     let mut sccs = Sccs {
@@ -342,42 +316,34 @@ fn tarjan<I: Iterator<Item = ConfigId>>(n: usize, successors: impl Fn(ConfigId) 
     };
     // Explicit DFS stack of (node, its remaining successors).
     let mut dfs: Vec<(ConfigId, I)> = Vec::new();
-    let mut visit = |node: ConfigId, state: &mut [NodeState], stack: &mut Vec<ConfigId>| {
-        state[node] = NodeState {
-            index: counter,
-            lowlink: counter,
-            on_stack: true,
-            visited: true,
-        };
-        counter += 1;
-        stack.push(node);
-    };
-
     for root in 0..n {
-        if state[root].visited {
-            continue;
-        }
-        visit(root, &mut state, &mut stack);
-        dfs.push((root, successors(root)));
-
-        while let Some((node, succs)) = dfs.last_mut() {
+        let mut unseen = (index[root] == UNSEEN).then_some(root);
+        loop {
+            if let Some(node) = unseen.take() {
+                (index[node], lowlink[node], on_stack[node]) = (counter, counter, true);
+                counter += 1;
+                stack.push(node);
+                dfs.push((node, successors(node)));
+            }
+            let Some((node, succs)) = dfs.last_mut() else {
+                break;
+            };
             let node = *node;
             if let Some(next) = succs.next() {
-                if !state[next].visited {
-                    visit(next, &mut state, &mut stack);
-                    dfs.push((next, successors(next)));
-                } else if state[next].on_stack {
-                    state[node].lowlink = state[node].lowlink.min(state[next].index);
+                if index[next] == UNSEEN {
+                    unseen = Some(next);
+                } else if on_stack[next] {
+                    lowlink[node] = lowlink[node].min(index[next]);
                 }
                 continue;
             }
             // Node finished.
             dfs.pop();
-            if state[node].lowlink == state[node].index {
+            if lowlink[node] == index[node] {
                 let c = sccs.ends.len() as u32;
                 loop {
                     let w = stack.pop().expect("tarjan stack underflow");
-                    state[w].on_stack = false;
+                    on_stack[w] = false;
                     sccs.component[w] = c;
                     sccs.members.push(w);
                     if w == node {
@@ -387,7 +353,7 @@ fn tarjan<I: Iterator<Item = ConfigId>>(n: usize, successors: impl Fn(ConfigId) 
                 sccs.ends.push(sccs.members.len());
             }
             if let Some(&(parent, _)) = dfs.last() {
-                state[parent].lowlink = state[parent].lowlink.min(state[node].lowlink);
+                lowlink[parent] = lowlink[parent].min(lowlink[node]);
             }
         }
     }

@@ -7,7 +7,7 @@
 //! reachability, recoverable-wait-freedom cycle detection, valency — runs
 //! on this graph.
 
-use crate::store::{Rules, Store};
+use crate::store::Store;
 use rcn_model::{Configuration, Event, Schedule, System, Violation};
 use std::fmt;
 
@@ -37,11 +37,8 @@ pub enum ExploreError {
 
 impl fmt::Display for ExploreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExploreError::TooLarge { limit } => {
-                write!(f, "state space exceeds {limit} configurations")
-            }
-        }
+        let ExploreError::TooLarge { limit } = self;
+        write!(f, "state space exceeds {limit} configurations")
     }
 }
 
@@ -69,29 +66,6 @@ pub struct ConfigGraph {
     store: Store<EdgeInfo>,
 }
 
-/// Every process may step, and crash when crashes are on.
-struct Unbudgeted {
-    with_crashes: bool,
-}
-
-impl Rules for Unbudgeted {
-    type Edge = EdgeInfo;
-
-    fn may_crash(&self, _extra: &[u32], _i: usize) -> bool {
-        self.with_crashes
-    }
-
-    fn extra_after(&self, _extra: &[u32], _event: Event, _out: &mut Vec<u32>) {}
-
-    fn edge(event: Event, target: ConfigId, violation: Option<Violation>) -> EdgeInfo {
-        EdgeInfo {
-            event,
-            target,
-            violation,
-        }
-    }
-}
-
 impl ConfigGraph {
     /// Explores the full reachable graph, up to `max_configs`
     /// configurations.
@@ -116,8 +90,19 @@ impl ConfigGraph {
         max_configs: usize,
         with_crashes: bool,
     ) -> Result<ConfigGraph, ExploreError> {
-        let rules = Unbudgeted { with_crashes };
-        let store = Store::explore(system, system.initial_config(), &[], &rules, max_configs)?;
+        let store = Store::explore(
+            system,
+            system.initial_config(),
+            &[],
+            max_configs,
+            |_, _| with_crashes,
+            |_, _, _| {},
+            |event, target, violation| EdgeInfo {
+                event,
+                target,
+                violation,
+            },
+        )?;
         Ok(ConfigGraph {
             system: system.clone(),
             store,
@@ -141,10 +126,9 @@ impl ConfigGraph {
         self.store.config(id)
     }
 
-    /// Overwrites `into` with the configuration with the given id, reusing
-    /// its buffers: a pass over every configuration unpacks them all
-    /// through one scratch configuration. `into` must be a configuration of
-    /// the graph's system (for example `config(0)`).
+    /// Overwrites `into`, a configuration of the graph's system (such as
+    /// `config(0)`), with the one with the given id, reusing its buffers:
+    /// a whole-graph pass unpacks through one scratch configuration.
     pub fn config_into(&self, id: ConfigId, into: &mut Configuration) {
         self.store.config_into(id, into);
     }
@@ -175,7 +159,7 @@ impl fmt::Debug for ConfigGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ConfigGraph")
             .field("configs", &self.len())
-            .field("edges", &self.store.edge_count())
+            .field("edges", &self.all_edges().count())
             .finish()
     }
 }

@@ -1,18 +1,11 @@
-//! The packed graph store both explorers build into, and its one
-//! breadth-first builder.
-//!
-//! Each state is kept once, as its packed words
-//! ([`Configuration::pack_into`], then whatever extra words the explorer's
-//! [`Rules`] append — the budgeted graph's crash allowances), back to back
-//! in one arena. A [`WordHasher`] digest of the words maps to the newest
-//! state with that digest, and a chain parallel to the arena links the
-//! older ones, so every probe confirms equality against the arena and a
-//! 64-bit collision costs only a comparison. Edges and BFS parents go into
-//! flat arrays in BFS order: the edges of state `i` are
-//! `edges[edge_ends[i - 1]..edge_ends[i]]` (compressed sparse rows).
-//!
-//! Ids are `u32` here: a state limit above `u32::MAX` is enforced as
-//! `u32::MAX`, and reported as such.
+//! The packed store both graphs are built into, by one breadth-first
+//! builder. Each state is kept once, as its packed words
+//! ([`Configuration::pack_into`], then any extra words: the budgeted
+//! graph's crash allowances), back to back in one arena. A [`WordHasher`]
+//! digest maps to the newest state with that digest and a chain parallel
+//! to the arena links the older ones, so a probe confirms equality against
+//! the arena. Edges and BFS parents are flat arrays in BFS order (CSR).
+//! Ids are `u32`: a state limit above `u32::MAX` is enforced as `u32::MAX`.
 
 use crate::graph::ExploreError;
 use rcn_model::{Configuration, Event, ProcessId, Schedule, System, Violation, WordHasher};
@@ -22,89 +15,63 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// Marks the end of a same-digest chain.
 const NONE: u32 = u32::MAX;
 
-/// What distinguishes one explorer from the other: which crashes are
-/// enabled, the extra words a state carries after its configuration, and
-/// what an edge records.
-pub(crate) trait Rules {
-    /// One outgoing edge.
-    type Edge;
-
-    /// Whether `p_i` may crash in a state whose extra words are `extra`.
-    fn may_crash(&self, extra: &[u32], i: usize) -> bool;
-
-    /// Appends to `out` the extra words of the state `event` leads to from
-    /// a state whose extra words are `extra`.
-    fn extra_after(&self, extra: &[u32], event: Event, out: &mut Vec<u32>);
-
-    /// The edge `event` to `target`, which triggered `violation`.
-    fn edge(event: Event, target: usize, violation: Option<Violation>) -> Self::Edge;
-}
-
-/// The largest state limit the store can honor: ids, and the chain end
-/// marker, are `u32`.
+/// The state limit `u32` ids can honor.
 pub(crate) fn id_limit(max_states: usize) -> usize {
     max_states.min(NONE as usize)
 }
 
-/// A graph explored by [`Store::explore`]: every state once, as words.
+/// An explored graph: every state once, as words.
 pub(crate) struct Store<E> {
-    /// Every state's words, back to back, in id order.
+    /// State `i` is `words[ends[i]..ends[i + 1]]`.
     words: Vec<u32>,
-    /// `ends[i]`: one past state `i`'s last word.
     ends: Vec<usize>,
-    /// Digest → the newest state with that digest.
+    /// Digest → the newest state with it; `next[i]`: the state before `i`
+    /// with `i`'s digest, or [`NONE`].
     heads: HashMap<u64, u32, BuildHasherDefault<WordHasher>>,
-    /// `next[i]`: the state before `i` with the same digest, or [`NONE`].
     next: Vec<u32>,
-    /// Every edge, grouped by source in id order.
+    /// State `i`'s edges are `edges[edge_ends[i]..edge_ends[i + 1]]`.
     edges: Vec<E>,
-    /// `edge_ends[i]`: one past state `i`'s last edge.
     edge_ends: Vec<usize>,
-    /// `parents[i - 1]`: the BFS parent of state `i > 0` and the event
-    /// taken from it.
-    parents: Vec<(u32, Event)>,
+    /// Each state's BFS parent and the event taken from it.
+    parents: Vec<Option<(u32, Event)>>,
     /// The start configuration: the shape every state unpacks into.
     template: Configuration,
-}
-
-fn digest(words: &[u32]) -> u64 {
-    let mut h = WordHasher::default();
-    words.hash(&mut h);
-    h.finish()
+    /// The state limit, capped by [`id_limit`].
+    limit: usize,
 }
 
 impl<E> Store<E> {
-    /// Explores breadth-first from `start`, whose extra words are `extra`,
-    /// up to `max_states` states (capped by [`id_limit`]). State `id`
-    /// takes `p_0`'s step, then `p_0`'s crash if enabled, then `p_1`'s, and
-    /// so on; a state gets the next id the first time an edge reaches it.
-    pub(crate) fn explore<R: Rules<Edge = E>>(
+    /// Explores breadth-first from `start` (extra words `extra`), up to
+    /// `max_states` states. Each state takes `p_0`'s step, its crash if
+    /// `may_crash(extra, 0)`, then `p_1`'s, …; `extra_after` appends a
+    /// successor's extra words. A state's id is its BFS discovery order.
+    pub(crate) fn explore(
         system: &System,
         start: Configuration,
         extra: &[u32],
-        rules: &R,
         max_states: usize,
+        may_crash: impl Fn(&[u32], usize) -> bool,
+        extra_after: impl Fn(&[u32], Event, &mut Vec<u32>),
+        edge: impl Fn(Event, usize, Option<Violation>) -> E,
     ) -> Result<Store<E>, ExploreError> {
-        let limit = id_limit(max_states);
         let mut key = Vec::new();
         start.pack_into(&mut key);
         key.extend_from_slice(extra);
+        // Each state is unpacked once into `current`; every successor is
+        // built in `next` and packed into `key`.
+        let (mut current, mut next) = (start.clone(), start.clone());
         let mut store = Store {
             words: Vec::new(),
-            ends: Vec::new(),
+            ends: vec![0],
             heads: HashMap::default(),
             next: Vec::new(),
             edges: Vec::new(),
-            edge_ends: Vec::new(),
+            edge_ends: vec![0],
             parents: Vec::new(),
             template: start,
+            limit: id_limit(max_states),
         };
-        store.push(&key, digest(&key), None);
-
-        // Each state is unpacked once into `current`; every successor is
-        // built in `next` and packed into `key`.
-        let mut current = store.template.clone();
-        let mut next = current.clone();
+        store.intern(&key, None)?;
         let mut extra = Vec::new();
         let mut id = 0;
         while id < store.len() {
@@ -114,20 +81,15 @@ impl<E> Store<E> {
             extra.extend_from_slice(&words[used..]);
             for i in 0..system.n() {
                 let p = ProcessId(i as u16);
-                let events = [Event::Step(p), Event::Crash(p)];
-                let events = if rules.may_crash(&extra, i) {
-                    &events[..]
-                } else {
-                    &events[..1]
-                };
-                for &event in events {
+                let events = 1 + usize::from(may_crash(&extra, i));
+                for event in [Event::Step(p), Event::Crash(p)].into_iter().take(events) {
                     next.clone_from(&current);
                     let effect = system.apply(&mut next, event);
                     key.clear();
                     next.pack_into(&mut key);
-                    rules.extra_after(&extra, event, &mut key);
-                    let target = store.intern(&key, (id, event), limit)?;
-                    store.edges.push(R::edge(event, target, effect.violation));
+                    extra_after(&extra, event, &mut key);
+                    let target = store.intern(&key, Some((id as u32, event)))?;
+                    store.edges.push(edge(event, target, effect.violation));
                 }
             }
             store.edge_ends.push(store.edges.len());
@@ -139,61 +101,47 @@ impl<E> Store<E> {
         Ok(store)
     }
 
-    /// The id of the state whose words are `key`, stored now (reached from
-    /// `parent`) if new.
-    fn intern(
-        &mut self,
-        key: &[u32],
-        parent: (usize, Event),
-        limit: usize,
-    ) -> Result<usize, ExploreError> {
-        let digest = digest(key);
-        if let Some(&head) = self.heads.get(&digest) {
-            let mut i = head;
-            while i != NONE {
-                if self.state(i as usize) == key {
-                    return Ok(i as usize);
-                }
-                i = self.next[i as usize];
+    /// The id of the state whose words are `key`, stored now if new. The
+    /// start (no parent) is stored whatever the limit.
+    fn intern(&mut self, key: &[u32], parent: Option<(u32, Event)>) -> Result<usize, ExploreError> {
+        let mut hasher = WordHasher::default();
+        key.hash(&mut hasher);
+        let digest = hasher.finish();
+        let mut i = self.heads.get(&digest).copied().unwrap_or(NONE);
+        while i != NONE {
+            if self.state(i as usize) == key {
+                return Ok(i as usize);
             }
+            i = self.next[i as usize];
         }
-        if self.len() >= limit {
-            return Err(ExploreError::TooLarge { limit });
-        }
-        Ok(self.push(key, digest, Some(parent)))
-    }
-
-    /// Stores a state not yet present and returns its id.
-    fn push(&mut self, key: &[u32], digest: u64, parent: Option<(usize, Event)>) -> usize {
         let id = self.len();
-        let prev = self.heads.insert(digest, id as u32).unwrap_or(NONE);
-        self.next.push(prev);
+        if parent.is_some() && id >= self.limit {
+            return Err(ExploreError::TooLarge { limit: self.limit });
+        }
+        self.next
+            .push(self.heads.insert(digest, id as u32).unwrap_or(NONE));
         self.words.extend_from_slice(key);
         self.ends.push(self.words.len());
-        if let Some((from, event)) = parent {
-            self.parents.push((from as u32, event));
-        }
-        id
+        self.parents.push(parent);
+        Ok(id)
     }
 
     /// Number of states.
     pub(crate) fn len(&self) -> usize {
-        self.ends.len()
+        self.parents.len()
     }
 
-    /// State `id`'s words: its packed configuration, then its extra words.
     fn state(&self, id: usize) -> &[u32] {
-        let start = if id == 0 { 0 } else { self.ends[id - 1] };
-        &self.words[start..self.ends[id]]
+        &self.words[self.ends[id]..self.ends[id + 1]]
     }
 
-    /// Overwrites `into` (a configuration of the explored system) with
+    /// Overwrites `into`, a configuration of the explored system, with
     /// state `id`'s configuration.
     pub(crate) fn config_into(&self, id: usize, into: &mut Configuration) {
         into.unpack_from(self.state(id));
     }
 
-    /// State `id`'s configuration, unpacked.
+    /// State `id`'s configuration.
     pub(crate) fn config(&self, id: usize) -> Configuration {
         let mut config = self.template.clone();
         self.config_into(id, &mut config);
@@ -202,21 +150,14 @@ impl<E> Store<E> {
 
     /// State `id`'s outgoing edges.
     pub(crate) fn edges(&self, id: usize) -> &[E] {
-        let start = if id == 0 { 0 } else { self.edge_ends[id - 1] };
-        &self.edges[start..self.edge_ends[id]]
-    }
-
-    /// Number of edges.
-    pub(crate) fn edge_count(&self) -> usize {
-        self.edges.len()
+        &self.edges[self.edge_ends[id]..self.edge_ends[id + 1]]
     }
 
     /// A schedule from the start to `id`, following BFS parents.
     pub(crate) fn path_to(&self, id: usize) -> Schedule {
         let mut events = Vec::new();
         let mut cur = id;
-        while cur > 0 {
-            let (prev, event) = self.parents[cur - 1];
+        while let Some((prev, event)) = self.parents[cur] {
             events.push(event);
             cur = prev as usize;
         }
@@ -234,6 +175,5 @@ mod tests {
         assert_eq!(id_limit(7), 7);
         assert_eq!(id_limit(u32::MAX as usize), u32::MAX as usize);
         assert_eq!(id_limit(usize::MAX), u32::MAX as usize);
-        assert_eq!(id_limit(u32::MAX as usize + 1), u32::MAX as usize);
     }
 }

@@ -22,58 +22,11 @@
 //! [`rcn_decide::recording_class`], the deciders' own definition.
 
 use crate::graph::ExploreError;
-use crate::store::{Rules, Store};
+use crate::store::Store;
 pub use rcn_decide::CriticalClass;
 use rcn_decide::{recording_class, Team, Witness};
-use rcn_model::{Action, Event, ObjectId, ProcessId, Schedule, System, Violation};
-use rcn_spec::OpId;
+use rcn_model::{Action, Event, ObjectId, ProcessId, Schedule, System};
 use std::fmt;
-
-/// The `E_z*` budget: a state's extra words are its clamped crash
-/// allowances, `extra[i]` = how many more times `p_i` may crash.
-/// `extra[0]` is always 0: `p_0` never crashes.
-struct Budget {
-    /// Crashes of every higher-id process one step funds.
-    funded: u32,
-    clamp: u32,
-}
-
-impl Rules for Budget {
-    type Edge = (Event, usize);
-
-    fn may_crash(&self, extra: &[u32], i: usize) -> bool {
-        i > 0 && extra[i] > 0
-    }
-
-    fn extra_after(&self, extra: &[u32], event: Event, out: &mut Vec<u32>) {
-        match event {
-            Event::Step(p) => out.extend(extra.iter().enumerate().map(|(j, &a)| {
-                if j > p.index() {
-                    (a + self.funded).min(self.clamp)
-                } else {
-                    a
-                }
-            })),
-            Event::Crash(p) => {
-                out.extend(
-                    extra
-                        .iter()
-                        .enumerate()
-                        .map(|(j, &a)| if j == p.index() { a - 1 } else { a }),
-                )
-            }
-            // The E_z graphs are defined over the paper's §3 budget model,
-            // which has only per-process events.
-            Event::SystemCrash | Event::CrashDuring(_) => {
-                unreachable!("E_z graphs enumerate only steps and per-process crashes")
-            }
-        }
-    }
-
-    fn edge(event: Event, target: usize, _violation: Option<Violation>) -> (Event, usize) {
-        (event, target)
-    }
-}
 
 /// Valency of a state with respect to the explored execution set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,14 +115,34 @@ impl BudgetedGraph {
         let n = system.n();
         let mut start = system.initial_config();
         system.run(&mut start, prefix);
-        // A step of p_i funds z·n crashes of every higher-id process,
-        // saturating: a wrapped product would fund none.
-        let funded = u16::try_from(z.saturating_mul(n)).unwrap_or(u16::MAX);
-        let budget = Budget {
-            funded: u32::from(funded),
-            clamp: u32::from(clamp),
+        // A state's extra words are its crash allowances: `p_i` may crash
+        // `extra[i]` more times (clamped); `extra[0]` stays 0. A step of
+        // p_i funds z·n crashes of every higher-id process, saturating: a
+        // wrapped product would fund none.
+        let funded = u32::from(u16::try_from(z.saturating_mul(n)).unwrap_or(u16::MAX));
+        let allowances = |extra: &[u32], event: Event, key: &mut Vec<u32>| {
+            let at = key.len();
+            key.extend_from_slice(extra);
+            match event {
+                Event::Step(p) => {
+                    for a in &mut key[at + p.index() + 1..] {
+                        *a = (*a + funded).min(u32::from(clamp));
+                    }
+                }
+                Event::Crash(p) => key[at + p.index()] -= 1,
+                // The explorer enumerates only the paper's §3 events.
+                Event::SystemCrash | Event::CrashDuring(_) => unreachable!(),
+            }
         };
-        let store = Store::explore(system, start, &vec![0; n], &budget, max_states)?;
+        let store = Store::explore(
+            system,
+            start,
+            &vec![0; n],
+            max_states,
+            |extra, i| extra[i] > 0,
+            allowances,
+            |event, target, _| (event, target),
+        )?;
         let valency = compute_valencies(&store);
         Ok(BudgetedGraph {
             system: system.clone(),
@@ -240,39 +213,28 @@ impl BudgetedGraph {
         let config = self.store.config(id);
         let mut teams = vec![None; n];
         for &(event, target) in self.successors(id) {
-            if let Event::Step(p) = event {
-                if let Valency::Univalent(v) = self.valency[target] {
-                    teams[p.index()] = Some(v);
-                }
+            if let (Event::Step(p), Valency::Univalent(v)) = (event, self.valency[target]) {
+                teams[p.index()] = Some(v);
             }
         }
         // Lemma 9: every undecided process poised on the same object.
-        let mut object: Option<ObjectId> = None;
-        let mut same = true;
-        let mut poised_ops: Vec<Option<OpId>> = vec![None; n];
-        for (i, poised) in poised_ops.iter_mut().enumerate() {
-            let p = ProcessId(i as u16);
-            if config.decided[i].is_some() {
-                continue;
-            }
-            match self.system.action_of(&config, p) {
-                Action::Invoke { object: o, op } => {
-                    *poised = Some(op);
-                    match object {
-                        None => object = Some(o),
-                        Some(prev) if prev == o => {}
-                        Some(_) => same = false,
+        let poised: Vec<_> = (0..n)
+            .map(
+                |i| match self.system.action_of(&config, ProcessId(i as u16)) {
+                    Action::Invoke { object, op } if config.decided[i].is_none() => {
+                        Some((object, op))
                     }
-                }
-                Action::Output(_) => {}
-            }
-        }
-        let object = if same { object } else { None };
+                    _ => None,
+                },
+            )
+            .collect();
+        let mut objects = poised.iter().flatten().map(|&(object, _)| object);
+        let object = objects.next().filter(|&o| objects.all(|other| other == o));
         let witness = object.map(|o| {
             let (team_of, ops) = teams
                 .iter()
-                .zip(&poised_ops)
-                .filter_map(|(&team, &op)| Some((Team::from_index(team? as usize), op?)))
+                .zip(&poised)
+                .filter_map(|(&team, &poised)| Some((Team::from_index(team? as usize), poised?.1)))
                 .unzip();
             Witness::new(config.values[o.index()], team_of, ops)
         });
@@ -291,56 +253,44 @@ impl BudgetedGraph {
 
 /// Which states can reach a 0-decision, and which a 1-decision: one
 /// backward worklist per decision value over the reversed edges, seeded
-/// with the states that have already decided it.
+/// with the states that have decided it.
 fn compute_valencies(store: &Store<(Event, usize)>) -> Vec<Valency> {
     let n = store.len();
-    // Reverse adjacency in CSR form: the predecessors of `i` are
-    // `preds[starts[i]..starts[i + 1]]`.
+    // The predecessors of `i` end up in `preds[starts[i]..starts[i + 1]]`:
+    // `starts[i]` counts up to the end of `i`'s block, then fills it back.
     let mut starts = vec![0usize; n + 1];
     for id in 0..n {
         for &(_, target) in store.edges(id) {
-            starts[target + 1] += 1;
+            starts[target] += 1;
         }
     }
     for i in 0..n {
         starts[i + 1] += starts[i];
     }
     let mut preds = vec![0u32; starts[n]];
-    let mut fill = starts.clone();
-    for id in 0..n {
-        for &(_, target) in store.edges(id) {
-            preds[fill[target]] = id as u32;
-            fill[target] += 1;
-        }
-    }
-    // reach[0][i]: state i can reach a 0-decision; reach[1][i]: any other.
-    let mut reach = [vec![false; n], vec![false; n]];
-    let mut work: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
+    let mut work = [Vec::new(), Vec::new()];
     let mut config = store.config(0);
     for id in 0..n {
+        for &(_, target) in store.edges(id) {
+            starts[target] -= 1;
+            preds[starts[target]] = id as u32;
+        }
         store.config_into(id, &mut config);
         for &d in config.decided.iter().flatten() {
-            work[usize::from(d != 0)].push(id as u32);
+            work[usize::from(d != 0)].push(id);
         }
     }
-    for (reach, work) in reach.iter_mut().zip(&mut work) {
-        // Two processes may have decided the same value: one seed each.
-        work.dedup();
-        for &i in work.iter() {
-            reach[i as usize] = true;
-        }
+    let [reach0, reach1] = work.map(|mut work| {
+        let mut reach = vec![false; n];
         while let Some(i) = work.pop() {
-            let i = i as usize;
-            for &p in &preds[starts[i]..starts[i + 1]] {
-                if !reach[p as usize] {
-                    reach[p as usize] = true;
-                    work.push(p);
-                }
+            if !std::mem::replace(&mut reach[i], true) {
+                work.extend(preds[starts[i]..starts[i + 1]].iter().map(|&p| p as usize));
             }
         }
-    }
+        reach
+    });
     (0..n)
-        .map(|i| match (reach[0][i], reach[1][i]) {
+        .map(|i| match (reach0[i], reach1[i]) {
             (true, true) => Valency::Bivalent,
             (true, false) => Valency::Univalent(0),
             (false, true) => Valency::Univalent(1),
