@@ -37,8 +37,11 @@ pub enum ExploreError {
 
 impl fmt::Display for ExploreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ExploreError::TooLarge { limit } = self;
-        write!(f, "state space exceeds {limit} configurations")
+        match self {
+            ExploreError::TooLarge { limit } => {
+                write!(f, "state space exceeds {limit} configurations")
+            }
+        }
     }
 }
 
