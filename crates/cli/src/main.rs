@@ -100,7 +100,7 @@ commands:
   witness <type> <n> [kind]           find + explain a discerning/recording witness
 
 search options (classify, compare, witness; `--flag value` or `--flag=value`):
-  --threads N                         search worker threads (0 = all cores, default 1)
+  --threads N                         search worker threads (0 = all cores, default 1, at most 256)
   --cache-dir DIR                     persist level verdicts under DIR and reuse them on later runs
   --no-cache                          ignore --cache-dir (search without the persistent cache)
   --stats                             print search statistics (analyses, cache/disk hits, wall time)
@@ -270,17 +270,26 @@ fn cap_from_args(parsed: &Parsed) -> Result<usize, String> {
     Ok(cap)
 }
 
+/// The most search workers `--threads` may ask for. The engine spawns one
+/// OS thread per worker (up to the instance count), and a spawn the OS
+/// refuses would abort the search.
+const MAX_THREADS: usize = 256;
+
 /// Builds the search engine from `--threads` (default: 1 worker, i.e. the
-/// plain sequential search; 0 = one worker per core), the persistent
-/// cache flags (`--cache-dir DIR` attaches a [`DiskCache`] rooted at
-/// `DIR`; `--no-cache` wins over it), and `--timeout SECS` (a wall-clock
-/// deadline per search call; results past it are honest lower bounds).
+/// plain sequential search; 0 = one worker per core; at most
+/// [`MAX_THREADS`]), the persistent cache flags (`--cache-dir DIR`
+/// attaches a [`DiskCache`] rooted at `DIR`; `--no-cache` wins over it),
+/// and `--timeout SECS` (a wall-clock deadline per search call; results
+/// past it are honest lower bounds).
 fn engine_from_args(parsed: &Parsed) -> Result<SearchEngine, String> {
     let threads: usize = parsed
         .value("--threads")
         .map(|v| v.parse().map_err(|_| "threads must be a number"))
         .transpose()?
         .unwrap_or(1);
+    if threads > MAX_THREADS {
+        return Err(format!("threads must be at most {MAX_THREADS}"));
+    }
     let mut engine = SearchEngine::new(threads);
     if !parsed.has("--no-cache") {
         if let Some(dir) = parsed.value("--cache-dir") {
@@ -293,7 +302,8 @@ fn engine_from_args(parsed: &Parsed) -> Result<SearchEngine, String> {
     Ok(engine)
 }
 
-/// Parses `--timeout SECS`: a positive, finite number of seconds.
+/// Parses `--timeout SECS`: a positive, finite number of seconds that a
+/// [`Duration`] can hold.
 fn timeout_from_args(parsed: &Parsed) -> Result<Option<Duration>, String> {
     let Some(v) = parsed.value("--timeout") else {
         return Ok(None);
@@ -304,7 +314,9 @@ fn timeout_from_args(parsed: &Parsed) -> Result<Option<Duration>, String> {
     if secs <= 0.0 || !secs.is_finite() {
         return Err("timeout must be a positive number of seconds".into());
     }
-    Ok(Some(Duration::from_secs_f64(secs)))
+    Duration::try_from_secs_f64(secs)
+        .map(Some)
+        .map_err(|_| format!("timeout {v} is too large"))
 }
 
 /// A deadline that fires mid-search leaves the reported levels honest but
@@ -1844,6 +1856,49 @@ mod tests {
         assert!(run(&s(&["classify", "tas", "--timeout", "-1"])).is_err());
         assert!(run(&s(&["classify", "tas", "--timeout", "soon"])).is_err());
         assert!(run(&s(&["dot", "tas", "--timeout", "1"])).is_err());
+    }
+
+    #[test]
+    fn timeouts_beyond_a_duration_are_usage_errors_and_huge_ones_mean_no_deadline() {
+        // Past `Duration::MAX` (~1.8e19 s): a usage error (exit 1), for the
+        // engine and the explorer alike, not a panic (exit 101).
+        for args in [
+            &["classify", "tas", "--timeout", "1e30"][..],
+            &["witness", "tas", "2", "--timeout", "1e30"],
+            &["crashtest", "tas", "--timeout", "1e30"],
+        ] {
+            let err = run(&s(args)).expect_err(&args.join(" "));
+            assert!(err.contains("too large"), "{args:?}: {err}");
+        }
+        // Representable but past the end of the clock: no deadline, so the
+        // same output as without a timeout.
+        for args in [
+            &["classify", "tas"][..],
+            &["witness", "tas", "2"],
+            &["crashtest", "tas"],
+        ] {
+            let mut plain = String::new();
+            let plain_result = run_to(&s(args), &mut plain);
+            let mut huge = String::new();
+            let huge_result = run_to(&s(&[args, &["--timeout", "1e19"]].concat()), &mut huge);
+            assert_eq!(plain_result, huge_result, "{args:?}");
+            assert_eq!(plain, huge, "{args:?}");
+        }
+    }
+
+    #[test]
+    fn thread_counts_beyond_the_cap_are_usage_errors() {
+        for threads in [MAX_THREADS + 1, 100_000] {
+            let n = threads.to_string();
+            for args in [
+                &["classify", "tas", "--threads", n.as_str()][..],
+                &["compare", "tas", "--threads", n.as_str()],
+                &["witness", "tas", "2", "--threads", n.as_str()],
+            ] {
+                let err = run(&s(args)).expect_err(&args.join(" "));
+                assert!(err.contains("at most"), "{args:?}: {err}");
+            }
+        }
     }
 
     #[test]

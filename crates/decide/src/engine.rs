@@ -487,9 +487,11 @@ impl SearchEngine {
         }
     }
 
-    /// The deadline for one public search call, armed at call entry.
+    /// The deadline for one public search call, armed at call entry. A
+    /// timeout past the end of the clock means no deadline.
     fn deadline(&self) -> Option<Instant> {
-        self.timeout.map(|timeout| Instant::now() + timeout)
+        self.timeout
+            .and_then(|timeout| Instant::now().checked_add(timeout))
     }
 
     /// Opens a public search call on `ty`: clears the per-call timeout
@@ -1233,6 +1235,16 @@ mod tests {
         let stats = engine.stats();
         assert!(!stats.timed_out);
         assert_eq!(stats.instances_abandoned, 0);
+    }
+
+    #[test]
+    fn unrepresentable_deadlines_mean_no_deadline() {
+        // `Instant::now() + Duration::MAX` overflowed and panicked.
+        let engine = SearchEngine::new(2).with_timeout(Duration::MAX);
+        let c = engine.classify(&TestAndSet::new(), 3).unwrap();
+        assert_eq!(c.consensus_number.to_string(), "2");
+        assert_eq!(c.recoverable_consensus_number.to_string(), "1");
+        assert!(!engine.stats().timed_out);
     }
 
     #[test]

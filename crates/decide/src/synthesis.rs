@@ -7,7 +7,7 @@
 //! deciders are fast on small types, we can *search* for such types: seed
 //! with a structured table, apply random local mutations, and keep anything
 //! that moves toward the target profile. This module is that harness; the
-//! `xn_hunt` binary in `rcn-bench` drives it.
+//! `xn_hunt` example of this crate drives it.
 
 use crate::classify::{classify, TypeClassification};
 use rand::rngs::StdRng;

@@ -304,7 +304,8 @@ impl<'s> CrashExplorer<'s> {
             }
         }
 
-        let deadline = self.timeout.map(|t| Instant::now() + t);
+        // A timeout past the end of the clock means no deadline.
+        let deadline = self.timeout.and_then(|t| Instant::now().checked_add(t));
         let (stats, found) = self.search(initial, deadline);
         let report = CrashtestReport {
             stats,
@@ -1076,6 +1077,17 @@ mod tests {
             capped.stats.events_applied
         );
         assert!(capped.stats.events_applied < full.stats.events_applied);
+    }
+
+    #[test]
+    fn unrepresentable_timeout_means_no_deadline() {
+        // `Instant::now() + Duration::MAX` overflowed and panicked.
+        let sys = TnnRecoverable::system(5, 2, vec![0, 1]);
+        let report = CrashExplorer::new(&sys, CrashtestConfig::default())
+            .with_timeout(Duration::MAX)
+            .explore();
+        assert!(!report.stats.timed_out);
+        assert!(report.is_certified_clean());
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! Independent valency re-derivation over the `E_z*` execution sets.
 //!
 //! The decider stack computes bivalence/univalence facts through
-//! `rcn-valency`'s `BudgetedGraph` (a forward exploration indexed by packed
-//! state words in a `std` hash map, valencies by iterate-until-fixed
-//! sweeps). This module
-//! answers the *same question* — which decision values are reachable from
-//! the initial configuration when `p_i` may crash at most `z·n ×` (steps of
-//! lower-id processes) times, allowances clamped at a ceiling — with a
-//! different implementation: breadth-first search keyed by the structural
-//! index of [`crate::hash`], explicit edge lists, and a backward
-//! worklist propagation from deciding states. Agreement between the two is
-//! the RCN201 cross-check.
+//! `rcn-valency`'s `BudgetedGraph`: a breadth-first build into one packed
+//! store (each state once as `pack_into` words in an arena, CSR edges) and
+//! a backward worklist per decision value. This module answers the *same
+//! question* — which decision values are reachable from the initial
+//! configuration when `p_i` may crash at most `z·n ×` (steps of lower-id
+//! processes) times, allowances clamped at a ceiling — with its own
+//! breadth-first search, keyed by the structural index of [`crate::hash`]
+//! (states compared field by field, never as packed words), an explicit
+//! `(from, to)` edge list, and its own backward worklist over a
+//! predecessor index built from that list. Both propagate backward; the
+//! two differ in state identity (structural vs packed keys) and edge
+//! storage (edge list vs CSR). Agreement between the two is the RCN201
+//! cross-check.
 //!
 //! The `E_z*` semantics replicated here (and in the reference — any
 //! divergence is a bug in one of them):

@@ -162,7 +162,10 @@ pub fn run_threaded_traced(system: &System, options: RunOptions, tracer: &Tracer
         .map(|_| Mutex::new(ProcessStats::default()))
         .collect();
     let trace: Option<Mutex<Vec<Event>>> = options.record_trace.then(|| Mutex::new(Vec::new()));
-    let deadline = options.watchdog.map(|limit| Instant::now() + limit);
+    // A watchdog past the end of the clock never fires.
+    let deadline = options
+        .watchdog
+        .and_then(|limit| Instant::now().checked_add(limit));
     let timed_out = AtomicBool::new(false);
 
     crossbeam::scope(|scope| {
@@ -391,6 +394,19 @@ mod tests {
     fn watchdog_does_not_flag_terminating_runs() {
         let sys = TnnRecoverable::system(5, 2, vec![1, 0]);
         let report = run_threaded(&sys, RunOptions::default());
+        assert!(report.is_clean_consensus(), "{report}");
+        assert!(!report.timed_out);
+    }
+
+    #[test]
+    fn unrepresentable_watchdog_never_fires() {
+        // `Instant::now() + Duration::MAX` overflowed and panicked.
+        let sys = TnnRecoverable::system(5, 2, vec![1, 0]);
+        let options = RunOptions {
+            watchdog: Some(Duration::MAX),
+            ..Default::default()
+        };
+        let report = run_threaded(&sys, options);
         assert!(report.is_clean_consensus(), "{report}");
         assert!(!report.timed_out);
     }

@@ -3,8 +3,8 @@
 //!
 //! Usage: `repro [--out PATH] [experiment-id …]` where ids are `fig3`,
 //! `lemma15`, `lemma16`, `valency`, `hierarchy`, `xn`, `tas`, `zoo`,
-//! `universal`, `readability` (default: all). See EXPERIMENTS.md for the
-//! mapping to the paper.
+//! `universal`, `readability` (default: all). An unknown id is a usage
+//! error (exit 2). See EXPERIMENTS.md for the mapping to the paper.
 //!
 //! With `--out PATH` the report is additionally written to `PATH` (the
 //! driver used to dump `repro_output.txt` into the working directory
@@ -13,7 +13,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rcn_bench::{mixed_inputs, readable_zoo};
 use rcn_core::{shipped_xn, HierarchyReport};
 use rcn_decide::{
     classify, explain_recording, is_n_discerning, is_n_recording, Bound, SearchEngine, Team,
@@ -22,7 +21,10 @@ use rcn_decide::{
 use rcn_protocols::{TasConsensus, TnnRecoverable, TnnWaitFree, TournamentConsensus};
 use rcn_runtime::{run_threaded, RunOptions};
 use rcn_spec::dot::{to_dot, to_table_text};
-use rcn_spec::zoo::{StickyBit, TeamCounter, Tnn};
+use rcn_spec::zoo::{
+    CompareAndSwap, ConsensusObject, FetchAndAdd, Register, StickyBit, Swap, TeamCounter,
+    TestAndSet, Tnn,
+};
 use rcn_spec::{ObjectType, OpId, Response};
 use rcn_valency::{check_consensus, theorem13_chain, BudgetedGraph, ConfigGraph, Valency};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -56,6 +58,20 @@ macro_rules! outln {
     }};
 }
 
+/// The experiments by id, in the order they run.
+const EXPERIMENTS: [(&str, fn()); 10] = [
+    ("fig3", e1_fig3),
+    ("lemma15", e2_lemma15),
+    ("lemma16", e3_lemma16),
+    ("valency", e4_valency),
+    ("hierarchy", e5_hierarchy),
+    ("xn", e6_xn),
+    ("tas", e7_tas),
+    ("zoo", e8_zoo),
+    ("universal", e9_universal),
+    ("readability", e10_readability),
+];
+
 fn main() {
     let mut out_path: Option<String> = None;
     let mut ids: Vec<String> = Vec::new();
@@ -72,6 +88,17 @@ fn main() {
         } else {
             ids.push(arg);
         }
+    }
+    if let Some(unknown) = ids
+        .iter()
+        .find(|id| EXPERIMENTS.iter().all(|(known, _)| known != id))
+    {
+        let known: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        eprintln!(
+            "error: unknown experiment `{unknown}` (ids: {})",
+            known.join(", ")
+        );
+        std::process::exit(2);
     }
     if let Some(path) = &out_path {
         let path = std::path::Path::new(path);
@@ -93,42 +120,33 @@ fn main() {
             }
         }
     }
-    let all = ids.is_empty();
-    let want = |id: &str| all || ids.iter().any(|a| a == id);
-
     outln!("rcn repro — Determining Recoverable Consensus Numbers (PODC 2024)");
     outln!("==================================================================");
-    if want("fig3") {
-        e1_fig3();
-    }
-    if want("lemma15") {
-        e2_lemma15();
-    }
-    if want("lemma16") {
-        e3_lemma16();
-    }
-    if want("valency") {
-        e4_valency();
-    }
-    if want("hierarchy") {
-        e5_hierarchy();
-    }
-    if want("xn") {
-        e6_xn();
-    }
-    if want("tas") {
-        e7_tas();
-    }
-    if want("zoo") {
-        e8_zoo();
-    }
-    if want("universal") {
-        e9_universal();
-    }
-    if want("readability") {
-        e10_readability();
+    for (id, run) in EXPERIMENTS {
+        if ids.is_empty() || ids.iter().any(|a| a == id) {
+            run();
+        }
     }
     outln!("\nall requested experiments completed");
+}
+
+/// The readable zoo of E5 and E8, as boxed trait objects in a stable order.
+fn readable_zoo() -> Vec<Box<dyn ObjectType + Send + Sync>> {
+    vec![
+        Box::new(Register::new(2)),
+        Box::new(TestAndSet::new()),
+        Box::new(FetchAndAdd::new(4)),
+        Box::new(Swap::new(2)),
+        Box::new(CompareAndSwap::new(3)),
+        Box::new(StickyBit::new()),
+        Box::new(ConsensusObject::new()),
+    ]
+}
+
+/// Alternating binary inputs of length `n` (always contains both values for
+/// `n ≥ 2`).
+fn mixed_inputs(n: usize) -> Vec<u32> {
+    (0..n as u32).map(|i| i % 2).collect()
 }
 
 fn banner(id: &str, what: &str) {
@@ -411,7 +429,7 @@ fn e7_tas() {
         "E7 (Golab)",
         "test-and-set: consensus 2, recoverable consensus 1",
     );
-    let tas = rcn_spec::zoo::TestAndSet::new();
+    let tas = TestAndSet::new();
     outln!(
         "decider: 2-discerning={} (⇒ CN ≥ 2), 2-recording={} (⇒ RCN < 2 by Thm 13)",
         is_n_discerning(&tas, 2),
@@ -442,45 +460,19 @@ fn e8_zoo() {
         "E8 (hierarchy sanity)",
         "decider levels vs known consensus numbers",
     );
-    let expectations: Vec<(Box<dyn ObjectType + Send + Sync>, Bound, Bound)> = vec![
-        (
-            Box::new(rcn_spec::zoo::Register::new(2)),
-            Bound::Exact(1),
-            Bound::Exact(1),
-        ),
-        (
-            Box::new(rcn_spec::zoo::TestAndSet::new()),
-            Bound::Exact(2),
-            Bound::Exact(1),
-        ),
-        (
-            Box::new(rcn_spec::zoo::FetchAndAdd::new(4)),
-            Bound::Exact(2),
-            Bound::Exact(1),
-        ),
-        (
-            Box::new(rcn_spec::zoo::Swap::new(2)),
-            Bound::Exact(2),
-            Bound::Exact(1),
-        ),
-        (
-            Box::new(rcn_spec::zoo::CompareAndSwap::new(3)),
-            Bound::AtLeast(4),
-            Bound::AtLeast(4),
-        ),
-        (
-            Box::new(rcn_spec::zoo::StickyBit::new()),
-            Bound::AtLeast(4),
-            Bound::AtLeast(4),
-        ),
-        (
-            Box::new(rcn_spec::zoo::ConsensusObject::new()),
-            Bound::AtLeast(4),
-            Bound::AtLeast(4),
-        ),
+    // The known (CN, RCN) of each `readable_zoo` type, in its order; at
+    // cap 4 an infinite level reads as `≥4`.
+    let expectations = [
+        (Bound::Exact(1), Bound::Exact(1)),
+        (Bound::Exact(2), Bound::Exact(1)),
+        (Bound::Exact(2), Bound::Exact(1)),
+        (Bound::Exact(2), Bound::Exact(1)),
+        (Bound::AtLeast(4), Bound::AtLeast(4)),
+        (Bound::AtLeast(4), Bound::AtLeast(4)),
+        (Bound::AtLeast(4), Bound::AtLeast(4)),
     ];
     outln!("{:<24} {:>8} {:>8}  match", "type", "CN", "RCN");
-    for (ty, cn, rcn) in expectations {
+    for (ty, (cn, rcn)) in readable_zoo().into_iter().zip(expectations) {
         let c = classify(&*ty, 4);
         let ok = c.consensus_number == cn && c.recoverable_consensus_number == rcn;
         outln!(
@@ -566,4 +558,25 @@ fn e10_readability() {
         report.configs
     );
     assert!(report.verdict.is_correct());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zoo_is_nonempty_and_readable() {
+        let zoo = readable_zoo();
+        assert!(zoo.len() >= 7);
+        for ty in &zoo {
+            assert!(ty.is_readable(), "{}", ty.name());
+        }
+    }
+
+    #[test]
+    fn mixed_inputs_contain_both_values() {
+        let inputs = mixed_inputs(5);
+        assert!(inputs.contains(&0) && inputs.contains(&1));
+        assert_eq!(inputs.len(), 5);
+    }
 }
