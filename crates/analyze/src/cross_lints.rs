@@ -32,13 +32,22 @@
 //! (`RCN102`) would abort the lint run itself.
 
 use crate::diag::{Diagnostic, Locus, Report, Severity};
-use crate::explore::{ExploreConfig, ProcessGraph};
-use crate::lint::ProgramLint;
+use crate::explore::ProcessGraph;
+use crate::program_lints::subject;
 use rcn_model::{Schedule, System};
 
-fn subject(sys: &System) -> String {
-    sys.program().name()
-}
+/// `RCN200`'s per-process crash budget, for both engines.
+const CRASHTEST_MAX_CRASHES: usize = 1;
+/// `RCN200`'s schedule-length cap, for both engines.
+const CRASHTEST_MAX_DEPTH: usize = 10;
+/// `RCN200`'s state cap in the lint table, for both engines.
+pub(crate) const CRASHTEST_MAX_STATES: usize = 200_000;
+/// `RCN201`'s budget multiplier `z`, for both engines.
+const VALENCY_Z: usize = 1;
+/// `RCN201`'s allowance clamp, for both engines.
+const VALENCY_CLAMP: u16 = 2;
+/// `RCN201`'s state cap, for both engines.
+const VALENCY_MAX_STATES: usize = 60_000;
 
 /// `true` if the program can be executed without tripping a totality
 /// panic (the gate for every cross-lint).
@@ -231,7 +240,10 @@ fn budget_warn(subject: &str, code: &'static str, what: &str, report: &mut Repor
 }
 
 /// `RCN200`/`RCN202` — differential crashtest: DFS explorer vs BFS
-/// checker at one shared budget, each run once per system.
+/// checker at one shared budget (1 crash per process, depth 10,
+/// `max_states` states), each run once per system. Clipping either side
+/// at `max_states` downgrades the comparison to an `RCN202` warning; the
+/// lint table passes 200 000.
 ///
 /// The same two runs feed two more codes, both only on consensus-checked
 /// systems (a system built with `System::new_unchecked` has no consensus
@@ -245,185 +257,115 @@ fn budget_warn(subject: &str, code: &'static str, what: &str, report: &mut Repor
 ///   silence means "none within the budget".
 /// * `RCN203` — the BFS counterexample must survive the
 ///   abstract↔threaded replay bridge ([`check_replay_bridge`]).
-pub struct CrossCrashtest {
-    /// Per-process crash budget for both engines.
-    pub max_crashes: usize,
-    /// Schedule-length cap for both engines.
-    pub max_depth: usize,
-    /// State cap for both engines; clipping either side downgrades the
-    /// comparison to an `RCN202` warning.
-    pub max_states: usize,
-}
-
-impl Default for CrossCrashtest {
-    fn default() -> Self {
-        CrossCrashtest {
-            max_crashes: 1,
-            max_depth: 10,
-            max_states: 200_000,
+pub fn cross_crashtest(
+    sys: &System,
+    graphs: &[ProcessGraph],
+    max_states: usize,
+    report: &mut Report,
+) {
+    if !executable(graphs) {
+        return;
+    }
+    let subject = subject(sys);
+    let dfs = rcn_faults::CrashExplorer::new(
+        sys,
+        rcn_faults::CrashtestConfig {
+            max_crashes: CRASHTEST_MAX_CRASHES,
+            max_depth: CRASHTEST_MAX_DEPTH,
+            max_states,
+            ..Default::default()
+        },
+    )
+    .explore();
+    let bfs = rcn_mc::model_check(
+        sys,
+        rcn_mc::McConfig {
+            max_crashes: CRASHTEST_MAX_CRASHES,
+            max_depth: CRASHTEST_MAX_DEPTH,
+            max_states,
+            ..Default::default()
+        },
+    );
+    // A found violation is budget-exact whatever the other side's
+    // coverage, so RCN104 and RCN203 do not wait for the comparison.
+    if sys.is_consensus_checked() {
+        if let Some(cex) = &dfs.counterexample {
+            push_crash_divergence(sys, cex, report);
+        }
+        if let Some(cex) = &bfs.counterexample {
+            check_replay_bridge(&subject, sys, &cex.schedule, report);
         }
     }
-}
-
-impl CrossCrashtest {
-    fn budget_label(&self) -> String {
-        format!("crashes={}, depth={}", self.max_crashes, self.max_depth)
-    }
-}
-
-impl ProgramLint for CrossCrashtest {
-    fn code(&self) -> &'static str {
-        "RCN200"
-    }
-    fn name(&self) -> &'static str {
-        "differential-crashtest"
-    }
-    fn description(&self) -> &'static str {
-        "DFS explorer and BFS checker must agree on crash verdicts; their counterexamples \
-         are checked for divergence (RCN104) and replayed (RCN203)"
-    }
-    fn check(
-        &self,
-        sys: &System,
-        graphs: &[ProcessGraph],
-        _cfg: &ExploreConfig,
-        report: &mut Report,
-    ) {
-        if !executable(graphs) {
-            return;
-        }
-        let subject = subject(sys);
-        let dfs = rcn_faults::CrashExplorer::new(
-            sys,
-            rcn_faults::CrashtestConfig {
-                max_crashes: self.max_crashes,
-                max_depth: self.max_depth,
-                max_states: self.max_states,
-                ..Default::default()
-            },
-        )
-        .explore();
-        let bfs = rcn_mc::model_check(
-            sys,
-            rcn_mc::McConfig {
-                max_crashes: self.max_crashes,
-                max_depth: self.max_depth,
-                max_states: self.max_states,
-                ..Default::default()
-            },
+    // A violation verdict is budget-exact on both sides; only a clean
+    // verdict needs exhaustiveness to be comparable.
+    let dfs_conclusive = dfs.counterexample.is_some() || dfs.stats.exhaustive();
+    let bfs_conclusive =
+        bfs.counterexample.is_some() || bfs.coverage == rcn_mc::Coverage::Exhaustive;
+    if !dfs_conclusive || !bfs_conclusive {
+        budget_warn(
+            &subject,
+            "RCN200",
+            &format!(
+                "state cap {max_states} clipped the {} search",
+                if dfs_conclusive { "BFS" } else { "DFS" }
+            ),
+            report,
         );
-        // A found violation is budget-exact whatever the other side's
-        // coverage, so RCN104 and RCN203 do not wait for the comparison.
-        if sys.is_consensus_checked() {
-            if let Some(cex) = &dfs.counterexample {
-                push_crash_divergence(sys, cex, report);
-            }
-            if let Some(cex) = &bfs.counterexample {
-                check_replay_bridge(&subject, sys, &cex.schedule, report);
-            }
-        }
-        // A violation verdict is budget-exact on both sides; only a clean
-        // verdict needs exhaustiveness to be comparable.
-        let dfs_conclusive = dfs.counterexample.is_some() || dfs.stats.exhaustive();
-        let bfs_conclusive =
-            bfs.counterexample.is_some() || bfs.coverage == rcn_mc::Coverage::Exhaustive;
-        if !dfs_conclusive || !bfs_conclusive {
-            budget_warn(
-                &subject,
-                "RCN200",
-                &format!(
-                    "state cap {} clipped the {} search",
-                    self.max_states,
-                    if dfs_conclusive { "BFS" } else { "DFS" }
-                ),
-                report,
-            );
-            return;
-        }
-        compare_crashtest_verdicts(&subject, &self.budget_label(), &dfs, &bfs, report);
+        return;
     }
+    let budget = format!("crashes={CRASHTEST_MAX_CRASHES}, depth={CRASHTEST_MAX_DEPTH}");
+    compare_crashtest_verdicts(&subject, &budget, &dfs, &bfs, report);
 }
 
 /// `RCN201`/`RCN202` — differential valency: the decider stack's budgeted
-/// graph vs the checker's worklist fixpoint at one shared `E_z*` budget.
-pub struct CrossValency {
-    /// The paper's budget multiplier `z` for both engines.
-    pub z: usize,
-    /// The allowance clamp for both engines.
-    pub clamp: u16,
-    /// State cap for both engines; clipping either side downgrades the
-    /// comparison to an `RCN202` warning.
-    pub max_states: usize,
-}
-
-impl Default for CrossValency {
-    fn default() -> Self {
-        CrossValency {
-            z: 1,
-            clamp: 2,
-            max_states: 60_000,
-        }
+/// graph vs the checker's worklist fixpoint at one shared `E_z*` budget
+/// (z=1, clamp 2, 60 000 states); clipping either side downgrades the
+/// comparison to an `RCN202` warning.
+pub(crate) fn cross_valency(sys: &System, graphs: &[ProcessGraph], report: &mut Report) {
+    if !executable(graphs) {
+        return;
     }
-}
-
-impl ProgramLint for CrossValency {
-    fn code(&self) -> &'static str {
-        "RCN201"
-    }
-    fn name(&self) -> &'static str {
-        "differential-valency"
-    }
-    fn description(&self) -> &'static str {
-        "decider-stack and BFS-checker valency verdicts must agree"
-    }
-    fn check(
-        &self,
-        sys: &System,
-        graphs: &[ProcessGraph],
-        _cfg: &ExploreConfig,
-        report: &mut Report,
+    let subject = subject(sys);
+    let budget = format!("z={VALENCY_Z}, clamp={VALENCY_CLAMP}");
+    let decider = match rcn_valency::BudgetedGraph::explore(
+        sys,
+        VALENCY_Z,
+        VALENCY_CLAMP,
+        VALENCY_MAX_STATES,
     ) {
-        if !executable(graphs) {
-            return;
-        }
-        let subject = subject(sys);
-        let budget = format!("z={}, clamp={}", self.z, self.clamp);
-        let decider =
-            match rcn_valency::BudgetedGraph::explore(sys, self.z, self.clamp, self.max_states) {
-                Ok(graph) => graph.initial_valency().to_string(),
-                Err(rcn_valency::ExploreError::TooLarge { limit }) => {
-                    budget_warn(
-                        &subject,
-                        "RCN201",
-                        &format!("the budgeted `E_z*` graph exceeds {limit} states"),
-                        report,
-                    );
-                    return;
-                }
-            };
-        let checker = rcn_mc::valency_check(
-            sys,
-            rcn_mc::ValencyConfig {
-                z: self.z,
-                clamp: self.clamp,
-                max_states: self.max_states,
-            },
-        );
-        if checker.coverage != rcn_mc::Coverage::Exhaustive {
+        Ok(graph) => graph.initial_valency().to_string(),
+        Err(rcn_valency::ExploreError::TooLarge { limit }) => {
             budget_warn(
                 &subject,
                 "RCN201",
-                &format!("state cap {} clipped the checker's graph", self.max_states),
+                &format!("the budgeted `E_z*` graph exceeds {limit} states"),
                 report,
             );
             return;
         }
-        compare_valency_verdicts(
+    };
+    let checker = rcn_mc::valency_check(
+        sys,
+        rcn_mc::ValencyConfig {
+            z: VALENCY_Z,
+            clamp: VALENCY_CLAMP,
+            max_states: VALENCY_MAX_STATES,
+        },
+    );
+    if checker.coverage != rcn_mc::Coverage::Exhaustive {
+        budget_warn(
             &subject,
-            &budget,
-            &decider,
-            &checker.valency.to_string(),
+            "RCN201",
+            &format!("state cap {VALENCY_MAX_STATES} clipped the checker's graph"),
             report,
         );
+        return;
     }
+    compare_valency_verdicts(
+        &subject,
+        &budget,
+        &decider,
+        &checker.valency.to_string(),
+        report,
+    );
 }

@@ -19,16 +19,16 @@
 //!   `transition` on feasible responses and dead shared objects; `RCN104`
 //!   reports crash-divergence, the failure mode that separates the
 //!   recoverable consensus hierarchy from the classical one, from the
-//!   crash explorer's counterexample (emitted by [`CrossCrashtest`]).
+//!   crash explorer's counterexample (emitted by [`cross_crashtest`]).
 //! * **Cross-checker lints** (`RCN200`–`RCN203`) run two structurally
 //!   independent engines on the same question — `rcn-faults`' DFS vs
 //!   `rcn-mc`'s BFS for crashtest verdicts, `rcn-valency`'s budgeted
 //!   graph vs `rcn-mc`'s worklist fixpoint for valency facts, plus the
 //!   abstract↔threaded replay bridge for checker counterexamples — and
-//!   turn any disagreement into a hard error (see [`CrossCrashtest`],
-//!   [`CrossValency`]).
+//!   turn any disagreement into a hard error (see [`cross_crashtest`]).
 //!
-//! Entry points: [`Registry::with_defaults`], then
+//! Every lint is a plain function; one fixed table per family says which
+//! run and in what order. Entry points: [`Registry::with_defaults`], then
 //! [`Registry::lint_type`] / [`Registry::lint_system`]; the resulting
 //! [`Report`] knows how to render itself and whether it should fail a
 //! build ([`Report::should_fail`]).
@@ -53,13 +53,8 @@ mod program_lints;
 mod spec_lints;
 
 pub use cross_lints::{
-    check_replay_bridge, compare_crashtest_verdicts, compare_valency_verdicts, CrossCrashtest,
-    CrossValency,
+    check_replay_bridge, compare_crashtest_verdicts, compare_valency_verdicts, cross_crashtest,
 };
 pub use diag::{Diagnostic, Locus, LocusKind, Report, Severity};
 pub use explore::{explore_process, ExploreConfig, PanicSite, ProcessGraph};
-pub use lint::{ProgramLint, Registry, SpecLint};
-pub use program_lints::{AnalysisBound, DeadObjects, NoOutputPath, TransitionTotality};
-pub use spec_lints::{
-    Closedness, DeadResponses, DuplicateOps, IdempotentOps, Readability, UnreachableValues,
-};
+pub use lint::Registry;

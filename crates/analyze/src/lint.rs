@@ -1,117 +1,73 @@
-//! The lint traits and the default registry.
+//! The lint tables and the entry points that run them.
 //!
-//! A lint is a small, named check with a stable `RCN0xx`/`RCN1xx` code.
-//! [`Registry::with_defaults`] wires up every built-in lint; callers then
-//! use [`Registry::lint_type`] for sequential specifications and
-//! [`Registry::lint_system`] for protocol programs.
+//! A lint is a plain function with a stable `RCN0xx`/`RCN1xx`/`RCN2xx`
+//! code. [`SPEC_LINTS`] and [`PROGRAM_LINTS`] are the only place that says
+//! which lints run and in what order; [`Registry::lint_type`] runs the
+//! first over a sequential specification and [`Registry::lint_system`]
+//! the second over a protocol program.
 
+use crate::cross_lints::{cross_crashtest, cross_valency, CRASHTEST_MAX_STATES};
 use crate::diag::Report;
 use crate::explore::{explore_process, ExploreConfig, ProcessGraph};
+use crate::program_lints::{analysis_bound, dead_objects, no_output_path, transition_totality};
+use crate::spec_lints::{
+    closedness, dead_responses, duplicate_ops, idempotent_ops, readability, unreachable_values,
+};
 use rcn_model::System;
 use rcn_obs::Tracer;
 use rcn_spec::ObjectType;
 
-/// A lint over a sequential specification ([`ObjectType`]).
-pub trait SpecLint {
-    /// Stable diagnostic code, e.g. `"RCN001"`.
-    fn code(&self) -> &'static str;
-    /// Short kebab-case name, e.g. `"closedness"`.
-    fn name(&self) -> &'static str;
-    /// One-line description of what the lint checks.
-    fn description(&self) -> &'static str;
-    /// Runs the lint, pushing diagnostics into `report`.
-    fn check(&self, ty: &dyn ObjectType, report: &mut Report);
-}
+/// A lint over a sequential specification: pushes its diagnostics.
+type SpecCheck = fn(&dyn ObjectType, &mut Report);
 
 /// A lint over a protocol program, given its per-process abstract state
-/// graphs.
-pub trait ProgramLint {
-    /// Stable diagnostic code, e.g. `"RCN101"`.
-    fn code(&self) -> &'static str;
-    /// Short kebab-case name, e.g. `"no-output-path"`.
-    fn name(&self) -> &'static str;
-    /// One-line description of what the lint checks.
-    fn description(&self) -> &'static str;
-    /// Runs the lint, pushing diagnostics into `report`.
-    fn check(
-        &self,
-        sys: &System,
-        graphs: &[ProcessGraph],
-        cfg: &ExploreConfig,
-        report: &mut Report,
-    );
-}
+/// graphs: pushes its diagnostics.
+type ProgramCheck = fn(&System, &[ProcessGraph], &mut Report);
 
-/// The set of lints to run, in order.
-pub struct Registry {
-    spec_lints: Vec<Box<dyn SpecLint>>,
-    program_lints: Vec<Box<dyn ProgramLint>>,
-}
+/// The spec lints, by code, in run order. `RCN001` runs first and, when it
+/// finds errors, stops the rest.
+const SPEC_LINTS: [(&str, SpecCheck); 6] = [
+    ("RCN001", closedness),
+    ("RCN002", unreachable_values),
+    ("RCN003", dead_responses),
+    ("RCN004", duplicate_ops),
+    ("RCN005", readability),
+    ("RCN006", idempotent_ops),
+];
+
+/// The program lints, by code, in run order. `RCN200` runs the crash
+/// explorer and the BFS checker once and also emits crash divergence
+/// (`RCN104`), the budget-clip warning (`RCN202`) and the replay-bridge
+/// verdict (`RCN203`); `RCN201` also emits `RCN202`.
+const PROGRAM_LINTS: [(&str, ProgramCheck); 6] = [
+    ("RCN100", analysis_bound),
+    ("RCN101", no_output_path),
+    ("RCN102", transition_totality),
+    ("RCN103", dead_objects),
+    ("RCN200", |sys, graphs, report| {
+        cross_crashtest(sys, graphs, CRASHTEST_MAX_STATES, report)
+    }),
+    ("RCN201", cross_valency),
+];
+
+/// Runs the lint tables. It holds no state: every registry runs the same
+/// lints in the same order.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Registry;
 
 impl Registry {
-    /// An empty registry with no lints.
-    pub fn new() -> Self {
-        Registry {
-            spec_lints: Vec::new(),
-            program_lints: Vec::new(),
-        }
-    }
-
     /// The full built-in lint set: `RCN001`–`RCN006` over specifications,
     /// `RCN100`–`RCN104` over programs, and the `RCN200`–`RCN203`
-    /// differential cross-checks. The `RCN200` lint runs the crash explorer
-    /// and the BFS checker once and also emits crash divergence (`RCN104`)
-    /// and the replay-bridge verdict (`RCN203`); the budget-clip warning
-    /// `RCN202` is emitted by the `RCN200`/`RCN201` lints, which own the
-    /// budgets.
+    /// differential cross-checks.
     pub fn with_defaults() -> Self {
-        let mut r = Registry::new();
-        r.register_spec(Box::new(crate::spec_lints::Closedness));
-        r.register_spec(Box::new(crate::spec_lints::UnreachableValues));
-        r.register_spec(Box::new(crate::spec_lints::DeadResponses));
-        r.register_spec(Box::new(crate::spec_lints::DuplicateOps));
-        r.register_spec(Box::new(crate::spec_lints::Readability));
-        r.register_spec(Box::new(crate::spec_lints::IdempotentOps));
-        r.register_program(Box::new(crate::program_lints::AnalysisBound));
-        r.register_program(Box::new(crate::program_lints::NoOutputPath));
-        r.register_program(Box::new(crate::program_lints::TransitionTotality));
-        r.register_program(Box::new(crate::program_lints::DeadObjects));
-        r.register_program(Box::new(crate::cross_lints::CrossCrashtest::default()));
-        r.register_program(Box::new(crate::cross_lints::CrossValency::default()));
-        r
-    }
-
-    /// Appends a specification lint.
-    pub fn register_spec(&mut self, lint: Box<dyn SpecLint>) {
-        self.spec_lints.push(lint);
-    }
-
-    /// Appends a program lint.
-    pub fn register_program(&mut self, lint: Box<dyn ProgramLint>) {
-        self.program_lints.push(lint);
-    }
-
-    /// `(code, name, description)` for every registered lint, spec lints
-    /// first.
-    pub fn descriptions(&self) -> Vec<(&'static str, &'static str, &'static str)> {
-        let mut out: Vec<_> = self
-            .spec_lints
-            .iter()
-            .map(|l| (l.code(), l.name(), l.description()))
-            .collect();
-        out.extend(
-            self.program_lints
-                .iter()
-                .map(|l| (l.code(), l.name(), l.description())),
-        );
-        out
+        Registry
     }
 
     /// Lints a sequential specification.
     ///
-    /// Closedness (`RCN001`) gates the rest: if the table is not a valid
-    /// total specification, the structural lints would chase nonsense, so
-    /// they are skipped.
+    /// Runs `SPEC_LINTS` in order. Closedness (`RCN001`) gates the
+    /// rest: if the table is not a valid total specification, the
+    /// structural lints would chase nonsense, so they are skipped.
     pub fn lint_type(&self, ty: &dyn ObjectType) -> Report {
         self.lint_type_traced(ty, &Tracer::disabled())
     }
@@ -120,14 +76,14 @@ impl Registry {
     /// span per run, a `lint.spec_passes` counter per lint executed, and
     /// `lint.diagnostics` incremented per diagnostic produced.
     pub fn lint_type_traced(&self, ty: &dyn ObjectType, tracer: &Tracer) -> Report {
-        let _span = tracer.span_with("lint.type", self.spec_lints.len() as i64, &ty.name());
+        let _span = tracer.span_with("lint.type", SPEC_LINTS.len() as i64, &ty.name());
         let passes = tracer.counter("lint.spec_passes");
         let diags = tracer.counter("lint.diagnostics");
         let mut report = Report::new();
-        for lint in &self.spec_lints {
+        for (code, lint) in SPEC_LINTS {
             passes.incr();
-            lint.check(ty, &mut report);
-            if lint.code() == "RCN001" && report.errors() > 0 {
+            lint(ty, &mut report);
+            if code == "RCN001" && report.errors() > 0 {
                 break;
             }
         }
@@ -137,7 +93,8 @@ impl Registry {
     }
 
     /// Lints a protocol program by exploring each process's abstract
-    /// state graph once and handing the graphs to every program lint.
+    /// state graph once and handing the graphs to every program lint in
+    /// `PROGRAM_LINTS` order.
     pub fn lint_system(&self, sys: &System, cfg: &ExploreConfig) -> Report {
         self.lint_system_traced(sys, cfg, &Tracer::disabled())
     }
@@ -149,7 +106,7 @@ impl Registry {
     pub fn lint_system_traced(&self, sys: &System, cfg: &ExploreConfig, tracer: &Tracer) -> Report {
         let _span = tracer.span_with(
             "lint.system",
-            self.program_lints.len() as i64,
+            PROGRAM_LINTS.len() as i64,
             &sys.program().name(),
         );
         let graphs_counter = tracer.counter("lint.graphs_explored");
@@ -164,19 +121,13 @@ impl Registry {
             })
             .collect();
         let mut report = Report::new();
-        for lint in &self.program_lints {
+        for (_, lint) in PROGRAM_LINTS {
             passes.incr();
-            lint.check(sys, &graphs, cfg, &mut report);
+            lint(sys, &graphs, &mut report);
         }
         report.finish();
         diags.add(report.diagnostics.len() as u64);
         report
-    }
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::with_defaults()
     }
 }
 
@@ -186,11 +137,14 @@ mod tests {
 
     #[test]
     fn defaults_cover_all_codes() {
-        let r = Registry::with_defaults();
-        let codes: Vec<&str> = r.descriptions().iter().map(|(c, _, _)| *c).collect();
+        let codes: Vec<&str> = SPEC_LINTS
+            .iter()
+            .map(|(c, _)| *c)
+            .chain(PROGRAM_LINTS.iter().map(|(c, _)| *c))
+            .collect();
         // RCN104 and RCN203 (emitted by the RCN200 lint) and RCN202
-        // (emitted by the RCN200/RCN201 lints) are not registered
-        // separately, so they do not appear here.
+        // (emitted by the RCN200/RCN201 lints) have no table entry of
+        // their own, so they do not appear here.
         assert_eq!(
             codes,
             [

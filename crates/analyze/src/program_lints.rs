@@ -5,52 +5,33 @@
 //! keep a path to an output. These lints check those hypotheses on the
 //! abstract per-process state machine ([`crate::ProcessGraph`]). Crash
 //! divergence (`RCN104`) is read off the crash explorer's counterexample by
-//! the `RCN200` cross-check ([`crate::CrossCrashtest`]), which runs that
+//! the `RCN200` cross-check ([`crate::cross_crashtest`]), which runs that
 //! search anyway.
 
 use crate::diag::{Diagnostic, Locus, Report, Severity};
-use crate::explore::{ExploreConfig, ProcessGraph};
-use crate::lint::ProgramLint;
+use crate::explore::ProcessGraph;
 use rcn_model::{ObjectId, System};
 
-fn subject(sys: &System) -> String {
+/// The protocol's name, the subject of every program diagnostic.
+pub(crate) fn subject(sys: &System) -> String {
     sys.program().name()
 }
 
 /// `RCN100` — the exploration bound was hit; downstream results are
 /// partial.
-pub struct AnalysisBound;
-
-impl ProgramLint for AnalysisBound {
-    fn code(&self) -> &'static str {
-        "RCN100"
-    }
-    fn name(&self) -> &'static str {
-        "analysis-bound"
-    }
-    fn description(&self) -> &'static str {
-        "the bounded exploration was truncated; results are partial"
-    }
-    fn check(
-        &self,
-        sys: &System,
-        graphs: &[ProcessGraph],
-        _cfg: &ExploreConfig,
-        report: &mut Report,
-    ) {
-        for (i, g) in graphs.iter().enumerate() {
-            if g.truncated {
-                report.push(Diagnostic::new(
-                    self.code(),
-                    Severity::Info,
-                    Locus::program(subject(sys)),
-                    format!(
-                        "process p{i}: abstract state space exceeds the bound \
-                         ({} states explored); liveness lints are partial",
-                        g.states.len()
-                    ),
-                ));
-            }
+pub(crate) fn analysis_bound(sys: &System, graphs: &[ProcessGraph], report: &mut Report) {
+    for (i, g) in graphs.iter().enumerate() {
+        if g.truncated {
+            report.push(Diagnostic::new(
+                "RCN100",
+                Severity::Info,
+                Locus::program(subject(sys)),
+                format!(
+                    "process p{i}: abstract state space exceeds the bound \
+                     ({} states explored); liveness lints are partial",
+                    g.states.len()
+                ),
+            ));
         }
     }
 }
@@ -60,70 +41,51 @@ impl ProgramLint for AnalysisBound {
 /// Recoverable wait-freedom demands that a process running solo decides;
 /// a reachable local state with no path to any [`rcn_model::Action::Output`]
 /// (under feasible responses) is a liveness red flag.
-pub struct NoOutputPath;
-
-impl ProgramLint for NoOutputPath {
-    fn code(&self) -> &'static str {
-        "RCN101"
-    }
-    fn name(&self) -> &'static str {
-        "no-output-path"
-    }
-    fn description(&self) -> &'static str {
-        "reachable states with no path to any output state"
-    }
-    fn check(
-        &self,
-        sys: &System,
-        graphs: &[ProcessGraph],
-        _cfg: &ExploreConfig,
-        report: &mut Report,
-    ) {
-        for (i, g) in graphs.iter().enumerate() {
-            if g.truncated {
-                continue; // RCN100 reports the truncation
-            }
-            let stuck = g.states_without_output_path();
-            if stuck.is_empty() {
-                continue;
-            }
-            if g.output_states().is_empty() {
-                report.push(
-                    Diagnostic::new(
-                        self.code(),
-                        Severity::Warn,
-                        Locus::program(subject(sys)),
-                        format!(
-                            "process p{i} (input {}) can never reach an output state \
-                             ({} states explored)",
-                            g.input,
-                            g.states.len()
-                        ),
-                    )
-                    .with_suggestion("a recoverable wait-free program must decide in solo runs"),
-                );
-                continue;
-            }
-            let exemplar = &g.states[stuck[0]];
+pub(crate) fn no_output_path(sys: &System, graphs: &[ProcessGraph], report: &mut Report) {
+    for (i, g) in graphs.iter().enumerate() {
+        if g.truncated {
+            continue; // RCN100 reports the truncation
+        }
+        let stuck = g.states_without_output_path();
+        if stuck.is_empty() {
+            continue;
+        }
+        if g.output_states().is_empty() {
             report.push(
                 Diagnostic::new(
-                    self.code(),
+                    "RCN101",
                     Severity::Warn,
-                    Locus::state(subject(sys), exemplar.to_string()),
+                    Locus::program(subject(sys)),
                     format!(
-                        "process p{i} (input {}): {} of {} reachable states have no \
-                         path to an output, e.g. {exemplar}",
+                        "process p{i} (input {}) can never reach an output state \
+                         ({} states explored)",
                         g.input,
-                        stuck.len(),
                         g.states.len()
                     ),
                 )
-                .with_suggestion(
-                    "check for retry loops that can spin forever under some response \
-                     sequence",
-                ),
+                .with_suggestion("a recoverable wait-free program must decide in solo runs"),
             );
+            continue;
         }
+        let exemplar = &g.states[stuck[0]];
+        report.push(
+            Diagnostic::new(
+                "RCN101",
+                Severity::Warn,
+                Locus::state(subject(sys), exemplar.to_string()),
+                format!(
+                    "process p{i} (input {}): {} of {} reachable states have no \
+                     path to an output, e.g. {exemplar}",
+                    g.input,
+                    stuck.len(),
+                    g.states.len()
+                ),
+            )
+            .with_suggestion(
+                "check for retry loops that can spin forever under some response \
+                 sequence",
+            ),
+        );
     }
 }
 
@@ -132,52 +94,33 @@ impl ProgramLint for NoOutputPath {
 /// `transition` must not panic for any response its invoked operation can
 /// actually return (and `action` must not panic at all): the §4 protocols
 /// assume total deterministic programs.
-pub struct TransitionTotality;
-
-impl ProgramLint for TransitionTotality {
-    fn code(&self) -> &'static str {
-        "RCN102"
-    }
-    fn name(&self) -> &'static str {
-        "transition-totality"
-    }
-    fn description(&self) -> &'static str {
-        "action/transition panics on reachable states and feasible responses"
-    }
-    fn check(
-        &self,
-        sys: &System,
-        graphs: &[ProcessGraph],
-        _cfg: &ExploreConfig,
-        report: &mut Report,
-    ) {
-        for (i, g) in graphs.iter().enumerate() {
-            for site in &g.panics {
-                let state = &g.states[site.state];
-                let message = match site.response {
-                    Some(r) => format!(
-                        "process p{i}: transition panics on feasible response {r} in \
-                         state {state}: {}",
-                        site.payload
-                    ),
-                    None => format!(
-                        "process p{i}: action fails in state {state}: {}",
-                        site.payload
-                    ),
-                };
-                report.push(
-                    Diagnostic::new(
-                        self.code(),
-                        Severity::Error,
-                        Locus::state(subject(sys), state.to_string()),
-                        message,
-                    )
-                    .with_suggestion(
-                        "make the program total for every response the invoked \
-                         operation can return",
-                    ),
-                );
-            }
+pub(crate) fn transition_totality(sys: &System, graphs: &[ProcessGraph], report: &mut Report) {
+    for (i, g) in graphs.iter().enumerate() {
+        for site in &g.panics {
+            let state = &g.states[site.state];
+            let message = match site.response {
+                Some(r) => format!(
+                    "process p{i}: transition panics on feasible response {r} in \
+                     state {state}: {}",
+                    site.payload
+                ),
+                None => format!(
+                    "process p{i}: action fails in state {state}: {}",
+                    site.payload
+                ),
+            };
+            report.push(
+                Diagnostic::new(
+                    "RCN102",
+                    Severity::Error,
+                    Locus::state(subject(sys), state.to_string()),
+                    message,
+                )
+                .with_suggestion(
+                    "make the program total for every response the invoked \
+                     operation can return",
+                ),
+            );
         }
     }
 }
@@ -187,59 +130,40 @@ impl ProgramLint for TransitionTotality {
 /// An object in the heap layout that no reachable state of any process
 /// ever invokes is dead weight in the layout (and often a sign that the
 /// plan builder and the program disagree).
-pub struct DeadObjects;
-
-impl ProgramLint for DeadObjects {
-    fn code(&self) -> &'static str {
-        "RCN103"
+pub(crate) fn dead_objects(sys: &System, graphs: &[ProcessGraph], report: &mut Report) {
+    if graphs.iter().any(|g| g.truncated) {
+        return; // partial graphs would produce false positives
     }
-    fn name(&self) -> &'static str {
-        "dead-object"
-    }
-    fn description(&self) -> &'static str {
-        "shared objects never accessed by any reachable state"
-    }
-    fn check(
-        &self,
-        sys: &System,
-        graphs: &[ProcessGraph],
-        _cfg: &ExploreConfig,
-        report: &mut Report,
-    ) {
-        if graphs.iter().any(|g| g.truncated) {
-            return; // partial graphs would produce false positives
+    let mut touched = vec![false; sys.layout().len()];
+    for g in graphs {
+        for obj in g.touched_objects() {
+            touched[obj.index()] = true;
         }
-        let mut touched = vec![false; sys.layout().len()];
-        for g in graphs {
-            for obj in g.touched_objects() {
-                touched[obj.index()] = true;
-            }
-        }
-        for (idx, hit) in touched.iter().enumerate() {
-            if !hit {
-                let id = ObjectId(idx as u16);
-                let layout = sys.layout();
-                report.push(
-                    Diagnostic::new(
-                        self.code(),
-                        Severity::Warn,
-                        Locus::object(
-                            subject(sys),
-                            format!(
-                                "{id} ({} : {})",
-                                layout.name(id),
-                                layout.object_type(id).name()
-                            ),
-                        ),
+    }
+    for (idx, hit) in touched.iter().enumerate() {
+        if !hit {
+            let id = ObjectId(idx as u16);
+            let layout = sys.layout();
+            report.push(
+                Diagnostic::new(
+                    "RCN103",
+                    Severity::Warn,
+                    Locus::object(
+                        subject(sys),
                         format!(
-                            "object {id} ({}) is never accessed by any reachable state \
-                             of any process",
-                            layout.name(id)
+                            "{id} ({} : {})",
+                            layout.name(id),
+                            layout.object_type(id).name()
                         ),
-                    )
-                    .with_suggestion("drop the object from the layout"),
-                );
-            }
+                    ),
+                    format!(
+                        "object {id} ({}) is never accessed by any reachable state \
+                         of any process",
+                        layout.name(id)
+                    ),
+                )
+                .with_suggestion("drop the object from the layout"),
+            );
         }
     }
 }
@@ -247,7 +171,7 @@ impl ProgramLint for DeadObjects {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::explore_process;
+    use crate::explore::{explore_process, ExploreConfig};
     use rcn_model::{Action, HeapLayout, LocalState, ProcessId, Program};
     use rcn_spec::Response;
     use std::sync::Arc;
@@ -294,7 +218,7 @@ mod tests {
             .map(|p| explore_process(&sys, p, &cfg))
             .collect();
         let mut report = Report::new();
-        NoOutputPath.check(&sys, &graphs, &cfg, &mut report);
+        no_output_path(&sys, &graphs, &mut report);
         assert_eq!(report.warnings(), 2);
         assert!(report.diagnostics[0]
             .message

@@ -9,7 +9,6 @@
 
 use crate::diag::{Diagnostic, Locus, Report, Severity};
 use crate::explore::silent_catch;
-use crate::lint::SpecLint;
 use rcn_spec::{ObjectType, OpId, Outcome, ValueId};
 
 /// A fully materialized, in-range transition table of a type — the common
@@ -27,7 +26,7 @@ impl Table {
     /// Captures the table if (and only if) the spec is closed: every
     /// in-range `apply` returns without panicking and yields an in-range
     /// outcome. Lints that need a closed table bail out on `None`;
-    /// [`Closedness`] reports the precise failures.
+    /// [`closedness`] reports the precise failures.
     fn capture(ty: &dyn ObjectType) -> Option<Table> {
         let (num_values, num_ops, num_responses) =
             (ty.num_values(), ty.num_ops(), ty.num_responses());
@@ -63,79 +62,66 @@ impl Table {
 /// `TableType::validate` checks the same property for tables; this lint
 /// checks it for any [`ObjectType`], including hand-written ones whose
 /// `apply` might panic.
-pub struct Closedness;
-
-impl SpecLint for Closedness {
-    fn code(&self) -> &'static str {
-        "RCN001"
+pub(crate) fn closedness(ty: &dyn ObjectType, report: &mut Report) {
+    let name = ty.name();
+    let (nv, no, nr) = (ty.num_values(), ty.num_ops(), ty.num_responses());
+    if nv == 0 || no == 0 {
+        report.push(
+            Diagnostic::new(
+                "RCN001",
+                Severity::Error,
+                Locus::ty(&name),
+                format!("type has {nv} values and {no} operations; both must be nonzero"),
+            )
+            .with_suggestion("a deterministic type needs at least one value and one operation"),
+        );
+        return;
     }
-    fn name(&self) -> &'static str {
-        "spec-closedness"
-    }
-    fn description(&self) -> &'static str {
-        "every (value, op) pair must yield an in-range outcome (§2 totality)"
-    }
-    fn check(&self, ty: &dyn ObjectType, report: &mut Report) {
-        let name = ty.name();
-        let (nv, no, nr) = (ty.num_values(), ty.num_ops(), ty.num_responses());
-        if nv == 0 || no == 0 {
-            report.push(
-                Diagnostic::new(
-                    self.code(),
-                    Severity::Error,
-                    Locus::ty(&name),
-                    format!("type has {nv} values and {no} operations; both must be nonzero"),
-                )
-                .with_suggestion("a deterministic type needs at least one value and one operation"),
-            );
-            return;
-        }
-        for v in 0..nv {
-            for op in 0..no {
-                let (value, op) = (ValueId(v as u16), OpId(op as u16));
-                let vn = ty.value_name(value);
-                let on = ty.op_name(op);
-                match silent_catch(|| ty.apply(value, op)) {
-                    Err(panic) => report.push(
-                        Diagnostic::new(
-                            self.code(),
-                            Severity::Error,
-                            Locus::cell(&name, &vn, &on),
-                            format!("apply({vn}, {on}) panicked: {panic}"),
-                        )
-                        .with_suggestion("apply must be total for all in-range values and ops"),
-                    ),
-                    Ok(out) => {
-                        if out.next.index() >= nv {
-                            report.push(
-                                Diagnostic::new(
-                                    self.code(),
-                                    Severity::Error,
-                                    Locus::cell(&name, &vn, &on),
-                                    format!(
-                                        "outcome of {on} on {vn} targets out-of-range value {} \
-                                         (type has {nv} values)",
-                                        out.next
-                                    ),
-                                )
-                                .with_suggestion("keep next-value ids below num_values"),
-                            );
-                        }
-                        if out.response.index() >= nr {
-                            report.push(
-                                Diagnostic::new(
-                                    self.code(),
-                                    Severity::Error,
-                                    Locus::cell(&name, &vn, &on),
-                                    format!(
-                                        "outcome of {on} on {vn} returns out-of-range response {} \
-                                         (type has {nr} responses)",
-                                        out.response
-                                    ),
-                                )
-                                .with_suggestion("keep response ids below num_responses"),
-                            );
-                        }
+    for v in 0..nv {
+        for op in 0..no {
+            let (value, op) = (ValueId(v as u16), OpId(op as u16));
+            let vn = ty.value_name(value);
+            let on = ty.op_name(op);
+            match silent_catch(|| ty.apply(value, op)) {
+                Err(panic) => report.push(
+                    Diagnostic::new(
+                        "RCN001",
+                        Severity::Error,
+                        Locus::cell(&name, &vn, &on),
+                        format!("apply({vn}, {on}) panicked: {panic}"),
+                    )
+                    .with_suggestion("apply must be total for all in-range values and ops"),
+                ),
+                Ok(out) => {
+                    if out.next.index() >= nv {
+                        report.push(
+                            Diagnostic::new(
+                                "RCN001",
+                                Severity::Error,
+                                Locus::cell(&name, &vn, &on),
+                                format!(
+                                    "outcome of {on} on {vn} targets out-of-range value {} \
+                                     (type has {nv} values)",
+                                    out.next
+                                ),
+                            )
+                            .with_suggestion("keep next-value ids below num_values"),
+                        );
+                    }
+                    if out.response.index() >= nr {
+                        report.push(
+                            Diagnostic::new(
+                                "RCN001",
+                                Severity::Error,
+                                Locus::cell(&name, &vn, &on),
+                                format!(
+                                    "outcome of {on} on {vn} returns out-of-range response {} \
+                                     (type has {nr} responses)",
+                                    out.response
+                                ),
+                            )
+                            .with_suggestion("keep response ids below num_responses"),
+                        );
                     }
                 }
             }
@@ -152,70 +138,57 @@ impl SpecLint for Closedness {
 /// other value transitions into) are the only plausible initial values; if
 /// every value has a predecessor, reachability is checked from `v0` (the
 /// zoo's conventional initial value).
-pub struct UnreachableValues;
-
-impl SpecLint for UnreachableValues {
-    fn code(&self) -> &'static str {
-        "RCN002"
-    }
-    fn name(&self) -> &'static str {
-        "unreachable-value"
-    }
-    fn description(&self) -> &'static str {
-        "values unreachable from any source (candidate initial) value"
-    }
-    fn check(&self, ty: &dyn ObjectType, report: &mut Report) {
-        let Some(t) = Table::capture(ty) else { return };
-        // In-degree from *distinct* values: sources have none.
-        let mut has_pred = vec![false; t.num_values];
-        for (v, row) in t.cells.iter().enumerate() {
-            for out in row {
-                if out.next.index() != v {
-                    has_pred[out.next.index()] = true;
-                }
+pub(crate) fn unreachable_values(ty: &dyn ObjectType, report: &mut Report) {
+    let Some(t) = Table::capture(ty) else { return };
+    // In-degree from *distinct* values: sources have none.
+    let mut has_pred = vec![false; t.num_values];
+    for (v, row) in t.cells.iter().enumerate() {
+        for out in row {
+            if out.next.index() != v {
+                has_pred[out.next.index()] = true;
             }
         }
-        let mut frontier: Vec<usize> = (0..t.num_values).filter(|&v| !has_pred[v]).collect();
-        if frontier.is_empty() {
-            frontier.push(0); // every value is in a cycle: start from v0
-        }
-        let starts = frontier.clone();
-        let mut reached = vec![false; t.num_values];
-        for &s in &frontier {
-            reached[s] = true;
-        }
-        while let Some(v) = frontier.pop() {
-            for out in &t.cells[v] {
-                if !reached[out.next.index()] {
-                    reached[out.next.index()] = true;
-                    frontier.push(out.next.index());
-                }
+    }
+    let mut frontier: Vec<usize> = (0..t.num_values).filter(|&v| !has_pred[v]).collect();
+    if frontier.is_empty() {
+        frontier.push(0); // every value is in a cycle: start from v0
+    }
+    let starts = frontier.clone();
+    let mut reached = vec![false; t.num_values];
+    for &s in &frontier {
+        reached[s] = true;
+    }
+    while let Some(v) = frontier.pop() {
+        for out in &t.cells[v] {
+            if !reached[out.next.index()] {
+                reached[out.next.index()] = true;
+                frontier.push(out.next.index());
             }
         }
-        let start_names: Vec<String> = starts
-            .iter()
-            .map(|&v| ty.value_name(ValueId(v as u16)))
-            .collect();
-        for (v, seen) in reached.iter().enumerate().take(t.num_values) {
-            if !seen {
-                let vn = ty.value_name(ValueId(v as u16));
-                report.push(
-                    Diagnostic::new(
-                        self.code(),
-                        Severity::Warn,
-                        Locus::value(&t.name, &vn),
-                        format!(
-                            "value {vn} is unreachable from every candidate initial value \
-                             ({})",
-                            start_names.join(", ")
-                        ),
-                    )
-                    .with_suggestion(
-                        "remove the value, or add a transition that reaches it; \
-                         unreachable values only inflate the decider instance space",
+    }
+    let start_names: Vec<String> = starts
+        .iter()
+        .map(|&v| ty.value_name(ValueId(v as u16)))
+        .collect();
+    for (v, seen) in reached.iter().enumerate().take(t.num_values) {
+        if !seen {
+            let vn = ty.value_name(ValueId(v as u16));
+            report.push(
+                Diagnostic::new(
+                    "RCN002",
+                    Severity::Warn,
+                    Locus::value(&t.name, &vn),
+                    format!(
+                        "value {vn} is unreachable from every candidate initial value \
+                         ({})",
+                        start_names.join(", ")
                     ),
-                );
-            }
+                )
+                .with_suggestion(
+                    "remove the value, or add a transition that reaches it; \
+                     unreachable values only inflate the decider instance space",
+                ),
+            );
         }
     }
 }
@@ -227,46 +200,33 @@ impl SpecLint for UnreachableValues {
 /// oversizes its `op_R` value-report space) but worth surfacing, because
 /// the discerning/recording analyses size their per-response structures by
 /// `num_responses`.
-pub struct DeadResponses;
-
-impl SpecLint for DeadResponses {
-    fn code(&self) -> &'static str {
-        "RCN003"
-    }
-    fn name(&self) -> &'static str {
-        "dead-response"
-    }
-    fn description(&self) -> &'static str {
-        "response ids that no operation ever returns"
-    }
-    fn check(&self, ty: &dyn ObjectType, report: &mut Report) {
-        let Some(t) = Table::capture(ty) else { return };
-        let mut live = vec![false; t.num_responses];
-        for row in &t.cells {
-            for out in row {
-                live[out.response.index()] = true;
-            }
+pub(crate) fn dead_responses(ty: &dyn ObjectType, report: &mut Report) {
+    let Some(t) = Table::capture(ty) else { return };
+    let mut live = vec![false; t.num_responses];
+    for row in &t.cells {
+        for out in row {
+            live[out.response.index()] = true;
         }
-        let dead: Vec<String> = (0..t.num_responses)
-            .filter(|&r| !live[r])
-            .map(|r| ty.response_name(rcn_spec::Response(r as u16)))
-            .collect();
-        if !dead.is_empty() {
-            report.push(
-                Diagnostic::new(
-                    self.code(),
-                    Severity::Info,
-                    Locus::response(&t.name, dead.join(", ")),
-                    format!(
-                        "{} of {} declared responses are never returned: {}",
-                        dead.len(),
-                        t.num_responses,
-                        dead.join(", ")
-                    ),
-                )
-                .with_suggestion("shrink num_responses if the gap is unintentional"),
-            );
-        }
+    }
+    let dead: Vec<String> = (0..t.num_responses)
+        .filter(|&r| !live[r])
+        .map(|r| ty.response_name(rcn_spec::Response(r as u16)))
+        .collect();
+    if !dead.is_empty() {
+        report.push(
+            Diagnostic::new(
+                "RCN003",
+                Severity::Info,
+                Locus::response(&t.name, dead.join(", ")),
+                format!(
+                    "{} of {} declared responses are never returned: {}",
+                    dead.len(),
+                    t.num_responses,
+                    dead.join(", ")
+                ),
+            )
+            .with_suggestion("shrink num_responses if the gap is unintentional"),
+        );
     }
 }
 
@@ -278,41 +238,28 @@ impl SpecLint for DeadResponses {
 /// op-multiset instance space. Info, not warn: legitimate full-grid
 /// families contain duplicates by construction (every `cas(v,v)` of
 /// compare-and-swap is the read).
-pub struct DuplicateOps;
-
-impl SpecLint for DuplicateOps {
-    fn code(&self) -> &'static str {
-        "RCN004"
-    }
-    fn name(&self) -> &'static str {
-        "duplicate-op"
-    }
-    fn description(&self) -> &'static str {
-        "operations indistinguishable from an earlier operation"
-    }
-    fn check(&self, ty: &dyn ObjectType, report: &mut Report) {
-        let Some(t) = Table::capture(ty) else { return };
-        for j in 1..t.num_ops {
-            for i in 0..j {
-                if (0..t.num_values).all(|v| t.cells[v][i] == t.cells[v][j]) {
-                    let (oi, oj) = (ty.op_name(OpId(i as u16)), ty.op_name(OpId(j as u16)));
-                    report.push(
-                        Diagnostic::new(
-                            self.code(),
-                            Severity::Info,
-                            Locus::op(&t.name, &oj),
-                            format!(
-                                "operation {oj} is indistinguishable from {oi}: identical \
-                                 response and next value on every value"
-                            ),
-                        )
-                        .with_suggestion(
-                            "drop one duplicate; it cannot affect consensus numbers but \
-                             inflates every op-multiset enumeration",
+pub(crate) fn duplicate_ops(ty: &dyn ObjectType, report: &mut Report) {
+    let Some(t) = Table::capture(ty) else { return };
+    for j in 1..t.num_ops {
+        for i in 0..j {
+            if (0..t.num_values).all(|v| t.cells[v][i] == t.cells[v][j]) {
+                let (oi, oj) = (ty.op_name(OpId(i as u16)), ty.op_name(OpId(j as u16)));
+                report.push(
+                    Diagnostic::new(
+                        "RCN004",
+                        Severity::Info,
+                        Locus::op(&t.name, &oj),
+                        format!(
+                            "operation {oj} is indistinguishable from {oi}: identical \
+                             response and next value on every value"
                         ),
-                    );
-                    break; // one report per duplicated op
-                }
+                    )
+                    .with_suggestion(
+                        "drop one duplicate; it cannot affect consensus numbers but \
+                         inflates every op-multiset enumeration",
+                    ),
+                );
+                break; // one report per duplicated op
             }
         }
     }
@@ -324,95 +271,82 @@ impl SpecLint for DuplicateOps {
 /// types. This lint certifies readability with an explicit witness (the
 /// read operation and its value↦response table) or refutes it with, per
 /// operation, a concrete mutation or an indistinguishable value pair.
-pub struct Readability;
-
-impl SpecLint for Readability {
-    fn code(&self) -> &'static str {
-        "RCN005"
-    }
-    fn name(&self) -> &'static str {
-        "readability"
-    }
-    fn description(&self) -> &'static str {
-        "certify or refute readability with explicit witnesses (Theorem 14)"
-    }
-    fn check(&self, ty: &dyn ObjectType, report: &mut Report) {
-        let Some(t) = Table::capture(ty) else { return };
-        // A read op: never mutates, responses injective on values.
-        for op in 0..t.num_ops {
-            if (0..t.num_values).all(|v| t.cells[v][op].next.index() == v) {
-                let mut seen = vec![None; t.num_responses];
-                let injective = (0..t.num_values).all(|v| {
-                    let r = t.cells[v][op].response.index();
-                    seen[r].replace(v).is_none()
-                });
-                if injective {
-                    let on = ty.op_name(OpId(op as u16));
-                    let witness: Vec<String> = (0..t.num_values)
-                        .map(|v| {
-                            format!(
-                                "{}↦{}",
-                                ty.value_name(ValueId(v as u16)),
-                                ty.response_name(t.cells[v][op].response)
-                            )
-                        })
-                        .collect();
-                    report.push(Diagnostic::new(
-                        self.code(),
-                        Severity::Info,
-                        Locus::op(&t.name, &on),
-                        format!(
-                            "certified readable: {on} never mutates and identifies every \
-                             value ({})",
-                            witness.join(", ")
-                        ),
-                    ));
-                    return;
-                }
-            }
-        }
-        // Not readable: refute each operation with a concrete obstruction.
-        let mut reasons = Vec::new();
-        for op in 0..t.num_ops.min(4) {
-            let on = ty.op_name(OpId(op as u16));
-            if let Some(v) = (0..t.num_values).find(|&v| t.cells[v][op].next.index() != v) {
-                reasons.push(format!(
-                    "{on} mutates {}→{}",
-                    ty.value_name(ValueId(v as u16)),
-                    ty.value_name(t.cells[v][op].next)
-                ));
-                continue;
-            }
-            let mut by_resp = vec![None; t.num_responses];
-            for v in 0..t.num_values {
+pub(crate) fn readability(ty: &dyn ObjectType, report: &mut Report) {
+    let Some(t) = Table::capture(ty) else { return };
+    // A read op: never mutates, responses injective on values.
+    for op in 0..t.num_ops {
+        if (0..t.num_values).all(|v| t.cells[v][op].next.index() == v) {
+            let mut seen = vec![None; t.num_responses];
+            let injective = (0..t.num_values).all(|v| {
                 let r = t.cells[v][op].response.index();
-                if let Some(w) = by_resp[r].replace(v) {
-                    reasons.push(format!(
-                        "{on} cannot distinguish {} from {} (both return {})",
-                        ty.value_name(ValueId(w as u16)),
-                        ty.value_name(ValueId(v as u16)),
-                        ty.response_name(t.cells[v][op].response)
-                    ));
-                    break;
-                }
+                seen[r].replace(v).is_none()
+            });
+            if injective {
+                let on = ty.op_name(OpId(op as u16));
+                let witness: Vec<String> = (0..t.num_values)
+                    .map(|v| {
+                        format!(
+                            "{}↦{}",
+                            ty.value_name(ValueId(v as u16)),
+                            ty.response_name(t.cells[v][op].response)
+                        )
+                    })
+                    .collect();
+                report.push(Diagnostic::new(
+                    "RCN005",
+                    Severity::Info,
+                    Locus::op(&t.name, &on),
+                    format!(
+                        "certified readable: {on} never mutates and identifies every \
+                         value ({})",
+                        witness.join(", ")
+                    ),
+                ));
+                return;
             }
         }
-        if t.num_ops > 4 {
-            reasons.push(format!("… and {} more operations", t.num_ops - 4));
-        }
-        report.push(
-            Diagnostic::new(
-                self.code(),
-                Severity::Info,
-                Locus::ty(&t.name),
-                format!("not readable: {}", reasons.join("; ")),
-            )
-            .with_suggestion(
-                "Theorem 14 (RCN = recording number) does not apply; use the deciders' \
-                 recording bound directly, or augment the type with +read",
-            ),
-        );
     }
+    // Not readable: refute each operation with a concrete obstruction.
+    let mut reasons = Vec::new();
+    for op in 0..t.num_ops.min(4) {
+        let on = ty.op_name(OpId(op as u16));
+        if let Some(v) = (0..t.num_values).find(|&v| t.cells[v][op].next.index() != v) {
+            reasons.push(format!(
+                "{on} mutates {}→{}",
+                ty.value_name(ValueId(v as u16)),
+                ty.value_name(t.cells[v][op].next)
+            ));
+            continue;
+        }
+        let mut by_resp = vec![None; t.num_responses];
+        for v in 0..t.num_values {
+            let r = t.cells[v][op].response.index();
+            if let Some(w) = by_resp[r].replace(v) {
+                reasons.push(format!(
+                    "{on} cannot distinguish {} from {} (both return {})",
+                    ty.value_name(ValueId(w as u16)),
+                    ty.value_name(ValueId(v as u16)),
+                    ty.response_name(t.cells[v][op].response)
+                ));
+                break;
+            }
+        }
+    }
+    if t.num_ops > 4 {
+        reasons.push(format!("… and {} more operations", t.num_ops - 4));
+    }
+    report.push(
+        Diagnostic::new(
+            "RCN005",
+            Severity::Info,
+            Locus::ty(&t.name),
+            format!("not readable: {}", reasons.join("; ")),
+        )
+        .with_suggestion(
+            "Theorem 14 (RCN = recording number) does not apply; use the deciders' \
+             recording bound directly, or augment the type with +read",
+        ),
+    );
 }
 
 /// `RCN006` — crash-idempotent operations.
@@ -421,64 +355,51 @@ impl SpecLint for Readability {
 /// operation. Operations that are idempotent on values (`f(f(v)) = f(v)`)
 /// cannot push the object further on re-application — the structural
 /// property that makes crash-retry benign in Golab-style arguments.
-pub struct IdempotentOps;
-
-impl SpecLint for IdempotentOps {
-    fn code(&self) -> &'static str {
-        "RCN006"
-    }
-    fn name(&self) -> &'static str {
-        "idempotent-op"
-    }
-    fn description(&self) -> &'static str {
-        "operations that are idempotent on values (crash-retry safe)"
-    }
-    fn check(&self, ty: &dyn ObjectType, report: &mut Report) {
-        let Some(t) = Table::capture(ty) else { return };
-        let mut fully = Vec::new();
-        let mut value_only = Vec::new();
-        for op in 0..t.num_ops {
-            let idem_values = (0..t.num_values).all(|v| {
-                let once = t.cells[v][op];
-                t.cells[once.next.index()][op].next == once.next
-            });
-            if !idem_values {
-                continue;
-            }
-            let idem_responses = (0..t.num_values).all(|v| {
-                let once = t.cells[v][op];
-                t.cells[once.next.index()][op].response == once.response
-            });
-            let on = ty.op_name(OpId(op as u16));
-            if idem_responses {
-                fully.push(on);
-            } else {
-                value_only.push(on);
-            }
+pub(crate) fn idempotent_ops(ty: &dyn ObjectType, report: &mut Report) {
+    let Some(t) = Table::capture(ty) else { return };
+    let mut fully = Vec::new();
+    let mut value_only = Vec::new();
+    for op in 0..t.num_ops {
+        let idem_values = (0..t.num_values).all(|v| {
+            let once = t.cells[v][op];
+            t.cells[once.next.index()][op].next == once.next
+        });
+        if !idem_values {
+            continue;
         }
-        if !fully.is_empty() {
-            report.push(Diagnostic::new(
-                self.code(),
-                Severity::Info,
-                Locus::ty(&t.name),
-                format!(
-                    "crash-retry safe (idempotent in value and response): {}",
-                    fully.join(", ")
-                ),
-            ));
+        let idem_responses = (0..t.num_values).all(|v| {
+            let once = t.cells[v][op];
+            t.cells[once.next.index()][op].response == once.response
+        });
+        let on = ty.op_name(OpId(op as u16));
+        if idem_responses {
+            fully.push(on);
+        } else {
+            value_only.push(on);
         }
-        if !value_only.is_empty() {
-            report.push(Diagnostic::new(
-                self.code(),
-                Severity::Info,
-                Locus::ty(&t.name),
-                format!(
-                    "idempotent on values but not responses (re-application keeps the \
-                     object, may answer differently): {}",
-                    value_only.join(", ")
-                ),
-            ));
-        }
+    }
+    if !fully.is_empty() {
+        report.push(Diagnostic::new(
+            "RCN006",
+            Severity::Info,
+            Locus::ty(&t.name),
+            format!(
+                "crash-retry safe (idempotent in value and response): {}",
+                fully.join(", ")
+            ),
+        ));
+    }
+    if !value_only.is_empty() {
+        report.push(Diagnostic::new(
+            "RCN006",
+            Severity::Info,
+            Locus::ty(&t.name),
+            format!(
+                "idempotent on values but not responses (re-application keeps the \
+                 object, may answer differently): {}",
+                value_only.join(", ")
+            ),
+        ));
     }
 }
 
@@ -488,9 +409,9 @@ mod tests {
     use rcn_spec::zoo::{BoundedQueue, Register, StickyBit, TestAndSet, Tnn};
     use rcn_spec::Response;
 
-    fn run(lint: &dyn SpecLint, ty: &dyn ObjectType) -> Report {
+    fn run(lint: fn(&dyn ObjectType, &mut Report), ty: &dyn ObjectType) -> Report {
         let mut r = Report::new();
-        lint.check(ty, &mut r);
+        lint(ty, &mut r);
         r
     }
 
@@ -517,9 +438,9 @@ mod tests {
 
     #[test]
     fn closedness_accepts_the_zoo_and_flags_panics() {
-        assert_eq!(run(&Closedness, &TestAndSet::new()).errors(), 0);
-        assert_eq!(run(&Closedness, &Tnn::new(5, 2)).errors(), 0);
-        let r = run(&Closedness, &Panicky);
+        assert_eq!(run(closedness, &TestAndSet::new()).errors(), 0);
+        assert_eq!(run(closedness, &Tnn::new(5, 2)).errors(), 0);
+        let r = run(closedness, &Panicky);
         assert_eq!(r.errors(), 1);
         assert!(r.diagnostics[0].message.contains("panicked"));
     }
@@ -533,13 +454,13 @@ mod tests {
         b.set(1, 0, Outcome::new(Response(0), ValueId(2)));
         b.set(2, 0, Outcome::new(Response(0), ValueId(1)));
         let t = b.build().unwrap();
-        let r = run(&UnreachableValues, &t);
+        let r = run(unreachable_values, &t);
         assert_eq!(r.warnings(), 2);
         assert!(r.diagnostics[0].message.contains("unreachable"));
         // The zoo is clean.
-        assert_eq!(run(&UnreachableValues, &StickyBit::new()).warnings(), 0);
-        assert_eq!(run(&UnreachableValues, &Register::new(3)).warnings(), 0);
-        assert_eq!(run(&UnreachableValues, &Tnn::new(5, 2)).warnings(), 0);
+        assert_eq!(run(unreachable_values, &StickyBit::new()).warnings(), 0);
+        assert_eq!(run(unreachable_values, &Register::new(3)).warnings(), 0);
+        assert_eq!(run(unreachable_values, &Tnn::new(5, 2)).warnings(), 0);
     }
 
     #[test]
@@ -547,11 +468,11 @@ mod tests {
         let mut b = rcn_spec::TableType::builder("gappy", 1, 1, 3);
         b.set(0, 0, Outcome::new(Response(2), ValueId(0)));
         let t = b.build().unwrap();
-        let r = run(&DeadResponses, &t);
+        let r = run(dead_responses, &t);
         assert_eq!(r.count(Severity::Info), 1);
         assert!(r.diagnostics[0].message.contains("never returned"));
         // T_{5,2} deliberately oversizes op_R's report space: info, not warn.
-        let r = run(&DeadResponses, &Tnn::new(5, 2));
+        let r = run(dead_responses, &Tnn::new(5, 2));
         assert_eq!(r.warnings(), 0);
     }
 
@@ -564,29 +485,29 @@ mod tests {
             }
         }
         let t = b.build().unwrap();
-        let r = run(&DuplicateOps, &t);
+        let r = run(duplicate_ops, &t);
         assert_eq!(r.count(Severity::Info), 1);
         assert!(r.diagnostics[0].message.contains("indistinguishable"));
         assert_eq!(
-            run(&DuplicateOps, &Register::new(3)).count(Severity::Info),
+            run(duplicate_ops, &Register::new(3)).count(Severity::Info),
             0
         );
     }
 
     #[test]
     fn readability_certifies_and_refutes() {
-        let r = run(&Readability, &TestAndSet::new());
+        let r = run(readability, &TestAndSet::new());
         assert_eq!(r.count(Severity::Info), 1);
         assert!(r.diagnostics[0].message.contains("certified readable"));
-        let r = run(&Readability, &BoundedQueue::new(2, 2));
+        let r = run(readability, &BoundedQueue::new(2, 2));
         assert!(r.diagnostics[0].message.contains("not readable"));
-        let r = run(&Readability, &Tnn::new(5, 2));
+        let r = run(readability, &Tnn::new(5, 2));
         assert!(r.diagnostics[0].message.contains("not readable"));
     }
 
     #[test]
     fn idempotence_covers_register_writes() {
-        let r = run(&IdempotentOps, &Register::new(2));
+        let r = run(idempotent_ops, &Register::new(2));
         let text = r.render_text();
         assert!(text.contains("crash-retry safe"));
     }

@@ -466,11 +466,6 @@ fn rcn202_budget_clip_is_pinned() {
     // A state cap of 3 clips both engines on any real protocol: the
     // comparison must be skipped with a warning, never trusted.
     let sys = rcn_protocols::TasConsensus::system(vec![0, 1]);
-    let lint = rcn_analyze::CrossCrashtest {
-        max_crashes: 1,
-        max_depth: 10,
-        max_states: 3,
-    };
     let cfg = ExploreConfig::default();
     let graphs: Vec<_> = sys
         .processes()
@@ -478,8 +473,7 @@ fn rcn202_budget_clip_is_pinned() {
         .map(|pid| rcn_analyze::explore_process(&sys, pid, &cfg))
         .collect();
     let mut report = Report::new();
-    use rcn_analyze::ProgramLint;
-    lint.check(&sys, &graphs, &cfg, &mut report);
+    rcn_analyze::cross_crashtest(&sys, &graphs, 3, &mut report);
     report.finish();
     pin(
         &report,

@@ -53,39 +53,49 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs one command line, printing the verdict commands' output (also when
-/// they fail, e.g. on a counterexample) before returning.
+/// Runs one command line, printing its output (also when it fails, e.g.
+/// on a counterexample) before returning.
 fn run(args: &[String]) -> Result<(), String> {
     let mut out = String::new();
     let result = run_to(args, &mut out);
-    print!("{out}");
+    write_out(&mut std::io::stdout().lock(), &out)
+        .map_err(|e| format!("cannot write to stdout: {e}"))?;
     result
 }
 
-/// Runs one command line; the verdict commands append their output to
-/// `out` instead of printing it.
+/// Writes a command's output. A reader that has gone away (`rcn types |
+/// head -1`) is not an error: the command keeps its own exit status.
+fn write_out(w: &mut impl std::io::Write, out: &str) -> std::io::Result<()> {
+    match w.write_all(out.as_bytes()).and_then(|()| w.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        other => other,
+    }
+}
+
+/// Runs one command line; every command appends its output to `out`
+/// instead of printing it.
 fn run_to(args: &[String], out: &mut String) -> Result<(), String> {
     let mut args = args.iter().map(String::as_str);
     match args.next() {
         None | Some("help" | "--help" | "-h") => {
-            print!("{HELP}");
+            out.push_str(HELP);
             Ok(())
         }
         Some("types") => {
-            cmd_types();
+            cmd_types(out);
             Ok(())
         }
         Some("classify") => cmd_classify(&args.collect::<Vec<_>>(), out),
         Some("compare") => cmd_compare(&args.collect::<Vec<_>>(), out),
         Some("witness") => cmd_witness(&args.collect::<Vec<_>>(), out),
-        Some("dot") => cmd_dot(&args.collect::<Vec<_>>()),
-        Some("table") => cmd_table(&args.collect::<Vec<_>>()),
-        Some("solve") => cmd_solve(&args.collect::<Vec<_>>()),
-        Some("simulate-tnn") => cmd_simulate_tnn(&args.collect::<Vec<_>>()),
+        Some("dot") => cmd_dot(&args.collect::<Vec<_>>(), out),
+        Some("table") => cmd_table(&args.collect::<Vec<_>>(), out),
+        Some("solve") => cmd_solve(&args.collect::<Vec<_>>(), out),
+        Some("simulate-tnn") => cmd_simulate_tnn(&args.collect::<Vec<_>>(), out),
         Some("lint") => cmd_lint(&args.collect::<Vec<_>>(), out),
         Some("crashtest") => cmd_crashtest(&args.collect::<Vec<_>>(), out),
         Some("check") => cmd_check(&args.collect::<Vec<_>>(), out),
-        Some("profile") => cmd_profile(&args.collect::<Vec<_>>()),
+        Some("profile") => cmd_profile(&args.collect::<Vec<_>>(), out),
         Some(other) => Err(format!("unknown command `{other}`")),
     }
 }
@@ -144,26 +154,29 @@ observability (classify, compare, witness, lint, crashtest, check):
 
 /// Prints the type catalogue with per-type readability and size columns
 /// (parameterized entries are instantiated at their defaults).
-fn cmd_types() {
-    println!(
+fn cmd_types(out: &mut String) {
+    let _ = writeln!(
+        out,
         "{:<18} {:<8} {:>6} {:>4} {:>6}  description",
         "expression", "readable", "values", "ops", "resps"
     );
     for (expr, desc) in CATALOGUE {
         let base = expr.split([':', '+']).next().unwrap_or(expr);
-        match parse_type(base) {
-            Ok(ty) => println!(
+        let _ = match parse_type(base) {
+            Ok(ty) => writeln!(
+                out,
                 "{expr:<18} {:<8} {:>6} {:>4} {:>6}  {desc}",
                 if ty.is_readable() { "yes" } else { "no" },
                 ty.num_values(),
                 ty.num_ops(),
                 ty.num_responses()
             ),
-            Err(_) => println!(
+            Err(_) => writeln!(
+                out,
                 "{expr:<18} {:<8} {:>6} {:>4} {:>6}  {desc}",
                 "-", "-", "-", "-"
             ),
-        }
+        };
     }
 }
 
@@ -513,23 +526,23 @@ fn cmd_witness(args: &[&str], out: &mut String) -> Result<(), String> {
     finish(out, &parsed, "witness", &text, Vec::new(), &tracer)
 }
 
-fn cmd_dot(args: &[&str]) -> Result<(), String> {
+fn cmd_dot(args: &[&str], out: &mut String) -> Result<(), String> {
     let parsed = parse_args(args, &[], &["--self-loops"])?;
     let [spec] = parsed.positionals[..] else {
         return Err("usage: rcn dot <type> [--self-loops]".into());
     };
     let ty = parse_type(spec).map_err(|e| e.to_string())?;
-    print!("{}", to_dot(&*ty, parsed.has("--self-loops")));
+    out.push_str(&to_dot(&*ty, parsed.has("--self-loops")));
     Ok(())
 }
 
-fn cmd_table(args: &[&str]) -> Result<(), String> {
+fn cmd_table(args: &[&str], out: &mut String) -> Result<(), String> {
     let parsed = parse_args(args, &[], &[])?;
     let [spec] = parsed.positionals[..] else {
         return Err("usage: rcn table <type>".into());
     };
     let ty = parse_type(spec).map_err(|e| e.to_string())?;
-    println!("{}", to_table_text(&*ty));
+    let _ = writeln!(out, "{}", to_table_text(&*ty));
     Ok(())
 }
 
@@ -545,7 +558,7 @@ fn parse_inputs_slice(items: &[&str]) -> Result<Vec<u32>, String> {
     Ok(inputs)
 }
 
-fn cmd_solve(args: &[&str]) -> Result<(), String> {
+fn cmd_solve(args: &[&str], out: &mut String) -> Result<(), String> {
     let parsed = parse_args(args, &[], &[])?;
     let (spec, rest) = parsed
         .positionals
@@ -554,13 +567,15 @@ fn cmd_solve(args: &[&str]) -> Result<(), String> {
     let inputs = parse_inputs_slice(rest)?;
     let ty = parse_type(spec).map_err(|e| e.to_string())?;
     let sys = rcn_core::solve_recoverable(ty, inputs).map_err(|e| e.to_string())?;
-    println!(
+    let _ = writeln!(
+        out,
         "built {} over {} shared objects",
         sys.program().name(),
         sys.layout().len()
     );
     let report = check_consensus(&sys, 50_000_000).map_err(|e| e.to_string())?;
-    println!(
+    let _ = writeln!(
+        out,
         "exhaustive verification ({} configurations): {}",
         report.configs, report.verdict
     );
@@ -571,7 +586,7 @@ fn cmd_solve(args: &[&str]) -> Result<(), String> {
     }
 }
 
-fn cmd_simulate_tnn(args: &[&str]) -> Result<(), String> {
+fn cmd_simulate_tnn(args: &[&str], out: &mut String) -> Result<(), String> {
     let pos = parse_args(args, &[], &[])?.positionals;
     if pos.len() < 3 {
         return Err("usage: rcn simulate-tnn <n> <n'> <input>…".into());
@@ -582,15 +597,16 @@ fn cmd_simulate_tnn(args: &[&str]) -> Result<(), String> {
     let procs = inputs.len();
     let sys = TnnRecoverable::try_system(n, n_prime, inputs).map_err(|e| e.to_string())?;
     let report = check_consensus(&sys, 50_000_000).map_err(|e| e.to_string())?;
-    println!(
+    let _ = writeln!(
+        out,
         "T_({n},{n_prime}) recoverable algorithm, {procs} processes: {} ({} configurations)",
         report.verdict, report.configs
     );
-    if procs <= n_prime {
-        println!("(≤ n' processes: the paper's Lemma 16 says this must be correct)");
+    out.push_str(if procs <= n_prime {
+        "(≤ n' processes: the paper's Lemma 16 says this must be correct)\n"
     } else {
-        println!("(> n' processes: Lemma 16 says a violation must exist)");
-    }
+        "(> n' processes: Lemma 16 says a violation must exist)\n"
+    });
     Ok(())
 }
 
@@ -1141,7 +1157,7 @@ fn cmd_check(args: &[&str], out: &mut String) -> Result<(), String> {
 /// `rcn profile <trace.jsonl>` — aggregate a `--trace` file into a
 /// per-span time breakdown: call counts, total and self time (total minus
 /// direct children), and exact p50/p99 per-call durations.
-fn cmd_profile(args: &[&str]) -> Result<(), String> {
+fn cmd_profile(args: &[&str], out: &mut String) -> Result<(), String> {
     let parsed = parse_args(args, &[], &["--json"])?;
     let [path] = parsed.positionals[..] else {
         return Err("usage: rcn profile <trace.jsonl> [--json]".into());
@@ -1154,10 +1170,10 @@ fn cmd_profile(args: &[&str]) -> Result<(), String> {
     }
     let report = ProfileReport::build(&events);
     if parsed.has("--json") {
-        println!("{}", report.to_json());
+        let _ = writeln!(out, "{}", report.to_json());
     } else {
-        println!("profile of {path} ({} trace rows)", events.len());
-        print!("{}", report.render_text());
+        let _ = writeln!(out, "profile of {path} ({} trace rows)", events.len());
+        out.push_str(&report.render_text());
     }
     Ok(())
 }
@@ -1170,6 +1186,12 @@ mod tests {
         items.iter().map(ToString::to_string).collect()
     }
 
+    /// The tests' `run`: `super::run` without its write to stdout, which
+    /// the test harness does not capture.
+    fn run(args: &[String]) -> Result<(), String> {
+        run_to(args, &mut String::new())
+    }
+
     /// A temp-dir path no other test (in this process or a concurrent
     /// one) uses: the pid and a per-process counter precede `tag`.
     pub(crate) fn scratch_path(tag: &str) -> std::path::PathBuf {
@@ -1177,6 +1199,38 @@ mod tests {
         static NEXT: AtomicUsize = AtomicUsize::new(0);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("rcn-cli-{}-{n}-{tag}", std::process::id()))
+    }
+
+    #[test]
+    fn every_command_writes_to_out() {
+        let mut out = String::new();
+        run_to(&s(&["types"]), &mut out).unwrap();
+        assert!(out.starts_with("expression"), "{out}");
+        assert!(out.lines().any(|l| l.starts_with("tas ")), "{out}");
+        for args in [&["help"][..], &["table", "tas"], &["dot", "tas"]] {
+            let mut out = String::new();
+            run_to(&s(args), &mut out).unwrap();
+            assert!(!out.is_empty(), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn a_reader_that_went_away_ends_the_write_quietly() {
+        /// A writer whose every write fails with `kind`.
+        struct Failing(std::io::ErrorKind);
+        impl std::io::Write for Failing {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(self.0.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let closed = &mut Failing(std::io::ErrorKind::BrokenPipe);
+        assert!(write_out(closed, "expression\n").is_ok());
+        // Any other write error still surfaces.
+        let full = &mut Failing(std::io::ErrorKind::StorageFull);
+        assert!(write_out(full, "expression\n").is_err());
     }
 
     #[test]
@@ -1517,6 +1571,21 @@ mod tests {
             assert_eq!(stats.counter("mc.states_visited"), Some(record.states));
             assert!(stats.counter("mc.frontier_peak") > Some(0));
         }
+        // The envelope's registry sums the records' counters over the
+        // three checks; the frontier peak is their maximum.
+        let over_records = |name: &str| -> Vec<u64> {
+            three
+                .records
+                .iter()
+                .map(|r| r.stats.as_ref().unwrap().counter(name).unwrap())
+                .collect()
+        };
+        for name in ["mc.states_visited", "mc.events_applied"] {
+            let sum: u64 = over_records(name).iter().sum();
+            assert_eq!(metrics.counter(name), Some(sum), "{name}");
+        }
+        let peak = over_records("mc.frontier_peak").into_iter().max();
+        assert_eq!(metrics.counter("mc.frontier_peak"), peak);
     }
 
     #[test]

@@ -464,76 +464,35 @@ fn team_mask(team: &[usize]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcn_model::{s_p_first_in, ProcessId};
-    use rcn_spec::apply_all;
+    use crate::brute::{r_set, u_set};
+    use crate::{Team, Witness};
     use rcn_spec::zoo::{FetchAndAdd, Register, TeamCounter, TestAndSet, Tnn};
     use std::collections::HashSet;
 
-    /// Brute-force U_x by enumerating S(P) schedules directly.
-    fn brute_value_set<T: ObjectType>(
-        ty: &T,
-        u: ValueId,
-        ops: &[OpId],
-        team: &[usize],
-    ) -> HashSet<usize> {
-        let procs: Vec<ProcessId> = (0..ops.len()).map(|i| ProcessId(i as u16)).collect();
-        let first: Vec<ProcessId> = team.iter().map(|&i| ProcessId(i as u16)).collect();
-        let mut out = HashSet::new();
-        for sched in s_p_first_in(&procs, &first) {
-            let seq: Vec<OpId> = sched
-                .iter()
-                .map(|e| ops[e.process().expect("S(P′) schedules are step-only").index()])
-                .collect();
-            let (_, v) = apply_all(ty, u, &seq);
-            out.insert(v.index());
-        }
-        out
-    }
-
-    /// Brute-force R_{x,j} by enumerating S(P) schedules directly.
-    fn brute_pair_set<T: ObjectType>(
-        ty: &T,
-        u: ValueId,
-        ops: &[OpId],
-        team: &[usize],
-        j: usize,
-    ) -> HashSet<(usize, usize)> {
-        let procs: Vec<ProcessId> = (0..ops.len()).map(|i| ProcessId(i as u16)).collect();
-        let first: Vec<ProcessId> = team.iter().map(|&i| ProcessId(i as u16)).collect();
-        let mut out = HashSet::new();
-        for sched in s_p_first_in(&procs, &first) {
-            if !sched.contains_process(ProcessId(j as u16)) {
-                continue;
-            }
-            let seq: Vec<OpId> = sched
-                .iter()
-                .map(|e| ops[e.process().expect("S(P′) schedules are step-only").index()])
-                .collect();
-            let (outs, v) = apply_all(ty, u, &seq);
-            let pos = sched
-                .iter()
-                .position(|e| e.process().map(ProcessId::index) == Some(j))
-                .expect("j in schedule");
-            out.insert((outs[pos].response.index(), v.index()));
-        }
-        out
-    }
-
+    /// Checks every singleton team against the brute-force oracle (unions
+    /// are trivially correct): process `f` alone on team `T0`, everyone
+    /// else on `T1`.
     fn check_against_brute<T: ObjectType>(ty: &T, u: ValueId, ops: &[OpId]) {
         let n = ops.len();
         let a = Analysis::new(ty, u, ops);
-        // Check every singleton team (unions are trivially correct).
         for f in 0..n {
+            let team_of = (0..n)
+                .map(|i| if i == f { Team::T0 } else { Team::T1 })
+                .collect();
+            let witness = Witness::new(u, team_of, ops.to_vec());
             let fast: HashSet<usize> = a.value_set(&[f]).iter().collect();
-            let brute = brute_value_set(ty, u, ops, &[f]);
-            assert_eq!(fast, brute, "U set mismatch, first={f}");
+            assert_eq!(
+                fast,
+                u_set(ty, &witness, Team::T0),
+                "U set mismatch, first={f}"
+            );
             for j in 0..n {
                 let fast: HashSet<(usize, usize)> = a
                     .pair_set(&[f], j)
                     .iter()
                     .map(|i| (i / ty.num_values(), i % ty.num_values()))
                     .collect();
-                let brute = brute_pair_set(ty, u, ops, &[f], j);
+                let brute = r_set(ty, &witness, Team::T0, j);
                 assert_eq!(fast, brute, "R set mismatch, first={f}, j={j}");
             }
         }

@@ -44,7 +44,7 @@ use rcn_model::{
     charge_crashes, event_enabled, Action, Configuration, Event, FaultModel, LocalState, ProcessId,
     Schedule, System, Violation,
 };
-use rcn_obs::{Counter, HistogramHandle, Tracer};
+use rcn_obs::{HistogramHandle, Tracer};
 use std::collections::HashMap;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -217,12 +217,10 @@ impl<'s> CrashExplorer<'s> {
     }
 
     /// Attaches a tracer: the exploration is bracketed in a
-    /// `crashtest.explore` span, the DFS maintains the
-    /// `crashtest.events_applied` / `crashtest.memo_hits` /
-    /// `crashtest.re_explored` counters and a `crashtest.depth` histogram
-    /// (one observation per newly visited state), a short-circuited run
-    /// adds its `crashtest.resumed_states`, and the final [`ExplorerStats`]
-    /// are published as `crashtest.*` counters.
+    /// `crashtest.explore` span, the DFS maintains a `crashtest.depth`
+    /// histogram (one observation per newly visited state), and each
+    /// exploration adds its final [`ExplorerStats`] to the `crashtest.*`
+    /// counters once.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
@@ -296,9 +294,6 @@ impl<'s> CrashExplorer<'s> {
                 report.counterexample = report
                     .counterexample
                     .map(|cex| self.diagnosed(cex.schedule, cex.violation));
-                self.tracer
-                    .counter("crashtest.resumed_states")
-                    .add(report.stats.resumed_states);
                 self.publish(&report, &span);
                 return report;
             }
@@ -337,26 +332,24 @@ impl<'s> CrashExplorer<'s> {
         (search.stats, found)
     }
 
-    /// Publishes the final [`ExplorerStats`] as absolute `crashtest.*`
-    /// counters and records the counterexample (if any) as an event inside
-    /// the exploration span.
+    /// Adds the final [`ExplorerStats`] to the `crashtest.*` counters (a
+    /// flag counts the explorations that set it) and records the
+    /// counterexample (if any) as an event inside the exploration span.
     fn publish(&self, report: &CrashtestReport, span: &rcn_obs::Span) {
         if !self.tracer.enabled() {
             return;
         }
-        self.tracer
-            .set("crashtest.states_visited", report.stats.states_visited);
-        self.tracer.set(
-            "crashtest.depth_limited",
-            u64::from(report.stats.depth_limited),
-        );
-        self.tracer.set(
-            "crashtest.state_capped",
-            u64::from(report.stats.state_capped),
-        );
-        self.tracer
-            .set("crashtest.timed_out", u64::from(report.stats.timed_out));
-        self.tracer.set(
+        let stats = &report.stats;
+        let tracer = &self.tracer;
+        tracer.add("crashtest.states_visited", stats.states_visited);
+        tracer.add("crashtest.events_applied", stats.events_applied);
+        tracer.add("crashtest.memo_hits", stats.memo_hits);
+        tracer.add("crashtest.re_explored", stats.re_explored);
+        tracer.add("crashtest.resumed_states", stats.resumed_states);
+        tracer.add("crashtest.depth_limited", u64::from(stats.depth_limited));
+        tracer.add("crashtest.state_capped", u64::from(stats.state_capped));
+        tracer.add("crashtest.timed_out", u64::from(stats.timed_out));
+        tracer.add(
             "crashtest.counterexamples",
             u64::from(report.counterexample.is_some()),
         );
@@ -419,11 +412,8 @@ struct Search<'a> {
     visited: HashMap<MemoKey, usize>,
     path: Vec<Event>,
     stats: ExplorerStats,
-    /// Live instrument handles (no-ops under a disabled tracer), resolved
+    /// The live depth histogram (a no-op under a disabled tracer), resolved
     /// once so the hot loop never touches the registry's lock.
-    events: Counter,
-    memo_hits: Counter,
-    re_explored: Counter,
     depths: HistogramHandle,
     deadline: Option<Instant>,
     /// Each process's initial (and post-crash) local state, computed once
@@ -444,9 +434,6 @@ impl<'a> Search<'a> {
             visited: HashMap::new(),
             path: Vec::new(),
             stats: ExplorerStats::default(),
-            events: tracer.counter("crashtest.events_applied"),
-            memo_hits: tracer.counter("crashtest.memo_hits"),
-            re_explored: tracer.counter("crashtest.re_explored"),
             depths: tracer.histogram("crashtest.depth"),
             deadline,
             initial_states: system.initial_config().states,
@@ -538,7 +525,6 @@ impl<'a> Search<'a> {
             let mut next_config = frame.config.clone();
             let effect = self.system.apply(&mut next_config, event);
             self.stats.events_applied += 1;
-            self.events.incr();
             self.path.push(event);
             if let Some(violation) = effect.violation {
                 return Some(violation);
@@ -591,11 +577,9 @@ impl<'a> Search<'a> {
         if let Some(&explored) = self.visited.get(key) {
             if explored >= remaining {
                 self.stats.memo_hits += 1;
-                self.memo_hits.incr();
                 return MemoVerdict::Skip;
             }
             self.stats.re_explored += 1;
-            self.re_explored.incr();
         } else {
             // A genuinely fresh state: counts against the state cap.
             if self.stats.states_visited >= self.budget.max_states as u64 {

@@ -227,9 +227,9 @@ impl<'s> ModelChecker<'s> {
     }
 
     /// Attaches a tracer: the search is bracketed in an `mc.check` span,
-    /// the loop maintains `mc.events_applied` / `mc.dedup_hits` counters
-    /// and an `mc.depth` histogram (one observation per stored state), and
-    /// the final [`McStats`] are published as absolute `mc.*` counters.
+    /// the loop maintains an `mc.depth` histogram (one observation per
+    /// stored state), and each check adds its final [`McStats`] to the
+    /// `mc.*` counters once (`mc.frontier_peak` keeps the maximum).
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
@@ -246,8 +246,6 @@ impl<'s> ModelChecker<'s> {
                 self.config.max_crashes, self.config.max_states, self.config.fault_model
             ),
         );
-        let events_counter = self.tracer.counter("mc.events_applied");
-        let dedup_counter = self.tracer.counter("mc.dedup_hits");
         let depths = self.tracer.histogram("mc.depth");
 
         let mut stats = McStats::default();
@@ -317,7 +315,6 @@ impl<'s> ModelChecker<'s> {
                 next.clone_from(&keys[id]);
                 let effect = self.system.apply(&mut next.config, event);
                 stats.events_applied += 1;
-                events_counter.incr();
                 if let Some(violation) = effect.violation {
                     let mut schedule = self.schedule_to(&nodes, id);
                     schedule.push(event);
@@ -336,7 +333,6 @@ impl<'s> ModelChecker<'s> {
                 let digest = canonical_hash(&next);
                 if index.find(&keys, digest, &next).is_some() {
                     stats.dedup_hits += 1;
-                    dedup_counter.incr();
                     continue;
                 }
                 if nodes.len() >= self.config.max_states {
@@ -384,21 +380,23 @@ impl<'s> ModelChecker<'s> {
         Schedule::from_events(events)
     }
 
-    /// Publishes the final stats as absolute `mc.*` counters and records
-    /// the counterexample (if any) as an event inside the check span.
+    /// Adds the final stats to the `mc.*` counters (a flag counts the
+    /// checks that set it; `mc.frontier_peak` keeps the maximum) and
+    /// records the counterexample (if any) as an event inside the check
+    /// span.
     fn publish(&self, report: &McReport, span: &rcn_obs::Span) {
         if !self.tracer.enabled() {
             return;
         }
-        self.tracer
-            .set("mc.states_visited", report.stats.states_visited);
-        self.tracer
-            .set("mc.frontier_peak", report.stats.frontier_peak);
-        self.tracer
-            .set("mc.depth_clipped", u64::from(report.stats.depth_clipped));
-        self.tracer
-            .set("mc.state_clipped", u64::from(report.stats.state_clipped));
-        self.tracer.set(
+        let stats = &report.stats;
+        let tracer = &self.tracer;
+        tracer.add("mc.states_visited", stats.states_visited);
+        tracer.add("mc.events_applied", stats.events_applied);
+        tracer.add("mc.dedup_hits", stats.dedup_hits);
+        tracer.counter("mc.frontier_peak").max(stats.frontier_peak);
+        tracer.add("mc.depth_clipped", u64::from(stats.depth_clipped));
+        tracer.add("mc.state_clipped", u64::from(stats.state_clipped));
+        tracer.add(
             "mc.counterexamples",
             u64::from(report.counterexample.is_some()),
         );

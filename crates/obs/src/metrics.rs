@@ -44,6 +44,14 @@ impl Counter {
         self.add(1);
     }
 
+    /// Raises the value to `value` if it is larger (for high-water marks
+    /// published once per call).
+    pub fn max(&self, value: u64) {
+        if let Some(cell) = &self.cell {
+            cell.fetch_max(value, Ordering::Relaxed);
+        }
+    }
+
     /// Overwrites the value (for publishing externally-aggregated totals).
     pub fn set(&self, value: u64) {
         if let Some(cell) = &self.cell {

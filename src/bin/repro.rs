@@ -27,35 +27,52 @@ use rcn_spec::zoo::{
 };
 use rcn_spec::{ObjectType, OpId, Response};
 use rcn_valency::{check_consensus, theorem13_chain, BudgetedGraph, ConfigGraph, Valency};
+use std::io::{ErrorKind, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Optional tee target for `--out PATH`: everything the experiments print
 /// also lands here when set.
 static OUT_FILE: OnceLock<Mutex<std::fs::File>> = OnceLock::new();
 
-/// Like `print!`, teeing into the `--out` file when one is open.
-macro_rules! out {
-    ($($arg:tt)*) => {{
-        let text = format!($($arg)*);
-        std::print!("{text}");
-        if let Some(f) = crate::OUT_FILE.get() {
-            use std::io::Write as _;
-            let _ = write!(f.lock().expect("out file"), "{text}");
-        }
-    }};
+/// Set once stdout's reader has gone away (`repro fig3 | head -3`): the
+/// experiments still run and still tee into `--out`, but print nothing
+/// more, and the exit status is theirs.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes `text` to `w`: `false` when the reader has gone away.
+fn write_open(w: &mut impl Write, text: &str) -> bool {
+    match w.write_all(text.as_bytes()).and_then(|()| w.flush()) {
+        Ok(()) => true,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => false,
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
 }
 
-/// Like `println!`, teeing into the `--out` file when one is open.
+/// Prints `text` (until stdout's reader goes away), teeing it into the
+/// `--out` file when one is open.
+fn emit(text: &str) {
+    if !STDOUT_CLOSED.load(Ordering::Relaxed) && !write_open(&mut std::io::stdout().lock(), text) {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+    }
+    if let Some(f) = OUT_FILE.get() {
+        let _ = f.lock().expect("out file").write_all(text.as_bytes());
+    }
+}
+
+/// Like `print!`, through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        crate::emit(&format!($($arg)*))
+    };
+}
+
+/// Like `println!`, through [`emit`].
 macro_rules! outln {
-    () => { outln!("") };
-    ($($arg:tt)*) => {{
-        let text = format!($($arg)*);
-        std::println!("{text}");
-        if let Some(f) = crate::OUT_FILE.get() {
-            use std::io::Write as _;
-            let _ = writeln!(f.lock().expect("out file"), "{text}");
-        }
-    }};
+    () => { crate::emit("\n") };
+    ($($arg:tt)*) => {
+        crate::emit(&format!("{}\n", format_args!($($arg)*)))
+    };
 }
 
 /// The experiments by id, in the order they run.
@@ -571,6 +588,22 @@ mod tests {
         for ty in &zoo {
             assert!(ty.is_readable(), "{}", ty.name());
         }
+    }
+
+    #[test]
+    fn a_reader_that_went_away_stops_printing_quietly() {
+        /// A writer whose every write fails with a broken pipe.
+        struct Closed;
+        impl Write for Closed {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        assert!(!write_open(&mut Closed, "rcn repro\n"));
+        assert!(write_open(&mut Vec::new(), "rcn repro\n"));
     }
 
     #[test]
