@@ -1,14 +1,16 @@
-//! Pins what the deciders report for 19 types at cap 5: both levels, the
-//! cap flags, the witnesses, and the search counters of a sequential
+//! Pins what the deciders report for 19 types at cap 5, and for the
+//! benchmark's heavy `classify` keys at their benchmark caps: both levels,
+//! the cap flags, the witnesses, and the search counters of a sequential
 //! engine (analyses computed, cache hits, partitions tested, instances
 //! visited). A one-worker engine visits instances and partitions in a
-//! fixed order, so any change to how `Analysis` is stored or how a
-//! partition is tested must leave every line below bit-identical.
+//! fixed order, so any change to how `Analysis` is stored or built, or how
+//! a partition is tested, must leave every line below bit-identical.
 //!
-//! The types are the catalogue entries at their default parameters plus
-//! `queue+read`, `stack+read`, `tnn:4,2`, `team-counter:5`, `register:3`
-//! and `cas:4` (the `+read` forms are built as the CLI builds them, through
-//! the table normal form).
+//! The cap-5 types are the catalogue entries at their default parameters
+//! plus `queue+read`, `stack+read`, `tnn:4,2`, `team-counter:5`,
+//! `register:3` and `cas:4` (the `+read` forms are built as the CLI builds
+//! them, through the table normal form). The heavy keys reach levels 6 and
+//! 7; `xn:4` at cap 5 is the `xn` line of the first table.
 
 use rcn::decide::{LevelResult, SearchEngine};
 use rcn::shipped_xn;
@@ -60,9 +62,9 @@ fn level(r: &LevelResult) -> String {
 
 /// One line per type: `spec | discerning | recording | analyses computed,
 /// cache hits, partitions tested, instances visited`.
-fn fingerprint(spec: &str, ty: &Dyn) -> String {
+fn fingerprint(spec: &str, ty: &Dyn, cap: usize) -> String {
     let engine = SearchEngine::sequential();
-    let c = engine.classify(&**ty, CAP).expect("cap in range");
+    let c = engine.classify(&**ty, cap).expect("cap in range");
     let s = engine.stats();
     format!(
         "{spec} | D {} | R {} | {} {} {} {}",
@@ -101,10 +103,41 @@ const EXPECTED: &[&str] = &[
 fn decider_verdicts_witnesses_and_counters_are_pinned() {
     let actual: Vec<String> = types()
         .iter()
-        .map(|(spec, ty)| fingerprint(spec, ty))
+        .map(|(spec, ty)| fingerprint(spec, ty, CAP))
         .collect();
     assert_eq!(actual.len(), EXPECTED.len(), "one line per type");
     for (got, want) in actual.iter().zip(EXPECTED) {
+        assert_eq!(got, want);
+    }
+}
+
+/// The benchmark's heavy `classify` keys, each at its benchmark cap.
+fn heavy_types() -> Vec<(&'static str, Dyn, usize)> {
+    vec![
+        ("tnn:4,3", Box::new(Tnn::new(4, 3)), 5),
+        ("team-counter:5", Box::new(TeamCounter::new(5)), 6),
+        ("tnn:5,2", Box::new(Tnn::new(5, 2)), 6),
+        ("tnn:6,1", Box::new(Tnn::new(6, 1)), 7),
+        ("cas:3", Box::new(CompareAndSwap::new(3)), 6),
+    ]
+}
+
+const EXPECTED_HEAVY: &[&str] = &[
+    "@5 tnn:4,3 | D 4 u=v0 teams=[T0,T0,T0,T1] ops=[op0,op0,op0,op1] | R 3 u=v0 teams=[T0,T0,T1] ops=[op0,op0,op1] | 292 6 3385 298",
+    "@6 team-counter:5 | D 5 u=v0 teams=[T0,T0,T0,T0,T1] ops=[op0,op0,op0,op0,op1] | R 4 u=v0 teams=[T0,T0,T0,T1] ops=[op0,op0,op0,op1] | 496 8 11889 504",
+    "@6 tnn:5,2 | D 5 u=v0 teams=[T0,T0,T0,T0,T1] ops=[op0,op0,op0,op0,op1] | R 4 u=v0 teams=[T0,T0,T0,T1] ops=[op0,op0,op0,op1] | 496 8 11889 504",
+    "@7 tnn:6,1 | D 6 u=v0 teams=[T0,T0,T0,T0,T0,T1] ops=[op0,op0,op0,op0,op0,op1] | R 5 u=v0 teams=[T0,T0,T0,T0,T1] ops=[op0,op0,op0,op0,op1] | 776 10 37761 786",
+    "@6 cas:3 | D ≥6 u=v0 teams=[T0,T0,T0,T0,T0,T1] ops=[op1,op1,op1,op1,op1,op2] | R ≥6 u=v0 teams=[T0,T0,T0,T0,T0,T1] ops=[op1,op1,op1,op1,op1,op2] | 2011 2010 97417 4021",
+];
+
+#[test]
+fn heavy_benchmark_keys_are_pinned_at_their_caps() {
+    let actual: Vec<String> = heavy_types()
+        .iter()
+        .map(|(spec, ty, cap)| format!("@{cap} {}", fingerprint(spec, ty, *cap)))
+        .collect();
+    assert_eq!(actual.len(), EXPECTED_HEAVY.len(), "one line per type");
+    for (got, want) in actual.iter().zip(EXPECTED_HEAVY) {
         assert_eq!(got, want);
     }
 }
