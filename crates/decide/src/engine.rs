@@ -7,8 +7,9 @@
 //! multiset)` *instances* — each requiring one [`Analysis`] (the expensive
 //! part) — times a set of team partitions (cheap word ORs over two team
 //! bitmasks). The engine makes each instance one task, covering all of its
-//! partitions, and hands the tasks to worker threads through a shared claim
-//! counter. One level scan decides every condition a call asks for:
+//! partitions, and streams the tasks to worker threads from one shared
+//! instance iterator (a level's space is never collected). One level scan
+//! decides every condition a call asks for:
 //! [`classify`](SearchEngine::classify) builds each instance's analysis
 //! once, tests it for both conditions, and drops it when the task ends. A
 //! condition closes at its earliest witness, and the workers stop claiming
@@ -38,11 +39,11 @@ use crate::classify::{level_to_bound, TypeClassification};
 use crate::discerning::{check_discerning, pairs_disjoint, LevelResult};
 use crate::reach::{Analysis, MAX_PROCESSES};
 use crate::recording::{check_recording, class_of, CriticalClass};
-use crate::search::{instances, partitions, team_of};
+use crate::search::{instance_count, instances, partitions, team_of};
 use crate::witness::Witness;
 use crate::DiskCache;
 use rcn_obs::{MetricsSnapshot, Span, Tracer};
-use rcn_spec::{ObjectType, OpId, ValueId};
+use rcn_spec::{ObjectType, ValueId};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -809,15 +810,17 @@ impl SearchEngine {
     }
 
     /// The parallel witness search of `conds` over one level: one task per
-    /// instance, claimed in instance order by the workers. A task builds
-    /// the instance's [`Analysis`] once and tests it, partition by
-    /// partition, for every condition still open at that instance; the
-    /// analysis is dropped when the task ends. A condition closes at its
-    /// earliest `(instance, partition)` witness: workers skip it at later
-    /// instances and stop at the first claim where every condition is
-    /// closed. With
-    /// one worker the visit order is fixed (instances in order, partitions
-    /// in order), so the returned witnesses are deterministic.
+    /// instance. The instance space is streamed, never collected: workers
+    /// claim instances one at a time from one shared [`instances`]
+    /// iterator, in instance order, and a claim's position is its instance
+    /// index. A task builds the instance's [`Analysis`] once and tests it,
+    /// partition by partition, for every condition still open at that
+    /// instance; the analysis is dropped when the task ends. A condition
+    /// closes at its earliest `(instance, partition)` witness: workers skip
+    /// it at later instances and stop at the first claim where every
+    /// condition is closed. With one worker the visit order is fixed
+    /// (instances in order, partitions in order), so the returned witnesses
+    /// are deterministic.
     ///
     /// Every task runs inside `catch_unwind`: a panicking task (a hand-built
     /// [`ObjectType`] breaking its contract mid-analysis) records its payload,
@@ -825,9 +828,10 @@ impl SearchEngine {
     /// surfaces as [`SearchError::TaskPanicked`] — the queue is never wedged
     /// and the engine stays usable. A deadline is checked at every task
     /// claim and every 256 partition tests within a task; when it fires,
-    /// the instances not yet finished are counted into
-    /// [`SearchStats::instances_abandoned`] once per condition left
-    /// undecided.
+    /// the instances not finished — the closed-form size of the space,
+    /// `|V| · C(|O| + n − 1, n)`, less the finished-task count — are
+    /// counted into [`SearchStats::instances_abandoned`] once per condition
+    /// left undecided.
     ///
     /// Returns one outcome per condition, in order.
     fn search_level<T: ObjectType + Sync + ?Sized>(
@@ -838,8 +842,8 @@ impl SearchEngine {
         call: &SearchCall<'_>,
         level_span: &Span,
     ) -> Result<Vec<FindOutcome>, SearchError> {
-        let space: Vec<(ValueId, Vec<OpId>)> =
-            instances(ty.num_values(), ty.num_ops(), n).collect();
+        let total = instance_count(ty.num_values(), ty.num_ops(), n);
+        let space = Mutex::new(instances(ty.num_values(), ty.num_ops(), n).enumerate());
         let parts: Vec<(u32, u32)> = partitions(n).collect();
 
         if self.tracer.recording() {
@@ -847,18 +851,17 @@ impl SearchEngine {
             // workers are about to drain.
             level_span.event(
                 "engine.queue",
-                i64::try_from(space.len()).unwrap_or(i64::MAX),
-                &format!("instances={} partitions={}", space.len(), parts.len()),
+                i64::try_from(total).unwrap_or(i64::MAX),
+                &format!("instances={total} partitions={}", parts.len()),
             );
         }
 
-        let next = AtomicUsize::new(0);
         // Set by a panic or a deadline: every worker stops claiming.
         let stop = AtomicBool::new(false);
         let deadline_hit = AtomicBool::new(false);
-        // One done flag per instance: whatever is still unset when a
-        // deadline fires is the abandoned remainder of the space.
-        let done: Vec<AtomicBool> = space.iter().map(|_| AtomicBool::new(false)).collect();
+        // Tasks that ran to their end: when a deadline fires, the rest of
+        // the space is its abandoned remainder.
+        let finished = AtomicU64::new(0);
         // First panic payload wins; later ones are dropped.
         let panicked: Mutex<Option<String>> = Mutex::new(None);
         // Per condition, the earliest-(instance, partition) witness found
@@ -886,8 +889,8 @@ impl SearchEngine {
                     stop.store(true, Ordering::Relaxed);
                     break;
                 }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((u, ops)) = space.get(i) else {
+                let claim = space.lock().expect("instance space").next();
+                let Some((i, (u, ops))) = claim else {
                     break;
                 };
                 // The conditions still open at instance `i`, by bit.
@@ -908,7 +911,7 @@ impl SearchEngine {
                             i64::try_from(ops.len()).unwrap_or(i64::MAX),
                             "",
                         );
-                        Analysis::new(ty, *u, ops)
+                        Analysis::new(ty, u, &ops)
                     };
                     local_analyses += 1;
                     local_visits += u64::from(open.count_ones());
@@ -923,12 +926,12 @@ impl SearchEngine {
                                 return false;
                             }
                             local_partitions += 1;
-                            if cond.holds(&analysis, *u, t0, t1) {
+                            if cond.holds(&analysis, u, t0, t1) {
                                 let mut slot = found[k].lock().expect("witness slot");
                                 match &*slot {
                                     Some((best, _)) if *best <= (i, p) => {}
                                     _ => {
-                                        let witness = Witness::new(*u, team_of(n, t1), ops.clone());
+                                        let witness = Witness::new(u, team_of(n, t1), ops.clone());
                                         *slot = Some(((i, p), witness));
                                     }
                                 }
@@ -943,7 +946,9 @@ impl SearchEngine {
                     true
                 }));
                 match task {
-                    Ok(true) => done[i].store(true, Ordering::Relaxed),
+                    Ok(true) => {
+                        finished.fetch_add(1, Ordering::Relaxed);
+                    }
                     // Deadline fired mid-task: the instance stays not-done.
                     Ok(false) => break,
                     Err(payload) => {
@@ -973,7 +978,9 @@ impl SearchEngine {
                 .fetch_add(local_partitions, Ordering::Relaxed);
         };
 
-        let workers = call.threads.min(space.len().max(1));
+        let workers = call
+            .threads
+            .min(usize::try_from(total).unwrap_or(usize::MAX).max(1));
         if workers <= 1 {
             worker(self);
         } else {
@@ -988,7 +995,7 @@ impl SearchEngine {
             return Err(SearchError::TaskPanicked { message });
         }
         let deadline_hit = deadline_hit.load(Ordering::Relaxed);
-        let abandoned = done.iter().filter(|d| !d.load(Ordering::Relaxed)).count();
+        let abandoned = total.saturating_sub(finished.into_inner());
         Ok(conds
             .iter()
             .zip(found)
@@ -1001,7 +1008,7 @@ impl SearchEngine {
                     self.counters.timed_out.store(true, Ordering::Relaxed);
                     self.counters
                         .instances_abandoned
-                        .fetch_add(abandoned as u64, Ordering::Relaxed);
+                        .fetch_add(abandoned, Ordering::Relaxed);
                     self.tracer.event(
                         "engine.timeout",
                         i64::try_from(abandoned).unwrap_or(i64::MAX),
@@ -1188,7 +1195,8 @@ mod tests {
     #[test]
     fn deadline_produces_honest_partial_results() {
         let engine = SearchEngine::new(2).with_timeout(Duration::ZERO);
-        let result = engine.classify(&Tnn::new(4, 2), 5).unwrap();
+        let tnn = Tnn::new(4, 2);
+        let result = engine.classify(&tnn, 5).unwrap();
         // An already-expired deadline confirms nothing: the scan reports
         // only a trivial lower bound, never a refuted level.
         assert!(result.discerning.capped, "timed-out scan must be capped");
@@ -1196,8 +1204,13 @@ mod tests {
         assert_eq!(result.discerning.level, 1);
         let stats = engine.stats();
         assert!(stats.timed_out, "stats must disclose the timeout: {stats}");
-        assert!(
-            stats.instances_abandoned > 0,
+        // The whole level-2 space, `|V| · C(|O| + 1, 2)` instances, was
+        // abandoned once for each of the two conditions it left undecided.
+        let level = instance_count(tnn.num_values(), tnn.num_ops(), 2);
+        assert!(level > 0);
+        assert_eq!(
+            stats.instances_abandoned,
+            2 * level,
             "the whole space was abandoned: {stats}"
         );
         assert!(stats.to_string().contains("TIMED OUT"));

@@ -20,20 +20,53 @@
 //! stack: neither building an analysis nor testing a partition allocates
 //! per node or per partition.
 //!
-//! Two implementations share the same pipeline and must stay bit-identical
-//! (the differential suite pins this):
+//! # The op-class graph
 //!
-//! * [`Analysis::new`] — the kernelized path, and the only one the deciders
-//!   use: `ObjectType::apply` is hoisted out of the hot loops into
-//!   per-(process, value) transition tables, the downstream value sets are
-//!   one flat word array indexed by node and built in the same reverse
-//!   sweep that accumulates the sets, and `(response, value)`-pair
+//! [`Analysis::new`] does not build the process graph above. It groups the
+//! processes by op into classes `c` of `m_c` members, and explores the
+//! graph whose nodes are `(count vector, value)`: `count[c] ≤ m_c` members
+//! of class `c` have applied. That is `∏(m_c + 1) · |values|` nodes, never
+//! more than `2^n · |values|`, and equal only when all ops differ (at
+//! n = 6, classes of sizes (2, 2, 2) give 27 count vectors instead of 64
+//! masks, and (4, 1, 1) give 20). A node has one edge per class with a
+//! member left, and its label is the mask of first *classes*.
+//!
+//! The class sets expand exactly into the per-process layout, because
+//! members of one class can be swapped. A process node `(mask, v)` is
+//! reachable with first `p_f` exactly when its class node `(counts(mask),
+//! v)` is reachable with first class `k(f)` (a class schedule lifts to a
+//! process schedule that starts with `p_f` by choosing, each time, any
+//! member of the class not yet applied), and the values downstream of a
+//! node depend only on its counts. So:
+//!
+//! * `p_f`'s value set is class `k(f)`'s;
+//! * `p_f`'s pair set of `p_j`, `j ≠ f`, is the set of pairs of class
+//!   `k(j)`'s applications after the first, under first class `k(f)`: a
+//!   member of `k(j)` can apply at a class node whenever one is left, and
+//!   the schedule can be lifted so that the member is `p_j` — when `k(j) =
+//!   k(f)`, `p_f` is already in and `p_j` is one of those left;
+//! * `p_f`'s pair set of itself is its root pair only: `p_f` applies
+//!   exactly once, first.
+//!
+//! The sweep writes each class set once, into the rows of the class's
+//! lowest members, and a final pass copies those rows to the other
+//! members. The level scan, team masks and partition tests read the
+//! per-process layout and do not know about classes.
+//!
+//! Two implementations produce bit-identical [`Analysis`] values for any
+//! op order (the differential suites pin this):
+//!
+//! * [`Analysis::new`] — the kernelized path over op classes, and the only
+//!   one the deciders use: `ObjectType::apply` is hoisted out of the hot
+//!   loops into per-(class, value) transition tables, the downstream value
+//!   sets are one flat word array indexed by node and built in the same
+//!   reverse sweep that accumulates the sets, and `(response, value)`-pair
 //!   accumulation uses whole-word shifted ORs (the slice-level primitive
 //!   behind [`BitSet::union_shifted_with`]) instead of bit-at-a-time
-//!   inserts.
+//!   inserts. The class bookkeeping lives on the stack.
 //! * [`Analysis::new_scalar`] — the original bit-at-a-time reference over
-//!   [`BitSet`]s, kept as the differential/benchmark baseline; it copies
-//!   its sets into the flat layout only at the end.
+//!   [`BitSet`]s and the process graph, kept as the differential baseline;
+//!   it copies its sets into the flat layout only at the end.
 
 use crate::bitset::{or_shifted, BitSet};
 use rcn_spec::{ObjectType, OpId, ValueId};
@@ -83,20 +116,146 @@ pub struct Analysis {
     pair_words: Vec<u64>,
 }
 
-/// Precomputed per-(process, value) transitions of one instance. The hot
+/// The op classes of one instance: its processes grouped by op, classes
+/// numbered in order of first appearance. Everything lives on the stack
+/// (`n ≤ MAX_PROCESSES`), so grouping costs no allocation.
+struct Classes {
+    /// Number of classes.
+    k: usize,
+    /// `of[f]`: the class of process `p_f`.
+    of: [u8; MAX_PROCESSES],
+    /// `op[c]`: the op every member of class `c` runs.
+    op: [OpId; MAX_PROCESSES],
+    /// `size[c]`: the member count `m_c`.
+    size: [u8; MAX_PROCESSES],
+    /// `stride[c] = ∏_{i<c} (m_i + 1)`: the mixed-radix weight of class
+    /// `c`'s count in a count-vector index.
+    stride: [usize; MAX_PROCESSES],
+    /// `first[c]`, `second[c]`: the lowest two members of class `c`
+    /// (`second[c]` only when `m_c ≥ 2`). Their rows of an [`Analysis`]
+    /// hold the class's sets until [`expand`] copies them to the rest.
+    first: [u8; MAX_PROCESSES],
+    second: [u8; MAX_PROCESSES],
+    /// `∏ (m_c + 1)`: the number of count vectors.
+    num_counts: usize,
+}
+
+impl Classes {
+    fn new(ops: &[OpId]) -> Classes {
+        let mut cl = Classes {
+            k: 0,
+            of: [0; MAX_PROCESSES],
+            op: [OpId(0); MAX_PROCESSES],
+            size: [0; MAX_PROCESSES],
+            stride: [0; MAX_PROCESSES],
+            first: [0; MAX_PROCESSES],
+            second: [0; MAX_PROCESSES],
+            num_counts: 1,
+        };
+        for (f, &op) in ops.iter().enumerate() {
+            let c = match cl.op[..cl.k].iter().position(|&o| o == op) {
+                Some(c) => c,
+                None => {
+                    cl.op[cl.k] = op;
+                    cl.first[cl.k] = f as u8;
+                    cl.k += 1;
+                    cl.k - 1
+                }
+            };
+            if cl.size[c] == 1 {
+                cl.second[c] = f as u8;
+            }
+            cl.size[c] += 1;
+            cl.of[f] = c as u8;
+        }
+        for c in 0..cl.k {
+            cl.stride[c] = cl.num_counts;
+            cl.num_counts *= usize::from(cl.size[c]) + 1;
+        }
+        cl
+    }
+
+    /// The row of an [`Analysis`] that holds the class-level pair set of
+    /// class `b`'s applications under first class `a`: `(first[a], j)` for
+    /// the lowest member `j` of `b` other than `first[a]`.
+    fn pair_row(&self, a: usize, b: usize) -> (usize, usize) {
+        let j = if a == b {
+            self.second[a]
+        } else {
+            self.first[b]
+        };
+        (usize::from(self.first[a]), usize::from(j))
+    }
+}
+
+/// A count vector stepped one index at a time through `0..num_counts`,
+/// with the mask of classes that still have a member left to apply
+/// (`count[c] < m_c`): the edges of its nodes. Stepping costs O(1)
+/// amortized and allocates nothing, which keeps small instances cheap.
+struct Counts<'a> {
+    size: &'a [u8],
+    count: [u8; MAX_PROCESSES],
+    open: u32,
+}
+
+impl<'a> Counts<'a> {
+    /// Index 0 (nobody has applied) when `full` is false, else the last
+    /// index (everybody has).
+    fn new(cl: &'a Classes, full: bool) -> Counts<'a> {
+        let mut count = [0; MAX_PROCESSES];
+        if full {
+            count[..cl.k].copy_from_slice(&cl.size[..cl.k]);
+        }
+        Counts {
+            size: &cl.size[..cl.k],
+            count,
+            open: if full { 0 } else { (1u32 << cl.k) - 1 },
+        }
+    }
+
+    /// Steps to the next index (a mixed-radix increment).
+    fn up(&mut self) {
+        for (c, &m) in self.size.iter().enumerate() {
+            if self.count[c] < m {
+                self.count[c] += 1;
+                if self.count[c] == m {
+                    self.open &= !(1 << c);
+                }
+                return;
+            }
+            self.count[c] = 0;
+            self.open |= 1 << c;
+        }
+    }
+
+    /// Steps to the previous index (a mixed-radix decrement).
+    fn down(&mut self) {
+        for (c, &m) in self.size.iter().enumerate() {
+            if self.count[c] > 0 {
+                self.count[c] -= 1;
+                self.open |= 1 << c;
+                return;
+            }
+            self.count[c] = m;
+            self.open &= !(1 << c);
+        }
+    }
+}
+
+/// Precomputed per-(class, value) transitions of one instance. The hot
 /// propagation loops index these instead of calling `ObjectType::apply`
-/// `O(2^n · |values| · n)` times — the apply of a computed (non-tabular)
+/// `O(nodes · classes)` times — the apply of a computed (non-tabular)
 /// type is far more expensive than an array load.
 struct Tables {
-    n: usize,
+    classes: Classes,
     num_values: usize,
     num_responses: usize,
-    /// `step[j * num_values + v]` = (response index, next-value index) of
-    /// process `j`'s op applied at value `v`.
+    /// `step[c * num_values + v]` = (response index, next-value index) of
+    /// class `c`'s op applied at value `v`.
     step: Vec<(usize, usize)>,
-    /// `root[j]` = (response, next) of process `j`'s op applied at the
+    /// `root[c]` = (response, next) of class `c`'s op applied at the
     /// initial value.
-    root: Vec<(usize, usize)>,
+    root: [(usize, usize); MAX_PROCESSES],
 }
 
 impl Tables {
@@ -112,22 +271,19 @@ impl Tables {
         for op in ops {
             assert!(op.index() < ty.num_ops(), "op out of range");
         }
-        let mut step = Vec::with_capacity(n * num_values);
-        for &op in ops {
+        let classes = Classes::new(ops);
+        let mut step = Vec::with_capacity(classes.k * num_values);
+        let mut root = [(0, 0); MAX_PROCESSES];
+        for (c, &op) in classes.op[..classes.k].iter().enumerate() {
             for v in 0..num_values {
                 let out = ty.apply(ValueId(v as u16), op);
                 step.push((out.response.index(), out.next.index()));
             }
+            let out = ty.apply(u, op);
+            root[c] = (out.response.index(), out.next.index());
         }
-        let root = ops
-            .iter()
-            .map(|&op| {
-                let out = ty.apply(u, op);
-                (out.response.index(), out.next.index())
-            })
-            .collect();
         Tables {
-            n,
+            classes,
             num_values,
             num_responses,
             step,
@@ -135,101 +291,135 @@ impl Tables {
         }
     }
 
-    fn node(&self, mask: u32, v: usize) -> usize {
-        mask as usize * self.num_values + v
-    }
-
     fn num_nodes(&self) -> usize {
-        (1usize << self.n) * self.num_values
+        self.classes.num_counts * self.num_values
     }
 }
 
-/// Reachability labels: `firsts[mask * num_values + v]` is the bitmask of
-/// processes `f` such that the node `(mask, v)` is reachable via a schedule
-/// starting with `p_f` (0 = unreachable). Propagated in increasing mask
-/// order (masks only grow along edges, so numeric order is topological).
+/// Reachability labels: `firsts[idx * num_values + v]` is the bitmask of
+/// classes `c` such that the node (count vector `idx`, value `v`) is
+/// reachable via a schedule whose first process is in class `c` (0 =
+/// unreachable). Propagated in increasing index order (counts only grow
+/// along edges, and an edge of class `c` adds `stride[c]` to the index, so
+/// numeric order is topological).
 fn firsts_of(t: &Tables) -> Vec<u32> {
-    let nv = t.num_values;
+    let (cl, nv) = (&t.classes, t.num_values);
     let mut firsts = vec![0u32; t.num_nodes()];
-    for (f, &(_, next)) in t.root.iter().enumerate() {
-        firsts[t.node(1 << f, next)] |= 1 << f;
+    for c in 0..cl.k {
+        firsts[cl.stride[c] * nv + t.root[c].1] |= 1 << c;
     }
-    for mask in 1u32..(1 << t.n) {
+    let mut counts = Counts::new(cl, false);
+    for idx in 1..cl.num_counts {
+        counts.up();
         for v in 0..nv {
-            let label = firsts[t.node(mask, v)];
+            let label = firsts[idx * nv + v];
             if label == 0 {
                 continue;
             }
-            for j in 0..t.n {
-                if mask & (1 << j) != 0 {
-                    continue;
-                }
-                let (_, next) = t.step[j * nv + v];
-                firsts[t.node(mask | (1 << j), next)] |= label;
+            let mut open = counts.open;
+            while open != 0 {
+                let c = open.trailing_zeros() as usize;
+                open &= open - 1;
+                let (_, next) = t.step[c * nv + v];
+                firsts[(idx + cl.stride[c]) * nv + next] |= label;
             }
         }
     }
     firsts
 }
 
-/// One reverse-topological sweep (decreasing masks, so every node's
+/// One reverse-topological sweep (decreasing indices, so every node's
 /// children are done before the node) that builds the downstream value sets
-/// and accumulates the per-first value and pair words from them.
+/// and accumulates the per-first-class value and pair words from them, into
+/// the class's representative rows ([`Classes::pair_row`]).
 ///
 /// `downstream[node * vw..][..vw]` holds the node's own value plus every
 /// value reachable from it. Unreachable nodes keep an all-zero set, and
 /// every child of a reachable node is reachable, so no flag is needed
 /// beside the words. The pair kernel: a child's downstream set, shifted by
 /// `response * num_values`, is exactly the block of `(response, value)`
-/// pairs process `j` contributes by applying at the node — one whole-word
-/// OR per (node, j, first) instead of one insert per pair. The first
-/// application itself (p_f's own pair from the virtual root) comes last.
+/// pairs a member of class `b` contributes by applying at the node — one
+/// whole-word OR per (node, b, first class) instead of one insert per
+/// pair. The first application itself (the first class's own pair from
+/// the virtual root) comes last, into row `(first[c], first[c])`.
 fn sweep(t: &Tables, firsts: &[u32], a: &mut Analysis) {
-    let (n, nv, vw, pw) = (t.n, t.num_values, a.vw, a.pw);
+    let (cl, nv, vw, pw, n) = (&t.classes, t.num_values, a.vw, a.pw, a.n);
     let mut downstream = vec![0u64; t.num_nodes() * vw];
-    for mask in (1u32..(1 << n)).rev() {
+    let mut counts = Counts::new(cl, true);
+    for idx in (1..cl.num_counts).rev() {
         for v in 0..nv {
-            let id = t.node(mask, v);
+            let id = idx * nv + v;
             let label = firsts[id];
             if label == 0 {
                 continue;
             }
             let bit = 1u64 << (v % 64);
-            // Children sit at larger masks, hence at larger node ids.
+            // Children sit at larger indices, hence at larger node ids.
             let (head, tail) = downstream.split_at_mut((id + 1) * vw);
             let set = &mut head[id * vw..];
             set[v / 64] |= bit;
-            // Values of this node belong to U_f for every first f.
+            // Values of this node belong to U_c for every first class c.
             let mut l = label;
             while l != 0 {
-                let f = l.trailing_zeros() as usize;
+                let c = l.trailing_zeros() as usize;
                 l &= l - 1;
-                a.value_words[f * vw + v / 64] |= bit;
+                a.value_words[usize::from(cl.first[c]) * vw + v / 64] |= bit;
             }
-            // Pairs contributed by each process j applying here.
-            for j in 0..n {
-                if mask & (1 << j) != 0 {
-                    continue;
-                }
-                let (resp, next) = t.step[j * nv + v];
-                let child = &tail[(t.node(mask | (1 << j), next) - id - 1) * vw..][..vw];
+            // Pairs contributed by a member of each open class b applying
+            // here.
+            let mut open = counts.open;
+            while open != 0 {
+                let b = open.trailing_zeros() as usize;
+                open &= open - 1;
+                let (resp, next) = t.step[b * nv + v];
+                let child = &tail[((idx + cl.stride[b]) * nv + next - id - 1) * vw..][..vw];
                 for (w, c) in set.iter_mut().zip(child) {
                     *w |= c;
                 }
                 let mut l = label;
                 while l != 0 {
-                    let f = l.trailing_zeros() as usize;
+                    let c = l.trailing_zeros() as usize;
                     l &= l - 1;
+                    let (f, j) = cl.pair_row(c, b);
                     let row = (f * n + j) * pw;
                     or_shifted(&mut a.pair_words[row..row + pw], child, resp * nv);
                 }
             }
         }
+        counts.down();
     }
-    for (f, &(resp, next)) in t.root.iter().enumerate() {
+    for c in 0..cl.k {
+        let (resp, next) = t.root[c];
+        let f = usize::from(cl.first[c]);
         let row = (f * n + f) * pw;
-        let start = &downstream[t.node(1 << f, next) * vw..][..vw];
+        let start = &downstream[(cl.stride[c] * nv + next) * vw..][..vw];
         or_shifted(&mut a.pair_words[row..row + pw], start, resp * nv);
+    }
+}
+
+/// Copies the class-level sets out of their representative rows into the
+/// per-process layout: `p_f`'s value set is its class's; its pair set of
+/// `p_j ≠ p_f` is the pair set of `p_j`'s class under `p_f`'s class; its
+/// own pair set `(f, f)` is its class's root pair.
+fn expand(cl: &Classes, a: &mut Analysis) {
+    let (n, vw, pw) = (a.n, a.vw, a.pw);
+    for f in 0..n {
+        let cf = usize::from(cl.of[f]);
+        let rep = usize::from(cl.first[cf]);
+        if rep != f {
+            a.value_words.copy_within(rep * vw..(rep + 1) * vw, f * vw);
+        }
+        for j in 0..n {
+            let (sf, sj) = if j == f {
+                (rep, rep)
+            } else {
+                cl.pair_row(cf, usize::from(cl.of[j]))
+            };
+            if (sf, sj) != (f, j) {
+                let src = (sf * n + sj) * pw;
+                a.pair_words.copy_within(src..src + pw, (f * n + j) * pw);
+            }
+        }
     }
 }
 
@@ -243,8 +433,9 @@ impl Analysis {
     /// range for the type.
     pub fn new<T: ObjectType + ?Sized>(ty: &T, u: ValueId, ops: &[OpId]) -> Analysis {
         let t = Tables::new(ty, u, ops);
-        let mut a = Analysis::empty(t.n, t.num_values, t.num_responses);
+        let mut a = Analysis::empty(ops.len(), t.num_values, t.num_responses);
         sweep(&t, &firsts_of(&t), &mut a);
+        expand(&t.classes, &mut a);
         a
     }
 

@@ -93,6 +93,25 @@ pub(crate) fn instances(
         .flat_map(move |u| op_multisets(num_ops, n).map(move |ops| (ValueId(u as u16), ops)))
 }
 
+/// The number of items [`instances`] yields, `|V| · C(|O| + n − 1, n)`,
+/// in closed form (saturating at `u64::MAX`), so a level reports the size
+/// of its space without enumerating it.
+pub(crate) fn instance_count(num_values: usize, num_ops: usize, n: usize) -> u64 {
+    // C(o + n − 1, n) = ∏_{i<n} (o + i) / (i + 1); each prefix product is
+    // itself a binomial coefficient, so every division is exact.
+    let mut multisets: u128 = 1;
+    for i in 0..n as u128 {
+        match multisets.checked_mul(num_ops as u128 + i) {
+            Some(p) => multisets = p / (i + 1),
+            None => return u64::MAX,
+        }
+    }
+    multisets
+        .checked_mul(num_values as u128)
+        .and_then(|count| u64::try_from(count).ok())
+        .unwrap_or(u64::MAX)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,5 +168,24 @@ mod tests {
         // Value-major, multiset-minor: the order a one-worker engine visits.
         assert_eq!(all[0].0.index(), 0);
         assert_eq!(all[6].0.index(), 1);
+    }
+
+    #[test]
+    fn instance_count_matches_the_enumeration() {
+        for num_values in 1..4 {
+            for num_ops in 1..6 {
+                for n in 1..7 {
+                    assert_eq!(
+                        instance_count(num_values, num_ops, n),
+                        instances(num_values, num_ops, n).count() as u64,
+                        "|V|={num_values} |O|={num_ops} n={n}"
+                    );
+                }
+            }
+        }
+        // cas:4 at level 5: 4 · C(20, 5).
+        assert_eq!(instance_count(4, 16, 5), 62_016);
+        // Past u64, the count saturates instead of wrapping.
+        assert_eq!(instance_count(65_536, 65_536, 20), u64::MAX);
     }
 }

@@ -169,19 +169,40 @@ proptest! {
     }
 
     /// Kernelized and scalar `Analysis` construction agree bit-for-bit on
-    /// random readable tables, not just on the curated zoo.
+    /// random readable tables, not just on the curated zoo. The kernel
+    /// groups processes by op, so the assignments cover every grouping:
+    /// unsorted orders with repeated ops, all-equal and all-distinct
+    /// assignments, up to 8 processes, and tables with 70 values, where
+    /// value and pair sets span several words.
     #[test]
     fn analysis_paths_agree_on_random_tables(
         seed in 0u64..200,
-        raw_ops in prop::collection::vec(0u16..3, 2..5),
-        u in 0u16..4,
+        n in 2usize..9,
+        shape in 0usize..5,
+        raw in prop::collection::vec(0u16..8, 8),
+        u in 0u16..70,
     ) {
         let mut rng = synthesis::rng(seed);
-        // 4 values, 2 mutators + 1 read => op ids 0..3, value ids 0..4.
-        let t = synthesis::random_readable_table(&mut rng, 4, 2);
-        let mut ops: Vec<OpId> = raw_ops.into_iter().map(OpId::new).collect();
-        ops.sort();
-        let u = ValueId::new(u);
+        // The wide shape stops at 4 processes, which keeps the
+        // bit-at-a-time reference quick over 70 values.
+        let (values, n) = if shape == 4 { (70, n.min(4)) } else { (4, n) };
+        // 7 mutators + 1 read => op ids 0..8, enough for 8 distinct ops.
+        let t = synthesis::random_readable_table(&mut rng, values, 7);
+        let ops: Vec<OpId> = match shape {
+            // Unsorted, from 3 ops: mostly repeated ops.
+            0 => raw[..n].iter().map(|&o| OpId::new(o % 3)).collect(),
+            1 => vec![OpId::new(raw[0]); n],
+            2 => {
+                // A random permutation of the 8 ops: all distinct.
+                let mut perm: Vec<u16> = (0..8).collect();
+                for i in (1..8).rev() {
+                    perm.swap(i, usize::from(raw[i]) % (i + 1));
+                }
+                perm[..n].iter().map(|&o| OpId::new(o)).collect()
+            }
+            _ => raw[..n].iter().map(|&o| OpId::new(o)).collect(),
+        };
+        let u = ValueId::new(u % values as u16);
         prop_assert_eq!(Analysis::new(&t, u, &ops), Analysis::new_scalar(&t, u, &ops));
     }
 
