@@ -397,6 +397,71 @@ mod tests {
         );
     }
 
+    /// The fingerprints name the memo files, so a change to the walk that
+    /// moves any of these digests orphans every stored verdict.
+    #[test]
+    fn fingerprints_are_pinned() {
+        use rcn_protocols::TournamentConsensus;
+        let sticky = || Arc::new(rcn_spec::zoo::StickyBit::new());
+        // The first 4-value random readable table (seed 7) the tournament
+        // accepts at two processes.
+        let table = {
+            let mut rng = rcn_decide::synthesis::rng(7);
+            std::iter::repeat_with(|| rcn_decide::synthesis::random_readable_table(&mut rng, 4, 2))
+                .take(40)
+                .find(|t| TournamentConsensus::try_new(Arc::new(t.clone()), vec![0, 1]).is_ok())
+                .expect("a table the tournament accepts")
+        };
+        let systems = [
+            ("tas 0,1", TasConsensus::system(vec![0, 1])),
+            ("tas 1,0", TasConsensus::system(vec![1, 0])),
+            (
+                "tnn-wait-free:2,1 0,1",
+                TnnWaitFree::system(2, 1, vec![0, 1]),
+            ),
+            (
+                "tnn-wait-free:2,1 1,0",
+                TnnWaitFree::system(2, 1, vec![1, 0]),
+            ),
+            (
+                "tnn-recoverable:5,2 0,1",
+                TnnRecoverable::system(5, 2, vec![0, 1]),
+            ),
+            (
+                "tnn-recoverable:5,2 1,0",
+                TnnRecoverable::system(5, 2, vec![1, 0]),
+            ),
+            (
+                "tournament:sticky 0,1",
+                TournamentConsensus::try_new(sticky(), vec![0, 1]).unwrap(),
+            ),
+            (
+                "tournament:sticky 1,0,1",
+                TournamentConsensus::try_new(sticky(), vec![1, 0, 1]).unwrap(),
+            ),
+            (
+                "tournament:table 0,1",
+                TournamentConsensus::try_new(Arc::new(table), vec![0, 1]).unwrap(),
+            ),
+        ];
+        let got: Vec<(&str, u64)> = systems
+            .iter()
+            .map(|(label, sys)| (*label, system_fingerprint(sys)))
+            .collect();
+        let want: [(&str, u64); 9] = [
+            ("tas 0,1", 0xac91_12fc_35d8_53a2),
+            ("tas 1,0", 0x5e1a_b3f2_8cc6_f422),
+            ("tnn-wait-free:2,1 0,1", 0xbbdd_792d_1026_a8bc),
+            ("tnn-wait-free:2,1 1,0", 0x08a4_5aa1_9064_019c),
+            ("tnn-recoverable:5,2 0,1", 0xa006_4757_e37b_b552),
+            ("tnn-recoverable:5,2 1,0", 0xecf0_5caa_4d40_b232),
+            ("tournament:sticky 0,1", 0x2b56_228a_0597_08b3),
+            ("tournament:sticky 1,0,1", 0x4138_1089_8dc6_c13c),
+            ("tournament:table 0,1", 0xaa48_2b64_d02f_b7ee),
+        ];
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn warm_resume_short_circuits_on_a_stored_counterexample() {
         let dir = unit_dir("cex");
