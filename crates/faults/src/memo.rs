@@ -44,12 +44,13 @@
 use crate::explorer::{Counterexample, CrashtestConfig, CrashtestReport, ExplorerStats};
 use rcn_decide::{type_fingerprint, CacheIo, StoreNames, SystemIo, VerdictStore};
 use rcn_model::{
-    charge_crashes, event_enabled, Action, Configuration, Event, Fnv1a, ProcessId, Schedule, System,
+    charge_crashes, event_enabled, Action, Configuration, Event, Fnv1a, ProcessId, Schedule,
+    System, WordHasher,
 };
 use rcn_obs::Tracer;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashSet, VecDeque};
-use std::hash::Hasher;
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -116,27 +117,41 @@ pub fn system_fingerprint(system: &System) -> u64 {
     // of decided processes are no-ops), so unlike hashing raw transition
     // tables this can never panic on an infeasible (state, response)
     // combination.
-    let initial = system.initial_config();
-    let mut seen: HashSet<Configuration> = HashSet::new();
-    let mut queue: VecDeque<Configuration> = VecDeque::new();
-    seen.insert(initial.clone());
-    queue.push_back(initial);
+    //
+    // A configuration is keyed by its packed words. The queue is every
+    // configuration reached, as words back to back in discovery order; each
+    // is unpacked into `config` once, and every successor is built in
+    // `next`.
+    let mut config = system.initial_config();
+    let mut next = config.clone();
+    let mut key = Vec::new();
+    config.pack_into(&mut key);
+    let mut queue = key.clone();
+    let mut seen: HashSet<Vec<u32>, BuildHasherDefault<WordHasher>> = HashSet::default();
+    seen.insert(key.clone());
+    let mut head = 0;
     let mut truncated = false;
-    while let Some(config) = queue.pop_front() {
+    while head < queue.len() {
+        head += config.unpack_from(&queue[head..]);
         mix_config(&mut hash, &config);
         for i in 0..system.n() {
             let p = ProcessId::new(i as u16);
             if matches!(system.action_of(&config, p), Action::Output(_)) {
                 continue;
             }
-            let mut next = config.clone();
+            next.clone_from(&config);
             let effect = system.apply(&mut next, Event::Step(p));
             hash.mix(i as u64);
             hash.mix(u64::from(effect.violation.is_some()));
-            if seen.len() < FINGERPRINT_WALK_CAP && seen.insert(next.clone()) {
-                queue.push_back(next);
-            } else if seen.len() >= FINGERPRINT_WALK_CAP {
+            if seen.len() >= FINGERPRINT_WALK_CAP {
                 truncated = true;
+                continue;
+            }
+            key.clear();
+            next.pack_into(&mut key);
+            if !seen.contains(&key) {
+                queue.extend_from_slice(&key);
+                seen.insert(key.clone());
             }
         }
     }
