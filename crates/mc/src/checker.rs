@@ -24,10 +24,9 @@
 //!   The DFS's skip rules (no-op steps, crashes in the initial state) are
 //!   optimizations this checker intentionally does not copy.
 
-use crate::hash::{canonical_hash, StateIndex};
+use crate::store::{digest, Store};
 use rcn_model::{
-    charge_crashes, event_enabled, Configuration, Event, FaultModel, ProcessId, Schedule, System,
-    Violation,
+    charge_crashes, event_enabled, Event, FaultModel, ProcessId, Schedule, System, Violation,
 };
 use rcn_obs::Tracer;
 use std::fmt;
@@ -99,8 +98,9 @@ pub struct McStats {
     /// Events whose successor was already stored (the dedup ratio's
     /// numerator: `dedup_hits / events_applied`).
     pub dedup_hits: u64,
-    /// Largest number of discovered-but-unexpanded states at any point
-    /// (the BFS's memory high-water mark, modulo the stored prefix).
+    /// Largest number of discovered-but-unexpanded states at any point.
+    /// Not a memory bound: every state stays stored until the check ends,
+    /// so the store holds `states_visited` states.
     pub frontier_peak: u64,
     /// `true` if some state sat at the depth cap with events still
     /// enabled. Expected for any non-trivial protocol; the cap is part of
@@ -176,32 +176,8 @@ impl McReport {
     }
 }
 
-/// One stored state: a configuration plus the per-process crash counts
-/// spent reaching it.
-#[derive(Debug, PartialEq, Eq, Hash)]
-struct StateKey {
-    config: Configuration,
-    crashes: Vec<usize>,
-}
-
-// Written out so that `clone_from` reuses every buffer: the search builds
-// each successor in one scratch key.
-impl Clone for StateKey {
-    fn clone(&self) -> Self {
-        StateKey {
-            config: self.config.clone(),
-            crashes: self.crashes.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.config.clone_from(&source.config);
-        self.crashes.clone_from(&source.crashes);
-    }
-}
-
 /// The back-pointer that reconstructs a stored state's schedule; node `i`
-/// belongs to the state stored at `keys[i]`. A `u32` depth cannot wrap:
+/// belongs to the state with id `i` in the store. A `u32` depth cannot wrap:
 /// a BFS depth is below the number of stored states, which `u32` indices
 /// already bound.
 struct Node {
@@ -268,19 +244,20 @@ impl<'s> ModelChecker<'s> {
             parent: None,
             depth: 0,
         }];
-        let mut keys = vec![StateKey {
-            config: initial,
-            crashes: vec![0; n],
-        }];
-        let mut index = StateIndex::new();
-        index.insert(canonical_hash(&keys[0]), 0);
+        // A state is its configuration plus the per-process crash counts
+        // spent reaching it.
+        let mut crashes = vec![0usize; n];
+        let mut store = Store::new(n, initial.values.len());
+        store.push(digest(&initial, &crashes), &initial, &crashes);
         stats.states_visited = 1;
         stats.frontier_peak = 1;
         depths.observe(0);
 
-        // Every successor is built in `next`; only a state seen for the
-        // first time is copied out of it.
-        let mut next = keys[0].clone();
+        // Each expanded state is loaded into `current` and `crashes`; every
+        // successor is built in `next` and `next_crashes`, and only a state
+        // seen for the first time is copied into the store.
+        let (mut current, mut next) = (initial.clone(), initial);
+        let mut next_crashes = crashes.clone();
         let mut head = 0usize;
         while head < nodes.len() {
             let id = head;
@@ -290,6 +267,7 @@ impl<'s> ModelChecker<'s> {
                 stats.depth_clipped = true;
                 continue;
             }
+            store.load(id, &mut current, &mut crashes);
             // Steps, per-process crashes, the system-wide crash, then
             // mid-operation crashes — the same candidate order as the DFS
             // explorer, though breadth-first expansion makes the order
@@ -306,14 +284,14 @@ impl<'s> ModelChecker<'s> {
             for event in candidates {
                 if !event_enabled(
                     self.config.fault_model,
-                    &keys[id].crashes,
+                    &crashes,
                     self.config.max_crashes,
                     event,
                 ) {
                     continue;
                 }
-                next.clone_from(&keys[id]);
-                let effect = self.system.apply(&mut next.config, event);
+                next.clone_from(&current);
+                let effect = self.system.apply(&mut next, event);
                 stats.events_applied += 1;
                 if let Some(violation) = effect.violation {
                     let mut schedule = self.schedule_to(&nodes, id);
@@ -329,9 +307,10 @@ impl<'s> ModelChecker<'s> {
                     self.publish(&report, &span);
                     return report;
                 }
-                charge_crashes(&mut next.crashes, event);
-                let digest = canonical_hash(&next);
-                if index.find(&keys, digest, &next).is_some() {
+                next_crashes.copy_from_slice(&crashes);
+                charge_crashes(&mut next_crashes, event);
+                let digest = digest(&next, &next_crashes);
+                if store.find(digest, &next, &next_crashes).is_some() {
                     stats.dedup_hits += 1;
                     continue;
                 }
@@ -339,8 +318,7 @@ impl<'s> ModelChecker<'s> {
                     stats.state_clipped = true;
                     continue;
                 }
-                index.insert(digest, nodes.len());
-                keys.push(next.clone());
+                store.push(digest, &next, &next_crashes);
                 nodes.push(Node {
                     parent: Some((id as u32, event)),
                     depth: depth + 1,

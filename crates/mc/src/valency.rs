@@ -1,19 +1,18 @@
 //! Independent valency re-derivation over the `E_z*` execution sets.
 //!
-//! The decider stack computes bivalence/univalence facts through
-//! `rcn-valency`'s `BudgetedGraph`: a breadth-first build into one packed
-//! store (each state once as `pack_into` words in an arena, CSR edges) and
-//! a backward worklist per decision value. This module answers the *same
-//! question* — which decision values are reachable from the initial
-//! configuration when `p_i` may crash at most `z·n ×` (steps of lower-id
-//! processes) times, allowances clamped at a ceiling — with its own
-//! breadth-first search, keyed by the structural index of [`crate::hash`]
-//! (states compared field by field, never as packed words), an explicit
-//! `(from, to)` edge list, and its own backward worklist over a
-//! predecessor index built from that list. Both propagate backward; the
-//! two differ in state identity (structural vs packed keys) and edge
-//! storage (edge list vs CSR). Agreement between the two is the RCN201
-//! cross-check.
+//! `rcn-valency`'s `BudgetedGraph` computes bivalence/univalence facts: a
+//! breadth-first build into one packed store (each state once as its
+//! packed words in an arena, CSR edges) and a backward worklist per
+//! decision value. This module answers the *same question* — which
+//! decision values are reachable from the initial configuration when
+//! `p_i` may crash at most `z·n ×` (steps of lower-id processes) times,
+//! allowances clamped at a ceiling — with its own breadth-first search
+//! over this crate's flat state store (each field kept and compared on
+//! its own, never as packed words), an explicit `(from, to)` edge list,
+//! and its own backward worklist over a predecessor index built from that
+//! list. Both propagate backward; the two differ in state identity
+//! (structural fields vs packed words) and edge storage (edge list vs
+//! CSR). Agreement between the two is the RCN201 cross-check.
 //!
 //! The `E_z*` semantics replicated here (and in the reference — any
 //! divergence is a bug in one of them):
@@ -33,7 +32,7 @@
 //! is why the cross-check refuses to compare bounded valencies.
 
 use crate::checker::Coverage;
-use crate::hash::{canonical_hash, StateIndex};
+use crate::store::{digest, Store};
 use rcn_model::{Event, ProcessId, System};
 use std::fmt;
 
@@ -95,70 +94,47 @@ pub struct ValencyReport {
     pub coverage: Coverage,
 }
 
-/// One stored budgeted state.
-#[derive(Debug, PartialEq, Eq, Hash)]
-struct BudgetKey {
-    config: rcn_model::Configuration,
-    allowance: Vec<u16>,
-}
-
-// Written out so that `clone_from` reuses every buffer: the search builds
-// each successor in one scratch key.
-impl Clone for BudgetKey {
-    fn clone(&self) -> Self {
-        BudgetKey {
-            config: self.config.clone(),
-            allowance: self.allowance.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.config.clone_from(&source.config);
-        self.allowance.clone_from(&source.allowance);
-    }
-}
-
 /// Breadth-first valency check of `system`'s initial configuration under
 /// the clamped `E_z*` crash budgets.
 pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
     let n = system.n();
     // Saturating: a wrapped product would fund no crashes at all.
     let funded = u16::try_from(config.z.saturating_mul(n)).unwrap_or(u16::MAX);
-    let init = BudgetKey {
-        config: system.initial_config(),
-        allowance: vec![0; n],
-    };
-    let mut keys = vec![init];
-    let mut index = StateIndex::new();
-    index.insert(canonical_hash(&keys[0]), 0);
+    // A state is its configuration plus each process's crash allowance.
+    let initial = system.initial_config();
+    let mut allowance = vec![0u16; n];
+    let mut store = Store::new(n, initial.values.len());
+    store.push(digest(&initial, &allowance), &initial, &allowance);
     let mut edges: Vec<(u32, u32)> = Vec::new();
     let mut clipped = false;
 
-    // Every successor is built in `next`; only a state seen for the first
-    // time is copied out of it.
-    let mut next = keys[0].clone();
-    let mut head = 0usize;
-    while head < keys.len() {
-        let id = head;
-        head += 1;
+    // Each state is loaded into `current` and `allowance`; every successor
+    // is built in `next` and `next_allowance`, and only a state seen for
+    // the first time is copied into the store.
+    let (mut current, mut next) = (initial.clone(), initial);
+    let mut next_allowance = allowance.clone();
+    let mut id = 0usize;
+    while id < store.len() {
+        store.load(id, &mut current, &mut allowance);
         for i in 0..n {
             let p = ProcessId(i as u16);
             let events = [Event::Step(p), Event::Crash(p)];
-            let events = if i > 0 && keys[id].allowance[i] > 0 {
+            let events = if i > 0 && allowance[i] > 0 {
                 &events[..]
             } else {
                 &events[..1]
             };
             for &event in events {
-                next.clone_from(&keys[id]);
-                system.apply(&mut next.config, event);
+                next.clone_from(&current);
+                system.apply(&mut next, event);
+                next_allowance.copy_from_slice(&allowance);
                 match event {
                     Event::Step(_) => {
-                        for a in next.allowance.iter_mut().skip(i + 1) {
+                        for a in next_allowance.iter_mut().skip(i + 1) {
                             *a = (*a).saturating_add(funded).min(config.clamp);
                         }
                     }
-                    Event::Crash(_) => next.allowance[i] -= 1,
+                    Event::Crash(_) => next_allowance[i] -= 1,
                     // `E_z*` budgets (paper §3) are defined for individual
                     // crashes only; this BFS never enumerates the extended
                     // fault families.
@@ -166,29 +142,27 @@ pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
                         unreachable!("valency graphs enumerate only steps and per-process crashes")
                     }
                 }
-                let digest = canonical_hash(&next);
-                let target = match index.find(&keys, digest, &next) {
+                let digest = digest(&next, &next_allowance);
+                let target = match store.find(digest, &next, &next_allowance) {
                     Some(t) => t,
                     None => {
-                        if keys.len() >= config.max_states {
+                        if store.len() >= config.max_states {
                             clipped = true;
                             continue;
                         }
-                        let t = keys.len();
-                        index.insert(digest, t);
-                        keys.push(next.clone());
-                        t
+                        store.push(digest, &next, &next_allowance)
                     }
                 };
                 edges.push((id as u32, target as u32));
             }
         }
+        id += 1;
     }
 
-    let valency = initial_valency(&keys, &edges);
+    let valency = initial_valency(&store, &edges);
     ValencyReport {
         valency,
-        states: keys.len() as u64,
+        states: store.len() as u64,
         coverage: if clipped {
             Coverage::Bounded
         } else {
@@ -200,14 +174,14 @@ pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
 /// Backward worklist propagation of "can reach a `v`-decision" from each
 /// state's own decided values over the reversed edge list, evaluated at the
 /// initial state.
-fn initial_valency(keys: &[BudgetKey], edges: &[(u32, u32)]) -> McValency {
+fn initial_valency(store: &Store<u16>, edges: &[(u32, u32)]) -> McValency {
     // Reverse adjacency in CSR form: the predecessors of `i`, in edge
     // order, are `preds[starts[i]..starts[i + 1]]`.
-    let mut starts = vec![0usize; keys.len() + 1];
+    let mut starts = vec![0usize; store.len() + 1];
     for &(_, to) in edges {
         starts[to as usize + 1] += 1;
     }
-    for i in 0..keys.len() {
+    for i in 0..store.len() {
         starts[i + 1] += starts[i];
     }
     let mut preds = vec![0u32; edges.len()];
@@ -217,17 +191,14 @@ fn initial_valency(keys: &[BudgetKey], edges: &[(u32, u32)]) -> McValency {
         fill[to as usize] += 1;
     }
     let reach = |want_zero: bool| -> bool {
-        let mut seen = vec![false; keys.len()];
+        let mut seen = vec![false; store.len()];
         let mut work: Vec<u32> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            let seeds = key
-                .config
-                .decided
-                .iter()
+        for (i, seen) in seen.iter_mut().enumerate() {
+            let seeds = (store.decided(i).iter())
                 .flatten()
                 .any(|&d| (d == 0) == want_zero);
             if seeds {
-                seen[i] = true;
+                *seen = true;
                 work.push(i as u32);
             }
         }
