@@ -95,9 +95,10 @@ impl<E> Store<E> {
             store.edge_ends.push(store.edges.len());
             id += 1;
         }
-        // The graph is read-only from here: return the growth slack.
-        store.words.shrink_to_fit();
-        store.edges.shrink_to_fit();
+        // The arrays keep their growth slack. Shrinking them would not lower
+        // the peak, which the build has passed, and an array freed at its
+        // grown size lets the allocator serve the next build of that size
+        // from memory it holds instead of from fresh pages.
         Ok(store)
     }
 
