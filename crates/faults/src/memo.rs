@@ -454,6 +454,12 @@ mod tests {
                 "tournament:sticky 1,0,1",
                 TournamentConsensus::try_new(sticky(), vec![1, 0, 1]).unwrap(),
             ),
+            // Its crash-free walk reaches the cap, so the digest pins the
+            // truncation rule too.
+            (
+                "tournament:sticky 0,1,0,1",
+                TournamentConsensus::try_new(sticky(), vec![0, 1, 0, 1]).unwrap(),
+            ),
             (
                 "tournament:table 0,1",
                 TournamentConsensus::try_new(Arc::new(table), vec![0, 1]).unwrap(),
@@ -463,7 +469,7 @@ mod tests {
             .iter()
             .map(|(label, sys)| (*label, system_fingerprint(sys)))
             .collect();
-        let want: [(&str, u64); 9] = [
+        let want: [(&str, u64); 10] = [
             ("tas 0,1", 0xac91_12fc_35d8_53a2),
             ("tas 1,0", 0x5e1a_b3f2_8cc6_f422),
             ("tnn-wait-free:2,1 0,1", 0xbbdd_792d_1026_a8bc),
@@ -472,6 +478,7 @@ mod tests {
             ("tnn-recoverable:5,2 1,0", 0xecf0_5caa_4d40_b232),
             ("tournament:sticky 0,1", 0x2b56_228a_0597_08b3),
             ("tournament:sticky 1,0,1", 0x4138_1089_8dc6_c13c),
+            ("tournament:sticky 0,1,0,1", 0x27ae_f4b0_ce6d_6f93),
             ("tournament:table 0,1", 0xaa48_2b64_d02f_b7ee),
         ];
         assert_eq!(got, want);
