@@ -9,15 +9,15 @@
 //! never move.
 
 use rcn::decide::synthesis;
-use rcn::model::{Event, Fnv1a, Schedule, System, Violation};
+use rcn::model::{Event, Fnv1a, HeapLayout, OutputInput, Schedule, System, Violation};
 use rcn::protocols::{TasConsensus, TnnRecoverable, TnnWaitFree, TournamentConsensus};
-use rcn::spec::zoo::{BoundedStack, CompareAndSwap, StickyBit, TeamCounter, Tnn};
+use rcn::spec::zoo::{BoundedQueue, BoundedStack, CompareAndSwap, StickyBit, TeamCounter, Tnn};
 use rcn::spec::{ObjectType, ValueId};
 use rcn::universal::UniversalSim;
 use rcn::valency::{check_graph, theorem13_chain, BudgetedGraph, ConfigGraph, Valency};
 use std::hash::Hasher;
 use std::sync::Arc;
-use Valency::Bivalent;
+use Valency::{Bivalent, Univalent};
 
 fn sticky(inputs: Vec<u32>) -> System {
     TournamentConsensus::try_new(Arc::new(StickyBit::new()), inputs).unwrap()
@@ -484,5 +484,125 @@ fn theorem13_chains() {
     assert_eq!(
         chain_digest(&TnnRecoverable::system(5, 2, vec![0, 1])),
         ["p0 c1 c1 p1 teams=[Some(0), Some(1)] object=Some(ObjectId(0)) witness=Some(Witness { initial: ValueId(0), team_of: [T0, T1], ops: [OpId(0), OpId(1)] }) class=Some(Recording) then ⟨⟩"]
+    );
+}
+
+/// The one-shot universal construction simulating `queue:2,3` on three
+/// processes: enqueue 1, dequeue, enqueue 0 (the shape of the benchmark's
+/// queue simulations).
+#[test]
+fn universal_queue_simulation() {
+    let queue = BoundedQueue::new(2, 3);
+    let ops = [queue.enq_op(1), queue.deq_op(), queue.enq_op(0)];
+    let ops = ops.iter().map(|op| op.index() as u32).collect();
+    let graph = config_graph(&UniversalSim::system(Arc::new(queue), ValueId::new(0), ops));
+    assert_eq!(
+        config_graph_shape(&graph),
+        (2035, 12210, 1064241771686747483, 15009783645723495623)
+    );
+    assert_eq!(config_words_digest(&graph), 16077875336954829182);
+}
+
+/// Checks one consensus system's configuration graph, its configurations'
+/// words and the checker's verdict on it.
+fn check_config_graph(system: System, shape: (usize, usize, u64, u64), words: u64, verdict: &str) {
+    let graph = config_graph(&system);
+    assert_eq!(config_graph_shape(&graph), shape, "configuration graph");
+    assert_eq!(config_words_digest(&graph), words, "configuration words");
+    assert_eq!(check_graph(&graph).to_string(), verdict, "check_graph");
+}
+
+/// `T_{n,n'}`'s recoverable algorithm at `n'` processes, where it is
+/// correct, and at `n' + 1`, where Lemma 16 breaks it, for the pairs the
+/// benchmark certifies besides `(5, 2)`.
+#[test]
+fn tnn_recoverable_pairs() {
+    check_config_graph(
+        TnnRecoverable::system(3, 1, vec![1]),
+        (4, 8, 11304360230594740326, 7375239333057691940),
+        3916369607558073735,
+        "correct (safe + recoverable wait-free)",
+    );
+    check_config_graph(
+        TnnRecoverable::system(3, 1, vec![0, 1]),
+        (40, 160, 6404794759926659318, 361465365473614953),
+        10889552349690151525,
+        "UNSAFE: agreement violated: p0 output 0, earlier output 1 via safety violation: p0 p1 p1 p0 c0 p0",
+    );
+    check_config_graph(
+        TnnRecoverable::system(4, 2, vec![1, 0]),
+        (28, 112, 1885569143606964961, 17643758614277096775),
+        13067325518068691685,
+        "correct (safe + recoverable wait-free)",
+    );
+    check_config_graph(
+        TnnRecoverable::system(4, 2, vec![0, 1, 1]),
+        (194, 1164, 17829653127583999341, 5520319392061968996),
+        924393242052925799,
+        "UNSAFE: agreement violated: p0 output 0, earlier output 1 via safety violation: p0 p1 p2 p1 p0 c0 p2 p0",
+    );
+    check_config_graph(
+        TnnRecoverable::system(4, 3, vec![0, 1, 1]),
+        (160, 960, 13009569395437583247, 10201869924641235233),
+        2424666281713246181,
+        "correct (safe + recoverable wait-free)",
+    );
+    check_config_graph(
+        TnnRecoverable::system(4, 3, vec![1, 0, 0, 1]),
+        (977, 7816, 6285705255513436133, 18417932370119544849),
+        13877903216150199197,
+        "UNSAFE: agreement violated: p0 output 0, earlier output 1 via safety violation: p0 p1 p2 p3 p0 c0 p1 p2 p3 p0",
+    );
+    check_config_graph(
+        TnnRecoverable::system(5, 4, vec![1, 0, 1, 0]),
+        (912, 7296, 3066811030678338677, 16933135742229020257),
+        3379943196843925029,
+        "correct (safe + recoverable wait-free)",
+    );
+    check_config_graph(
+        TnnRecoverable::system(5, 4, vec![0, 1, 1, 0, 1]),
+        (4851, 48510, 7634837692631807679, 9959033603912350696),
+        5708916447269564376,
+        "UNSAFE: agreement violated: p0 output 0, earlier output 1 via safety violation: p0 p1 p2 p3 p4 p1 p0 c0 p2 p3 p4 p0",
+    );
+}
+
+/// The program that outputs its input: its start holds outputs, checked on
+/// their own, and every crash edge re-outputs, so with mixed inputs the
+/// crash edges carry agreement violations.
+#[test]
+fn output_input() {
+    let system = |inputs| System::new(Arc::new(OutputInput), Arc::new(HeapLayout::new()), inputs);
+    check_consensus_system(
+        system(vec![0, 1]),
+        (1, 4, 7161759246956579268, 12161962213042174405),
+        14460640942923556685,
+        "UNSAFE: agreement violated: p1 output 1, earlier output 0 via violated in the initial configuration: ⟨⟩",
+        (2, 5, 1800358045129968548, Bivalent, None, 9808874869469701221, 16562664089422203716),
+        (5, 14, 817903888456190401, Bivalent, None, 4672095441862941765, 14069715871115928999),
+    );
+    check_consensus_system(
+        system(vec![1, 1]),
+        (1, 4, 15614102024270540901, 12161962213042174405),
+        12281819565287976781,
+        "correct (safe + recoverable wait-free)",
+        (
+            2,
+            5,
+            1800358045129968548,
+            Univalent(1),
+            None,
+            18288476033698550117,
+            16562664089422203716,
+        ),
+        (
+            5,
+            14,
+            817903888456190401,
+            Univalent(1),
+            None,
+            16537532760717865669,
+            14069715871115928999,
+        ),
     );
 }
