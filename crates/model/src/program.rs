@@ -147,8 +147,11 @@ impl fmt::Display for Action {
 /// 3. a crash resets the local state to step 1 — shared objects keep their
 ///    values.
 ///
-/// Implementations must be deterministic: both `action` and `transition`
-/// must be pure functions.
+/// Implementations must be deterministic: `action` and `transition` must
+/// be pure functions of their arguments, reading no other state and keeping
+/// none. The explorers rely on it: `rcn-valency`'s graph store computes each
+/// process's step once per `(process, local state, decision, value of the
+/// object it is poised on)` and reuses the result wherever that step recurs.
 pub trait Program: Send + Sync {
     /// A short name for reports.
     fn name(&self) -> String;

@@ -464,7 +464,7 @@ impl System {
                         // Did this step enter an output state?
                         if let Action::Output(v) = self.program.action(p, &new_state) {
                             effect.outputs.push((p, v));
-                            effect.violation = self.check_output(config, p, v);
+                            effect.violation = self.check_output(&config.decided, p, v);
                             if config.decided[p.index()].is_none() {
                                 config.decided[p.index()] = Some(v);
                             }
@@ -488,7 +488,7 @@ impl System {
         if let Action::Output(v) = self.program.action(p, &state) {
             effect.outputs.push((p, v));
             if effect.violation.is_none() {
-                effect.violation = self.check_output(config, p, v);
+                effect.violation = self.check_output(&config.decided, p, v);
             }
             if config.decided[p.index()].is_none() {
                 config.decided[p.index()] = Some(v);
@@ -497,7 +497,13 @@ impl System {
         config.states[p.index()] = state;
     }
 
-    fn check_output(&self, config: &Configuration, p: ProcessId, v: u32) -> Option<Violation> {
+    /// The first safety violation `p` outputting `v` triggers when the
+    /// processes have decided `decided` so far: an output that is no
+    /// process's input breaks validity, one that differs from an earlier
+    /// decision breaks agreement. [`apply`](Self::apply) checks every output
+    /// this way, before recording it. Returns `None` for systems built with
+    /// [`new_unchecked`](Self::new_unchecked).
+    pub fn check_output(&self, decided: &[Option<u32>], p: ProcessId, v: u32) -> Option<Violation> {
         if !self.consensus_checked {
             return None;
         }
@@ -507,8 +513,7 @@ impl System {
                 output: v,
             });
         }
-        config
-            .decided
+        decided
             .iter()
             .flatten()
             .find(|&&earlier| earlier != v)

@@ -63,40 +63,12 @@ impl Shared {
     fn record_output(&mut self, system: &System, pid: ProcessId, v: u32) {
         self.outputs.push((pid, v));
         if self.violation.is_none() {
-            self.violation = check_output(system, &self.decided, pid, v);
+            self.violation = system.check_output(&self.decided, pid, v);
         }
         if self.decided[pid.index()].is_none() {
             self.decided[pid.index()] = Some(v);
         }
     }
-}
-
-/// The same agreement/validity check `System::apply` performs (kept in sync
-/// with `rcn_model::system::System::check_output`).
-fn check_output(
-    system: &System,
-    decided: &[Option<u32>],
-    p: ProcessId,
-    v: u32,
-) -> Option<Violation> {
-    if !system.is_consensus_checked() {
-        return None;
-    }
-    if !system.inputs().contains(&v) {
-        return Some(Violation::Validity {
-            process: p,
-            output: v,
-        });
-    }
-    decided
-        .iter()
-        .flatten()
-        .find(|&&earlier| earlier != v)
-        .map(|&earlier| Violation::Agreement {
-            process: p,
-            output: v,
-            earlier,
-        })
 }
 
 /// Replays `schedule` on one OS thread per process over a fresh
