@@ -7,9 +7,9 @@
 //! fixes the byte order.
 //!
 //! [`WordHasher`] hashes a word at a time, for in-memory indexes: over
-//! packed state words ([`Configuration::pack_into`](crate::Configuration::pack_into))
-//! in `rcn-valency`, and over the derived `Hash` encoding of structural
-//! states in `rcn-mc`'s breadth-first index. FNV's byte loop costs about
+//! the state rows and part successors of `rcn-valency`'s graph store, and
+//! over the derived `Hash` encoding of structural states in `rcn-mc`'s
+//! breadth-first index. FNV's byte loop costs about
 //! 1.5× as much there. Its digests are never written anywhere, so they are
 //! free to change.
 

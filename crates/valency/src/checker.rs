@@ -196,15 +196,10 @@ pub fn check_graph(graph: &ConfigGraph) -> Verdict {
 fn starvation_cycle(graph: &ConfigGraph, p: ProcessId) -> Option<Counterexample> {
     // "Undecided" means: no recorded output AND not sitting in an output
     // state (where steps are no-ops and the process has effectively decided).
-    let mut config = graph.config(0);
     let keep: Vec<bool> = (0..graph.len())
         .map(|id| {
-            graph.config_into(id, &mut config);
-            config.decided[p.index()].is_none()
-                && !matches!(
-                    graph.system().action_of(&config, p),
-                    rcn_model::Action::Output(_)
-                )
+            let part = graph.part(id, p);
+            part.decided.is_none() && !matches!(part.action, rcn_model::Action::Output(_))
         })
         .collect();
     // The restricted graph: edges between kept configurations, except

@@ -7,8 +7,8 @@
 //! reachability, recoverable-wait-freedom cycle detection, valency — runs
 //! on this graph.
 
-use crate::store::Store;
-use rcn_model::{Configuration, Event, Schedule, System, Violation};
+use crate::store::{Part, Store};
+use rcn_model::{Configuration, Event, ProcessId, Schedule, System, Violation};
 use std::fmt;
 
 /// Index of a configuration in a [`ConfigGraph`].
@@ -99,7 +99,7 @@ impl ConfigGraph {
             &[],
             max_configs,
             |_, _| with_crashes,
-            |_, _, _| {},
+            |_, _| {},
             |event, target, violation| EdgeInfo {
                 event,
                 target,
@@ -134,6 +134,12 @@ impl ConfigGraph {
     /// a whole-graph pass unpacks through one scratch configuration.
     pub fn config_into(&self, id: ConfigId, into: &mut Configuration) {
         self.store.config_into(id, into);
+    }
+
+    /// Process `p`'s part of a configuration: its local state, decision
+    /// and pending action, read without unpacking the configuration.
+    pub(crate) fn part(&self, id: ConfigId, p: ProcessId) -> &Part {
+        self.store.part(id, p.index())
     }
 
     /// Outgoing edges of a configuration.
@@ -240,10 +246,26 @@ mod tests {
 
     #[test]
     fn limit_is_enforced() {
-        match ConfigGraph::explore(&sys(vec![0, 1]), 2) {
-            Err(ExploreError::TooLarge { limit }) => assert_eq!(limit, 2),
-            other => panic!("expected TooLarge, got {other:?}"),
+        for limit in [0, 2] {
+            match ConfigGraph::explore(&sys(vec![0, 1]), limit) {
+                Err(ExploreError::TooLarge { limit: l }) => assert_eq!(l, limit),
+                other => panic!("expected TooLarge, got {other:?}"),
+            }
         }
+        // A one-configuration graph still exceeds a limit of 0.
+        let output_input = System::new(
+            Arc::new(rcn_model::OutputInput),
+            Arc::new(HeapLayout::new()),
+            vec![0, 1],
+        );
+        assert_eq!(
+            ConfigGraph::explore(&output_input, 0).map(|g| g.len()),
+            Err(ExploreError::TooLarge { limit: 0 })
+        );
+        assert_eq!(
+            ConfigGraph::explore(&output_input, 1).map(|g| g.len()),
+            Ok(1)
+        );
     }
 
     #[test]

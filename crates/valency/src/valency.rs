@@ -120,27 +120,13 @@ impl BudgetedGraph {
         // p_i funds z·n crashes of every higher-id process, saturating: a
         // wrapped product would fund none.
         let funded = u32::from(u16::try_from(z.saturating_mul(n)).unwrap_or(u16::MAX));
-        let allowances = |extra: &[u32], event: Event, key: &mut Vec<u32>| {
-            let at = key.len();
-            key.extend_from_slice(extra);
-            match event {
-                Event::Step(p) => {
-                    for a in &mut key[at + p.index() + 1..] {
-                        *a = (*a + funded).min(u32::from(clamp));
-                    }
-                }
-                Event::Crash(p) => key[at + p.index()] -= 1,
-                // The explorer enumerates only the paper's §3 events.
-                Event::SystemCrash | Event::CrashDuring(_) => unreachable!(),
-            }
-        };
         let store = Store::explore(
             system,
             start,
             &vec![0; n],
             max_states,
             |extra, i| extra[i] > 0,
-            allowances,
+            |extra, event| charge_allowances(extra, event, funded, u32::from(clamp)),
             |event, target, _| (event, target),
         )?;
         let valency = compute_valencies(&store);
@@ -251,6 +237,22 @@ impl BudgetedGraph {
     }
 }
 
+/// Charges `event` against the crash allowances of the state it leaves: a
+/// step of `p_i` funds `funded` more crashes of every higher-id process, up
+/// to `clamp`; a crash of `p_i` spends one of `p_i`'s.
+pub(crate) fn charge_allowances(allowances: &mut [u32], event: Event, funded: u32, clamp: u32) {
+    match event {
+        Event::Step(p) => {
+            for a in &mut allowances[p.index() + 1..] {
+                *a = (*a + funded).min(clamp);
+            }
+        }
+        Event::Crash(p) => allowances[p.index()] -= 1,
+        // The explorer enumerates only the paper's §3 events.
+        Event::SystemCrash | Event::CrashDuring(_) => unreachable!(),
+    }
+}
+
 /// Which states can reach a 0-decision, and which a 1-decision: one
 /// backward worklist per decision value over the reversed edges, seeded
 /// with the states that have decided it.
@@ -269,14 +271,12 @@ fn compute_valencies(store: &Store<(Event, usize)>) -> Vec<Valency> {
     }
     let mut preds = vec![0u32; starts[n]];
     let mut work = [Vec::new(), Vec::new()];
-    let mut config = store.config(0);
     for id in 0..n {
         for &(_, target) in store.edges(id) {
             starts[target] -= 1;
             preds[starts[target]] = id as u32;
         }
-        store.config_into(id, &mut config);
-        for &d in config.decided.iter().flatten() {
+        for d in store.decided(id).flatten() {
             work[usize::from(d != 0)].push(id);
         }
     }
