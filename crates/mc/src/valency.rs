@@ -1,18 +1,21 @@
 //! Independent valency re-derivation over the `E_z*` execution sets.
 //!
-//! `rcn-valency`'s `BudgetedGraph` computes bivalence/univalence facts: a
-//! breadth-first build into one packed store (each state once as its
-//! packed words in an arena, CSR edges) and a backward worklist per
-//! decision value. This module answers the *same question* — which
-//! decision values are reachable from the initial configuration when
-//! `p_i` may crash at most `z·n ×` (steps of lower-id processes) times,
-//! allowances clamped at a ceiling — with its own breadth-first search
-//! over this crate's flat state store (each field kept and compared on
-//! its own, never as packed words), an explicit `(from, to)` edge list,
-//! and its own backward worklist over a predecessor index built from that
-//! list. Both propagate backward; the two differ in state identity
-//! (structural fields vs packed words) and edge storage (edge list vs
-//! CSR). Agreement between the two is the RCN201 cross-check.
+//! `rcn-valency`'s `BudgetedGraph` computes bivalence/univalence facts for
+//! every state: a breadth-first build into rows of interned per-process
+//! parts with CSR edges, then a backward worklist per decision value. This
+//! module answers the *same question* for the initial configuration —
+//! which decision values are reachable from it when `p_i` may crash at
+//! most `z·n ×` (steps of lower-id processes) times, allowances clamped at
+//! a ceiling — with its own forward breadth-first search over this crate's
+//! flat state store (each field kept and compared on its own), keeping no
+//! edges at all. Every stored state is reachable from the initial one, so
+//! a decision value is reachable exactly when some stored state holds it:
+//! the search notes the values its stored states hold and stops once it
+//! has stored both. The two engines differ in direction (forward existence
+//! with an early stop vs backward worklists over every state), in state
+//! identity (structural fields vs interned part rows) and in what they
+//! keep of the graph (nothing vs CSR edges). Agreement between the two is
+//! the RCN201 cross-check.
 //!
 //! The `E_z*` semantics replicated here (and in the reference — any
 //! divergence is a bug in one of them):
@@ -22,9 +25,9 @@
 //! * a step of `p_i` funds `z·n` further crashes of every higher-id
 //!   process, clamped at the ceiling;
 //! * a crash of `p_i` spends one unit of `p_i`'s allowance;
-//! * a state seeds 0-reachability for every process decided on 0 and
-//!   1-reachability for every process decided on a nonzero value, and
-//!   reachability flows backward over every explored edge.
+//! * a state holds 0 if a process in it decided 0 and 1 if a process in it
+//!   decided a nonzero value, and the initial configuration reaches every
+//!   value a stored state holds.
 //!
 //! Under a [`Coverage::Bounded`] result only **bivalence** is trustworthy
 //! (both witnesses are real executions); a univalent or undetermined
@@ -33,7 +36,7 @@
 
 use crate::checker::Coverage;
 use crate::store::{digest, Store};
-use rcn_model::{Event, ProcessId, System};
+use rcn_model::{Configuration, Event, ProcessId, System};
 use std::fmt;
 
 /// Budgets for one valency check, mirroring `BudgetedGraph::explore`'s
@@ -87,15 +90,21 @@ impl fmt::Display for McValency {
 pub struct ValencyReport {
     /// The initial configuration's valency over the explored graph.
     pub valency: McValency,
-    /// Budgeted states stored.
+    /// Budgeted states stored when the verdict settled. For a univalent or
+    /// undetermined verdict that is the whole explored graph; a bivalent
+    /// verdict settles at the first stored state that holds the second
+    /// decision value, so it counts the states up to and including it.
     pub states: u64,
-    /// Whether the whole clamped `E_z*` graph was covered. Under
-    /// [`Coverage::Bounded`] only a `Bivalent` verdict is sound.
+    /// Whether the state cap clipped a successor before the verdict
+    /// settled. Under [`Coverage::Bounded`] only a `Bivalent` verdict is
+    /// sound; since no state is stored past the cap, a bivalent verdict
+    /// always settles before it clips.
     pub coverage: Coverage,
 }
 
 /// Breadth-first valency check of `system`'s initial configuration under
-/// the clamped `E_z*` crash budgets.
+/// the clamped `E_z*` crash budgets, stopping once it has stored states
+/// holding both decision values.
 pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
     let n = system.n();
     // Saturating: a wrapped product would fund no crashes at all.
@@ -105,7 +114,9 @@ pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
     let mut allowance = vec![0u16; n];
     let mut store = Store::new(n, initial.values.len());
     store.push(digest(&initial, &allowance), &initial, &allowance);
-    let mut edges: Vec<(u32, u32)> = Vec::new();
+    // Whether a stored state holds 0, and whether one holds a nonzero value.
+    let mut held = [false; 2];
+    let mut settled = note_decisions(&initial, &mut held);
     let mut clipped = false;
 
     // Each state is loaded into `current` and `allowance`; every successor
@@ -114,7 +125,7 @@ pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
     let (mut current, mut next) = (initial.clone(), initial);
     let mut next_allowance = allowance.clone();
     let mut id = 0usize;
-    while id < store.len() {
+    while !settled && id < store.len() {
         store.load(id, &mut current, &mut allowance);
         for i in 0..n {
             let p = ProcessId(i as u16);
@@ -143,23 +154,34 @@ pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
                     }
                 }
                 let digest = digest(&next, &next_allowance);
-                let target = match store.find(digest, &next, &next_allowance) {
-                    Some(t) => t,
-                    None => {
-                        if store.len() >= config.max_states {
-                            clipped = true;
-                            continue;
-                        }
-                        store.push(digest, &next, &next_allowance)
-                    }
-                };
-                edges.push((id as u32, target as u32));
+                if store.find(digest, &next, &next_allowance).is_some() {
+                    continue;
+                }
+                if store.len() >= config.max_states {
+                    clipped = true;
+                    continue;
+                }
+                store.push(digest, &next, &next_allowance);
+                if note_decisions(&next, &mut held) {
+                    settled = true;
+                    break;
+                }
+            }
+            if settled {
+                break;
             }
         }
         id += 1;
     }
 
-    let valency = initial_valency(&store, &edges);
+    let valency = match held {
+        [true, true] => McValency::Bivalent,
+        [true, false] => McValency::Univalent(0),
+        // The reference reports the reachable value; over binary consensus
+        // every nonzero decision is 1.
+        [false, true] => McValency::Univalent(1),
+        [false, false] => McValency::Undetermined,
+    };
     ValencyReport {
         valency,
         states: store.len() as u64,
@@ -171,61 +193,13 @@ pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
     }
 }
 
-/// Backward worklist propagation of "can reach a `v`-decision" from each
-/// state's own decided values over the reversed edge list, evaluated at the
-/// initial state.
-fn initial_valency(store: &Store<u16>, edges: &[(u32, u32)]) -> McValency {
-    // Reverse adjacency in CSR form: the predecessors of `i`, in edge
-    // order, are `preds[starts[i]..starts[i + 1]]`.
-    let mut starts = vec![0usize; store.len() + 1];
-    for &(_, to) in edges {
-        starts[to as usize + 1] += 1;
+/// Notes in `held` whether `config` holds a 0-decision (`held[0]`) and a
+/// nonzero decision (`held[1]`); returns `true` once both are held.
+fn note_decisions(config: &Configuration, held: &mut [bool; 2]) -> bool {
+    for &d in config.decided.iter().flatten() {
+        held[usize::from(d != 0)] = true;
     }
-    for i in 0..store.len() {
-        starts[i + 1] += starts[i];
-    }
-    let mut preds = vec![0u32; edges.len()];
-    let mut fill = starts.clone();
-    for &(from, to) in edges {
-        preds[fill[to as usize]] = from;
-        fill[to as usize] += 1;
-    }
-    let reach = |want_zero: bool| -> bool {
-        let mut seen = vec![false; store.len()];
-        let mut work: Vec<u32> = Vec::new();
-        for (i, seen) in seen.iter_mut().enumerate() {
-            let seeds = (store.decided(i).iter())
-                .flatten()
-                .any(|&d| (d == 0) == want_zero);
-            if seeds {
-                *seen = true;
-                work.push(i as u32);
-            }
-        }
-        while let Some(i) = work.pop() {
-            if i == 0 {
-                return true;
-            }
-            let i = i as usize;
-            for &p in &preds[starts[i]..starts[i + 1]] {
-                if !seen[p as usize] {
-                    seen[p as usize] = true;
-                    work.push(p);
-                }
-            }
-        }
-        seen[0]
-    };
-    match (reach(true), reach(false)) {
-        (true, true) => McValency::Bivalent,
-        (true, false) => McValency::Univalent(0),
-        (false, true) => {
-            // The reference reports the reachable value; over binary
-            // consensus every nonzero decision is 1.
-            McValency::Univalent(1)
-        }
-        (false, false) => McValency::Undetermined,
-    }
+    *held == [true, true]
 }
 
 #[cfg(test)]

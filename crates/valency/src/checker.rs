@@ -13,7 +13,8 @@
 //!   infinitely many steps, stops crashing, and never outputs. On a finite
 //!   graph this is exact — no bounding, no approximation.
 
-use crate::graph::{ConfigGraph, ConfigId, EdgeInfo, ExploreError};
+use crate::graph::{ConfigGraph, ConfigId, ExploreError};
+use crate::store::Edge;
 use rcn_model::{Event, ProcessId, Schedule, System, Violation};
 use std::collections::HashMap;
 use std::fmt;
@@ -167,11 +168,11 @@ pub fn check_graph(graph: &ConfigGraph) -> Verdict {
             },
         };
     }
-    if let Some((src, edge)) = graph.all_edges().find(|(_, e)| e.violation.is_some()) {
+    if let Some((src, event, violation)) = graph.first_violation() {
         let mut prefix = graph.path_to(src);
-        prefix.push(edge.event);
+        prefix.push(event);
         return Verdict::Unsafe {
-            violation: edge.violation.expect("filtered on Some"),
+            violation,
             counterexample: Counterexample {
                 prefix,
                 cycle: Schedule::new(),
@@ -206,10 +207,14 @@ fn starvation_cycle(graph: &ConfigGraph, p: ProcessId) -> Option<Counterexample>
     // crashes of `p`.
     // A configuration left out keeps no edge in or out: it is a singleton
     // SCC without a kept self-loop.
-    let keep_edge = |e: &EdgeInfo| keep[e.target] && !matches!(e.event, Event::Crash(q) if q == p);
+    let keep_edge = |e: &Edge| keep[e.target()] && !matches!(e.event, Event::Crash(q) if q == p);
     let sccs = tarjan(graph.len(), |id| {
-        let edges = if keep[id] { graph.edges(id) } else { &[] };
-        edges.iter().filter(|e| keep_edge(e)).map(|e| e.target)
+        let edges = if keep[id] {
+            graph.stored_edges(id)
+        } else {
+            &[]
+        };
+        edges.iter().filter(|e| keep_edge(e)).map(|e| e.target())
     });
 
     // An SCC is bad if it contains a Step(p) edge that stays inside it
@@ -218,10 +223,10 @@ fn starvation_cycle(graph: &ConfigGraph, p: ProcessId) -> Option<Counterexample>
         let inside = |id: ConfigId| sccs.component[id] == c as u32;
         let step_edge = scc.iter().find_map(|&id| {
             graph
-                .edges(id)
+                .stored_edges(id)
                 .iter()
-                .find(|e| e.event == Event::Step(p) && inside(e.target) && keep_edge(e))
-                .map(|e| (id, e.target))
+                .find(|e| e.event == Event::Step(p) && inside(e.target()) && keep_edge(e))
+                .map(|e| (id, e.target()))
         });
         let Some((src, dst)) = step_edge else {
             continue;
@@ -247,7 +252,7 @@ fn path_within(
     inside: &dyn Fn(ConfigId) -> bool,
     from: ConfigId,
     to: ConfigId,
-    keep_edge: &dyn Fn(&EdgeInfo) -> bool,
+    keep_edge: &dyn Fn(&Edge) -> bool,
 ) -> Option<Schedule> {
     let mut prev: HashMap<ConfigId, (ConfigId, Event)> = HashMap::new();
     let mut queue = std::collections::VecDeque::from([from]);
@@ -263,11 +268,11 @@ fn path_within(
             events.reverse();
             return Some(Schedule::from_events(events));
         }
-        for e in graph.edges(id) {
-            if inside(e.target) && keep_edge(e) && e.target != from && !prev.contains_key(&e.target)
-            {
-                prev.insert(e.target, (id, e.event));
-                queue.push_back(e.target);
+        for e in graph.stored_edges(id) {
+            let target = e.target();
+            if inside(target) && keep_edge(e) && target != from && !prev.contains_key(&target) {
+                prev.insert(target, (id, e.event));
+                queue.push_back(target);
             }
         }
     }

@@ -7,7 +7,7 @@
 //! reachability, recoverable-wait-freedom cycle detection, valency — runs
 //! on this graph.
 
-use crate::store::{Part, Store};
+use crate::store::{Edge, Part, Store};
 use rcn_model::{Configuration, Event, ProcessId, Schedule, System, Violation};
 use std::fmt;
 
@@ -66,7 +66,7 @@ impl std::error::Error for ExploreError {}
 /// ```
 pub struct ConfigGraph {
     system: System,
-    store: Store<EdgeInfo>,
+    store: Store,
 }
 
 impl ConfigGraph {
@@ -100,11 +100,7 @@ impl ConfigGraph {
             max_configs,
             |_, _| with_crashes,
             |_, _| {},
-            |event, target, violation| EdgeInfo {
-                event,
-                target,
-                violation,
-            },
+            true,
         )?;
         Ok(ConfigGraph {
             system: system.clone(),
@@ -142,9 +138,26 @@ impl ConfigGraph {
         self.store.part(id, p.index())
     }
 
-    /// Outgoing edges of a configuration.
-    pub fn edges(&self, id: ConfigId) -> &[EdgeInfo] {
+    /// Outgoing edges of a configuration, in the order they were explored.
+    pub fn edges(&self, id: ConfigId) -> impl ExactSizeIterator<Item = EdgeInfo> + '_ {
+        let range = self.store.edge_range(id);
+        let edges = self.store.edges(id).iter().zip(range);
+        edges.map(|(e, index)| EdgeInfo {
+            event: e.event,
+            target: e.target(),
+            violation: self.store.violation(index),
+        })
+    }
+
+    /// Outgoing edges of a configuration as stored, without violations.
+    pub(crate) fn stored_edges(&self, id: ConfigId) -> &[Edge] {
         self.store.edges(id)
+    }
+
+    /// The first edge, in [`all_edges`](Self::all_edges) order, that
+    /// triggers a violation: its source, its event and the violation.
+    pub(crate) fn first_violation(&self) -> Option<(ConfigId, Event, Violation)> {
+        self.store.first_violation()
     }
 
     /// The system the graph was built from.
@@ -159,8 +172,8 @@ impl ConfigGraph {
     }
 
     /// Iterates over `(source, edge)` pairs of the whole graph.
-    pub fn all_edges(&self) -> impl Iterator<Item = (ConfigId, &EdgeInfo)> {
-        (0..self.len()).flat_map(move |src| self.edges(src).iter().map(move |e| (src, e)))
+    pub fn all_edges(&self) -> impl Iterator<Item = (ConfigId, EdgeInfo)> + '_ {
+        (0..self.len()).flat_map(move |src| self.edges(src).map(move |e| (src, e)))
     }
 }
 

@@ -7,9 +7,13 @@
 //! and its decision — interned once per store, with the action it is poised
 //! to take. A [`WordHasher`] digest of a row maps to the newest state with
 //! that digest and a chain links the older ones, so a probe confirms
-//! equality against the rows. Edges and BFS parents are flat arrays in BFS
-//! order (CSR). Ids are `u32`: a state limit above `u32::MAX` is enforced
-//! as `u32::MAX`.
+//! equality against the rows. BFS parents are a flat array in BFS order,
+//! and edges are CSR: each edge is its target's `u32` id and its event (8
+//! bytes), with `u32` ends per state. The rare edges that violate
+//! consensus keep their violation in a side list, by edge index, when the
+//! graph asks for them. Ids are `u32`: a state limit above `u32::MAX` is
+//! enforced as `u32::MAX`, and a graph with more than `u32::MAX` edges is
+//! refused as [`ExploreError::TooLarge`].
 //!
 //! **Locality.** In the paper's §2 model a step `p` changes only `p`'s
 //! local state, `p`'s decision and the one object `p` is poised on, reading
@@ -39,6 +43,26 @@ const NONE: u32 = u32::MAX;
 /// The state limit `u32` ids can honor.
 pub(crate) fn id_limit(max_states: usize) -> usize {
     max_states.min(NONE as usize)
+}
+
+/// The most edges a store holds, so that every edge index and CSR end fits
+/// a `u32`.
+const EDGE_LIMIT: usize = u32::MAX as usize;
+
+/// One stored edge: the id of the state it leads to and its event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Edge {
+    target: u32,
+    pub(crate) event: Event,
+}
+
+const _: () = assert!(std::mem::size_of::<Edge>() == 8);
+
+impl Edge {
+    /// The id of the state the edge leads to.
+    pub(crate) fn target(self) -> usize {
+        self.target as usize
+    }
 }
 
 /// One process's share of a stored configuration.
@@ -114,7 +138,7 @@ impl Scratch {
 }
 
 /// An explored graph: every state once, as a row. `D` digests rows.
-pub(crate) struct Store<E, D = BuildHasherDefault<WordHasher>> {
+pub(crate) struct Store<D = BuildHasherDefault<WordHasher>> {
     /// Processes; a row's first `n` words are its part ids.
     n: usize,
     /// State `i` is `rows[i·stride..(i + 1)·stride]`.
@@ -125,8 +149,13 @@ pub(crate) struct Store<E, D = BuildHasherDefault<WordHasher>> {
     heads: HashMap<u64, u32, BuildHasherDefault<WordHasher>>,
     next: Vec<u32>,
     /// State `i`'s edges are `edges[edge_ends[i]..edge_ends[i + 1]]`.
-    edges: Vec<E>,
-    edge_ends: Vec<usize>,
+    edges: Vec<Edge>,
+    edge_ends: Vec<u32>,
+    /// The violating edges, as `(edge index, violation)` in edge order,
+    /// when the graph keeps them.
+    violations: Option<Vec<(u32, Violation)>>,
+    /// The most edges the store takes: [`EDGE_LIMIT`].
+    edge_limit: usize,
     /// Each state's BFS parent and the event taken from it.
     parents: Vec<Option<(u32, Event)>>,
     parts: Parts,
@@ -139,12 +168,13 @@ pub(crate) struct Store<E, D = BuildHasherDefault<WordHasher>> {
     digest: D,
 }
 
-impl<E, D: BuildHasher + Default> Store<E, D> {
+impl<D: BuildHasher + Default> Store<D> {
     /// Explores breadth-first from `start` (extra words `extra`), up to
     /// `max_states` states. Each state takes `p_0`'s step, its crash if
     /// `may_crash(extra, 0)`, then `p_1`'s, …; `charge` updates a
     /// successor's extra words, which start as its parent's. A state's id
-    /// is its BFS discovery order.
+    /// is its BFS discovery order. With `keep_violations`, the store keeps
+    /// the violation of every edge that triggers one.
     pub(crate) fn explore(
         system: &System,
         start: Configuration,
@@ -152,32 +182,55 @@ impl<E, D: BuildHasher + Default> Store<E, D> {
         max_states: usize,
         may_crash: impl Fn(&[u32], usize) -> bool,
         charge: impl Fn(&mut [u32], Event),
-        edge: impl Fn(Event, usize, Option<Violation>) -> E,
-    ) -> Result<Store<E, D>, ExploreError> {
+        keep_violations: bool,
+    ) -> Result<Store<D>, ExploreError> {
         let mut store = Store::new(system, start, extra, max_states)?;
-        let at = store.stride - extra.len();
-        let mut row = Vec::with_capacity(store.stride);
-        let mut scratch = Scratch::new(&store.template);
+        if keep_violations {
+            store.violations = Some(Vec::new());
+        }
+        store.build(system, may_crash, charge)
+    }
+
+    /// Takes every state's edges, in BFS order, as
+    /// [`explore`](Self::explore) documents.
+    fn build(
+        mut self,
+        system: &System,
+        may_crash: impl Fn(&[u32], usize) -> bool,
+        charge: impl Fn(&mut [u32], Event),
+    ) -> Result<Store<D>, ExploreError> {
+        let at = self.n + self.template.values.len();
+        let mut row = Vec::with_capacity(self.stride);
+        let mut scratch = Scratch::new(&self.template);
         let mut id = 0;
-        while id < store.len() {
-            for i in 0..store.n {
+        while id < self.len() {
+            for i in 0..self.n {
                 let p = ProcessId(i as u16);
-                let events = 1 + usize::from(may_crash(&store.row(id)[at..], i));
+                let events = 1 + usize::from(may_crash(&self.row(id)[at..], i));
                 for event in [Event::Step(p), Event::Crash(p)].into_iter().take(events) {
-                    let violation = store.successor(system, id, event, &mut row, &mut scratch);
+                    let index = self.edges.len();
+                    if index >= self.edge_limit {
+                        // Refused like a state past the limit, at the
+                        // states stored so far.
+                        return Err(ExploreError::TooLarge { limit: self.len() });
+                    }
+                    let violation = self.successor(system, id, event, &mut row, &mut scratch);
                     charge(&mut row[at..], event);
-                    let target = store.intern(&row, Some((id as u32, event)))?;
-                    store.edges.push(edge(event, target, violation));
+                    let target = self.intern(&row, Some((id as u32, event)))? as u32;
+                    if let (Some(list), Some(violation)) = (&mut self.violations, violation) {
+                        list.push((index as u32, violation));
+                    }
+                    self.edges.push(Edge { target, event });
                 }
             }
-            store.edge_ends.push(store.edges.len());
+            self.edge_ends.push(self.edges.len() as u32);
             id += 1;
         }
         // The arrays keep their growth slack. Shrinking them would not lower
         // the peak, which the build has passed, and an array freed at its
         // grown size lets the allocator serve the next build of that size
         // from memory it holds instead of from fresh pages.
-        Ok(store)
+        Ok(self)
     }
 
     /// A store holding `start` (extra words `extra`) as state 0, or
@@ -187,7 +240,7 @@ impl<E, D: BuildHasher + Default> Store<E, D> {
         start: Configuration,
         extra: &[u32],
         max_states: usize,
-    ) -> Result<Store<E, D>, ExploreError> {
+    ) -> Result<Store<D>, ExploreError> {
         let n = system.n();
         let mut parts = Parts::default();
         let mut row: Vec<u32> = (0..n)
@@ -203,6 +256,8 @@ impl<E, D: BuildHasher + Default> Store<E, D> {
             next: Vec::new(),
             edges: Vec::new(),
             edge_ends: vec![0],
+            violations: None,
+            edge_limit: EDGE_LIMIT,
             parents: Vec::new(),
             parts,
             successors: HashMap::default(),
@@ -336,9 +391,34 @@ impl<E, D: BuildHasher + Default> Store<E, D> {
         config
     }
 
+    /// The indices of state `id`'s outgoing edges.
+    pub(crate) fn edge_range(&self, id: usize) -> std::ops::Range<usize> {
+        self.edge_ends[id] as usize..self.edge_ends[id + 1] as usize
+    }
+
     /// State `id`'s outgoing edges.
-    pub(crate) fn edges(&self, id: usize) -> &[E] {
-        &self.edges[self.edge_ends[id]..self.edge_ends[id + 1]]
+    pub(crate) fn edges(&self, id: usize) -> &[Edge] {
+        &self.edges[self.edge_range(id)]
+    }
+
+    /// The violation the edge with index `index` triggers, if the store
+    /// keeps violations and it triggers one.
+    pub(crate) fn violation(&self, index: usize) -> Option<Violation> {
+        let list = self.violations.as_deref()?;
+        let at = list
+            .binary_search_by_key(&index, |&(i, _)| i as usize)
+            .ok()?;
+        Some(list[at].1)
+    }
+
+    /// The first violating edge in edge order, as its source state, its
+    /// event and its violation, if the store keeps violations.
+    pub(crate) fn first_violation(&self) -> Option<(usize, Event, Violation)> {
+        let &(index, violation) = self.violations.as_deref()?.first()?;
+        let index = index as usize;
+        // The source is the last state whose edges start at or before it.
+        let source = self.edge_ends.partition_point(|&end| end as usize <= index) - 1;
+        Some((source, self.edges[index].event, violation))
     }
 
     /// A schedule from the start to `id`, following BFS parents.
@@ -474,7 +554,7 @@ mod tests {
     fn walk<D: BuildHasher + Default>(sys: &System, allowances: bool, rng: &mut Rng) {
         let n = sys.n();
         let extra = if allowances { vec![0; n] } else { Vec::new() };
-        let mut store = Store::<(), D>::new(sys, sys.initial_config(), &extra, usize::MAX).unwrap();
+        let mut store = Store::<D>::new(sys, sys.initial_config(), &extra, usize::MAX).unwrap();
         let at = store.stride - extra.len();
         let mut reference = HashMap::from([((sys.initial_config(), extra), 0)]);
         let (mut row, mut scratch) = (Vec::new(), Scratch::new(&store.template));
@@ -511,6 +591,74 @@ mod tests {
             }
         }
         assert_eq!(store.len(), reference.len());
+    }
+
+    /// Every edge of every system's graph, with crashes unconstrained,
+    /// carries the violation [`System::apply`] gives on its source, and the
+    /// first violating edge is the first such edge in edge order.
+    #[test]
+    fn kept_violations_match_apply() {
+        let mut violating = 0;
+        for sys in systems() {
+            let start = sys.initial_config();
+            let store = Store::<BuildHasherDefault<WordHasher>>::explore(
+                &sys,
+                start,
+                &[],
+                100_000,
+                |_, _| true,
+                |_, _| {},
+                true,
+            )
+            .unwrap();
+            let mut first = None;
+            for id in 0..store.len() {
+                for (e, index) in store.edges(id).iter().zip(store.edge_range(id)) {
+                    let mut config = store.config(id);
+                    let violation = sys.apply(&mut config, e.event).violation;
+                    assert_eq!(store.config(e.target()), config, "{} from {id}", e.event);
+                    assert_eq!(store.violation(index), violation, "{} from {id}", e.event);
+                    if let (None, Some(v)) = (first, violation) {
+                        first = Some((id, e.event, v));
+                    }
+                }
+            }
+            assert_eq!(store.first_violation(), first);
+            violating += usize::from(first.is_some());
+        }
+        // T&S consensus, the wait-free T_{2,1} and `OutputInput` violate.
+        assert!(violating >= 3, "{violating} systems violate");
+    }
+
+    #[test]
+    fn an_edge_past_the_edge_limit_is_refused() {
+        let sys = TasConsensus::system(vec![0, 1]);
+        let build = |edge_limit| {
+            let mut store = Store::<BuildHasherDefault<WordHasher>>::new(
+                &sys,
+                sys.initial_config(),
+                &[],
+                100_000,
+            )
+            .unwrap();
+            store.edge_limit = edge_limit;
+            store.build(&sys, |_, _| true, |_, _| {})
+        };
+        let graph = build(EDGE_LIMIT).unwrap();
+        let edges = graph.edges.len();
+        assert_eq!(build(edges).unwrap().len(), graph.len());
+        // The last state's last edge is one too many; so is state 1's first,
+        // after state 0's four, when the states stored so far are those
+        // state 0 reached.
+        let reached = graph.edges(0).iter().map(|e| e.target()).max().unwrap() + 1;
+        assert_eq!(
+            build(edges - 1).err(),
+            Some(ExploreError::TooLarge { limit: graph.len() })
+        );
+        assert_eq!(
+            build(4).err(),
+            Some(ExploreError::TooLarge { limit: reached })
+        );
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub struct CriticalInfo {
 /// The explored `E_z*` execution graph with valencies.
 pub struct BudgetedGraph {
     system: System,
-    store: Store<(Event, usize)>,
+    store: Store,
     valency: Vec<Valency>,
     z: usize,
     clamp: u16,
@@ -127,7 +127,7 @@ impl BudgetedGraph {
             max_states,
             |extra, i| extra[i] > 0,
             |extra, event| charge_allowances(extra, event, funded, u32::from(clamp)),
-            |event, target, _| (event, target),
+            false,
         )?;
         let valency = compute_valencies(&store);
         Ok(BudgetedGraph {
@@ -164,9 +164,10 @@ impl BudgetedGraph {
         self.valency[id]
     }
 
-    /// Outgoing `(event, target)` edges of a budgeted state.
-    pub fn successors(&self, id: usize) -> &[(Event, usize)] {
-        self.store.edges(id)
+    /// Outgoing `(event, target)` edges of a budgeted state, in the order
+    /// they were explored.
+    pub fn successors(&self, id: usize) -> impl ExactSizeIterator<Item = (Event, usize)> + '_ {
+        self.store.edges(id).iter().map(|e| (e.event, e.target()))
     }
 
     /// The valency of the initial state.
@@ -186,8 +187,7 @@ impl BudgetedGraph {
             self.valency[id] == Valency::Bivalent
                 && self
                     .successors(id)
-                    .iter()
-                    .all(|&(_, t)| matches!(self.valency[t], Valency::Univalent(_)))
+                    .all(|(_, t)| matches!(self.valency[t], Valency::Univalent(_)))
         })
     }
 
@@ -198,7 +198,7 @@ impl BudgetedGraph {
         let n = self.system.n();
         let config = self.store.config(id);
         let mut teams = vec![None; n];
-        for &(event, target) in self.successors(id) {
+        for (event, target) in self.successors(id) {
             if let (Event::Step(p), Valency::Univalent(v)) = (event, self.valency[target]) {
                 teams[p.index()] = Some(v);
             }
@@ -256,25 +256,26 @@ pub(crate) fn charge_allowances(allowances: &mut [u32], event: Event, funded: u3
 /// Which states can reach a 0-decision, and which a 1-decision: one
 /// backward worklist per decision value over the reversed edges, seeded
 /// with the states that have decided it.
-fn compute_valencies(store: &Store<(Event, usize)>) -> Vec<Valency> {
+fn compute_valencies(store: &Store) -> Vec<Valency> {
     let n = store.len();
     // The predecessors of `i` end up in `preds[starts[i]..starts[i + 1]]`:
     // `starts[i]` counts up to the end of `i`'s block, then fills it back.
-    let mut starts = vec![0usize; n + 1];
+    // Edge counts fit a `u32`: the store refuses more edges.
+    let mut starts = vec![0u32; n + 1];
     for id in 0..n {
-        for &(_, target) in store.edges(id) {
-            starts[target] += 1;
+        for e in store.edges(id) {
+            starts[e.target()] += 1;
         }
     }
     for i in 0..n {
         starts[i + 1] += starts[i];
     }
-    let mut preds = vec![0u32; starts[n]];
+    let mut preds = vec![0u32; starts[n] as usize];
     let mut work = [Vec::new(), Vec::new()];
     for id in 0..n {
-        for &(_, target) in store.edges(id) {
-            starts[target] -= 1;
-            preds[starts[target]] = id as u32;
+        for e in store.edges(id) {
+            starts[e.target()] -= 1;
+            preds[starts[e.target()] as usize] = id as u32;
         }
         for d in store.decided(id).flatten() {
             work[usize::from(d != 0)].push(id);
@@ -284,7 +285,8 @@ fn compute_valencies(store: &Store<(Event, usize)>) -> Vec<Valency> {
         let mut reach = vec![false; n];
         while let Some(i) = work.pop() {
             if !std::mem::replace(&mut reach[i], true) {
-                work.extend(preds[starts[i]..starts[i + 1]].iter().map(|&p| p as usize));
+                let preds = &preds[starts[i] as usize..starts[i + 1] as usize];
+                work.extend(preds.iter().map(|&p| p as usize));
             }
         }
         reach
@@ -393,11 +395,7 @@ mod tests {
         // With z=1, n=2: p1 can only crash after p0 stepped.
         let graph = BudgetedGraph::explore(&sticky_sys(vec![0, 1]), 1, 4, 100_000).unwrap();
         // State 0 has no crash edges at all (no allowance yet).
-        let crashes_at_init = graph
-            .successors(0)
-            .iter()
-            .filter(|(e, _)| e.is_crash())
-            .count();
+        let crashes_at_init = graph.successors(0).filter(|(e, _)| e.is_crash()).count();
         assert_eq!(crashes_at_init, 0);
     }
 

@@ -132,7 +132,7 @@ fn budgeted_shape(system: &System, clamp: u16) -> Budgeted {
     let mut valencies = Fnv1a::new();
     let mut paths = Fnv1a::new();
     for id in 0..graph.len() {
-        for &(event, target) in graph.successors(id) {
+        for (event, target) in graph.successors(id) {
             edges += 1;
             mix_event(&mut digest, event);
             digest.mix(target as u64);

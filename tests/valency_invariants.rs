@@ -33,7 +33,7 @@ fn univalence_is_absorbing() {
         let graph = BudgetedGraph::explore(&sys, 1, 5, 2_000_000).unwrap();
         for id in 0..graph.len() {
             if let Valency::Univalent(v) = graph.valency(id) {
-                for &(event, target) in graph.successors(id) {
+                for (event, target) in graph.successors(id) {
                     match graph.valency(target) {
                         Valency::Univalent(w) => assert_eq!(
                             v, w,
