@@ -157,7 +157,7 @@ fn sticky_tournament_3proc_rcn200_budget() {
 
 #[test]
 fn valency_reports() {
-    let cases: [(&str, System, ValencyConfig, &str); 4] = [
+    let cases: [(&str, System, ValencyConfig, &str); 5] = [
         (
             "tournament 3proc (RCN201 budget)",
             sticky(vec![1, 0, 1]),
@@ -166,19 +166,25 @@ fn valency_reports() {
                 clamp: 2,
                 max_states: 60_000,
             },
-            "bivalent 36827 states exhaustive",
+            "bivalent 2437 states exhaustive",
         ),
         (
             "tournament 2proc",
             sticky(vec![0, 1]),
             ValencyConfig::default(),
-            "bivalent 329 states exhaustive",
+            "bivalent 47 states exhaustive",
         ),
         (
             "tnn-recoverable:5,2",
             TnnRecoverable::system(5, 2, vec![0, 1]),
             ValencyConfig::default(),
-            "bivalent 62 states exhaustive",
+            "bivalent 7 states exhaustive",
+        ),
+        (
+            "tournament 2proc, uniform inputs",
+            sticky(vec![1, 1]),
+            ValencyConfig::default(),
+            "1-univalent 329 states exhaustive",
         ),
         (
             "tournament 3proc, state-capped",
@@ -186,9 +192,9 @@ fn valency_reports() {
             ValencyConfig {
                 z: 1,
                 clamp: 2,
-                max_states: 5_000,
+                max_states: 2_000,
             },
-            "bivalent 5000 states bounded",
+            "1-univalent 2000 states bounded",
         ),
     ];
     for (label, system, config, want) in cases {
