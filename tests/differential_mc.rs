@@ -8,7 +8,7 @@
 //! here is evidence about the *engines*, not just the protocols.
 
 use rcn::faults::{crashtest, replay, CrashtestConfig};
-use rcn::mc::{model_check, valency_check, Coverage, McConfig, ValencyConfig};
+use rcn::mc::{model_check, valency_check, Coverage, McConfig, McValency, ValencyConfig};
 use rcn::protocols::{TasConsensus, TnnRecoverable, TnnWaitFree, TournamentConsensus};
 use rcn::spec::zoo::{CompareAndSwap, Register, StickyBit, Tnn};
 use rcn::spec::{OpId, Response, ValueId};
@@ -27,6 +27,26 @@ fn protocols() -> Vec<(&'static str, System)> {
         (
             "tournament:sticky",
             TournamentConsensus::try_new(Arc::new(StickyBit::new()), vec![1, 0]).unwrap(),
+        ),
+    ]
+}
+
+/// The protocols on uniform inputs, whose initial configurations are
+/// univalent by validity.
+fn uniform_protocols() -> Vec<(&'static str, System)> {
+    vec![
+        ("tas on 1,1", TasConsensus::system(vec![1, 1])),
+        (
+            "tnn-wait-free:2,1 on 0,0",
+            TnnWaitFree::system(2, 1, vec![0, 0]),
+        ),
+        (
+            "tnn-recoverable:5,2 on 1,1",
+            TnnRecoverable::system(5, 2, vec![1, 1]),
+        ),
+        (
+            "tournament:sticky on 0,0",
+            TournamentConsensus::try_new(Arc::new(StickyBit::new()), vec![0, 0]).unwrap(),
         ),
     ]
 }
@@ -138,12 +158,13 @@ fn bfs_counterexamples_replay_on_both_executors() {
     }
 }
 
-/// The decider stack's budgeted `E_z*` graph and the checker's worklist
-/// fixpoint agree on the initial configuration's valency at identical
-/// `(z, clamp)` budgets.
+/// The decider stack's budgeted `E_z*` graph and the checker's forward
+/// search agree on the initial configuration's valency at identical
+/// `(z, clamp)` budgets. The checker stores the whole graph unless it is
+/// bivalent, when it stops once it has stored both decision values.
 #[test]
 fn valency_verdicts_agree_with_the_budgeted_graph() {
-    for (name, sys) in protocols() {
+    for (name, sys) in protocols().into_iter().chain(uniform_protocols()) {
         for (z, clamp) in [(1, 2), (1, 4), (2, 3)] {
             let graph = BudgetedGraph::explore(&sys, z, clamp, 500_000)
                 .unwrap_or_else(|e| panic!("{name} graph at z={z}: {e:?}"));
@@ -161,6 +182,12 @@ fn valency_verdicts_agree_with_the_budgeted_graph() {
                 checker.valency.to_string(),
                 "{name} valency diverges at z={z}, clamp={clamp}"
             );
+            let states = graph.len() as u64;
+            if checker.valency == McValency::Bivalent {
+                assert!(checker.states <= states, "{name} stored past the graph");
+            } else {
+                assert_eq!(checker.states, states, "{name} states at z={z}");
+            }
         }
     }
 }
