@@ -116,7 +116,7 @@ pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
     store.push(digest(&initial, &allowance), &initial, &allowance);
     // Whether a stored state holds 0, and whether one holds a nonzero value.
     let mut held = [false; 2];
-    let mut settled = note_decisions(&initial, &mut held);
+    note_decisions(&initial, &mut held);
     let mut clipped = false;
 
     // Each state is loaded into `current` and `allowance`; every successor
@@ -125,7 +125,7 @@ pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
     let (mut current, mut next) = (initial.clone(), initial);
     let mut next_allowance = allowance.clone();
     let mut id = 0usize;
-    while !settled && id < store.len() {
+    'search: while held != [true, true] && id < store.len() {
         store.load(id, &mut current, &mut allowance);
         for i in 0..n {
             let p = ProcessId(i as u16);
@@ -162,13 +162,10 @@ pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
                     continue;
                 }
                 store.push(digest, &next, &next_allowance);
-                if note_decisions(&next, &mut held) {
-                    settled = true;
-                    break;
+                note_decisions(&next, &mut held);
+                if held == [true, true] {
+                    break 'search;
                 }
-            }
-            if settled {
-                break;
             }
         }
         id += 1;
@@ -194,12 +191,11 @@ pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
 }
 
 /// Notes in `held` whether `config` holds a 0-decision (`held[0]`) and a
-/// nonzero decision (`held[1]`); returns `true` once both are held.
-fn note_decisions(config: &Configuration, held: &mut [bool; 2]) -> bool {
+/// nonzero decision (`held[1]`).
+fn note_decisions(config: &Configuration, held: &mut [bool; 2]) {
     for &d in config.decided.iter().flatten() {
         held[usize::from(d != 0)] = true;
     }
-    *held == [true, true]
 }
 
 #[cfg(test)]

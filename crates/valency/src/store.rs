@@ -50,7 +50,7 @@ pub(crate) fn id_limit(max_states: usize) -> usize {
 const EDGE_LIMIT: usize = u32::MAX as usize;
 
 /// One stored edge: the id of the state it leads to and its event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 pub(crate) struct Edge {
     target: u32,
     pub(crate) event: Event,
