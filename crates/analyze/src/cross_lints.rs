@@ -4,7 +4,7 @@
 //! the *checkers*. Two structurally independent engines answer the same
 //! question — `rcn-faults`' memoized DFS vs `rcn-mc`'s breadth-first
 //! search for crash-divergence verdicts, `rcn-valency`'s budgeted graph vs
-//! `rcn-mc`'s worklist fixpoint for valency facts — and any disagreement
+//! `rcn-mc`'s forward search for valency facts — and any disagreement
 //! is a hard error: one of the engines (we do not know which) has an
 //! unsound pruning, a semantics drift, or a budget bug. Agreement is
 //! surfaced as an `Info` certificate carrying both sides' search effort.
@@ -158,8 +158,8 @@ pub fn compare_valency_verdicts(
                 ),
             )
             .with_suggestion(
-                "the budgeted-graph and worklist valency fixpoints disagree on identical \
-                 budgets; one reachability computation is wrong",
+                "the budgeted graph's backward worklists and the checker's forward search \
+                 disagree on identical budgets; one reachability computation is wrong",
             ),
         );
     }
@@ -318,7 +318,7 @@ pub fn cross_crashtest(
 }
 
 /// `RCN201`/`RCN202` — differential valency: the decider stack's budgeted
-/// graph vs the checker's worklist fixpoint at one shared `E_z*` budget
+/// graph vs the checker's forward search at one shared `E_z*` budget
 /// (z=1, clamp 2, 60 000 states); clipping either side downgrades the
 /// comparison to an `RCN202` warning.
 pub(crate) fn cross_valency(sys: &System, graphs: &[ProcessGraph], report: &mut Report) {

@@ -23,7 +23,7 @@
 //! * **Cross-checker lints** (`RCN200`–`RCN203`) run two structurally
 //!   independent engines on the same question — `rcn-faults`' DFS vs
 //!   `rcn-mc`'s BFS for crashtest verdicts, `rcn-valency`'s budgeted
-//!   graph vs `rcn-mc`'s worklist fixpoint for valency facts, plus the
+//!   graph vs `rcn-mc`'s forward search for valency facts, plus the
 //!   abstract↔threaded replay bridge for checker counterexamples — and
 //!   turn any disagreement into a hard error (see [`cross_crashtest`]).
 //!

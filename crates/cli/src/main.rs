@@ -1006,9 +1006,9 @@ fn cmd_crashtest(args: &[&str], out: &mut String) -> Result<(), String> {
 /// (`rcn-mc`): a second opinion on `crashtest`'s DFS verdicts, sharing no
 /// search code with it, reporting minimal-depth counterexamples and an
 /// honest exhaustive/bounded coverage tag. With `--valency` it also
-/// re-derives the initial configuration's valency by a worklist fixpoint
-/// over the budgeted `E_z*` graph. Exits nonzero if any protocol has a
-/// counterexample.
+/// re-derives the initial configuration's valency by a forward search of
+/// the budgeted `E_z*` graph that stops once it has reached both decision
+/// values. Exits nonzero if any protocol has a counterexample.
 fn cmd_check(args: &[&str], out: &mut String) -> Result<(), String> {
     use rcn_mc::{model_check_traced, valency_check, McConfig, ValencyConfig};
     use verdict::{CheckVerdict, ValencyVerdict};

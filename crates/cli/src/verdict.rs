@@ -111,7 +111,8 @@ pub struct ValencyVerdict {
     pub z: usize,
     /// The per-process allowance clamp.
     pub clamp: u16,
-    /// Budgeted states stored.
+    /// Budgeted states stored when the verdict settled: the whole graph
+    /// unless the verdict is bivalent.
     pub states: u64,
     /// `exhaustive` or `bounded`.
     pub coverage: String,

@@ -3,7 +3,8 @@
 //! Every verdict the rest of the workspace emits rests on one algorithm
 //! per question: crashtest certifications on `rcn-faults`' memoized DFS,
 //! valency facts on `rcn-valency`'s budgeted `E_z*` graph (a breadth-first
-//! build into a packed store, valencies by a backward worklist). A bug in
+//! build into rows of interned per-process parts, valencies by backward
+//! worklists). A bug in
 //! any one engine's pruning (the depth-cap memoization unsoundness caught
 //! in review is the canonical example) silently corrupts verdicts with
 //! nothing to notice.
@@ -14,12 +15,13 @@
 //! depends only on `rcn-model` (the semantics under test) and `rcn-obs`
 //! (observability). From `rcn-model` it takes the crash semantics and one
 //! bucket hash, `WordHasher`, which cannot decide state identity. Its own
-//! state store keeps each state's fields once in flat arrays (never as
-//! the packed words the engines it checks key their states by) behind a
-//! digest index that confirms equality field by field on every probe; its
-//! own search ([`checker`]: FIFO frontier, parent pointers, no pruning
-//! rules) and its own valency fixpoint ([`valency`]: backward worklist
-//! over explicit edges) run on it. Where the two stacks agree, the verdict
+//! state store keeps each state's fields once in flat arrays (neither
+//! `rcn-faults`' map of whole configurations nor `rcn-valency`'s rows of
+//! part ids) behind a digest index that confirms equality field by field
+//! on every probe; its own search ([`checker`]: FIFO frontier, parent
+//! pointers, no pruning rules) and its own valency check ([`valency`]: a
+//! forward search that stops once it has stored both decision values,
+//! keeping no edges) run on it. Where the two stacks agree, the verdict
 //! no longer hinges on any single implementation being right; where they
 //! disagree, the RCN200–203 cross-checker lints in `rcn-analyze` turn the
 //! divergence into a hard CI failure.

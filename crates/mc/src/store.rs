@@ -12,8 +12,10 @@
 //! the older ones. The digest is only a bucket key: every probe compares
 //! field by field, so a collision costs one comparison and can never merge
 //! two states, and it is never persisted. States are never kept as one
-//! packed word encoding: the engines this crate checks key their states
-//! that way, and a bug in that encoding must not reach here.
+//! packed word encoding, which `rcn-faults`' memo fingerprint walk keys
+//! its configurations by, nor as interned per-process parts, which
+//! `rcn-valency`'s store keys its rows by: a bug in either encoding must
+//! not reach here.
 
 use rcn_model::{Configuration, WordHasher};
 use std::collections::HashMap;

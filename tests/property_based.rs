@@ -242,7 +242,7 @@ proptest! {
     /// explorer (`rcn-faults`) and the independent BFS model checker
     /// (`rcn-mc`) must agree on crash-divergence verdicts at identical
     /// budgets, and the decider stack's budgeted `E_z*` graph must agree
-    /// with the checker's worklist fixpoint on the initial valency —
+    /// with the checker's forward search on the initial valency —
     /// on tournaments built from random readable tables, not just the
     /// curated zoo.
     #[test]
