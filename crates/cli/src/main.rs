@@ -30,7 +30,9 @@
 mod types;
 mod verdict;
 
-use rcn_decide::{explain_discerning, explain_recording, DiskCache, SearchEngine, Witness};
+use rcn_decide::{
+    explain_discerning, explain_recording, DiskCache, SearchEngine, SearchStats, Witness,
+};
 use rcn_obs::{parse_jsonl, ProfileReport, Tracer};
 use rcn_protocols::TnnRecoverable;
 use rcn_spec::dot::{to_dot, to_table_text};
@@ -113,7 +115,7 @@ search options (classify, compare, witness; `--flag value` or `--flag=value`):
   --threads N                         search worker threads (0 = all cores, default 1, at most 256)
   --cache-dir DIR                     persist level verdicts under DIR and reuse them on later runs
   --no-cache                          ignore --cache-dir (search without the persistent cache)
-  --stats                             print search statistics (analyses, cache/disk hits, wall time)
+  --stats                             print search statistics (analyses, cache/disk hits, search time)
   --timeout SECS                      wall-clock deadline; partial results are reported as ≥N lower bounds
 
 observability (classify, compare, witness, lint, crashtest, check):
@@ -334,8 +336,7 @@ fn timeout_from_args(parsed: &Parsed) -> Result<Option<Duration>, String> {
 
 /// A deadline that fires mid-search leaves the reported levels honest but
 /// partial — say so where the user can see it.
-fn warn_if_timed_out(engine: &SearchEngine) {
-    let stats = engine.stats();
+fn warn_if_timed_out(stats: &SearchStats) {
     if stats.timed_out {
         eprintln!(
             "warning: --timeout deadline hit; levels shown as ≥N are lower bounds \
@@ -345,16 +346,15 @@ fn warn_if_timed_out(engine: &SearchEngine) {
     }
 }
 
-/// The `--stats` line of the search commands (empty without `--stats`).
-fn stats_line(parsed: &Parsed, engine: &SearchEngine) -> String {
+/// The `--stats` line of the search commands (empty without `--stats`):
+/// `stats` of an engine searching on `threads` workers.
+fn stats_line(parsed: &Parsed, stats: &SearchStats, threads: usize) -> String {
     if !parsed.has("--stats") {
         return String::new();
     }
-    let n = engine.threads();
     format!(
-        "search stats        : {} ({n} thread{})\n",
-        engine.stats(),
-        if n == 1 { "" } else { "s" }
+        "search stats        : {stats} ({threads} thread{})\n",
+        if threads == 1 { "" } else { "s" }
     )
 }
 
@@ -451,9 +451,9 @@ fn cmd_classify(args: &[&str], out: &mut String) -> Result<(), String> {
     if let Some(w) = &c.recording.witness {
         let _ = writeln!(text, "recording witness   : {}", w.describe(&*ty));
     }
-    text.push_str(&stats_line(&parsed, &engine));
-    warn_if_timed_out(&engine);
     let stats = engine.stats();
+    text.push_str(&stats_line(&parsed, &stats, engine.threads()));
+    warn_if_timed_out(&stats);
     let record = VerdictRecord {
         subject: spec.to_string(),
         clean: true,
@@ -487,9 +487,12 @@ fn cmd_compare(args: &[&str], out: &mut String) -> Result<(), String> {
     let tracer = tracer_from_args(&parsed)?;
     let engine = engine_from_args(&parsed)?.with_tracer(tracer.clone());
     let mut report = rcn_core::HierarchyReport::new(cap);
-    report.add_all(&types, &engine).map_err(|e| e.to_string())?;
-    let text = format!("{report}\n{}", stats_line(&parsed, &engine));
-    warn_if_timed_out(&engine);
+    let stats = report.add_all(&types, &engine).map_err(|e| e.to_string())?;
+    let text = format!(
+        "{report}\n{}",
+        stats_line(&parsed, &stats, engine.threads())
+    );
+    warn_if_timed_out(&stats);
     finish(out, &parsed, "compare", &text, Vec::new(), &tracer)
 }
 
@@ -522,7 +525,7 @@ fn cmd_witness(args: &[&str], out: &mut String) -> Result<(), String> {
         }
         None => format!("{} is NOT {n}-{kind} (no witness exists)\n", ty.name()),
     };
-    text.push_str(&stats_line(&parsed, &engine));
+    text.push_str(&stats_line(&parsed, &engine.stats(), engine.threads()));
     finish(out, &parsed, "witness", &text, Vec::new(), &tracer)
 }
 
@@ -1925,6 +1928,28 @@ mod tests {
         assert!(run(&s(&["classify", "tas", "--timeout", "-1"])).is_err());
         assert!(run(&s(&["classify", "tas", "--timeout", "soon"])).is_err());
         assert!(run(&s(&["dot", "tas", "--timeout", "1"])).is_err());
+    }
+
+    #[test]
+    fn compare_reports_a_timeout_whatever_the_type_order() {
+        // With test-and-set's verdicts on disk, its call meets no deadline;
+        // the timeout of the type searched before it must still show.
+        let dir = scratch_path("compare-timeout");
+        let dir = dir.to_str().expect("utf-8 temp path");
+        run(&s(&["classify", "tas", "--cap", "3", "--cache-dir", dir])).unwrap();
+        for order in [["cas:3", "tas"], ["tas", "cas:3"]] {
+            let mut out = String::new();
+            let args = [
+                &["compare"][..],
+                &order,
+                &["--cap", "3", "--timeout", "0.000001", "--stats"],
+                &["--cache-dir", dir],
+            ]
+            .concat();
+            run_to(&s(&args), &mut out).unwrap();
+            assert!(out.contains("[TIMED OUT:"), "{order:?}: {out}");
+        }
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

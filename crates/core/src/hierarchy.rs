@@ -1,11 +1,11 @@
 //! Hierarchy reports: classify a set of types and render the comparison
 //! table that experiment E5/E8 prints.
 
-use rcn_decide::{classify, robust_level, SearchEngine, SearchError, TypeClassification};
+use rcn_decide::{
+    classify, robust_level, SearchEngine, SearchError, SearchStats, TypeClassification,
+};
 use rcn_spec::ObjectType;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// A classification report over a set of types.
 ///
@@ -52,56 +52,41 @@ impl HierarchyReport {
         self.classes.last().expect("just pushed")
     }
 
-    /// Classifies a whole set of types concurrently — one type per worker
-    /// thread, up to the engine's thread count — and appends the results in
-    /// input order. Stats accumulate on `engine` across all workers.
+    /// Classifies a set of types on `engine`, one after another, and
+    /// appends the results in input order. Stats accumulate on `engine`.
     ///
-    /// Per-type searches run sequentially inside each worker (the
-    /// coarse-grained sharding already saturates the engine's width), so
-    /// the total thread count stays at `engine.threads()`.
+    /// Returns the engine's [`SearchStats`] after the last type, with the
+    /// timeout fields covering the whole set rather than its last call:
+    /// `timed_out` if any type's classification hit the engine's deadline,
+    /// and `instances_abandoned` summed over the types.
     ///
     /// # Errors
     ///
     /// Returns the first [`SearchError`] encountered; in that case no
     /// classifications are appended.
-    pub fn add_all<T>(&mut self, types: &[T], engine: &SearchEngine) -> Result<(), SearchError>
+    pub fn add_all<T>(
+        &mut self,
+        types: &[T],
+        engine: &SearchEngine,
+    ) -> Result<SearchStats, SearchError>
     where
-        T: std::ops::Deref + Sync,
+        T: std::ops::Deref,
         T::Target: ObjectType + Sync,
     {
-        let workers = engine.threads().min(types.len()).max(1);
-        let cap = self.cap;
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<TypeClassification, SearchError>>>> =
-            types.iter().map(|_| Mutex::new(None)).collect();
-
-        let worker = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(ty) = types.get(i) else { break };
-            let result = engine.classify_with(&**ty, cap, 1);
-            *slots[i].lock().expect("classification slot") = Some(result);
-        };
-
-        if workers <= 1 {
-            worker();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(worker);
-                }
-            });
-        }
-
         let mut classified = Vec::with_capacity(types.len());
-        for slot in slots {
-            classified.push(
-                slot.into_inner()
-                    .expect("classification slot")
-                    .expect("every index claimed")?,
-            );
+        let (mut timed_out, mut instances_abandoned) = (false, 0);
+        for ty in types {
+            classified.push(engine.classify(&**ty, self.cap)?);
+            let stats = engine.stats();
+            timed_out |= stats.timed_out;
+            instances_abandoned += stats.instances_abandoned;
         }
         self.classes.extend(classified);
-        Ok(())
+        Ok(SearchStats {
+            timed_out,
+            instances_abandoned,
+            ..engine.stats()
+        })
     }
 
     /// The classifications so far.
@@ -153,7 +138,9 @@ impl fmt::Display for HierarchyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcn_decide::DiskCache;
     use rcn_spec::zoo::{Register, StickyBit, TestAndSet};
+    use std::time::Duration;
 
     #[test]
     fn report_accumulates_and_renders() {
@@ -180,10 +167,10 @@ mod tests {
             sequential.add(&**ty);
         }
         let engine = SearchEngine::new(3);
-        let mut concurrent = HierarchyReport::new(3);
-        concurrent.add_all(&types, &engine).expect("cap in range");
-        assert_eq!(concurrent.classes().len(), 3);
-        for (a, b) in sequential.classes().iter().zip(concurrent.classes()) {
+        let mut batch = HierarchyReport::new(3);
+        let stats = batch.add_all(&types, &engine).expect("cap in range");
+        assert_eq!(batch.classes().len(), 3);
+        for (a, b) in sequential.classes().iter().zip(batch.classes()) {
             assert_eq!(a.type_name, b.type_name, "order preserved");
             assert_eq!(a.consensus_number, b.consensus_number);
             assert_eq!(
@@ -191,16 +178,38 @@ mod tests {
                 b.recoverable_consensus_number
             );
         }
-        assert!(engine.stats().analyses_computed > 0);
-        // Concurrent classifications overlap in time: the engine's wall
-        // time is the union of in-flight intervals and must never exceed
-        // the summed per-search busy time (the old counter summed per-call
-        // durations as "wall time", which overshot real elapsed time here).
-        let stats = engine.stats();
-        assert!(
-            stats.wall_time <= stats.busy_time,
-            "wall must not exceed busy: {stats}"
-        );
+        assert!(stats.analyses_computed > 0);
+        assert_eq!(stats, engine.stats(), "no deadline: the engine's stats");
+    }
+
+    #[test]
+    fn add_all_reports_any_types_timeout() {
+        // Sticky bit's verdicts are all on disk, so its call, the last one,
+        // finishes without meeting the deadline; test-and-set's, before it,
+        // is cut short. The batch must still report the timeout.
+        let dir = std::env::temp_dir().join(format!(
+            "rcn-hierarchy-timeout-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        SearchEngine::sequential()
+            .with_disk_cache(DiskCache::new(&dir))
+            .classify(&StickyBit::new(), 3)
+            .expect("cap in range");
+        let engine = SearchEngine::sequential()
+            .with_disk_cache(DiskCache::new(&dir))
+            .with_timeout(Duration::ZERO);
+        let types: Vec<Box<dyn ObjectType + Send + Sync>> =
+            vec![Box::new(TestAndSet::new()), Box::new(StickyBit::new())];
+        let mut report = HierarchyReport::new(3);
+        let stats = report.add_all(&types, &engine).expect("cap in range");
+        assert!(!engine.stats().timed_out, "the last call met no deadline");
+        assert!(stats.timed_out, "an earlier type timed out: {stats}");
+        assert!(stats.instances_abandoned > 0, "{stats}");
+        assert!(report.classes()[0].discerning.capped);
+        assert_eq!(report.classes()[1], classify(&StickyBit::new(), 3));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

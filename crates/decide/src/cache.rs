@@ -373,11 +373,6 @@ impl VerdictStore {
         }
     }
 
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Reads and parses the file `name`, then hands it to `accept`. A
     /// missing or unreadable file is a miss; a file that does not parse,
     /// or that `accept` rejects (with its reason), is quarantined to
@@ -517,7 +512,6 @@ struct LevelFile {
 #[derive(Debug, Clone)]
 pub struct DiskCache {
     store: VerdictStore,
-    tracer: Tracer,
 }
 
 impl DiskCache {
@@ -531,30 +525,7 @@ impl DiskCache {
     pub fn with_io(dir: impl Into<PathBuf>, io: Arc<dyn CacheIo>) -> DiskCache {
         DiskCache {
             store: VerdictStore::new(dir, io, &CACHE_NAMES),
-            tracer: Tracer::disabled(),
         }
-    }
-
-    /// Attaches a [`Tracer`]: loads, stores, quarantines, and transient-
-    /// fault retries become `cache.*` events (with byte sizes and outcomes)
-    /// and counters.
-    /// [`SearchEngine::with_tracer`](crate::SearchEngine::with_tracer)
-    /// propagates its tracer here automatically when the cache has none of
-    /// its own.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: Tracer) -> DiskCache {
-        self.tracer = tracer;
-        self
-    }
-
-    /// The attached tracer ([`Tracer::disabled`] by default).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        self.store.dir()
     }
 
     /// The file that holds the level-`n` verdict of `cond` for a type with
@@ -565,16 +536,19 @@ impl DiskCache {
 
     /// The stored level-`n` verdict of `cond`, if a valid one is on disk:
     /// `Some(Some(witness))` for a level that holds, `Some(None)` for a
-    /// refuted one. A stored witness is re-checked against `ty`.
+    /// refuted one. A stored witness is re-checked against `ty`. The read,
+    /// and any quarantine, is reported to `tracer` as `cache.*` events and
+    /// counters.
     pub(crate) fn load<T: ObjectType + ?Sized>(
         &self,
         ty: &T,
         fingerprint: u64,
         cond: Condition,
         n: usize,
+        tracer: &Tracer,
     ) -> Option<Option<Witness>> {
         let name = Self::file_name(fingerprint, cond, n);
-        self.store.load(&name, &self.tracer, |file: LevelFile| {
+        self.store.load(&name, tracer, |file: LevelFile| {
             if file.version != CACHE_FORMAT_VERSION
                 || file.fingerprint != fingerprint
                 || file.condition != cond.name()
@@ -589,14 +563,15 @@ impl DiskCache {
         })
     }
 
-    /// Persists the finished level-`n` verdict of `cond`. Returns `true` on
-    /// success.
+    /// Persists the finished level-`n` verdict of `cond`, reporting the
+    /// publish (and any retry) to `tracer`. Returns `true` on success.
     pub(crate) fn store(
         &self,
         fingerprint: u64,
         cond: Condition,
         n: usize,
         witness: &Option<Witness>,
+        tracer: &Tracer,
     ) -> bool {
         let file = LevelFile {
             version: CACHE_FORMAT_VERSION,
@@ -606,7 +581,7 @@ impl DiskCache {
             witness: witness.clone(),
         };
         self.store
-            .store(&Self::file_name(fingerprint, cond, n), &file, &self.tracer)
+            .store(&Self::file_name(fingerprint, cond, n), &file, tracer)
     }
 }
 
@@ -660,11 +635,11 @@ mod tests {
         let tas = TestAndSet::new();
         let fp = type_fingerprint(&tas);
         // Missing directory entirely: silent miss.
-        assert_eq!(cache.load(&tas, fp, D, 2), None);
+        assert_eq!(cache.load(&tas, fp, D, 2, &Tracer::disabled()), None);
         // Garbage bytes at the expected path: silent miss.
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(DiskCache::file_name(fp, D, 2)), b"{not json").unwrap();
-        assert_eq!(cache.load(&tas, fp, D, 2), None);
+        assert_eq!(cache.load(&tas, fp, D, 2, &Tracer::disabled()), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -677,15 +652,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(DiskCache::file_name(fp, D, 2));
         std::fs::write(&path, b"{definitely not a cache file").unwrap();
-        assert_eq!(cache.load(&tas, fp, D, 2), None);
+        assert_eq!(cache.load(&tas, fp, D, 2, &Tracer::disabled()), None);
         assert!(!path.exists(), "corrupt file must be moved aside");
         assert!(
             path.with_extension("bad").exists(),
             "evidence must be preserved as .bad"
         );
         // The slot is free again: a store publishes a fresh, loadable file.
-        assert!(cache.store(fp, D, 2, &tas_verdict()));
-        assert_eq!(cache.load(&tas, fp, D, 2), Some(tas_verdict()));
+        assert!(cache.store(fp, D, 2, &tas_verdict(), &Tracer::disabled()));
+        assert_eq!(
+            cache.load(&tas, fp, D, 2, &Tracer::disabled()),
+            Some(tas_verdict())
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -698,13 +676,22 @@ mod tests {
         let witness = tas_verdict().unwrap();
         // Test-and-set is not 2-recording: the discerning witness,
         // stored as a recording verdict, fails its re-check.
-        assert!(cache.store(fp, Condition::Recording, 2, &Some(witness.clone())));
-        assert_eq!(cache.load(&tas, fp, Condition::Recording, 2), None);
+        assert!(cache.store(
+            fp,
+            Condition::Recording,
+            2,
+            &Some(witness.clone()),
+            &Tracer::disabled()
+        ));
+        assert_eq!(
+            cache.load(&tas, fp, Condition::Recording, 2, &Tracer::disabled()),
+            None
+        );
         let name = DiskCache::file_name(fp, Condition::Recording, 2);
         assert!(dir.join(name).with_extension("bad").exists());
         // A witness of the wrong arity is rejected even if it checks.
-        assert!(cache.store(fp, D, 3, &Some(witness)));
-        assert_eq!(cache.load(&tas, fp, D, 3), None);
+        assert!(cache.store(fp, D, 3, &Some(witness), &Tracer::disabled()));
+        assert_eq!(cache.load(&tas, fp, D, 3, &Tracer::disabled()), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -725,13 +712,16 @@ mod tests {
                 let (cache, verdict) = (&cache, &verdict);
                 scope.spawn(move || {
                     for _ in 0..16 {
-                        assert!(cache.store(fp, D, 2, verdict));
+                        assert!(cache.store(fp, D, 2, verdict, &Tracer::disabled()));
                     }
                 });
             }
         });
         // Whatever store won, the published file is complete and valid.
-        assert_eq!(cache.load(&tas, fp, D, 2), Some(verdict));
+        assert_eq!(
+            cache.load(&tas, fp, D, 2, &Tracer::disabled()),
+            Some(verdict)
+        );
         // No temp litter left behind.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -756,12 +746,12 @@ mod tests {
             let io = Arc::new(FaultyIo::new(fail_at, FaultMode::Error));
             let cache = DiskCache::with_io(&dir, io.clone() as Arc<dyn CacheIo>);
             assert!(
-                cache.store(fp, D, 2, &tas_verdict()),
+                cache.store(fp, D, 2, &tas_verdict(), &Tracer::disabled()),
                 "store must survive a transient fault at op {fail_at}"
             );
             assert_eq!(io.injected(), 1, "fault at op {fail_at} must fire");
             assert_eq!(
-                DiskCache::new(&dir).load(&tas, fp, D, 2),
+                DiskCache::new(&dir).load(&tas, fp, D, 2, &Tracer::disabled()),
                 Some(tas_verdict())
             );
             std::fs::remove_dir_all(&dir).ok();
@@ -807,7 +797,7 @@ mod tests {
         let cache =
             DiskCache::with_io("/nonexistent/rcn-seam-test", io.clone() as Arc<dyn CacheIo>);
         let fp = type_fingerprint(&TestAndSet::new());
-        assert!(!cache.store(fp, D, 2, &tas_verdict()));
+        assert!(!cache.store(fp, D, 2, &tas_verdict(), &Tracer::disabled()));
         let removed = io.removed.lock().unwrap();
         assert_eq!(
             removed.len(),
@@ -825,13 +815,13 @@ mod tests {
     fn store_reports_events_and_counters_under_its_names() {
         let dir = unit_dir("traced");
         let tracer = Tracer::ring(64);
-        let cache = DiskCache::new(&dir).with_tracer(tracer.clone());
+        let cache = DiskCache::new(&dir);
         let tas = TestAndSet::new();
         let fp = type_fingerprint(&tas);
-        assert!(cache.store(fp, D, 2, &tas_verdict()));
-        assert!(cache.load(&tas, fp, D, 3).is_none());
+        assert!(cache.store(fp, D, 2, &tas_verdict(), &tracer));
+        assert!(cache.load(&tas, fp, D, 3, &tracer).is_none());
         std::fs::write(dir.join(DiskCache::file_name(fp, D, 2)), b"{torn").unwrap();
-        assert!(cache.load(&tas, fp, D, 2).is_none());
+        assert!(cache.load(&tas, fp, D, 2, &tracer).is_none());
         let snap = tracer.snapshot().expect("enabled tracer");
         assert_eq!(snap.counter("cache.stores"), Some(1));
         assert_eq!(snap.counter("cache.quarantined"), Some(1));
@@ -870,14 +860,20 @@ mod tests {
         let cache = DiskCache::new(&dir);
         let tas = TestAndSet::new();
         let fp = type_fingerprint(&tas);
-        assert!(cache.store(fp, D, 2, &tas_verdict()));
-        assert!(cache.store(fp, D, 3, &None));
-        assert_eq!(cache.load(&tas, fp, D, 2), Some(tas_verdict()));
+        assert!(cache.store(fp, D, 2, &tas_verdict(), &Tracer::disabled()));
+        assert!(cache.store(fp, D, 3, &None, &Tracer::disabled()));
+        assert_eq!(
+            cache.load(&tas, fp, D, 2, &Tracer::disabled()),
+            Some(tas_verdict())
+        );
         // A stored refutation is a hit too.
-        assert_eq!(cache.load(&tas, fp, D, 3), Some(None));
+        assert_eq!(cache.load(&tas, fp, D, 3, &Tracer::disabled()), Some(None));
         // Another level's or condition's file does not exist.
-        assert_eq!(cache.load(&tas, fp, D, 4), None);
-        assert_eq!(cache.load(&tas, fp, Condition::Recording, 2), None);
+        assert_eq!(cache.load(&tas, fp, D, 4, &Tracer::disabled()), None);
+        assert_eq!(
+            cache.load(&tas, fp, Condition::Recording, 2, &Tracer::disabled()),
+            None
+        );
         // A fingerprint mismatch inside the file is rejected even at the
         // right path.
         let path = dir.join(DiskCache::file_name(fp, D, 2));
@@ -887,7 +883,7 @@ mod tests {
             text.replace(&format!("\"fingerprint\":{fp}"), "\"fingerprint\":1"),
         )
         .unwrap();
-        assert_eq!(cache.load(&tas, fp, D, 2), None);
+        assert_eq!(cache.load(&tas, fp, D, 2, &Tracer::disabled()), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

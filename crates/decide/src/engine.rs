@@ -24,8 +24,8 @@
 //! Everything the engine does is observable through [`SearchStats`]:
 //! analyses computed, condition visits served by an analysis already built
 //! for the other condition, levels answered from disk, partitions tested,
-//! instances visited, levels persisted, and both time totals (true wall
-//! time and summed per-search busy time).
+//! instances visited, levels persisted, and the time spent searching
+//! levels.
 //!
 //! Results are level-deterministic: every thread count reports the levels a
 //! one-worker engine reports (the space is either exhausted or a genuine
@@ -141,12 +141,8 @@ pub struct SearchStats {
     /// `(condition, instance)` visits: an `(initial value, op multiset)`
     /// instance tested for both conditions counts twice.
     pub instances_visited: u64,
-    /// Real elapsed time with at least one engine search in flight (the
-    /// union of search intervals — never exceeds actual elapsed time, even
-    /// when searches run concurrently).
-    pub wall_time: Duration,
-    /// Per-search durations summed across concurrent searches (total work
-    /// time; ≥ `wall_time` whenever searches overlap).
+    /// Time spent deciding levels (disk reads and writes included), summed
+    /// over every call on this engine.
     pub busy_time: Duration,
     /// `true` if the *most recent* public search call hit the
     /// [`SearchEngine::with_timeout`] deadline and was cancelled
@@ -177,7 +173,6 @@ impl SearchStats {
         snap.push_counter("engine.instances_visited", self.instances_visited);
         snap.push_counter("engine.partitions_tested", self.partitions_tested);
         snap.push_counter("engine.timed_out", u64::from(self.timed_out));
-        snap.push_counter("engine.wall_ns", duration_to_ns(self.wall_time));
         snap
     }
 }
@@ -190,13 +185,12 @@ impl fmt::Display for SearchStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} analyses ({} cache hits, {} disk hits), {} partitions over {} instances in {:.3?} wall / {:.3?} busy",
+            "{} analyses ({} cache hits, {} disk hits), {} partitions over {} instances in {:.3?} busy",
             self.analyses_computed,
             self.cache_hits,
             self.disk_hits,
             self.partitions_tested,
             self.instances_visited,
-            self.wall_time,
             self.busy_time,
         )?;
         if self.disk_entries_written > 0 {
@@ -251,7 +245,6 @@ impl Condition {
 struct SearchCall<'e> {
     /// The attached disk cache and the searched type's fingerprint.
     disk: Option<(&'e DiskCache, u64)>,
-    threads: usize,
     /// One deadline for the whole call.
     deadline: Option<Instant>,
 }
@@ -293,46 +286,6 @@ struct Counters {
     instances_abandoned: AtomicU64,
 }
 
-/// True-wall-time accounting: the union of in-flight search intervals.
-/// Summing per-call durations (the old behavior) overstates "wall time" as
-/// soon as `HierarchyReport::add_all` runs classifications concurrently on
-/// one engine; this clock only ticks while at least one search is active.
-#[derive(Default)]
-struct WallClock {
-    inner: Mutex<WallState>,
-}
-
-#[derive(Default)]
-struct WallState {
-    active: usize,
-    started: Option<Instant>,
-    total: Duration,
-}
-
-impl WallClock {
-    fn enter(&self) {
-        let mut state = self.inner.lock().expect("wall clock");
-        if state.active == 0 {
-            state.started = Some(Instant::now());
-        }
-        state.active += 1;
-    }
-
-    fn exit(&self) {
-        let mut state = self.inner.lock().expect("wall clock");
-        state.active -= 1;
-        if state.active == 0 {
-            if let Some(started) = state.started.take() {
-                state.total += started.elapsed();
-            }
-        }
-    }
-
-    fn total(&self) -> Duration {
-        self.inner.lock().expect("wall clock").total
-    }
-}
-
 /// The parallel, instrumented witness-search engine.
 ///
 /// # Examples
@@ -353,7 +306,6 @@ pub struct SearchEngine {
     timeout: Option<Duration>,
     tracer: Tracer,
     counters: Counters,
-    wall: WallClock,
 }
 
 impl SearchEngine {
@@ -371,7 +323,6 @@ impl SearchEngine {
             timeout: None,
             tracer: Tracer::disabled(),
             counters: Counters::default(),
-            wall: WallClock::default(),
         }
     }
 
@@ -386,13 +337,7 @@ impl SearchEngine {
     /// model.
     #[must_use]
     pub fn with_disk_cache(mut self, cache: DiskCache) -> SearchEngine {
-        // Order-independence with `with_tracer`: an engine tracer already
-        // attached flows into the cache unless the cache brought its own.
-        self.disk = Some(if self.tracer.enabled() && !cache.tracer().enabled() {
-            cache.with_tracer(self.tracer.clone())
-        } else {
-            cache
-        });
+        self.disk = Some(cache);
         self
     }
 
@@ -402,19 +347,12 @@ impl SearchEngine {
     /// span per analysis built,
     /// emits queue-depth and timeout events, and publishes its
     /// [`SearchStats`] counters into the tracer's metrics registry after
-    /// every public search call. An attached [`DiskCache`] without its own
-    /// tracer inherits this one (in either attachment order). Tracing is
-    /// observation only — results are bit-identical with any tracer,
-    /// including [`Tracer::disabled`] (the default).
+    /// every public search call. An attached [`DiskCache`] reports its
+    /// `cache.*` events and counters here too. Tracing is observation
+    /// only — results are bit-identical with any tracer, including
+    /// [`Tracer::disabled`] (the default).
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> SearchEngine {
-        if let Some(disk) = self.disk.take() {
-            self.disk = Some(if disk.tracer().enabled() {
-                disk
-            } else {
-                disk.with_tracer(tracer.clone())
-            });
-        }
         self.tracer = tracer;
         self
     }
@@ -438,22 +376,6 @@ impl SearchEngine {
     /// The number of worker threads searches run on.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The attached persistent cache, if any.
-    pub fn disk_cache(&self) -> Option<&DiskCache> {
-        self.disk.as_ref()
-    }
-
-    /// The per-call wall-clock deadline, if one is attached.
-    pub fn timeout(&self) -> Option<Duration> {
-        self.timeout
-    }
-
-    /// The attached tracer ([`Tracer::disabled`] unless
-    /// [`with_tracer`](Self::with_tracer) was called).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Publishes the current [`SearchStats`] into the tracer's metrics
@@ -481,7 +403,6 @@ impl SearchEngine {
             disk_entries_written: self.counters.disk_entries_written.load(Ordering::Relaxed),
             partitions_tested: self.counters.partitions_tested.load(Ordering::Relaxed),
             instances_visited: self.counters.instances_visited.load(Ordering::Relaxed),
-            wall_time: self.wall.total(),
             busy_time: Duration::from_nanos(self.counters.busy_nanos.load(Ordering::Relaxed)),
             timed_out: self.counters.timed_out.load(Ordering::Relaxed),
             instances_abandoned: self.counters.instances_abandoned.load(Ordering::Relaxed),
@@ -500,14 +421,13 @@ impl SearchEngine {
     /// call in progress rather than sticking from an earlier timed-out
     /// search on the same engine, arms the deadline, and fingerprints the
     /// type once if a disk cache is attached.
-    fn open_call<T: ObjectType + ?Sized>(&self, ty: &T, threads: usize) -> SearchCall<'_> {
+    fn open_call<T: ObjectType + ?Sized>(&self, ty: &T) -> SearchCall<'_> {
         self.counters.timed_out.store(false, Ordering::Relaxed);
         self.counters
             .instances_abandoned
             .store(0, Ordering::Relaxed);
         SearchCall {
             disk: self.disk.as_ref().map(|d| (d, type_fingerprint(ty))),
-            threads: threads.max(1),
             deadline: self.deadline(),
         }
     }
@@ -563,7 +483,7 @@ impl SearchEngine {
         ty: &T,
         cap: usize,
     ) -> Result<LevelResult, SearchError> {
-        let [recording] = self.scan(ty, cap, [Condition::Recording], self.threads)?;
+        let [recording] = self.scan(ty, cap, [Condition::Recording])?;
         Ok(recording)
     }
 
@@ -582,7 +502,7 @@ impl SearchEngine {
         ty: &T,
         cap: usize,
     ) -> Result<LevelResult, SearchError> {
-        let [discerning] = self.scan(ty, cap, [Condition::Discerning], self.threads)?;
+        let [discerning] = self.scan(ty, cap, [Condition::Discerning])?;
         Ok(discerning)
     }
 
@@ -606,30 +526,8 @@ impl SearchEngine {
         ty: &T,
         cap: usize,
     ) -> Result<TypeClassification, SearchError> {
-        self.classify_with(ty, cap, self.threads)
-    }
-
-    /// Like [`classify`](Self::classify), but overriding the worker count
-    /// for this call. Callers that parallelize at a coarser grain (e.g. one
-    /// type per thread across a whole zoo) pass `1` to keep the total
-    /// thread count at the engine's configured width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SearchError`] if `cap < 2`, `cap > MAX_PROCESSES`, or a
-    /// search task panicked.
-    pub fn classify_with<T: ObjectType + Sync + ?Sized>(
-        &self,
-        ty: &T,
-        cap: usize,
-        threads: usize,
-    ) -> Result<TypeClassification, SearchError> {
-        let [discerning, recording] = self.scan(
-            ty,
-            cap,
-            [Condition::Discerning, Condition::Recording],
-            threads,
-        )?;
+        let [discerning, recording] =
+            self.scan(ty, cap, [Condition::Discerning, Condition::Recording])?;
         let readable = ty.is_readable();
         let consensus_number = level_to_bound(&discerning, readable);
         let recoverable_consensus_number = level_to_bound(&recording, readable);
@@ -651,7 +549,7 @@ impl SearchEngine {
         cond: Condition,
     ) -> Result<Option<Witness>, SearchError> {
         validate_level(n)?;
-        let call = self.open_call(ty, self.threads);
+        let call = self.open_call(ty);
         let mut outcomes = self.find_witnesses(ty, n, &[cond], &call)?;
         self.publish_metrics();
         Ok(outcomes.pop().and_then(|outcome| outcome.witness))
@@ -664,10 +562,9 @@ impl SearchEngine {
         ty: &T,
         cap: usize,
         conds: [Condition; N],
-        threads: usize,
     ) -> Result<[LevelResult; N], SearchError> {
         validate_level(cap)?;
-        let call = self.open_call(ty, threads);
+        let call = self.open_call(ty);
         let result = self.level_scan(ty, cap, conds, &call);
         self.publish_metrics();
         result
@@ -735,9 +632,6 @@ impl SearchEngine {
         conds: &[Condition],
         call: &SearchCall<'_>,
     ) -> Result<Vec<FindOutcome>, SearchError> {
-        // Busy brackets wall (start before `enter`, measure after `exit`):
-        // each wall interval nests inside its own busy interval, so the
-        // interval union can never exceed the busy sum.
         let start = Instant::now();
         // The span brackets the same region `busy_time` measures, so a
         // profile's `engine.level` total reconciles with the busy stat.
@@ -752,9 +646,7 @@ impl SearchEngine {
             i64::try_from(n).unwrap_or(i64::MAX),
             &detail,
         );
-        self.wall.enter();
         let outcomes = self.decide_level(ty, n, conds, call, &level_span);
-        self.wall.exit();
         self.counters.busy_nanos.fetch_add(
             u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
             Ordering::Relaxed,
@@ -776,7 +668,7 @@ impl SearchEngine {
             .iter()
             .map(|&cond| {
                 let (disk, fingerprint) = call.disk?;
-                let witness = disk.load(ty, fingerprint, cond, n)?;
+                let witness = disk.load(ty, fingerprint, cond, n, &self.tracer)?;
                 self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
                 Some(FindOutcome {
                     witness,
@@ -794,7 +686,7 @@ impl SearchEngine {
             let slots = outcomes.iter_mut().filter(|outcome| outcome.is_none());
             for ((slot, found), cond) in slots.zip(searched).zip(unanswered) {
                 if let (false, Some((disk, fingerprint))) = (found.timed_out, call.disk) {
-                    if disk.store(fingerprint, cond, n, &found.witness) {
+                    if disk.store(fingerprint, cond, n, &found.witness, &self.tracer) {
                         self.counters
                             .disk_entries_written
                             .fetch_add(1, Ordering::Relaxed);
@@ -978,7 +870,7 @@ impl SearchEngine {
                 .fetch_add(local_partitions, Ordering::Relaxed);
         };
 
-        let workers = call
+        let workers = self
             .threads
             .min(usize::try_from(total).unwrap_or(usize::MAX).max(1));
         if workers <= 1 {
@@ -1241,7 +1133,6 @@ mod tests {
     #[test]
     fn generous_deadlines_change_nothing() {
         let engine = SearchEngine::new(2).with_timeout(Duration::from_secs(600));
-        assert_eq!(engine.timeout(), Some(Duration::from_secs(600)));
         let c = engine.classify(&TestAndSet::new(), 4).unwrap();
         assert_eq!(c.consensus_number.to_string(), "2");
         assert_eq!(c.recoverable_consensus_number.to_string(), "1");
@@ -1315,37 +1206,26 @@ mod tests {
             snap.counter("engine.busy_ns"),
             Some(u64::try_from(stats.busy_time.as_nanos()).unwrap())
         );
+        assert!(stats.busy_time > Duration::ZERO);
     }
 
     #[test]
-    fn engine_tracer_propagates_into_the_disk_cache_either_order() {
+    fn the_disk_cache_reports_to_the_engine_tracer() {
         let tracer = Tracer::metrics_only();
         let dir = std::env::temp_dir().join(format!(
-            "rcn-engine-tracer-prop-{}-{:?}",
+            "rcn-engine-cache-tracer-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
-        let cache_first = SearchEngine::sequential()
+        std::fs::remove_dir_all(&dir).ok();
+        let engine = SearchEngine::sequential()
             .with_disk_cache(DiskCache::new(&dir))
             .with_tracer(tracer.clone());
-        assert!(cache_first.disk_cache().unwrap().tracer().enabled());
-        let tracer_first = SearchEngine::sequential()
-            .with_tracer(tracer)
-            .with_disk_cache(DiskCache::new(&dir));
-        assert!(tracer_first.disk_cache().unwrap().tracer().enabled());
+        engine.classify(&TestAndSet::new(), 3).unwrap();
+        let written = engine.stats().disk_entries_written;
+        assert!(written > 0);
+        let snap = tracer.snapshot().unwrap();
+        assert_eq!(snap.counter("cache.stores"), Some(written));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn wall_time_never_exceeds_busy_time() {
-        let engine = SearchEngine::new(2);
-        engine.classify(&TestAndSet::new(), 4).unwrap();
-        engine.classify(&StickyBit::new(), 3).unwrap();
-        let stats = engine.stats();
-        assert!(
-            stats.wall_time <= stats.busy_time,
-            "interval union must not exceed summed durations: {stats}"
-        );
-        assert!(stats.busy_time > Duration::ZERO);
     }
 }

@@ -1,8 +1,8 @@
 //! Systematic crash-schedule exploration.
 //!
 //! The paper's adversary places crashes at arbitrary points of a schedule;
-//! `rcn-runtime`'s `CrashyAdversary` and `run_threaded` only *sample* such
-//! placements from a seeded RNG. This module enumerates them: a bounded,
+//! [`rcn_model::CrashyAdversary`] and `rcn-runtime`'s `run_threaded` only
+//! *sample* such placements from a seeded RNG. This module enumerates them: a bounded,
 //! memoized search over the abstract executor that considers a crash of
 //! every process at every reachable configuration, up to a per-process
 //! crash budget (the paper's `E_z`-style budgets bound crashes per process,
@@ -244,12 +244,6 @@ impl<'s> CrashExplorer<'s> {
     pub fn with_memo(mut self, memo: ExplorerMemo) -> Self {
         self.memo = Some(memo);
         self
-    }
-
-    /// The attached tracer ([`Tracer::disabled`] unless
-    /// [`with_tracer`](Self::with_tracer) was called).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Runs the exploration: every schedule of length ≤ `max_depth` whose

@@ -51,7 +51,7 @@ use rcn_obs::Tracer;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Version stamp written into every explorer-memo file. Bump on any
@@ -253,11 +253,6 @@ impl ExplorerMemo {
         }
     }
 
-    /// The memo directory.
-    pub fn dir(&self) -> &Path {
-        self.store.dir()
-    }
-
     /// The file that holds the verdict for this exact `(system, budget)`
     /// pair.
     fn file_name(fingerprint: u64, config: &CrashtestConfig) -> String {
@@ -373,6 +368,7 @@ mod tests {
     use super::*;
     use crate::CrashExplorer;
     use rcn_protocols::{TasConsensus, TnnRecoverable, TnnWaitFree};
+    use std::path::Path;
 
     fn unit_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(

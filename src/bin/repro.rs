@@ -393,15 +393,14 @@ fn e5_hierarchy() {
     let mut types: Vec<Box<dyn ObjectType + Send + Sync>> = readable_zoo();
     types.push(Box::new(Tnn::new(4, 3)));
     types.push(Box::new(TeamCounter::new(4)));
-    report
+    let stats = report
         .add_all(&types, &engine)
         .expect("cap 4 within engine range");
     outln!("{report}");
     let workers = engine.threads();
     outln!(
-        "search engine ({workers} thread{}): {}",
-        if workers == 1 { "" } else { "s" },
-        engine.stats()
+        "search engine ({workers} thread{}): {stats}",
+        if workers == 1 { "" } else { "s" }
     );
     outln!("(readable types: CN = discerning number, RCN = recording number, by Ruppert + Thm 13 + DFFR Thm 8)");
 }

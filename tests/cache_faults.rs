@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 const CAP: usize = 4;
 
-fn classify_with_io(dir: &Path, io: Arc<FaultyIo>) -> TypeClassification {
+fn classify_through(dir: &Path, io: Arc<FaultyIo>) -> TypeClassification {
     let engine =
         SearchEngine::sequential().with_disk_cache(DiskCache::with_io(dir, io as Arc<dyn CacheIo>));
     engine
@@ -43,10 +43,10 @@ fn assert_same(a: &TypeClassification, b: &TypeClassification, ctx: &str) {
 fn baseline() -> (TypeClassification, u64, u64) {
     let dir = scratch("baseline");
     let cold_io = Arc::new(FaultyIo::counting());
-    let reference = classify_with_io(&dir, cold_io.clone());
+    let reference = classify_through(&dir, cold_io.clone());
     let cold_ops = cold_io.ops_seen();
     let warm_io = Arc::new(FaultyIo::counting());
-    let warm = classify_with_io(&dir, warm_io.clone());
+    let warm = classify_through(&dir, warm_io.clone());
     let warm_ops = warm_io.ops_seen();
     assert_same(&reference, &warm, "fault-free warm run");
     assert!(cold_ops > 0, "cold run must touch the disk");
@@ -68,7 +68,7 @@ fn every_cold_run_injection_point_falls_back_to_recompute() {
         for k in 0..cold_ops {
             let dir = scratch(&format!("cold-{mode:?}-{k}"));
             let io = Arc::new(FaultyIo::new(k, mode));
-            let hurt = classify_with_io(&dir, io.clone());
+            let hurt = classify_through(&dir, io.clone());
             assert_same(&reference, &hurt, &format!("cold sweep {mode:?} @ op {k}"));
             assert_eq!(io.injected(), 1, "cold {mode:?} @ {k}: fault must fire");
             injected_points += 1;
@@ -76,7 +76,7 @@ fn every_cold_run_injection_point_falls_back_to_recompute() {
             // Self-repair: whatever the fault left behind (a missing entry,
             // a truncated file now quarantined to `.bad`), the next clean
             // run still answers correctly — and the run after that is warm.
-            let clean = classify_with_io(&dir, Arc::new(FaultyIo::counting()));
+            let clean = classify_through(&dir, Arc::new(FaultyIo::counting()));
             assert_same(&reference, &clean, &format!("repair after {mode:?} @ {k}"));
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -98,15 +98,15 @@ fn every_warm_run_injection_point_falls_back_to_recompute() {
             let dir = scratch(&format!("warm-{mode:?}-{k}"));
             // Populate the cache cleanly first; the fault then hits one of
             // the warm run's reads (or its re-persist traffic).
-            let reference_again = classify_with_io(&dir, Arc::new(FaultyIo::counting()));
+            let reference_again = classify_through(&dir, Arc::new(FaultyIo::counting()));
             assert_same(&reference, &reference_again, "clean populate");
 
             let io = Arc::new(FaultyIo::new(k, mode));
-            let hurt = classify_with_io(&dir, io.clone());
+            let hurt = classify_through(&dir, io.clone());
             assert_same(&reference, &hurt, &format!("warm sweep {mode:?} @ op {k}"));
             assert_eq!(io.injected(), 1, "warm {mode:?} @ {k}: fault must fire");
 
-            let clean = classify_with_io(&dir, Arc::new(FaultyIo::counting()));
+            let clean = classify_through(&dir, Arc::new(FaultyIo::counting()));
             assert_same(&reference, &clean, &format!("repair after {mode:?} @ {k}"));
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -126,11 +126,11 @@ fn torn_writes_are_caught_by_the_next_reader_and_quarantined() {
     for k in 0..cold_ops {
         let dir = scratch(&format!("quarantine-{k}"));
         let io = Arc::new(FaultyIo::new(k, FaultMode::Truncate));
-        let hurt = classify_with_io(&dir, io.clone());
+        let hurt = classify_through(&dir, io.clone());
         assert_same(&reference, &hurt, &format!("torn op {k}"));
         assert_eq!(io.injected(), 1, "op {k}: fault must fire");
 
-        let after = classify_with_io(&dir, Arc::new(FaultyIo::counting()));
+        let after = classify_through(&dir, Arc::new(FaultyIo::counting()));
         assert_same(&reference, &after, &format!("run discovering torn op {k}"));
         let quarantined = std::fs::read_dir(&dir)
             .expect("cache dir exists")
@@ -140,7 +140,7 @@ fn torn_writes_are_caught_by_the_next_reader_and_quarantined() {
         if quarantined > 0 {
             saw_quarantine = true;
             // Quarantined litter never breaks later runs.
-            let third = classify_with_io(&dir, Arc::new(FaultyIo::counting()));
+            let third = classify_through(&dir, Arc::new(FaultyIo::counting()));
             assert_same(&reference, &third, &format!("litter after op {k}"));
         }
         std::fs::remove_dir_all(&dir).ok();

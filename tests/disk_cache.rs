@@ -12,7 +12,6 @@ use rcn::spec::zoo::{
     TestAndSet, Tnn,
 };
 use rcn::spec::ObjectType;
-use rcn::HierarchyReport;
 use std::path::{Path, PathBuf};
 
 const CAP: usize = 4;
@@ -138,25 +137,41 @@ fn assert_no_temp_litter(dir: &Path) {
 
 #[test]
 fn concurrent_classifications_share_one_cache_directory() {
-    // `add_all` classifies the three types on concurrent workers; the two
-    // test-and-set workers read and publish the very same files at once.
-    let types: Vec<Box<dyn ObjectType + Send + Sync>> = vec![
-        Box::new(TestAndSet::new()),
-        Box::new(TestAndSet::new()),
-        Box::new(StickyBit::new()),
-    ];
-    let run = |engine: SearchEngine| {
-        let mut report = HierarchyReport::new(CAP);
-        report.add_all(&types, &engine).expect("cap in range");
-        (report.classes().to_vec(), engine.stats())
+    // Two threads, each with its own engine on one directory, classify the
+    // same types at once: they read and publish the very same files.
+    let types: Vec<Box<dyn ObjectType + Send + Sync>> =
+        vec![Box::new(TestAndSet::new()), Box::new(StickyBit::new())];
+    let classify_all = |engine: &SearchEngine| -> Vec<TypeClassification> {
+        types
+            .iter()
+            .map(|ty| engine.classify(&**ty, CAP).expect("cap in range"))
+            .collect()
     };
-    let (reference, _) = run(SearchEngine::new(4));
+    let reference = classify_all(&SearchEngine::sequential());
     let dir = scratch("concurrent");
-    let (cold, _) = run(SearchEngine::new(4).with_disk_cache(DiskCache::new(&dir)));
-    let (warm, warm_stats) = run(SearchEngine::new(4).with_disk_cache(DiskCache::new(&dir)));
-    assert_eq!(cold, reference, "cold verdicts");
-    assert_eq!(warm, reference, "warm verdicts");
-    assert_eq!(warm_stats.analyses_computed, 0, "{warm_stats}");
+    let run_two = || {
+        std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let engine =
+                            SearchEngine::sequential().with_disk_cache(DiskCache::new(&dir));
+                        (classify_all(&engine), engine.stats())
+                    })
+                })
+                .collect();
+            runs.into_iter()
+                .map(|run| run.join().expect("classification thread"))
+                .collect::<Vec<_>>()
+        })
+    };
+    for (cold, _) in run_two() {
+        assert_eq!(cold, reference, "cold verdicts");
+    }
+    for (warm, warm_stats) in run_two() {
+        assert_eq!(warm, reference, "warm verdicts");
+        assert_eq!(warm_stats.analyses_computed, 0, "{warm_stats}");
+    }
     assert_no_temp_litter(&dir);
     std::fs::remove_dir_all(&dir).ok();
 }
