@@ -330,11 +330,11 @@ pub fn verify_simulation(
     max_configs: usize,
 ) -> Result<SimReport, rcn_valency::ExploreError> {
     let graph = rcn_valency::ConfigGraph::explore(system, max_configs)?;
-    let n = system.n();
     let mut config = graph.config(0);
+    let mut buffers = Buffers::default();
     for id in 0..graph.len() {
         graph.config_into(id, &mut config);
-        if let Some(v) = check_config(system, sim, initial, n, id, &config) {
+        if let Some(v) = check_config(system, sim, initial, id, &config, &mut buffers) {
             return Ok(SimReport {
                 configs: graph.len(),
                 violation: Some(v),
@@ -347,19 +347,31 @@ pub fn verify_simulation(
     })
 }
 
+/// [`check_config`]'s buffers, reused across configurations.
+#[derive(Default)]
+struct Buffers {
+    /// The decided slots' winners, in slot order.
+    winners: Vec<usize>,
+    /// Each process's response in the replay of the decided log, if it won
+    /// a slot.
+    responses: Vec<Option<u32>>,
+}
+
 fn check_config(
     system: &System,
     sim: &(dyn ObjectType + Send + Sync),
     initial: ValueId,
-    n: usize,
     id: usize,
     config: &Configuration,
+    buffers: &mut Buffers,
 ) -> Option<SimViolation> {
+    let n = system.n();
     // Objects: announce 0..n, slots n..2n (layout order in `system`).
     let slot_value = |k: usize| config.values[n + k].index();
     // (a) prefix property.
     let mut seen_undecided = false;
-    let mut winners = Vec::new();
+    let Buffers { winners, responses } = buffers;
+    winners.clear();
     for k in 0..n {
         match slot_value(k) {
             0 => seen_undecided = true,
@@ -382,8 +394,9 @@ fn check_config(
     }
     // (c) outputs match replay.
     let mut value = initial;
-    let mut responses: Vec<Option<u32>> = vec![None; n];
-    for &w in &winners {
+    responses.clear();
+    responses.resize(n, None);
+    for &w in winners.iter() {
         let op = config.values[w].index(); // announce register of w
         if op >= sim.num_ops() {
             // Winner without an announcement would be a protocol bug; the

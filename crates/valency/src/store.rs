@@ -7,13 +7,23 @@
 //! and its decision — interned once per store, with the action it is poised
 //! to take. A [`WordHasher`] digest of a row maps to the newest state with
 //! that digest and a chain links the older ones, so a probe confirms
-//! equality against the rows. BFS parents are a flat array in BFS order,
-//! and edges are CSR: each edge is its target's `u32` id and its event (8
-//! bytes), with `u32` ends per state. The rare edges that violate
+//! equality against the rows. Parts are indexed the same way, by a digest
+//! of (process, decision, local-state words), and a probe compares those
+//! fields against the stored parts: the store keeps one copy of each
+//! part's state, and a probe clones none. BFS parents are a flat array in
+//! BFS order, and edges are CSR: each edge is its target's `u32` id and its
+//! event (8 bytes), with `u32` ends per state. The rare edges that violate
 //! consensus keep their violation in a side list, by edge index, when the
 //! graph asks for them. Ids are `u32`: a state limit above `u32::MAX` is
 //! enforced as `u32::MAX`, and a graph with more than `u32::MAX` edges is
 //! refused as [`ExploreError::TooLarge`].
+//!
+//! **Capacity.** The state and edge arrays, the row index and the
+//! successor cache start with room for 64 states and 256 edges. Small
+//! 2-process graphs, built most, are bound by their allocations, and at
+//! that size `T_{5,2}`'s 62-state budgeted graph never grows an array;
+//! `tests/valency_allocations.rs` bounds their counts. A large build
+//! doubles from there as before.
 //!
 //! **Locality.** In the paper's §2 model a step `p` changes only `p`'s
 //! local state, `p`'s decision and the one object `p` is poised on, reading
@@ -49,6 +59,11 @@ pub(crate) fn id_limit(max_states: usize) -> usize {
 /// a `u32`.
 const EDGE_LIMIT: usize = u32::MAX as usize;
 
+/// The states and edges a store has room for before its arrays first grow:
+/// the size of the small graphs built most, so that they never grow.
+const START_STATES: usize = 64;
+const START_EDGES: usize = 256;
+
 /// One stored edge: the id of the state it leads to and its event.
 #[derive(Clone, Copy)]
 pub(crate) struct Edge {
@@ -67,6 +82,8 @@ impl Edge {
 
 /// One process's share of a stored configuration.
 pub(crate) struct Part {
+    /// The process it belongs to.
+    process: ProcessId,
     /// The process's local state.
     pub(crate) state: LocalState,
     /// The value it has output, if any.
@@ -75,29 +92,43 @@ pub(crate) struct Part {
     pub(crate) action: Action,
 }
 
-/// Every part of one store, by id, and the id of each
-/// `(process, decision, local state)`.
+/// Every part of one store, by id, indexed like the rows: a digest of
+/// `(process, decision, local-state words)` maps to the newest part with
+/// it, and `next` chains the older ones. `D` digests parts.
 #[derive(Default)]
-struct Parts {
+struct Parts<D> {
     parts: Vec<Part>,
-    ids: HashMap<(u16, Option<u32>, LocalState), u32>,
+    heads: HashMap<u64, u32, BuildHasherDefault<WordHasher>>,
+    /// `next[i]`: the part before `i` with `i`'s digest, or [`NONE`].
+    next: Vec<u32>,
+    digest: D,
 }
 
-impl Parts {
+impl<D: BuildHasher + Default> Parts<D> {
     /// The id of `p`'s part of `config`, interned now if new.
     fn intern(&mut self, system: &System, config: &Configuration, p: ProcessId) -> u32 {
         let (state, decided) = (&config.states[p.index()], config.decided[p.index()]);
-        let key = (p.0, decided, state.clone());
-        if let Some(&id) = self.ids.get(&key) {
-            return id;
+        let digest = self.digest.hash_one((p.0, decided, state.words()));
+        let mut i = self.heads.get(&digest).copied().unwrap_or(NONE);
+        while i != NONE {
+            let part = self.get(i);
+            if part.process == p && part.decided == decided && part.state == *state {
+                return i;
+            }
+            i = self.next[i as usize];
         }
-        let id = u32::try_from(self.parts.len()).expect("under 2^32 parts");
+        let id = u32::try_from(self.parts.len())
+            .ok()
+            .filter(|&id| id != NONE)
+            .expect("fewer than 2^32 - 1 parts");
         self.parts.push(Part {
+            process: p,
             state: state.clone(),
             decided,
             action: system.action_of(config, p),
         });
-        self.ids.insert(key, id);
+        self.next
+            .push(self.heads.insert(digest, id).unwrap_or(NONE));
         id
     }
 
@@ -158,7 +189,7 @@ pub(crate) struct Store<D = BuildHasherDefault<WordHasher>> {
     edge_limit: usize,
     /// Each state's BFS parent and the event taken from it.
     parents: Vec<Option<(u32, Event)>>,
-    parts: Parts,
+    parts: Parts<D>,
     /// Each part's successors, keyed as [`Store::successor`] documents.
     successors: HashMap<u64, Successor, BuildHasherDefault<WordHasher>>,
     /// The start configuration: the shape every state unpacks into.
@@ -248,19 +279,21 @@ impl<D: BuildHasher + Default> Store<D> {
             .collect();
         row.extend(start.values.iter().map(|v| u32::from(v.0)));
         row.extend_from_slice(extra);
+        let mut edge_ends = Vec::with_capacity(START_STATES + 1);
+        edge_ends.push(0);
         let mut store = Store {
             n,
             stride: row.len(),
-            rows: Vec::new(),
-            heads: HashMap::default(),
-            next: Vec::new(),
-            edges: Vec::new(),
-            edge_ends: vec![0],
+            rows: Vec::with_capacity(START_STATES * row.len()),
+            heads: HashMap::with_capacity_and_hasher(START_STATES, Default::default()),
+            next: Vec::with_capacity(START_STATES),
+            edges: Vec::with_capacity(START_EDGES),
+            edge_ends,
             violations: None,
             edge_limit: EDGE_LIMIT,
-            parents: Vec::new(),
+            parents: Vec::with_capacity(START_STATES),
             parts,
-            successors: HashMap::default(),
+            successors: HashMap::with_capacity_and_hasher(START_STATES, Default::default()),
             template: start,
             limit: id_limit(max_states),
             digest: D::default(),
@@ -446,7 +479,8 @@ mod tests {
     use std::hash::Hasher;
     use std::sync::Arc;
 
-    /// Gives every row one digest, so every probe walks one chain.
+    /// Gives every row and every part one digest, so every probe walks one
+    /// chain.
     #[derive(Default)]
     struct Collide;
 
