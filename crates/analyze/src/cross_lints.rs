@@ -158,7 +158,7 @@ pub fn compare_valency_verdicts(
                 ),
             )
             .with_suggestion(
-                "the budgeted graph's backward worklists and the checker's forward search \
+                "the budgeted graph's component pass and the checker's forward search \
                  disagree on identical budgets; one reachability computation is wrong",
             ),
         );

@@ -7,78 +7,23 @@
 //! the violation disappears (1-minimality, the guarantee of delta
 //! debugging's final granularity).
 //!
-//! The procedure is deterministic and purely abstract — candidates are
-//! re-executed through [`System::run_from_start`] — so a shrunk
-//! counterexample is reproducible by construction.
+//! The procedure is deterministic and purely abstract — every candidate is
+//! re-executed from the initial configuration through [`System::apply`] —
+//! so a shrunk counterexample is reproducible by construction.
 
 use crate::diagnose::diagnose;
 use crate::explorer::Counterexample;
-use rcn_model::{Configuration, Event, Schedule, System};
+use rcn_model::{Event, Schedule, System};
 use rcn_obs::Tracer;
 
-/// Returns `true` if the schedule triggers any violation (not necessarily
-/// the one originally observed — any violation is a valid counterexample).
-fn violates(system: &System, events: &[Event]) -> bool {
-    let schedule = Schedule::from_events(events.iter().copied());
-    system.run_from_start(&schedule).1.is_some()
-}
-
-/// Lazily-grown prefix snapshots of the current best schedule, so a
-/// deletion candidate `[start..end)` is tested by resuming from the
-/// configuration after `events[..start]` instead of replaying the whole
-/// prefix from the initial configuration. This turns each chunk pass of
-/// the delta-debugging loop from O(L²) executor steps into O(L) amortized
-/// prefix work plus the (unavoidable) suffix replays — exactly equivalent
-/// to [`System::run_from_start`] on the spliced candidate, because event
-/// application is deterministic and a violation in the untouched prefix is
-/// a violation of the candidate too.
-struct PrefixSnapshots<'s> {
-    system: &'s System,
-    /// `configs[i]` = configuration after applying `events[..i]`.
-    configs: Vec<Configuration>,
-    /// `violated[i]` = whether any of `events[..i]` triggered a violation.
-    violated: Vec<bool>,
-}
-
-impl<'s> PrefixSnapshots<'s> {
-    fn new(system: &'s System) -> Self {
-        PrefixSnapshots {
-            system,
-            configs: vec![system.initial_config()],
-            violated: vec![false],
-        }
-    }
-
-    /// Extends the snapshots to cover `events[..upto]`.
-    fn ensure(&mut self, events: &[Event], upto: usize) {
-        while self.configs.len() <= upto {
-            let i = self.configs.len() - 1;
-            let mut next = self.configs[i].clone();
-            let effect = self.system.apply(&mut next, events[i]);
-            self.violated
-                .push(self.violated[i] || effect.violation.is_some());
-            self.configs.push(next);
-        }
-    }
-
-    /// Invalidates every snapshot past `events[..keep]` (called when a
-    /// deletion is accepted: the events after the cut point changed).
-    fn truncate(&mut self, keep: usize) {
-        self.configs.truncate(keep + 1);
-        self.violated.truncate(keep + 1);
-    }
-
-    /// Does `events` with `[start..end)` removed still violate?
-    fn candidate_violates(&mut self, events: &[Event], start: usize, end: usize) -> bool {
-        self.ensure(events, start);
-        if self.violated[start] {
-            return true;
-        }
-        let mut config = self.configs[start].clone();
-        events[end..]
-            .iter()
-            .any(|&e| self.system.apply(&mut config, e).violation.is_some())
-    }
+/// Returns `true` if running `events` from the initial configuration
+/// triggers any violation (not necessarily the one originally observed —
+/// any violation is a valid counterexample).
+fn violates<'e>(system: &System, events: impl IntoIterator<Item = &'e Event>) -> bool {
+    let mut config = system.initial_config();
+    events
+        .into_iter()
+        .any(|&e| system.apply(&mut config, e).violation.is_some())
 }
 
 /// Shrinks a violating schedule to a 1-minimal one: first truncate to the
@@ -104,21 +49,18 @@ pub fn shrink_schedule_traced(system: &System, schedule: &Schedule, tracer: &Tra
     let iterations = tracer.counter("crashtest.shrink_iterations");
     let mut events: Vec<Event> = schedule.events().to_vec();
     iterations.incr();
-    if !violates(system, &events) {
-        return schedule.clone();
-    }
     // Truncation: nothing after the first violating event matters.
     let mut config = system.initial_config();
-    let effects = system.run(&mut config, &Schedule::from_events(events.iter().copied()));
-    if let Some(at) = effects.iter().position(|e| e.violation.is_some()) {
-        events.truncate(at + 1);
-    }
+    let Some(at) = events
+        .iter()
+        .position(|&e| system.apply(&mut config, e).violation.is_some())
+    else {
+        return schedule.clone();
+    };
+    events.truncate(at + 1);
     // Delta-debugging deletion: coarse chunks first for speed, chunk size 1
-    // last for the 1-minimality guarantee. Candidates resume from a prefix
-    // snapshot instead of replaying `events[..start]` from the start each
-    // time (the O(L²) fix); the accepted schedules — and therefore the
-    // shrunk output — are identical to the replay-from-scratch procedure.
-    let mut snapshots = PrefixSnapshots::new(system);
+    // last for the 1-minimality guarantee. Every candidate is replayed from
+    // the initial configuration.
     let mut chunk = (events.len() / 2).max(1);
     loop {
         let mut reduced = false;
@@ -126,9 +68,8 @@ pub fn shrink_schedule_traced(system: &System, schedule: &Schedule, tracer: &Tra
         while start < events.len() {
             let end = (start + chunk).min(events.len());
             iterations.incr();
-            if snapshots.candidate_violates(&events, start, end) {
+            if violates(system, events[..start].iter().chain(&events[end..])) {
                 events.drain(start..end);
-                snapshots.truncate(start);
                 reduced = true;
                 // Re-test from the same index: the next chunk slid left.
             } else {
@@ -219,74 +160,6 @@ mod tests {
         let sys = TasConsensus::system(vec![0, 1]);
         let clean: Schedule = "p0 p0 p1 p1 p1".parse().unwrap();
         assert_eq!(shrink_schedule(&sys, &clean), clean);
-    }
-
-    /// The original O(L²) procedure, kept as the reference: every
-    /// candidate replayed from the initial configuration.
-    fn shrink_reference(system: &System, schedule: &Schedule) -> Schedule {
-        let mut events: Vec<Event> = schedule.events().to_vec();
-        if !violates(system, &events) {
-            return schedule.clone();
-        }
-        let mut config = system.initial_config();
-        let effects = system.run(&mut config, &Schedule::from_events(events.iter().copied()));
-        if let Some(at) = effects.iter().position(|e| e.violation.is_some()) {
-            events.truncate(at + 1);
-        }
-        let mut chunk = (events.len() / 2).max(1);
-        loop {
-            let mut reduced = false;
-            let mut start = 0;
-            while start < events.len() {
-                let end = (start + chunk).min(events.len());
-                let mut candidate = events.clone();
-                candidate.drain(start..end);
-                if violates(system, &candidate) {
-                    events = candidate;
-                    reduced = true;
-                } else {
-                    start = end;
-                }
-            }
-            if chunk == 1 && !reduced {
-                break;
-            }
-            if !reduced {
-                chunk = (chunk / 2).max(1);
-            }
-        }
-        Schedule::from_events(events)
-    }
-
-    #[test]
-    fn prefix_snapshot_shrinking_matches_the_replay_reference() {
-        // The perf fix must not change a single output: the snapshot-
-        // resumed procedure accepts exactly the candidates the replay-
-        // from-scratch one does, on every zoo counterexample and on
-        // hand-built schedules with trailing junk.
-        let systems = vec![
-            TasConsensus::system(vec![0, 1]),
-            TnnWaitFree::system(2, 1, vec![0, 1]),
-            TnnWaitFree::system(3, 2, vec![0, 1]),
-        ];
-        for sys in &systems {
-            let report = CrashExplorer::new(sys, CrashtestConfig::default()).explore();
-            let cex = report.counterexample.as_ref().expect("protocol breaks");
-            assert_eq!(
-                shrink_schedule(sys, &cex.schedule),
-                shrink_reference(sys, &cex.schedule),
-                "shrunk outputs diverge on {}",
-                cex.schedule
-            );
-            // Padding with irrelevant suffix events exercises truncation +
-            // deep deletion together.
-            let padded = cex.schedule.concat(&"p0 p1 p0 p1".parse().unwrap());
-            assert_eq!(
-                shrink_schedule(sys, &padded),
-                shrink_reference(sys, &padded),
-                "shrunk outputs diverge on padded {padded}"
-            );
-        }
     }
 
     #[test]

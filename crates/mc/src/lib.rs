@@ -3,8 +3,8 @@
 //! Every verdict the rest of the workspace emits rests on one algorithm
 //! per question: crashtest certifications on `rcn-faults`' memoized DFS,
 //! valency facts on `rcn-valency`'s budgeted `E_z*` graph (a breadth-first
-//! build into rows of interned per-process parts, valencies by backward
-//! worklists). A bug in
+//! build into rows of interned per-process parts, valencies from its
+//! strongly connected components). A bug in
 //! any one engine's pruning (the depth-cap memoization unsoundness caught
 //! in review is the canonical example) silently corrupts verdicts with
 //! nothing to notice.

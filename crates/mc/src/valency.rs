@@ -2,7 +2,8 @@
 //!
 //! `rcn-valency`'s `BudgetedGraph` computes bivalence/univalence facts for
 //! every state: a breadth-first build into rows of interned per-process
-//! parts with CSR edges, then a backward worklist per decision value. This
+//! parts with CSR edges, then one pass over the strongly connected
+//! components of those edges in Tarjan's completion order. This
 //! module answers the *same question* for the initial configuration —
 //! which decision values are reachable from it when `p_i` may crash at
 //! most `z·n ×` (steps of lower-id processes) times, allowances clamped at
@@ -12,7 +13,7 @@
 //! a decision value is reachable exactly when some stored state holds it:
 //! the search notes the values its stored states hold and stops once it
 //! has stored both. The two engines differ in direction (forward existence
-//! with an early stop vs backward worklists over every state), in state
+//! with an early stop vs a component pass over every state), in state
 //! identity (structural fields vs interned part rows) and in what they
 //! keep of the graph (nothing vs CSR edges). Agreement between the two is
 //! the RCN201 cross-check.

@@ -14,6 +14,7 @@
 //!   graph this is exact — no bounding, no approximation.
 
 use crate::graph::{ConfigGraph, ConfigId, ExploreError};
+use crate::scc::tarjan;
 use crate::store::Edge;
 use rcn_model::{Event, ProcessId, Schedule, System, Violation};
 use std::collections::HashMap;
@@ -193,7 +194,8 @@ pub fn check_graph(graph: &ConfigGraph) -> Verdict {
 }
 
 /// Finds a reachable cycle in which `p` steps, never crashes and stays
-/// undecided — Tarjan SCCs on the restricted graph, then a cycle walk.
+/// undecided — SCCs of the restricted graph (the same [`tarjan`] that
+/// gives `BudgetedGraph` its valencies), then a cycle walk.
 fn starvation_cycle(graph: &ConfigGraph, p: ProcessId) -> Option<Counterexample> {
     // "Undecided" means: no recorded output AND not sitting in an output
     // state (where steps are no-ops and the process has effectively decided).
@@ -222,6 +224,7 @@ fn starvation_cycle(graph: &ConfigGraph, p: ProcessId) -> Option<Counterexample>
     for (c, scc) in sccs.iter().enumerate() {
         let inside = |id: ConfigId| sccs.component[id] == c as u32;
         let step_edge = scc.iter().find_map(|&id| {
+            let id = id as ConfigId;
             graph
                 .stored_edges(id)
                 .iter()
@@ -277,87 +280,6 @@ fn path_within(
         }
     }
     None
-}
-
-/// The strongly connected components of a graph, in the order Tarjan's
-/// algorithm completes them, stored flat.
-struct Sccs {
-    /// Every node, grouped by component; a component's nodes are in the
-    /// order they left Tarjan's stack.
-    members: Vec<ConfigId>,
-    /// `ends[c]`: one past component `c`'s last node in `members`.
-    ends: Vec<usize>,
-    /// `component[id]`: the component `id` belongs to.
-    component: Vec<u32>,
-}
-
-impl Sccs {
-    /// The components' node lists, in completion order.
-    fn iter(&self) -> impl Iterator<Item = &[ConfigId]> {
-        let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        starts
-            .zip(&self.ends)
-            .map(|(start, &end)| &self.members[start..end])
-    }
-}
-
-/// Iterative Tarjan SCC over an implicit graph. Returns all SCCs (singletons
-/// included). `successors` yields a node's successors without allocating;
-/// the walk keeps one live iterator per node on its DFS path.
-fn tarjan<I: Iterator<Item = ConfigId>>(n: usize, successors: impl Fn(ConfigId) -> I) -> Sccs {
-    const UNSEEN: u32 = u32::MAX;
-    let (mut index, mut lowlink, mut on_stack) = (vec![UNSEEN; n], vec![0u32; n], vec![false; n]);
-    let mut counter = 0u32;
-    let mut stack: Vec<ConfigId> = Vec::new();
-    let mut sccs = Sccs {
-        members: Vec::with_capacity(n),
-        ends: Vec::new(),
-        component: vec![0; n],
-    };
-    // Explicit DFS stack of (node, its remaining successors).
-    let mut dfs: Vec<(ConfigId, I)> = Vec::new();
-    for root in 0..n {
-        let mut unseen = (index[root] == UNSEEN).then_some(root);
-        loop {
-            if let Some(node) = unseen.take() {
-                (index[node], lowlink[node], on_stack[node]) = (counter, counter, true);
-                counter += 1;
-                stack.push(node);
-                dfs.push((node, successors(node)));
-            }
-            let Some((node, succs)) = dfs.last_mut() else {
-                break;
-            };
-            let node = *node;
-            if let Some(next) = succs.next() {
-                if index[next] == UNSEEN {
-                    unseen = Some(next);
-                } else if on_stack[next] {
-                    lowlink[node] = lowlink[node].min(index[next]);
-                }
-                continue;
-            }
-            // Node finished.
-            dfs.pop();
-            if lowlink[node] == index[node] {
-                let c = sccs.ends.len() as u32;
-                loop {
-                    let w = stack.pop().expect("tarjan stack underflow");
-                    on_stack[w] = false;
-                    sccs.component[w] = c;
-                    sccs.members.push(w);
-                    if w == node {
-                        break;
-                    }
-                }
-                sccs.ends.push(sccs.members.len());
-            }
-            if let Some(&(parent, _)) = dfs.last() {
-                lowlink[parent] = lowlink[parent].min(lowlink[node]);
-            }
-        }
-    }
-    sccs
 }
 
 #[cfg(test)]
@@ -534,28 +456,6 @@ mod tests {
             }
             ref other => panic!("expected unsafe, got {other}"),
         }
-    }
-
-    #[test]
-    fn tarjan_finds_simple_cycles() {
-        // 0 -> 1 -> 2 -> 0, 3 isolated.
-        let adj = [vec![1], vec![2], vec![0], vec![]];
-        let sccs = tarjan(4, |i| adj[i].iter().copied());
-        let big: Vec<_> = sccs.iter().filter(|s| s.len() == 3).collect();
-        assert_eq!(big.len(), 1);
-        assert_eq!(sccs.iter().map(<[_]>::len).sum::<usize>(), 4);
-        assert_eq!(sccs.component[0], sccs.component[2]);
-        assert_ne!(sccs.component[0], sccs.component[3]);
-    }
-
-    #[test]
-    fn tarjan_handles_self_loops_and_chains() {
-        // 0 -> 0 (self loop), 0 -> 1.
-        let adj = [vec![0, 1], vec![]];
-        let sccs = tarjan(2, |i| adj[i].iter().copied());
-        // Completion order: the sink first.
-        let order: Vec<&[ConfigId]> = sccs.iter().collect();
-        assert_eq!(order, [&[1][..], &[0][..]]);
     }
 }
 

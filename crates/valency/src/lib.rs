@@ -31,6 +31,7 @@
 mod chain;
 mod checker;
 mod graph;
+mod scc;
 mod store;
 mod valency;
 

@@ -468,7 +468,7 @@ impl<D: BuildHasher + Default> Store<D> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::valency::charge_allowances;
     use rcn_model::{HeapLayout, ObjectId, OutputInput, Program};
@@ -540,7 +540,9 @@ mod tests {
         }
     }
 
-    fn systems() -> Vec<System> {
+    /// The systems the walks run on; `valency`'s oracle test runs on them
+    /// too.
+    pub(crate) fn systems() -> Vec<System> {
         let mut layout = HeapLayout::new();
         let reg = layout.add_object("R", Arc::new(Register::new(2)), ValueId::new(0));
         let growing = System::new(Arc::new(Growing { reg }), Arc::new(layout), vec![1, 0, 0]);

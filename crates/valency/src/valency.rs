@@ -22,6 +22,7 @@
 //! [`rcn_decide::recording_class`], the deciders' own definition.
 
 use crate::graph::ExploreError;
+use crate::scc::tarjan;
 use crate::store::Store;
 pub use rcn_decide::CriticalClass;
 use rcn_decide::{recording_class, Team, Witness};
@@ -71,7 +72,8 @@ pub struct CriticalInfo {
     pub class: Option<CriticalClass>,
 }
 
-/// The explored `E_z*` execution graph with valencies.
+/// The explored `E_z*` execution graph with valencies, which one pass over
+/// the strongly connected components of its edges gives every state.
 pub struct BudgetedGraph {
     system: System,
     store: Store,
@@ -253,50 +255,39 @@ pub(crate) fn charge_allowances(allowances: &mut [u32], event: Event, funded: u3
     }
 }
 
-/// Which states can reach a 0-decision, and which a 1-decision: one
-/// backward worklist per decision value over the reversed edges, seeded
-/// with the states that have decided it.
+/// Which decisions each state can reach, read off the strongly connected
+/// components of the forward edges: every member of a component reaches
+/// the same states. Tarjan completes a component only after every
+/// component its edges enter (see [`crate::scc`]), so one pass in
+/// completion order finds each component's mask — its members' own
+/// decisions, OR-ed with the final masks of the components its edges
+/// enter — and every member takes its component's valency.
 fn compute_valencies(store: &Store) -> Vec<Valency> {
-    let n = store.len();
-    // The predecessors of `i` end up in `preds[starts[i]..starts[i + 1]]`:
-    // `starts[i]` counts up to the end of `i`'s block, then fills it back.
-    // Edge counts fit a `u32`: the store refuses more edges.
-    let mut starts = vec![0u32; n + 1];
-    for id in 0..n {
-        for e in store.edges(id) {
-            starts[e.target()] += 1;
-        }
-    }
-    for i in 0..n {
-        starts[i + 1] += starts[i];
-    }
-    let mut preds = vec![0u32; starts[n] as usize];
-    let mut work = [Vec::new(), Vec::new()];
-    for id in 0..n {
-        for e in store.edges(id) {
-            starts[e.target()] -= 1;
-            preds[starts[e.target()] as usize] = id as u32;
-        }
-        for d in store.decided(id).flatten() {
-            work[usize::from(d != 0)].push(id);
-        }
-    }
-    let [reach0, reach1] = work.map(|mut work| {
-        let mut reach = vec![false; n];
-        while let Some(i) = work.pop() {
-            if !std::mem::replace(&mut reach[i], true) {
-                let preds = &preds[starts[i] as usize..starts[i + 1] as usize];
-                work.extend(preds.iter().map(|&p| p as usize));
+    let sccs = tarjan(store.len(), |id| store.edges(id).iter().map(|e| e.target()));
+    // Bit 0: a 0-decision is reachable; bit 1: a 1-decision is. A
+    // component's own entry stays 0 until its pass ends, so its inner
+    // edges add nothing.
+    let mut masks = vec![0u8; sccs.len()];
+    for (c, members) in sccs.iter().enumerate() {
+        let mut mask = 0;
+        for &id in members {
+            let id = id as usize;
+            for d in store.decided(id).flatten() {
+                mask |= 1 << u8::from(d != 0);
+            }
+            for e in store.edges(id) {
+                mask |= masks[sccs.component[e.target()] as usize];
             }
         }
-        reach
-    });
-    (0..n)
-        .map(|i| match (reach0[i], reach1[i]) {
-            (true, true) => Valency::Bivalent,
-            (true, false) => Valency::Univalent(0),
-            (false, true) => Valency::Univalent(1),
-            (false, false) => Valency::Undetermined,
+        masks[c] = mask;
+    }
+    sccs.component
+        .iter()
+        .map(|&c| match masks[c as usize] {
+            0b11 => Valency::Bivalent,
+            0b01 => Valency::Univalent(0),
+            0b10 => Valency::Univalent(1),
+            _ => Valency::Undetermined,
         })
         .collect()
 }
@@ -397,6 +388,70 @@ mod tests {
         // State 0 has no crash edges at all (no allowance yet).
         let crashes_at_init = graph.successors(0).filter(|(e, _)| e.is_crash()).count();
         assert_eq!(crashes_at_init, 0);
+    }
+
+    /// The valency a plain BFS from `id` over the store's edges finds: the
+    /// decisions made in the states it reaches, `id` included. `Valency` is
+    /// binary, so a decision other than 0 counts as 1 (the universal
+    /// simulation's processes output responses), and the BFS stops once it
+    /// has seen both. `seen[i] == id + 1` marks `i` as seen by this search,
+    /// so one `seen` serves every start.
+    fn reached_valency(store: &Store, id: usize, seen: &mut [usize]) -> Valency {
+        seen[id] = id + 1;
+        let mut queue = std::collections::VecDeque::from([id]);
+        let (mut zero, mut one) = (false, false);
+        while let Some(i) = queue.pop_front() {
+            for d in store.decided(i).flatten() {
+                *if d == 0 { &mut zero } else { &mut one } = true;
+            }
+            if zero && one {
+                return Valency::Bivalent;
+            }
+            for e in store.edges(i) {
+                if std::mem::replace(&mut seen[e.target()], id + 1) != id + 1 {
+                    queue.push_back(e.target());
+                }
+            }
+        }
+        match (zero, one) {
+            (true, _) => Valency::Univalent(0),
+            (_, true) => Valency::Univalent(1),
+            _ => Valency::Undetermined,
+        }
+    }
+
+    /// On every system of the store's walk test, each state's valency is
+    /// the one forward reachability gives it: with allowances over the
+    /// `E_1*` graph clamped at 2, without over every step and crash.
+    #[test]
+    fn valencies_match_forward_reachability() {
+        for sys in crate::store::tests::systems() {
+            let unbudgeted = Store::explore(
+                &sys,
+                sys.initial_config(),
+                &[],
+                100_000,
+                |_, _| true,
+                |_, _| {},
+                false,
+            )
+            .unwrap();
+            let budgeted = BudgetedGraph::explore(&sys, 1, 2, 100_000).unwrap();
+            let valency = compute_valencies(&unbudgeted);
+            for (store, valency) in [
+                (&unbudgeted, &valency),
+                (&budgeted.store, &budgeted.valency),
+            ] {
+                let mut seen = vec![0; store.len()];
+                // Each start costs a BFS, so the two 3-process tournament
+                // graphs (11 672 and 36 827 states) check every 3rd and 9th
+                // state; the others check every state.
+                for id in (0..store.len()).step_by(store.len().div_ceil(4096)) {
+                    let reached = reached_valency(store, id, &mut seen);
+                    assert_eq!(valency[id], reached, "state {id}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The `repro` driver's command line: an unknown experiment id is a usage
-//! error (exit 2) that names the valid ids, and no experiment runs.
+//! error (exit 2) that names the valid ids, and no experiment runs. An
+//! experiment prints the same bytes on every run.
 
 use std::process::Command;
 
@@ -21,4 +22,19 @@ fn unknown_experiment_ids_are_usage_errors() {
             "{args:?}: {stderr}"
         );
     }
+}
+
+/// Two runs of an experiment print the same bytes: E5's engine counts come
+/// from one worker and its line carries no timing.
+#[test]
+fn repro_output_is_the_same_on_every_run() {
+    let run = || {
+        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("hierarchy")
+            .output()
+            .expect("repro runs");
+        assert!(output.status.success(), "{output:?}");
+        String::from_utf8(output.stdout).expect("utf-8 output")
+    };
+    assert_eq!(run(), run());
 }
